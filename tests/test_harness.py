@@ -341,3 +341,83 @@ def test_csv_header_and_quoting(tmp_path):
     assert _csv_field('with"quote') == '"with""quote"'
     assert _csv_field(None) == ""
     assert _csv_field(0.1) == "0.1"
+
+
+# ---------------------------------------------------------------------------
+# Golden report digests
+#
+# sha256 of the CSV bytes of four small reports.  Reruns only show that a
+# report matches itself; these pins show that a change to the runner leaves
+# every byte as it was.  The coverage grid holds tiling layouts, tails with
+# one and two spilled treated units, grouped cells skipped for a
+# non-integer treated count, and at n = 40 a Bernoulli draw with an empty
+# arm, so the plug-in normal interval's recorded miss is pinned too.
+
+_ALL_COVERAGE_METHODS = [
+    "hoeff-mbcr",
+    "sub-bernoulli-mbcr",
+    "studentized",
+    "sub-bernoulli-bern",
+    "naive-hoeffding",
+    "clt",
+    "studentized-bern",
+]
+
+
+def _golden_coverage_raw(setting):
+    return _coverage_raw(
+        grid={"n": [40, 45, 200], "pi": ["1/10", "3/20"], "alpha": [0.05]},
+        methods=_ALL_COVERAGE_METHODS,
+        replications=60,
+        seed=11,
+        setting=setting,
+    )
+
+
+def _sha256(report):
+    import hashlib
+
+    return hashlib.sha256(report.to_csv_bytes()).hexdigest()
+
+
+def test_golden_coverage_design_based():
+    report = run_coverage(parse_config(_golden_coverage_raw("design_based")))
+    assert len(report.rows) == 36
+    assert _sha256(report) == (
+        "ee0f4a510426818fc4f438fac431f941eaf0b4b2827e8dfb8814fc05dee7e306"
+    )
+
+
+def test_golden_coverage_superpopulation():
+    report = run_coverage(parse_config(_golden_coverage_raw("superpopulation")))
+    assert len(report.rows) == 36
+    assert _sha256(report) == (
+        "2e166d18ac8d93fa5b918d368021dad51aac8c7eae39bdfa04b4fd871455bc6c"
+    )
+
+
+def test_golden_width_scaling_fig1():
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "fig1.json"
+    report = run_width_scaling(load_config(config))
+    assert _sha256(report) == (
+        "5d68c69d74f277163bd841a248713dc64a5a01982ed0b7dadb96f7964b255d86"
+    )
+
+
+def test_golden_rmse():
+    raw = {
+        "experiment": "rmse",
+        "grid": {"n": [45, 200], "pi": ["1/10"], "alpha": [0.05]},
+        "methods": ["ht-mbcr", "ht-bernoulli"],
+        "dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5},
+        "replications": 50,
+        "seed": 11,
+        "setting": "design_based",
+    }
+    report = run_rmse(parse_config(raw))
+    assert len(report.rows) == 3
+    assert _sha256(report) == (
+        "d7b6a86c7cfc5a2fcda54a218febe30defaa83013b9993541a8bab15dbc36d8d"
+    )
