@@ -9,7 +9,8 @@ method/scheme combinations), 2 runtime error.
 The ``--alpha`` flag is always the total miscoverage of the printed
 interval.  Closed-form methods use it directly; the Studentized interval's
 underlying construction is two one-sided bounds, so the CLI halves the
-requested miscoverage before building it.
+requested miscoverage before building it (it divides by the method's
+``miscoverage_factor``, which is two for that interval and one otherwise).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .design import (
     SCHEME_MBCR,
     compute_layout,
     draw_mbcr,
-    inverse_permutation,
 )
 from .dgp import DgpError
 from .estimator import EstimatorError, ObservedData, ht_mbcr, ht_standard
@@ -47,22 +47,7 @@ from .harness import (
     run_experiment,
     write_outputs,
 )
-from .intervals import (
-    Interval,
-    IntervalError,
-    METHOD_CLT,
-    METHOD_HOEFF_MBCR,
-    METHOD_NAIVE_HOEFFDING,
-    METHOD_STUDENTIZED,
-    METHOD_SUB_BERNOULLI_BERN,
-    METHOD_SUB_BERNOULLI_MBCR,
-    METHODS,
-    clt_ci,
-    hoeff_mbcr_ci,
-    naive_hoeffding_ci,
-    studentized_ci,
-    sub_bernoulli_ci,
-)
+from .intervals import METHOD_TABLE, METHODS, Interval, IntervalError
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -184,11 +169,7 @@ def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
 
 def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignment:
     n = y.shape[0]
-    if args.n1 is None:
-        raise CliError("scheme mbcr needs --n1")
     layout = compute_layout(n, args.n1)
-    if int(z.sum()) != args.n1:
-        raise CliError(f"data has {int(z.sum())} treated units but --n1 is {args.n1}")
     have_cols = perm_cols is not None
     if have_cols and args.seed is not None:
         raise CliError(
@@ -215,9 +196,7 @@ def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignmen
             "assignment detail does not reproduce the data's z column; "
             "check the permutations or the --seed"
         )
-    inv_eta = inverse_permutation(eta)
-    groups = tuple(inv_eta[b] for b in layout.slot_blocks())
-    detail = MbcrDraw(layout=layout, beta=beta, eta=eta, groups=groups)
+    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
     return Assignment(
         z=z.astype(np.int8),
         scheme=SCHEME_MBCR,
@@ -258,6 +237,13 @@ def _compute_ci(args) -> Interval:
         }
 
     scheme, method = args.scheme, args.method
+    spec = METHOD_TABLE[method]
+    if scheme not in spec.cli_schemes:
+        usable = [m for m in METHODS if scheme in METHOD_TABLE[m].cli_schemes]
+        raise CliError(
+            f"method {method} does not apply to {scheme} data; use "
+            + ", ".join(usable)
+        )
     if scheme == SCHEME_BERNOULLI:
         if args.pi is None:
             raise CliError("scheme bernoulli needs --pi")
@@ -280,66 +266,31 @@ def _compute_ci(args) -> Interval:
             )
         pi = args.n1 / n
 
+    layout = None
     if scheme == SCHEME_MBCR:
-        if method not in (
-            METHOD_HOEFF_MBCR,
-            METHOD_SUB_BERNOULLI_MBCR,
-            METHOD_STUDENTIZED,
-        ):
-            raise CliError(
-                f"method {method} does not apply to mbcr data; use hoeff-mbcr, "
-                "sub-bernoulli-mbcr, or studentized"
-            )
         assignment = _mbcr_assignment(args, y, z, perm_cols)
-        data = ObservedData(y=y, assignment=assignment)
-        if method == METHOD_HOEFF_MBCR:
-            return hoeff_mbcr_ci(ht_mbcr(data), assignment.mbcr.layout, args.alpha)
-        if method == METHOD_SUB_BERNOULLI_MBCR:
-            return sub_bernoulli_ci(
-                ht_mbcr(data), args.alpha, scheme=SCHEME_MBCR,
-                layout=assignment.mbcr.layout,
-            )
-        return studentized_ci(data, args.alpha / 2.0)
-
-    if perm_cols is not None:
-        raise CliError("beta/eta permutation detail only applies to scheme mbcr")
-
-    assignment = Assignment(z=z, scheme=scheme, pi=pi,
-                            n1=args.n1 if scheme == SCHEME_COMPLETE else None)
+        layout = assignment.mbcr.layout
+    else:
+        if perm_cols is not None:
+            raise CliError("beta/eta permutation detail only applies to scheme mbcr")
+        assignment = Assignment(z=z, scheme=scheme, pi=pi,
+                                n1=args.n1 if scheme == SCHEME_COMPLETE else None)
+        if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
+            # Complete randomization is the grouped design when the groups
+            # tile the sample, and then the standard estimate is the grouped one.
+            layout = compute_layout(n, args.n1)
+            if layout.tail_treated != 0:
+                raise CliError(
+                    f"{method} on plain complete data needs groups that tile the "
+                    "sample (n1 dividing n); otherwise draw with scheme mbcr and "
+                    "pass the permutation detail"
+                )
     data = ObservedData(y=y, assignment=assignment)
-
-    if method == METHOD_HOEFF_MBCR:
-        if scheme != SCHEME_COMPLETE:
-            raise CliError(
-                "hoeff-mbcr does not apply to bernoulli data; use "
-                "sub-bernoulli-bern or studentized"
-            )
-        layout = compute_layout(n, args.n1)
-        if layout.tail_treated != 0:
-            raise CliError(
-                "hoeff-mbcr on plain complete data needs groups that tile the "
-                "sample (n1 dividing n); otherwise draw with scheme mbcr and "
-                "pass the permutation detail"
-            )
-        return hoeff_mbcr_ci(ht_standard(data, pi), layout, args.alpha)
-    if method == METHOD_SUB_BERNOULLI_MBCR:
-        raise CliError("sub-bernoulli-mbcr needs mbcr data with its draw detail")
-    if method == METHOD_SUB_BERNOULLI_BERN:
-        return sub_bernoulli_ci(
-            ht_standard(data, pi), args.alpha, scheme=SCHEME_BERNOULLI, n=n, pi=pi
-        )
-    if method == METHOD_NAIVE_HOEFFDING:
-        return naive_hoeffding_ci(ht_standard(data, pi), n, pi, args.alpha)
-    if method == METHOD_CLT:
-        return clt_ci(data, pi, args.alpha)
-    if method == METHOD_STUDENTIZED:
-        if scheme != SCHEME_BERNOULLI:
-            raise CliError(
-                "studentized under complete randomization needs the grouped "
-                "draw detail; rerun with scheme mbcr"
-            )
-        return studentized_ci(data, args.alpha / 2.0)
-    raise CliError(f"unknown method {method!r}")
+    alpha = args.alpha / spec.miscoverage_factor
+    if spec.adaptive is not None:
+        return spec.adaptive(data, pi, alpha)
+    est = ht_mbcr(data) if scheme == SCHEME_MBCR else ht_standard(data, pi)
+    return spec.closed(est, layout, n, pi, alpha)
 
 
 def _json_ready(value):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -182,14 +183,18 @@ class MbcrDraw:
 
     ``beta`` permutes slots within each block (slot ``s`` delivers the
     allocation pattern's value at ``beta[s]``); ``eta`` maps unit ``j`` to
-    slot ``eta[j]``.  ``groups`` lists the units occupying each block, tail
-    last, in slot order.
+    slot ``eta[j]``.
     """
 
     layout: MbcrLayout
     beta: np.ndarray
     eta: np.ndarray
-    groups: tuple[np.ndarray, ...]
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """The units occupying each block, tail last, in slot order."""
+        inv_eta = inverse_permutation(self.eta)
+        return tuple(inv_eta[block] for block in self.layout.slot_blocks())
 
 
 @dataclass(frozen=True)
@@ -249,9 +254,7 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     eta = rng.permutation(n)
     a = layout.allocation_vector()
     z = a[beta][eta]
-    inv_eta = inverse_permutation(eta)
-    groups = tuple(inv_eta[block] for block in layout.slot_blocks())
-    detail = MbcrDraw(layout=layout, beta=beta, eta=eta, groups=groups)
+    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
     return Assignment(
         z=z, scheme=SCHEME_MBCR, pi=layout.n1 / n, n1=layout.n1, mbcr=detail
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -33,6 +34,8 @@ from scipy.stats import chisquare
 from . import __version__ as TOOL_VERSION
 from .design import (
     DEFAULT_ENUMERATION_BUDGET,
+    SCHEME_BERNOULLI,
+    SCHEME_MBCR,
     DesignError,
     MbcrLayout,
     compute_layout,
@@ -40,21 +43,9 @@ from .design import (
     draw_mbcr,
     enumerate_mbcr_distribution,
 )
-from .dgp import DgpSpec, DgpError, sample_population, true_ate_iid
+from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
 from .estimator import ObservedData, PotentialTable, ht_mbcr, ht_standard
-from .intervals import (
-    METHOD_CLT,
-    METHOD_HOEFF_MBCR,
-    METHOD_NAIVE_HOEFFDING,
-    METHOD_STUDENTIZED,
-    METHOD_SUB_BERNOULLI_BERN,
-    METHOD_SUB_BERNOULLI_MBCR,
-    clt_ci,
-    hoeff_mbcr_ci,
-    naive_hoeffding_ci,
-    studentized_ci,
-    sub_bernoulli_ci,
-)
+from .intervals import METHOD_TABLE, EmptyArmError, MethodSpec
 
 log = logging.getLogger(__name__)
 
@@ -75,35 +66,9 @@ EXPERIMENTS = (
 SETTING_DESIGN_BASED = "design_based"
 SETTING_SUPERPOPULATION = "superpopulation"
 
-METHOD_STUDENTIZED_BERN = "studentized-bern"
-METHOD_HT_MBCR = "ht-mbcr"
-METHOD_HT_BERNOULLI = "ht-bernoulli"
-
-MBCR_METHODS = {
-    METHOD_HOEFF_MBCR,
-    METHOD_SUB_BERNOULLI_MBCR,
-    METHOD_STUDENTIZED,
-    METHOD_HT_MBCR,
-}
-BERN_METHODS = {
-    METHOD_SUB_BERNOULLI_BERN,
-    METHOD_NAIVE_HOEFFDING,
-    METHOD_CLT,
-    METHOD_STUDENTIZED_BERN,
-    METHOD_HT_BERNOULLI,
-}
-CLOSED_WIDTH_METHODS = {
-    METHOD_HOEFF_MBCR,
-    METHOD_SUB_BERNOULLI_MBCR,
-    METHOD_SUB_BERNOULLI_BERN,
-    METHOD_NAIVE_HOEFFDING,
-}
-COVERAGE_METHODS = CLOSED_WIDTH_METHODS | {
-    METHOD_STUDENTIZED,
-    METHOD_STUDENTIZED_BERN,
-    METHOD_CLT,
-}
-RMSE_METHODS = {METHOD_HT_MBCR, METHOD_HT_BERNOULLI}
+CLOSED_WIDTH_METHODS = {m for m, s in METHOD_TABLE.items() if s.closed is not None}
+COVERAGE_METHODS = {m for m, s in METHOD_TABLE.items() if s.has_interval}
+RMSE_METHODS = {m for m, s in METHOD_TABLE.items() if not s.has_interval}
 
 REPORT_COLUMNS = [
     "schema_version",
@@ -385,153 +350,174 @@ class _Cell:
     pi: Fraction
     alpha: float
     layout: MbcrLayout | None
-    mbcr_skip_reason: str | None
-    table_y0: np.ndarray | None
-    table_y1: np.ndarray | None
+    # Config methods this cell runs, in config order; the rest are skipped.
+    methods: tuple[str, ...]
+    # Fixed potential-outcome table, or None to sample one per replication.
+    table: PotentialTable | None
     target: float
-    needs_mbcr: bool
-    needs_bern: bool
+
+
+def _grouped_layout(n: int, pi: Fraction) -> tuple[MbcrLayout | None, str | None]:
+    """The grouped layout for a cell, or None and the reason there is none."""
+    n1 = pi * n
+    if n1.denominator != 1:
+        return None, f"pi={pi} gives non-integer treated count for n={n}"
+    if n1.numerator < 1:
+        return None, f"pi={pi} gives no treated units for n={n}"
+    try:
+        return compute_layout(n, int(n1)), None
+    except DesignError as exc:
+        return None, str(exc)
+
+
+def _skip_reason(spec: MethodSpec, n: int, layout, layout_reason) -> str | None:
+    """Why a method cannot run in a cell, decided from its design alone."""
+    if spec.scheme == SCHEME_MBCR:
+        if layout is None:
+            return layout_reason
+        groups = layout.num_groups
+    else:
+        groups = n
+    if groups < spec.min_groups:
+        return f"{groups} groups, fewer than the {spec.min_groups} this interval needs"
+    return None
 
 
 def _build_cells(config: ExperimentConfig) -> list[_Cell]:
-    wants_mbcr = [m for m in config.methods if m in MBCR_METHODS]
-    wants_bern = [m for m in config.methods if m in BERN_METHODS]
+    """Grid cells in (n, pi, alpha) order, logging every skipped method."""
+    grouped = any(METHOD_TABLE[m].scheme == SCHEME_MBCR for m in config.methods)
+    dgp = config.dgp
     cells = []
-    idx = 0
-    for n in config.ns:
-        for pi in config.pis:
-            for alpha in config.alphas:
-                layout = None
-                reason = None
-                if wants_mbcr:
-                    n1_frac = pi * n
-                    if n1_frac.denominator != 1:
-                        reason = f"pi={pi} gives non-integer treated count for n={n}"
-                    elif n1_frac.numerator < 1:
-                        reason = f"pi={pi} gives no treated units for n={n}"
-                    else:
-                        try:
-                            layout = compute_layout(n, int(n1_frac))
-                        except DesignError as exc:
-                            reason = str(exc)
-                table = None
-                if config.dgp is not None and config.setting == SETTING_DESIGN_BASED:
-                    table = sample_population(
-                        config.dgp.with_n(n), child_rng(config.seed, idx, _TAG_CELL_TABLE)
-                    )
-                if table is not None:
-                    target = table.psi_db
-                elif config.dgp is not None:
-                    target = true_ate_iid(config.dgp)
-                else:
-                    target = 0.0
-                cells.append(
-                    _Cell(
-                        idx=idx,
-                        n=n,
-                        pi=pi,
-                        alpha=alpha,
-                        layout=layout,
-                        mbcr_skip_reason=reason,
-                        table_y0=None if table is None else table.y0,
-                        table_y1=None if table is None else table.y1,
-                        target=target,
-                        needs_mbcr=bool(wants_mbcr) and layout is not None,
-                        needs_bern=bool(wants_bern),
-                    )
+    grid = itertools.product(config.ns, config.pis, config.alphas)
+    for idx, (n, pi, alpha) in enumerate(grid):
+        layout, layout_reason = _grouped_layout(n, pi) if grouped else (None, None)
+        methods = []
+        for m in config.methods:
+            reason = _skip_reason(METHOD_TABLE[m], n, layout, layout_reason)
+            if reason is None:
+                methods.append(m)
+            else:
+                log.warning(
+                    "cell (n=%d, pi=%s, alpha=%g): skipping %s: %s",
+                    n,
+                    pi,
+                    alpha,
+                    m,
+                    reason,
                 )
-                idx += 1
+        table = None
+        if dgp is not None and (
+            config.setting == SETTING_DESIGN_BASED or dgp.kind == KIND_FIXED_TABLE
+        ):
+            table = sample_population(
+                dgp.with_n(n), child_rng(config.seed, idx, _TAG_CELL_TABLE)
+            )
+        if table is not None:
+            target = table.psi_db
+        elif dgp is not None:
+            target = true_ate_iid(dgp)
+        else:
+            target = 0.0
+        cells.append(_Cell(idx, n, pi, alpha, layout, tuple(methods), table, target))
     return cells
 
 
 def _cell_table(config: ExperimentConfig, cell: _Cell, rep: int) -> PotentialTable:
-    if cell.table_y0 is not None:
-        return PotentialTable(cell.table_y0, cell.table_y1, provenance="fixed")
+    if cell.table is not None:
+        return cell.table
     return sample_population(
         config.dgp.with_n(cell.n), child_rng(config.seed, cell.idx, rep, _TAG_REP_TABLE)
     )
 
 
-def _methods_for_cell(config: ExperimentConfig, cell: _Cell) -> list[str]:
-    out = []
-    for m in config.methods:
-        if m in MBCR_METHODS and not cell.needs_mbcr:
-            continue
-        out.append(m)
-    return out
+def _row(
+    config: ExperimentConfig,
+    cell: _Cell,
+    method: str,
+    replications: int,
+    *,
+    coverage: float | None = None,
+    half: float | None = None,
+    rmse: float | None = None,
+    bound: float | None = None,
+) -> dict[str, Any]:
+    """One report row; columns an experiment does not fill stay blank."""
+    pi = float(cell.pi)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "method": method,
+        "n": cell.n,
+        "pi": pi,
+        "alpha": cell.alpha,
+        "coverage_rate": coverage,
+        "coverage_se": (
+            None
+            if coverage is None
+            else math.sqrt(coverage * (1.0 - coverage) / replications)
+        ),
+        "mean_halfwidth": half,
+        "width_times_sqrt_npi": None if half is None else half * math.sqrt(cell.n * pi),
+        "rmse": rmse,
+        "rmse_bound": bound,
+        "replications": replications,
+        "seed": config.seed,
+    }
+
+
+def _rmse(est: np.ndarray, target: float) -> float:
+    return float(np.sqrt(np.mean((est - target) ** 2)))
 
 
 # ---------------------------------------------------------------------------
-# Coverage experiment
+# Replication chunks
 
 
 def _coverage_chunk(
     config: ExperimentConfig, cell: _Cell, start: int, stop: int
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Per-replication containment, half-width, and point estimates."""
-    methods = _methods_for_cell(config, cell)
+    """Point estimates per scheme, plus each data-adaptive interval's
+    containment and half-width, for replications ``start`` to ``stop - 1``.
+
+    Closed forms need only the estimates: their half-width is fixed per cell,
+    so coverage is evaluated over the merged estimate arrays.
+    """
+    specs = {m: METHOD_TABLE[m] for m in cell.methods}
+    schemes = {spec.scheme for spec in specs.values()}
+    adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
     count = stop - start
-    out = {
-        m: {
+    out = {scheme: {"est": np.zeros(count, dtype=np.float64)} for scheme in schemes}
+    for m in adaptive:
+        out[m] = {
             "covered": np.zeros(count, dtype=np.uint8),
             "half": np.zeros(count, dtype=np.float64),
-            "est": np.zeros(count, dtype=np.float64),
         }
-        for m in methods
-    }
     pi_f = float(cell.pi)
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
-        target = table.psi_db if config.setting == SETTING_DESIGN_BASED else cell.target
-        est_mbcr = data_mbcr = None
-        est_bern = data_bern = None
-        if cell.needs_mbcr:
+        data = {}
+        if SCHEME_MBCR in schemes:
             asg = draw_mbcr(cell.layout, child_rng(config.seed, cell.idx, rep, _TAG_MBCR))
-            data_mbcr = ObservedData.realize(table, asg)
-            est_mbcr = ht_mbcr(data_mbcr)
-        if cell.needs_bern:
+            data[SCHEME_MBCR] = ObservedData.realize(table, asg)
+            out[SCHEME_MBCR]["est"][k] = ht_mbcr(data[SCHEME_MBCR])
+        if SCHEME_BERNOULLI in schemes:
             asg = draw_bernoulli(
                 cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
             )
-            data_bern = ObservedData.realize(table, asg)
-            est_bern = ht_standard(data_bern, pi_f)
-        for m in methods:
-            if m == METHOD_HOEFF_MBCR:
-                ci = hoeff_mbcr_ci(est_mbcr, cell.layout, cell.alpha)
-                est = est_mbcr
-            elif m == METHOD_SUB_BERNOULLI_MBCR:
-                ci = sub_bernoulli_ci(
-                    est_mbcr, cell.alpha, scheme="mbcr", layout=cell.layout
-                )
-                est = est_mbcr
-            elif m == METHOD_STUDENTIZED:
-                ci = studentized_ci(data_mbcr, cell.alpha)
-                est = est_mbcr
-            elif m == METHOD_SUB_BERNOULLI_BERN:
-                ci = sub_bernoulli_ci(
-                    est_bern, cell.alpha, scheme="bernoulli", n=cell.n, pi=pi_f
-                )
-                est = est_bern
-            elif m == METHOD_NAIVE_HOEFFDING:
-                ci = naive_hoeffding_ci(est_bern, cell.n, pi_f, cell.alpha)
-                est = est_bern
-            elif m == METHOD_STUDENTIZED_BERN:
-                ci = studentized_ci(data_bern, cell.alpha)
-                est = est_bern
-            elif m == METHOD_CLT:
-                try:
-                    ci = clt_ci(data_bern, pi_f, cell.alpha)
-                except ValueError:
-                    # Empty arm on this draw; record a miss of width zero.
-                    out[m]["est"][k] = est_bern
-                    continue
-                est = est_bern
-            else:
-                raise ConfigError(f"method {m!r} not usable in coverage runs")
-            out[m]["covered"][k] = 1 if ci.contains(target) else 0
+            data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
+            out[SCHEME_BERNOULLI]["est"][k] = ht_standard(data[SCHEME_BERNOULLI], pi_f)
+        for m, spec in adaptive.items():
+            try:
+                ci = spec.adaptive(data[spec.scheme], pi_f, cell.alpha)
+            except EmptyArmError:
+                # The draw left an arm empty; record a miss of width zero.
+                continue
+            out[m]["covered"][k] = ci.contains(cell.target)
             out[m]["half"][k] = ci.half_width
-            out[m]["est"][k] = est
     return out
+
+
+# RMSE runs use bare point estimators, so their chunks are estimate-only.
+_rmse_chunk = _coverage_chunk
 
 
 def _run_cells(config, cells, chunk_fn, workers: int):
@@ -546,6 +532,7 @@ def _run_cells(config, cells, chunk_fn, workers: int):
     tasks = [
         (cell, start, min(start + chunk, reps))
         for cell in cells
+        if cell.methods
         for start in range(0, reps, chunk)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -597,41 +584,33 @@ def resolve_workers(requested: int | None) -> int:
 def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo containment rates and widths over the config grid."""
     cells = _build_cells(config)
-    for cell in cells:
-        if cell.mbcr_skip_reason:
-            log.warning(
-                "cell (n=%d, pi=%s, alpha=%g): skipping grouped methods: %s",
-                cell.n,
-                cell.pi,
-                cell.alpha,
-                cell.mbcr_skip_reason,
-            )
     merged = _run_cells(config, cells, _coverage_chunk, workers)
     rows = []
     reps = config.replications
     for cell in cells:
-        for m in _methods_for_cell(config, cell):
-            arrays = merged[cell.idx][m]
-            p = float(arrays["covered"].mean())
-            mean_half = float(arrays["half"].mean())
-            rmse = float(np.sqrt(np.mean((arrays["est"] - cell.target) ** 2)))
+        for m in cell.methods:
+            spec = METHOD_TABLE[m]
+            est = merged[cell.idx][spec.scheme]["est"]
+            if spec.closed is not None:
+                # Interval arithmetic, element-wise: lo <= target <= hi and
+                # (hi - lo) / 2, exactly as each interval would compute them.
+                half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
+                lo, hi = est - half, est + half
+                covered = (lo <= cell.target) & (cell.target <= hi)
+                halves = (hi - lo) / 2.0
+            else:
+                covered = merged[cell.idx][m]["covered"]
+                halves = merged[cell.idx][m]["half"]
             rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "method": m,
-                    "n": cell.n,
-                    "pi": float(cell.pi),
-                    "alpha": cell.alpha,
-                    "coverage_rate": p,
-                    "coverage_se": math.sqrt(p * (1.0 - p) / reps),
-                    "mean_halfwidth": mean_half,
-                    "width_times_sqrt_npi": mean_half
-                    * math.sqrt(cell.n * float(cell.pi)),
-                    "rmse": rmse,
-                    "rmse_bound": None,
-                    "replications": reps,
-                    "seed": config.seed,
-                }
+                _row(
+                    config,
+                    cell,
+                    m,
+                    reps,
+                    coverage=float(covered.mean()),
+                    half=float(halves.mean()),
+                    rmse=_rmse(est, cell.target),
+                )
             )
     return Report(EXPERIMENT_COVERAGE, REPORT_COLUMNS, rows)
 
@@ -642,49 +621,12 @@ def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
 
 def run_width_scaling(config: ExperimentConfig) -> Report:
     """Closed-form half-widths and their sqrt(n pi) scalings per grid cell."""
-    cells = _build_cells(config)
     rows = []
-    for cell in cells:
-        pi_f = float(cell.pi)
-        for m in _methods_for_cell(config, cell):
-            if m == METHOD_HOEFF_MBCR:
-                half = hoeff_mbcr_ci(0.0, cell.layout, cell.alpha).half_width
-            elif m == METHOD_SUB_BERNOULLI_MBCR:
-                half = sub_bernoulli_ci(
-                    0.0, cell.alpha, scheme="mbcr", layout=cell.layout
-                ).half_width
-            elif m == METHOD_SUB_BERNOULLI_BERN:
-                half = sub_bernoulli_ci(
-                    0.0, cell.alpha, scheme="bernoulli", n=cell.n, pi=pi_f
-                ).half_width
-            elif m == METHOD_NAIVE_HOEFFDING:
-                half = naive_hoeffding_ci(0.0, cell.n, pi_f, cell.alpha).half_width
-            else:
-                raise ConfigError(f"method {m!r} has no closed-form width")
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "method": m,
-                    "n": cell.n,
-                    "pi": pi_f,
-                    "alpha": cell.alpha,
-                    "coverage_rate": None,
-                    "coverage_se": None,
-                    "mean_halfwidth": half,
-                    "width_times_sqrt_npi": half * math.sqrt(cell.n * pi_f),
-                    "rmse": None,
-                    "rmse_bound": None,
-                    "replications": 0,
-                    "seed": config.seed,
-                }
-            )
-        if cell.mbcr_skip_reason:
-            log.warning(
-                "cell (n=%d, pi=%s): skipping grouped methods: %s",
-                cell.n,
-                cell.pi,
-                cell.mbcr_skip_reason,
-            )
+    for cell in _build_cells(config):
+        for m in cell.methods:
+            spec = METHOD_TABLE[m]
+            half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
+            rows.append(_row(config, cell, m, 0, half=half))
     return Report(EXPERIMENT_WIDTH_SCALING, REPORT_COLUMNS, rows)
 
 
@@ -692,73 +634,31 @@ def run_width_scaling(config: ExperimentConfig) -> Report:
 # RMSE experiment
 
 
-def _rmse_chunk(
-    config: ExperimentConfig, cell: _Cell, start: int, stop: int
-) -> dict[str, dict[str, np.ndarray]]:
-    methods = _methods_for_cell(config, cell)
-    count = stop - start
-    out = {m: {"est": np.zeros(count, dtype=np.float64)} for m in methods}
-    pi_f = float(cell.pi)
-    for k, rep in enumerate(range(start, stop)):
-        table = _cell_table(config, cell, rep)
-        for m in methods:
-            if m == METHOD_HT_MBCR:
-                asg = draw_mbcr(
-                    cell.layout, child_rng(config.seed, cell.idx, rep, _TAG_MBCR)
-                )
-                out[m]["est"][k] = ht_mbcr(ObservedData.realize(table, asg))
-            else:
-                asg = draw_bernoulli(
-                    cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
-                )
-                out[m]["est"][k] = ht_standard(
-                    ObservedData.realize(table, asg), pi_f
-                )
-    return out
-
-
 def rmse_bound(method: str, n: int, pi: float) -> float:
     """Theoretical root-mean-square-error bound for each estimator."""
-    if method == METHOD_HT_MBCR:
+    if method not in RMSE_METHODS:
+        raise ConfigError(f"no RMSE bound for method {method!r}")
+    if METHOD_TABLE[method].scheme == SCHEME_MBCR:
         return 2.0 / math.sqrt(n * pi)
-    if method == METHOD_HT_BERNOULLI:
-        return math.sqrt(2.0 / (n * pi))
-    raise ConfigError(f"no RMSE bound for method {method!r}")
+    return math.sqrt(2.0 / (n * pi))
 
 
 def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo estimator RMSE next to its theoretical bound."""
     cells = _build_cells(config)
     merged = _run_cells(config, cells, _rmse_chunk, workers)
-    rows = []
-    for cell in cells:
-        if cell.mbcr_skip_reason:
-            log.warning(
-                "cell (n=%d, pi=%s): skipping grouped methods: %s",
-                cell.n,
-                cell.pi,
-                cell.mbcr_skip_reason,
-            )
-        for m in _methods_for_cell(config, cell):
-            est = merged[cell.idx][m]["est"]
-            rmse = float(np.sqrt(np.mean((est - cell.target) ** 2)))
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "method": m,
-                    "n": cell.n,
-                    "pi": float(cell.pi),
-                    "alpha": cell.alpha,
-                    "coverage_rate": None,
-                    "coverage_se": None,
-                    "mean_halfwidth": None,
-                    "width_times_sqrt_npi": None,
-                    "rmse": rmse,
-                    "rmse_bound": rmse_bound(m, cell.n, float(cell.pi)),
-                    "replications": config.replications,
-                    "seed": config.seed,
-                }
-            )
+    rows = [
+        _row(
+            config,
+            cell,
+            m,
+            config.replications,
+            rmse=_rmse(merged[cell.idx][METHOD_TABLE[m].scheme]["est"], cell.target),
+            bound=rmse_bound(m, cell.n, float(cell.pi)),
+        )
+        for cell in cells
+        for m in cell.methods
+    ]
     return Report(EXPERIMENT_RMSE, REPORT_COLUMNS, rows)
 
 
@@ -817,10 +717,8 @@ def run_equivalence(
     for _ in range(draws):
         z = tuple(int(v) for v in draw_mbcr(layout, rng).z)
         counts[z] = counts.get(z, 0) + 1
-    import itertools as _it
-
     support = []
-    for ones in _it.combinations(range(n), n1):
+    for ones in itertools.combinations(range(n), n1):
         z = [0] * n
         for i in ones:
             z[i] = 1

@@ -18,18 +18,21 @@ Constructions provided:
 
 Every builder records the constants it used in a ``tuning`` mapping, and
 ``reevaluate`` reproduces the endpoints from that record alone.
+``METHOD_TABLE`` maps every method tag the package knows to its
+:class:`MethodSpec`, the one place that says how a tag draws, estimates and
+builds its interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.stats import norm
 
-from .design import SCHEME_BERNOULLI, SCHEME_MBCR, MbcrLayout
+from .design import SCHEME_BERNOULLI, SCHEME_COMPLETE, SCHEME_MBCR, MbcrLayout
 from .estimator import (
     VARIANT_MIRRORED,
     VARIANT_STANDARD,
@@ -44,7 +47,13 @@ METHOD_SUB_BERNOULLI_MBCR = "sub-bernoulli-mbcr"
 METHOD_STUDENTIZED = "studentized"
 METHOD_NAIVE_HOEFFDING = "naive-hoeffding"
 METHOD_CLT = "clt"
+# Simulation-only tags: the Studentized interval drawn under Bernoulli
+# randomization, and the two bare point estimators of RMSE runs.
+METHOD_STUDENTIZED_BERN = "studentized-bern"
+METHOD_HT_MBCR = "ht-mbcr"
+METHOD_HT_BERNOULLI = "ht-bernoulli"
 
+# The interval methods the command line offers.
 METHODS = (
     METHOD_HOEFF_MBCR,
     METHOD_SUB_BERNOULLI_BERN,
@@ -54,27 +63,16 @@ METHODS = (
     METHOD_CLT,
 )
 
-# Tuning rule for the grouped sub-Bernoulli lambda: "cgf" matches the CGF's
-# own quadratic coefficient 4*T*g^2 + 4*tail^2 (the variance-matched
-# optimizer, and the default); "subgaussian" reuses the coarser T*g^2 proxy.
-# Both give valid intervals since the underlying bound holds for every
-# lambda, but only "cgf" attains the sharp small-propensity width scaling.
-LAMBDA_CGF = "cgf"
-LAMBDA_SUBGAUSSIAN = "subgaussian"
-
-# Scale constant for the Studentized interval.  "range" (default) sets
-# c = 1/(1 - p) + 1 with p the within-group propensity, the magnitude of the
-# one-sided range of a centered pseudo-outcome, which is what the
-# exponential-bound inequality requires after rescaling.  "alternate" sets
-# c = 1/(1 - g) + 1 with g the group size itself; it is provided for
-# comparison but is anomalous (nonpositive for groups of two) and is
-# rejected whenever it does not yield a positive scale.
-C_RANGE = "range"
-C_ALTERNATE = "alternate"
+# Cross-fitting splits the group sums in two halves of at least two each.
+MIN_CROSS_FIT_GROUPS = 4
 
 
 class IntervalError(ValueError):
     """Inputs incompatible with an interval construction."""
+
+
+class EmptyArmError(IntervalError):
+    """An interval that needs both arms observed met a draw with one empty."""
 
 
 def _check_alpha(alpha: float) -> float:
@@ -156,17 +154,42 @@ def gamma_e(lam: float, c: float) -> float:
     return (-math.log1p(-c * lam) - c * lam) / (c * c)
 
 
+def _centered(
+    method: str, psi_hat: float, alpha: float, half: float, tuning: dict[str, Any]
+) -> Interval:
+    """``psi_hat +/- half``, with both recorded around the builder's tuning."""
+    return Interval(
+        lower=psi_hat - half,
+        upper=psi_hat + half,
+        alpha=alpha,
+        method=method,
+        tuning={"psi_hat": float(psi_hat), **tuning, "half_width": half},
+    )
+
+
+def _grouped_shape(layout: MbcrLayout) -> dict[str, int]:
+    return {
+        "n": layout.n,
+        "num_full_groups": layout.num_full_groups,
+        "group_size": layout.group_size,
+        "tail_size": layout.tail_size,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Hoeffding-style interval under the grouped design
+#
+# Each closed form's half-width is a function of alpha and the tuning record
+# it writes, so the builder and ``reevaluate`` run the same arithmetic.
 
 
-def _hoeff_mbcr_constant(n: int, full: int, g: int, tail: int) -> float:
-    return math.sqrt((full * g * g + tail * tail) / n)
+def _hoeff_mbcr_constant(t: dict[str, Any]) -> float:
+    g, tail = t["group_size"], t["tail_size"]
+    return math.sqrt((t["num_full_groups"] * g * g + tail * tail) / t["n"])
 
 
-def _hoeff_mbcr_halfwidth(n: int, full: int, g: int, tail: int, alpha: float) -> float:
-    cn = _hoeff_mbcr_constant(n, full, g, tail)
-    return cn * math.sqrt(2.0 * math.log(2.0 / alpha) / n)
+def _hoeff_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
+    return _hoeff_mbcr_constant(t) * math.sqrt(2.0 * math.log(2.0 / alpha) / t["n"])
 
 
 def hoeff_mbcr_ci(psi_hat: float, layout: MbcrLayout, alpha: float) -> Interval:
@@ -177,27 +200,9 @@ def hoeff_mbcr_ci(psi_hat: float, layout: MbcrLayout, alpha: float) -> Interval:
     ``sqrt(2 log(2/alpha) / (n pi))``.
     """
     alpha = _check_alpha(alpha)
-    half = _hoeff_mbcr_halfwidth(
-        layout.n, layout.num_full_groups, layout.group_size, layout.tail_size, alpha
-    )
-    tuning = {
-        "psi_hat": float(psi_hat),
-        "n": layout.n,
-        "num_full_groups": layout.num_full_groups,
-        "group_size": layout.group_size,
-        "tail_size": layout.tail_size,
-        "cn": _hoeff_mbcr_constant(
-            layout.n, layout.num_full_groups, layout.group_size, layout.tail_size
-        ),
-        "half_width": half,
-    }
-    return Interval(
-        lower=psi_hat - half,
-        upper=psi_hat + half,
-        alpha=alpha,
-        method=METHOD_HOEFF_MBCR,
-        tuning=tuning,
-    )
+    t = _grouped_shape(layout)
+    t["cn"] = _hoeff_mbcr_constant(t)
+    return _centered(METHOD_HOEFF_MBCR, psi_hat, alpha, _hoeff_mbcr_half(alpha, t), t)
 
 
 def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
@@ -227,35 +232,18 @@ def _sb_bern_range(pi: float) -> tuple[float, float]:
     return -1.0 / (1.0 - pi) - 1.0, 1.0 / pi + 1.0
 
 
-def _sb_bern_lambda(n: int, pi: float, alpha: float) -> float:
-    scale = n * (1.0 / (1.0 - pi) + 1.0) * (1.0 / pi + 1.0)
-    return math.sqrt(2.0 * math.log(2.0 / alpha) / scale)
+def _sb_bern_half(alpha: float, t: dict[str, Any]) -> float:
+    a, b = _sb_bern_range(t["pi"])
+    kappa = t["n"] * gamma_b(t["lam"], a, b)
+    return (math.log(2.0 / alpha) + kappa) / (t["n"] * t["lam"])
 
 
-def _sb_bern_halfwidth(n: int, pi: float, alpha: float, lam: float) -> float:
-    a, b = _sb_bern_range(pi)
-    kappa = n * gamma_b(lam, a, b)
-    return (math.log(2.0 / alpha) + kappa) / (n * lam)
-
-
-def _sb_mbcr_lambda(
-    full: int, g: int, tail: int, alpha: float, lambda_rule: str
-) -> float:
-    log2a = 2.0 * math.log(2.0 / alpha)
-    if lambda_rule == LAMBDA_CGF:
-        return math.sqrt(log2a / (4.0 * full * g * g + 4.0 * tail * tail))
-    if lambda_rule == LAMBDA_SUBGAUSSIAN:
-        return math.sqrt(log2a / (full * g * g))
-    raise IntervalError(f"unknown lambda rule {lambda_rule!r}")
-
-
-def _sb_mbcr_halfwidth(
-    n: int, full: int, g: int, tail: int, alpha: float, lam: float
-) -> float:
-    kappa = full * log_half_cosh2(2.0 * g * lam)
-    if tail > 0:
-        kappa += log_half_cosh2(2.0 * tail * lam)
-    return (math.log(2.0 / alpha) + kappa) / (n * lam)
+def _sb_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
+    lam = t["lam"]
+    kappa = t["num_full_groups"] * log_half_cosh2(2.0 * t["group_size"] * lam)
+    if t["tail_size"] > 0:
+        kappa += log_half_cosh2(2.0 * t["tail_size"] * lam)
+    return (math.log(2.0 / alpha) + kappa) / (t["n"] * lam)
 
 
 def sub_bernoulli_ci(
@@ -266,7 +254,6 @@ def sub_bernoulli_ci(
     n: int | None = None,
     pi: float | None = None,
     layout: MbcrLayout | None = None,
-    lambda_rule: str = LAMBDA_CGF,
 ) -> Interval:
     """Sub-Bernoulli interval ``psi_hat +/- (log(2/alpha) + kappa)/(n lam)``.
 
@@ -274,109 +261,63 @@ def sub_bernoulli_ci(
     ``[-1/(1-pi) - 1, 1/pi + 1]``, ``kappa = n * gamma_b(lam)``, and ``lam``
     matches the CGF's quadratic coefficient.  Under the grouped design the
     centered group sums have range ``+/- 2g`` (``+/- 2 tail`` for the tail
-    group), ``kappa`` is the per-group log-cosh total, and ``lam`` follows
-    ``lambda_rule``.
+    group), ``kappa`` is the per-group log-cosh total, and ``lam`` matches
+    that CGF's quadratic coefficient ``4 T g^2 + 4 tail^2``, which attains
+    the sharp small-propensity width scaling.
     """
     alpha = _check_alpha(alpha)
+    log2a = 2.0 * math.log(2.0 / alpha)
     if scheme == SCHEME_BERNOULLI:
         if n is None or pi is None:
             raise IntervalError("Bernoulli form needs n and pi")
         if not (0.0 < pi <= 0.5):
             raise IntervalError(f"propensity {pi} outside (0, 1/2]")
-        lam = _sb_bern_lambda(n, pi, alpha)
-        half = _sb_bern_halfwidth(n, pi, alpha, lam)
         a, b = _sb_bern_range(pi)
-        tuning = {
-            "psi_hat": float(psi_hat),
-            "n": int(n),
-            "pi": float(pi),
-            "lam": lam,
-            "range_lo": a,
-            "range_hi": b,
-            "kappa": n * gamma_b(lam, a, b),
-            "half_width": half,
-        }
-        method = METHOD_SUB_BERNOULLI_BERN
-    elif scheme == SCHEME_MBCR:
+        lam = math.sqrt(log2a / (n * (1.0 / (1.0 - pi) + 1.0) * (1.0 / pi + 1.0)))
+        t = {"n": int(n), "pi": float(pi), "lam": lam, "range_lo": a, "range_hi": b}
+        t["kappa"] = n * gamma_b(lam, a, b)
+        return _centered(
+            METHOD_SUB_BERNOULLI_BERN, psi_hat, alpha, _sb_bern_half(alpha, t), t
+        )
+    if scheme == SCHEME_MBCR:
         if layout is None:
             raise IntervalError("grouped form needs the layout")
-        lam = _sb_mbcr_lambda(
-            layout.num_full_groups,
-            layout.group_size,
-            layout.tail_size,
-            alpha,
-            lambda_rule,
+        t = _grouped_shape(layout)
+        g, tail = layout.group_size, layout.tail_size
+        t["lam"] = math.sqrt(
+            log2a / (4.0 * layout.num_full_groups * g * g + 4.0 * tail * tail)
         )
-        half = _sb_mbcr_halfwidth(
-            layout.n,
-            layout.num_full_groups,
-            layout.group_size,
-            layout.tail_size,
-            alpha,
-            lam,
+        return _centered(
+            METHOD_SUB_BERNOULLI_MBCR, psi_hat, alpha, _sb_mbcr_half(alpha, t), t
         )
-        tuning = {
-            "psi_hat": float(psi_hat),
-            "n": layout.n,
-            "num_full_groups": layout.num_full_groups,
-            "group_size": layout.group_size,
-            "tail_size": layout.tail_size,
-            "lambda_rule": lambda_rule,
-            "lam": lam,
-            "half_width": half,
-        }
-        method = METHOD_SUB_BERNOULLI_MBCR
-    else:
-        raise IntervalError(f"no sub-Bernoulli form for scheme {scheme!r}")
-    return Interval(
-        lower=psi_hat - half,
-        upper=psi_hat + half,
-        alpha=alpha,
-        method=method,
-        tuning=tuning,
-    )
+    raise IntervalError(f"no sub-Bernoulli form for scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------
 # Cross-fit Studentized interval
 
 
-def studentized_scale(data: ObservedData, c_variant: str = C_RANGE) -> float:
+def studentized_scale(data: ObservedData) -> float:
     """Scale constant c used by the Studentized interval's CGF.
 
-    The default "range" rule uses ``1/(1 - p) + 1`` where ``p`` is the
-    within-group propensity (the marginal propensity under Bernoulli
-    randomization), taking the larger value over the full and tail groups.
-    See the module notes on ``C_ALTERNATE`` for the comparison variant.
+    ``c = 1/(1 - p) + 1`` where ``p`` is the within-group propensity (the
+    marginal propensity under Bernoulli randomization), taking the larger
+    value over the full and tail groups.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
         props = [asg.pi]
-        sizes = [1.0 / asg.pi]
     elif asg.scheme == SCHEME_MBCR and asg.mbcr is not None:
         lay = asg.mbcr.layout
         props = [1.0 / lay.group_size]
-        sizes = [float(lay.group_size)]
         if lay.tail_size > 0:
             props.append(lay.tail_treated / lay.tail_size)
-            sizes.append(lay.tail_size / lay.tail_treated)
     else:
         raise IntervalError(
             "Studentized interval needs Bernoulli data or a grouped draw "
             "with permutation detail"
         )
-    if c_variant == C_RANGE:
-        c = max(1.0 / (1.0 - p) + 1.0 for p in props)
-    elif c_variant == C_ALTERNATE:
-        c = max(1.0 / (1.0 - s) + 1.0 for s in sizes)
-    else:
-        raise IntervalError(f"unknown c variant {c_variant!r}")
-    if c <= 0.0:
-        raise IntervalError(
-            f"scale variant {c_variant!r} yields nonpositive c={c}; use the "
-            "default range-based scale"
-        )
-    return c
+    return max(1.0 / (1.0 - p) + 1.0 for p in props)
 
 
 def _split_statistics(theta: np.ndarray) -> tuple[int, int, float, float]:
@@ -413,9 +354,7 @@ def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float
     return (gamma_e(lam, c) * v + math.log(2.0 / alpha)) / (n * lam)
 
 
-def studentized_ci(
-    data: ObservedData, alpha: float, c_variant: str = C_RANGE
-) -> Interval:
+def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     """Cross-fit Studentized variance-adaptive interval.
 
     The group sums are split in half; each split's empirical variance tunes
@@ -428,58 +367,29 @@ def studentized_ci(
     Note on the scale constant: this implementation uses
     ``c = 1/(1 - p) + 1`` per group (the one-sided range of a centered
     standard pseudo-outcome at within-group propensity ``p``), which is what
-    the exponential-bound inequality requires after rescaling by ``c``.  The
-    alternate form ``1/(1 - g) + 1`` written in terms of the raw group size
-    ``g`` is selectable via ``c_variant`` for comparison but is degenerate
-    for small groups.
+    the exponential-bound inequality requires after rescaling by ``c``.
     """
     alpha = _check_alpha(alpha)
     th_l = groupwise_sums(data, VARIANT_STANDARD)
     th_u = groupwise_sums(data, VARIANT_MIRRORED)
     tbar = th_l.shape[0]
-    if tbar < 4:
+    if tbar < MIN_CROSS_FIT_GROUPS:
         raise IntervalError(
-            f"insufficient groups for cross-fitting: need at least 4, got {tbar}"
+            "insufficient groups for cross-fitting: need at least "
+            f"{MIN_CROSS_FIT_GROUPS}, got {tbar}"
         )
-    c = studentized_scale(data, c_variant)
+    c = studentized_scale(data)
     n = data.n
-    m1, m2 = tbar // 2, tbar - tbar // 2
-    sides: dict[str, dict[str, float]] = {}
-    for tag, theta in (("l", th_l), ("u", th_u)):
+    m1 = tbar // 2
+    tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
+    for side, theta in (("l", th_l), ("u", th_u)):
         _, _, v1, v2 = _split_statistics(theta)
-        lam1 = _stud_lambda(v1, alpha, c)
-        lam2 = _stud_lambda(v2, alpha, c)
-        penalty = _stud_penalty(lam2, v1, n, alpha, c) + _stud_penalty(
-            lam1, v2, n, alpha, c
-        )
-        sides[tag] = {
-            "mean": float(theta.sum()) / n,
-            "v1": v1,
-            "v2": v2,
-            "lam1": lam1,
-            "lam2": lam2,
-            "penalty": penalty,
-        }
-    lower = sides["l"]["mean"] - sides["l"]["penalty"]
-    upper = sides["u"]["mean"] + sides["u"]["penalty"]
-    tuning = {
-        "n": n,
-        "num_groups": tbar,
-        "m1": m1,
-        "m2": m2,
-        "c": c,
-        "c_variant": c_variant,
-        "mean_l": sides["l"]["mean"],
-        "mean_u": sides["u"]["mean"],
-        "v1_l": sides["l"]["v1"],
-        "v2_l": sides["l"]["v2"],
-        "v1_u": sides["u"]["v1"],
-        "v2_u": sides["u"]["v2"],
-        "lam1_l": sides["l"]["lam1"],
-        "lam2_l": sides["l"]["lam2"],
-        "lam1_u": sides["u"]["lam1"],
-        "lam2_u": sides["u"]["lam2"],
-    }
+        tuning[f"mean_{side}"] = float(theta.sum()) / n
+        tuning[f"v1_{side}"] = v1
+        tuning[f"v2_{side}"] = v2
+        tuning[f"lam1_{side}"] = _stud_lambda(v1, alpha, c)
+        tuning[f"lam2_{side}"] = _stud_lambda(v2, alpha, c)
+    lower, upper = _studentized_endpoints(alpha, tuning)
     if upper < lower:
         # Adaptive anchors can cross on extreme draws; report the point between.
         mid = 0.5 * (lower + upper)
@@ -494,13 +404,27 @@ def studentized_ci(
     )
 
 
+def _studentized_endpoints(alpha: float, t: dict[str, Any]) -> tuple[float, float]:
+    if "degenerate_midpoint" in t:
+        return t["degenerate_midpoint"], t["degenerate_midpoint"]
+    n, c = t["n"], t["c"]
+    pen_l = _stud_penalty(t["lam2_l"], t["v1_l"], n, alpha, c) + _stud_penalty(
+        t["lam1_l"], t["v2_l"], n, alpha, c
+    )
+    pen_u = _stud_penalty(t["lam2_u"], t["v1_u"], n, alpha, c) + _stud_penalty(
+        t["lam1_u"], t["v2_u"], n, alpha, c
+    )
+    return t["mean_l"] - pen_l, t["mean_u"] + pen_u
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 
 
-def _naive_halfwidth(n: int, pi: float, alpha: float) -> float:
+def _naive_half(alpha: float, t: dict[str, Any]) -> float:
+    pi = t["pi"]
     return (1.0 / (1.0 - pi) + 1.0 / pi) * math.sqrt(
-        math.log(2.0 / alpha) / (2.0 * n)
+        math.log(2.0 / alpha) / (2.0 * t["n"])
     )
 
 
@@ -514,20 +438,12 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     alpha = _check_alpha(alpha)
     if not (0.0 < pi < 1.0):
         raise IntervalError(f"propensity {pi} outside (0, 1)")
-    half = _naive_halfwidth(n, pi, alpha)
-    tuning = {
-        "psi_hat": float(psi_hat),
-        "n": int(n),
-        "pi": float(pi),
-        "half_width": half,
-    }
-    return Interval(
-        lower=psi_hat - half,
-        upper=psi_hat + half,
-        alpha=alpha,
-        method=METHOD_NAIVE_HOEFFDING,
-        tuning=tuning,
-    )
+    t = {"n": int(n), "pi": float(pi)}
+    return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
+
+
+def _clt_half(alpha: float, t: dict[str, Any]) -> float:
+    return float(norm.ppf(1.0 - alpha / 2.0)) * math.sqrt(t["vhat"] / t["n"])
 
 
 def clt_ci(data: ObservedData, prop: float, alpha: float) -> Interval:
@@ -540,27 +456,109 @@ def clt_ci(data: ObservedData, prop: float, alpha: float) -> Interval:
     z = data.assignment.z
     n_treat = int(z.sum())
     if n_treat == 0 or n_treat == data.n:
-        raise IntervalError("plug-in normal interval needs both arms nonempty")
+        raise EmptyArmError("plug-in normal interval needs both arms nonempty")
     vals = pseudo_outcome(data.y, z, prop)
-    psi_hat = float(np.mean(vals))
     vhat = float(np.var(vals, ddof=1))
     zq = float(norm.ppf(1.0 - alpha / 2.0))
+    t = {"n": data.n, "pi": float(prop), "vhat": vhat, "z_quantile": zq}
     half = zq * math.sqrt(vhat / data.n)
-    tuning = {
-        "psi_hat": psi_hat,
-        "n": data.n,
-        "pi": float(prop),
-        "vhat": vhat,
-        "z_quantile": zq,
-        "half_width": half,
-    }
-    return Interval(
-        lower=psi_hat - half,
-        upper=psi_hat + half,
-        alpha=alpha,
-        method=METHOD_CLT,
-        tuning=tuning,
-    )
+    return _centered(METHOD_CLT, float(np.mean(vals)), alpha, half, t)
+
+
+# ---------------------------------------------------------------------------
+# The method table
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """How one method tag draws, estimates and builds its interval.
+
+    ``scheme`` is the design the method draws under; the point estimator
+    follows from it (the grouped Horvitz-Thompson estimator under
+    ``SCHEME_MBCR``, the standard one under ``SCHEME_BERNOULLI``).  A closed
+    form has ``closed(psi_hat, layout, n, pi, alpha)``, whose half-width
+    depends on the design alone; a data-adaptive interval has
+    ``adaptive(data, pi, alpha)``; a bare point estimator has neither.
+    ``half(alpha, tuning)`` (for intervals ``psi_hat +/- half``) or
+    ``endpoints(alpha, tuning)`` is the arithmetic ``reevaluate`` replays.
+    ``miscoverage_factor`` is k in the guarantee ``coverage >= 1 - k alpha``.
+    ``min_groups`` is the fewest groups (units, under Bernoulli draws) the
+    interval can use.  ``cli_schemes`` lists the data schemes ``tightci ci``
+    accepts for the tag.
+    """
+
+    scheme: str
+    closed: Callable[..., Interval] | None = None
+    adaptive: Callable[[ObservedData, float, float], Interval] | None = None
+    half: Callable[[float, dict[str, Any]], float] | None = None
+    endpoints: Callable[[float, dict[str, Any]], tuple[float, float]] | None = None
+    miscoverage_factor: int = 1
+    min_groups: int = 0
+    cli_schemes: tuple[str, ...] = ()
+
+    @property
+    def has_interval(self) -> bool:
+        return self.closed is not None or self.adaptive is not None
+
+    def half_width(
+        self, layout: MbcrLayout | None, n: int, pi: float, alpha: float
+    ) -> float:
+        """Closed-form half-width for a design; the same for every draw."""
+        return self.closed(0.0, layout, n, pi, alpha).half_width
+
+
+def _studentized(data: ObservedData, pi: float, alpha: float) -> Interval:
+    return studentized_ci(data, alpha)
+
+
+_STUDENTIZED = dict(
+    adaptive=_studentized,
+    endpoints=_studentized_endpoints,
+    miscoverage_factor=2,
+    min_groups=MIN_CROSS_FIT_GROUPS,
+)
+_BERNOULLI_DATA = (SCHEME_BERNOULLI, SCHEME_COMPLETE)
+
+METHOD_TABLE: dict[str, MethodSpec] = {
+    METHOD_HOEFF_MBCR: MethodSpec(
+        SCHEME_MBCR,
+        closed=lambda est, layout, n, pi, alpha: hoeff_mbcr_ci(est, layout, alpha),
+        half=_hoeff_mbcr_half,
+        # Complete data whose groups tile the sample needs no draw detail.
+        cli_schemes=(SCHEME_MBCR, SCHEME_COMPLETE),
+    ),
+    METHOD_SUB_BERNOULLI_MBCR: MethodSpec(
+        SCHEME_MBCR,
+        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
+            est, alpha, scheme=SCHEME_MBCR, layout=layout
+        ),
+        half=_sb_mbcr_half,
+        cli_schemes=(SCHEME_MBCR,),
+    ),
+    METHOD_STUDENTIZED: MethodSpec(
+        SCHEME_MBCR, cli_schemes=(SCHEME_MBCR, SCHEME_BERNOULLI), **_STUDENTIZED
+    ),
+    METHOD_SUB_BERNOULLI_BERN: MethodSpec(
+        SCHEME_BERNOULLI,
+        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
+            est, alpha, scheme=SCHEME_BERNOULLI, n=n, pi=pi
+        ),
+        half=_sb_bern_half,
+        cli_schemes=_BERNOULLI_DATA,
+    ),
+    METHOD_NAIVE_HOEFFDING: MethodSpec(
+        SCHEME_BERNOULLI,
+        closed=lambda est, layout, n, pi, alpha: naive_hoeffding_ci(est, n, pi, alpha),
+        half=_naive_half,
+        cli_schemes=_BERNOULLI_DATA,
+    ),
+    METHOD_CLT: MethodSpec(
+        SCHEME_BERNOULLI, adaptive=clt_ci, half=_clt_half, cli_schemes=_BERNOULLI_DATA
+    ),
+    METHOD_STUDENTIZED_BERN: MethodSpec(SCHEME_BERNOULLI, **_STUDENTIZED),
+    METHOD_HT_MBCR: MethodSpec(SCHEME_MBCR),
+    METHOD_HT_BERNOULLI: MethodSpec(SCHEME_BERNOULLI),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -573,47 +571,16 @@ def reevaluate(method: str, alpha: float, tuning: dict[str, Any]) -> tuple[float
     Uses the same arithmetic paths as the builders, so the result matches
     the original endpoints exactly.
     """
-    t = tuning
-    if method == METHOD_HOEFF_MBCR:
-        half = _hoeff_mbcr_halfwidth(
-            t["n"], t["num_full_groups"], t["group_size"], t["tail_size"], alpha
-        )
-        lo, hi = t["psi_hat"] - half, t["psi_hat"] + half
-    elif method == METHOD_SUB_BERNOULLI_BERN:
-        half = _sb_bern_halfwidth(t["n"], t["pi"], alpha, t["lam"])
-        lo, hi = t["psi_hat"] - half, t["psi_hat"] + half
-    elif method == METHOD_SUB_BERNOULLI_MBCR:
-        half = _sb_mbcr_halfwidth(
-            t["n"],
-            t["num_full_groups"],
-            t["group_size"],
-            t["tail_size"],
-            alpha,
-            t["lam"],
-        )
-        lo, hi = t["psi_hat"] - half, t["psi_hat"] + half
-    elif method == METHOD_NAIVE_HOEFFDING:
-        half = _naive_halfwidth(t["n"], t["pi"], alpha)
-        lo, hi = t["psi_hat"] - half, t["psi_hat"] + half
-    elif method == METHOD_CLT:
-        zq = float(norm.ppf(1.0 - alpha / 2.0))
-        half = zq * math.sqrt(t["vhat"] / t["n"])
-        lo, hi = t["psi_hat"] - half, t["psi_hat"] + half
-    elif method == METHOD_STUDENTIZED:
-        n, c = t["n"], t["c"]
-        pen_l = _stud_penalty(t["lam2_l"], t["v1_l"], n, alpha, c) + _stud_penalty(
-            t["lam1_l"], t["v2_l"], n, alpha, c
-        )
-        pen_u = _stud_penalty(t["lam2_u"], t["v1_u"], n, alpha, c) + _stud_penalty(
-            t["lam1_u"], t["v2_u"], n, alpha, c
-        )
-        lo, hi = t["mean_l"] - pen_l, t["mean_u"] + pen_u
-        if "degenerate_midpoint" in t:
-            lo = hi = t["degenerate_midpoint"]
+    spec = METHOD_TABLE.get(method)
+    if spec is not None and spec.half is not None:
+        half = spec.half(alpha, tuning)
+        lo, hi = tuning["psi_hat"] - half, tuning["psi_hat"] + half
+    elif spec is not None and spec.endpoints is not None:
+        lo, hi = spec.endpoints(alpha, tuning)
     else:
         raise IntervalError(f"unknown method {method!r}")
-    if "clipped" in t:
-        clo, chi = t["clipped"]
+    if "clipped" in tuning:
+        clo, chi = tuning["clipped"]
         lo = min(max(lo, clo), chi)
         hi = min(max(hi, clo), chi)
     return lo, hi

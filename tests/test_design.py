@@ -247,6 +247,15 @@ def test_mbcr_deterministic_and_consistent():
         assert np.array_equal(inv_eta[block], grp)
 
 
+def test_mbcr_groups_built_only_when_read():
+    lay = compute_layout(100, 10)
+    detail = draw_mbcr(lay, np.random.default_rng(5)).mbcr
+    assert "groups" not in vars(detail)
+    first = detail.groups
+    assert detail.groups is first
+    assert len(first) == lay.num_groups
+
+
 def test_mbcr_beta_preserves_blocks():
     lay = compute_layout(10, 3)
     draw = draw_mbcr(lay, np.random.default_rng(3)).mbcr

@@ -172,6 +172,94 @@ def test_coverage_extreme_alpha_smoke():
         assert math.isfinite(row["mean_halfwidth"])
 
 
+def test_coverage_skips_studentized_cells_with_too_few_groups(caplog):
+    # n = 20 at pi = 1/10 gives two groups, and a Bernoulli draw of n = 3
+    # gives three units; cross-fitting needs four, so only those
+    # (cell, method) pairs are skipped and the run goes on
+    raw = _coverage_raw(
+        grid={"n": [3, 20, 40], "pi": ["1/10"], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "studentized-bern"],
+        replications=3,
+    )
+    with caplog.at_level("WARNING"):
+        report = run_coverage(parse_config(raw))
+    methods_by_n = {}
+    for row in report.rows:
+        methods_by_n.setdefault(row["n"], []).append(row["method"])
+    assert methods_by_n[3] == ["sub-bernoulli-bern"]
+    assert methods_by_n[20] == ["hoeff-mbcr", "sub-bernoulli-bern", "studentized-bern"]
+    assert methods_by_n[40] == raw["methods"]
+    skipped = [
+        rec.message for rec in caplog.records if "groups, fewer than" in rec.message
+    ]
+    assert len(skipped) == 2
+    assert any("n=20" in msg and "skipping studentized:" in msg for msg in skipped)
+    assert any("n=3," in msg and "skipping studentized-bern:" in msg for msg in skipped)
+
+
+@pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
+def test_fixed_table_read_once_per_cell(tmp_path, monkeypatch, setting):
+    import numpy as np
+
+    from tightci.estimator import PotentialTable
+
+    path = tmp_path / "table.csv"
+    rng = np.random.default_rng(8)
+    y0 = rng.uniform(0.0, 0.5, 40)
+    PotentialTable(y0, y0 + 0.25).to_csv(path)
+    reads = []
+    original = PotentialTable.from_csv.__func__
+
+    def counting(cls, *args, **kwargs):
+        reads.append(args[0])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PotentialTable, "from_csv", classmethod(counting))
+    raw = _coverage_raw(
+        grid={"n": [40], "pi": ["1/10", "1/20"], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "sub-bernoulli-bern"],
+        dgp={"kind": "fixed_table", "path": str(path)},
+        replications=40,
+        setting=setting,
+    )
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 4
+    assert len(reads) == 2  # one per cell, not one per replication
+
+
+def test_closed_form_widths_computed_once_per_cell(monkeypatch):
+    import dataclasses
+
+    from tightci import intervals
+
+    calls = {}
+    for m, spec in list(intervals.METHOD_TABLE.items()):
+        if spec.closed is None:
+            continue
+
+        def counting(*args, _m=m, _closed=spec.closed):
+            calls[_m] = calls.get(_m, 0) + 1
+            return _closed(*args)
+
+        monkeypatch.setitem(
+            intervals.METHOD_TABLE, m, dataclasses.replace(spec, closed=counting)
+        )
+    closed = [
+        "hoeff-mbcr",
+        "sub-bernoulli-mbcr",
+        "sub-bernoulli-bern",
+        "naive-hoeffding",
+    ]
+    raw = _coverage_raw(
+        grid={"n": [100, 200], "pi": ["1/10"], "alpha": [0.05]},
+        methods=closed + ["studentized"],
+        replications=40,
+    )
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 10
+    assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
+
+
 # ---------------------------------------------------------------------------
 # Width scaling runner
 

@@ -15,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
 from tightci.intervals import (
-    C_ALTERNATE,
     IntervalError,
-    LAMBDA_SUBGAUSSIAN,
     clt_ci,
     cn_mbcr_bounds,
     gamma_b,
@@ -229,15 +227,8 @@ def test_sub_bernoulli_mbcr_asymptotic_ratio():
 def test_sub_bernoulli_mbcr_lambda_rules():
     lay = compute_layout(10**5, 10**4)
     default = sub_bernoulli_ci(0.0, 0.05, scheme="mbcr", layout=lay)
-    coarse = sub_bernoulli_ci(
-        0.0, 0.05, scheme="mbcr", layout=lay, lambda_rule=LAMBDA_SUBGAUSSIAN
-    )
     lam_cgf = math.sqrt(2 * LN40 / (4 * 10**4 * 100))
-    lam_sg = math.sqrt(2 * LN40 / (10**4 * 100))
     assert default.tuning["lam"] == pytest.approx(lam_cgf, rel=1e-12)
-    assert coarse.tuning["lam"] == pytest.approx(lam_sg, rel=1e-12)
-    # the coarse rule is wider at matched inputs here
-    assert coarse.half_width > default.half_width
 
 
 def test_sub_bernoulli_mbcr_tail_term():
@@ -411,13 +402,7 @@ def test_studentized_anchors_match_under_grouping():
 def test_studentized_scale_variants():
     data = _mbcr_data(60, 6, 5)  # groups of ten
     default = studentized_ci(data, 0.05)
-    alt = studentized_ci(data, 0.05, c_variant=C_ALTERNATE)
     assert default.tuning["c"] == pytest.approx(1 / (1 - 0.1) + 1)
-    assert alt.tuning["c"] == pytest.approx(1 / (1 - 10) + 1)
-    # groups of two make the alternate scale nonpositive
-    data2 = _mbcr_data(8, 4, 6)
-    with pytest.raises(IntervalError, match="nonpositive"):
-        studentized_ci(data2, 0.05, c_variant=C_ALTERNATE)
 
 
 def test_studentized_under_bernoulli():
