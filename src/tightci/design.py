@@ -191,10 +191,19 @@ class MbcrDraw:
     eta: np.ndarray
 
     @cached_property
+    def inv_eta(self) -> np.ndarray:
+        """The unit at each slot: ``inv_eta[eta[j]] == j``."""
+        return inverse_permutation(self.eta)
+
+    @cached_property
+    def treated_slot(self) -> np.ndarray:
+        """The treatment delivered at each slot, as float64."""
+        return self.layout.allocation_vector()[self.beta].astype(np.float64)
+
+    @cached_property
     def groups(self) -> tuple[np.ndarray, ...]:
         """The units occupying each block, tail last, in slot order."""
-        inv_eta = inverse_permutation(self.eta)
-        return tuple(inv_eta[block] for block in self.layout.slot_blocks())
+        return tuple(self.inv_eta[block] for block in self.layout.slot_blocks())
 
 
 @dataclass(frozen=True)
@@ -239,7 +248,10 @@ def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
 def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     """Grouped complete randomization draw.
 
-    Samples one uniform permutation per block (composed into ``beta``), then
+    Samples one uniform permutation per full block, all in one
+    ``Generator.permuted`` call over a ``(num_full_groups, group_size)``
+    matrix (rows shuffled in order, consuming the same draws as one
+    ``rng.permutation(group_size)`` per block), then one for the tail, then
     a uniform unit-wide permutation ``eta``, always in that order so a seeded
     generator reproduces the draw exactly.  Unit ``j`` receives the
     allocation pattern's value at slot ``beta[eta[j]]``.
@@ -247,8 +259,9 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     n, g = layout.n, layout.group_size
     body = layout.num_full_groups * g
     beta = np.arange(n)
-    for t in range(layout.num_full_groups):
-        beta[t * g:(t + 1) * g] = t * g + rng.permutation(g)
+    blocks = np.broadcast_to(np.arange(g), (layout.num_full_groups, g))
+    within = rng.permuted(blocks, axis=1)
+    beta[:body] = (np.arange(0, body, g)[:, None] + within).ravel()
     if layout.tail_size >= 2:
         beta[body:] = body + rng.permutation(layout.tail_size)
     eta = rng.permutation(n)

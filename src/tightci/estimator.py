@@ -162,9 +162,7 @@ def _slot_arrays(data: ObservedData):
             "grouped estimator needs the draw's permutation detail (beta, eta)"
         )
     lay = detail.layout
-    inv_eta = inverse_permutation(detail.eta)
-    y_slot = data.y[inv_eta]
-    treated_slot = lay.allocation_vector()[detail.beta].astype(np.float64)
+    y_slot = data.y[detail.inv_eta]
     g = float(lay.group_size)
     w_treat = np.full(lay.n, g)
     w_ctrl = np.full(lay.n, g / (g - 1.0))
@@ -172,7 +170,7 @@ def _slot_arrays(data: ObservedData):
         body = lay.num_full_groups * lay.group_size
         w_treat[body:] = lay.tail_size / lay.tail_treated
         w_ctrl[body:] = lay.tail_size / (lay.tail_size - lay.tail_treated)
-    return lay, y_slot, treated_slot, w_treat, w_ctrl
+    return lay, y_slot, detail.treated_slot, w_treat, w_ctrl
 
 
 def ht_mbcr(data: ObservedData) -> float:

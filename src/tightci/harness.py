@@ -37,6 +37,7 @@ from .design import (
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
     DesignError,
+    EnumerationBudgetError,
     MbcrLayout,
     compute_layout,
     draw_bernoulli,
@@ -386,7 +387,8 @@ def _skip_reason(spec: MethodSpec, n: int, layout, layout_reason) -> str | None:
 def _build_cells(config: ExperimentConfig) -> list[_Cell]:
     """Grid cells in (n, pi, alpha) order, logging every skipped method."""
     grouped = any(METHOD_TABLE[m].scheme == SCHEME_MBCR for m in config.methods)
-    dgp = config.dgp
+    # Closed-form widths read no outcomes, so width scaling samples no table.
+    dgp = None if config.experiment == EXPERIMENT_WIDTH_SCALING else config.dgp
     cells = []
     grid = itertools.product(config.ns, config.pis, config.alphas)
     for idx, (n, pi, alpha) in enumerate(grid):
@@ -680,6 +682,8 @@ def run_equivalence(
     The exact path enumerates every permutation tuple and requires equality
     of integer counts.  The approximate path is a Monte Carlo chi-square
     goodness-of-fit screen, reported as approximate and never as proof.
+    Its ``budget`` caps the ``C(n, n1)`` arrangements it tabulates, and it
+    refuses before drawing anything when they exceed it.
     """
     layout = compute_layout(n, n1)
     if not approximate:
@@ -712,6 +716,12 @@ def run_equivalence(
             "distinct_assignments": len(dist.counts),
         }
         return report
+    arrangements = math.comb(n, n1)
+    if arrangements > budget:
+        raise EnumerationBudgetError(
+            f"the approximate screen tabulates {arrangements} arrangements, over "
+            f"the budget of {budget}; increase the budget or use a smaller n"
+        )
     rng = child_rng(seed, 0, 0, _TAG_EQUIV)
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(draws):
@@ -777,14 +787,33 @@ def config_sha256(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _replace_files(files: list[tuple[Path, bytes]]) -> None:
+    """Write each file to a temporary sibling, then move them into place in
+    order with ``os.replace``; a failed write moves none of them."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for (_, data), tmp in zip(files, temps):
+            tmp.write_bytes(data)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def write_outputs(out_dir, report: Report, config: ExperimentConfig) -> dict[str, Path]:
-    """Write <experiment>.csv and manifest.json; contents are reproducible."""
+    """Write <experiment>.csv and manifest.json; contents are reproducible.
+
+    Both are written to temporary files in ``out_dir`` first and then moved
+    into place, CSV first, with ``os.replace``.  A write that fails leaves
+    neither file changed; only an interruption between the two moves can
+    leave a new CSV beside an old manifest.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_name = f"{report.experiment}.csv"
     csv_bytes = report.to_csv_bytes()
     csv_path = out / csv_name
-    csv_path.write_bytes(csv_bytes)
     manifest = {
         "tool": "tightci",
         "tool_version": TOOL_VERSION,
@@ -796,7 +825,7 @@ def write_outputs(out_dir, report: Report, config: ExperimentConfig) -> dict[str
         "summary": report.summary,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    manifest_bytes = manifest_text.encode("utf-8")
+    _replace_files([(csv_path, csv_bytes), (manifest_path, manifest_bytes)])
     return {"csv": csv_path, "manifest": manifest_path}

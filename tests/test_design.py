@@ -256,6 +256,60 @@ def test_mbcr_groups_built_only_when_read():
     assert len(first) == lay.num_groups
 
 
+def _draw_mbcr_loop_reference(layout, rng):
+    """The grouped draw written as one ``rng.permutation`` per block.
+
+    ``draw_mbcr`` shuffles every full block in one ``Generator.permuted``
+    call; this loop is the stream it must reproduce, so a numpy release that
+    changes ``permuted``'s draw order fails the comparison below.
+    """
+    n, g = layout.n, layout.group_size
+    body = layout.num_full_groups * g
+    beta = np.arange(n)
+    for t in range(layout.num_full_groups):
+        beta[t * g:(t + 1) * g] = t * g + rng.permutation(g)
+    if layout.tail_size >= 2:
+        beta[body:] = body + rng.permutation(layout.tail_size)
+    eta = rng.permutation(n)
+    z = layout.allocation_vector()[beta][eta]
+    return z, beta, eta
+
+
+@pytest.mark.parametrize(
+    "n,n1",
+    [
+        (12, 4),  # tiling, groups of 3
+        (10, 3),  # one treated unit spills into a tail of 2
+        (9, 4),  # two spill into a tail of 3
+        (10, 5),  # groups of 2
+        (47, 5),  # groups of 10, two spill into a tail of 7
+        (5000, 500),
+        (100000, 100),  # the rmse-large-n layout, groups of 1000
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
+    lay = compute_layout(n, n1)
+    asg = draw_mbcr(lay, np.random.default_rng(seed))
+    z, beta, eta = _draw_mbcr_loop_reference(lay, np.random.default_rng(seed))
+    for got, want in ((asg.z, z), (asg.mbcr.beta, beta), (asg.mbcr.eta, eta)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_mbcr_slot_bookkeeping_built_once_when_read():
+    lay = compute_layout(10, 3)
+    asg = draw_mbcr(lay, np.random.default_rng(4))
+    detail = asg.mbcr
+    assert "inv_eta" not in vars(detail) and "treated_slot" not in vars(detail)
+    assert detail.inv_eta is detail.inv_eta
+    assert np.array_equal(detail.inv_eta[detail.eta], np.arange(lay.n))
+    assert detail.treated_slot is detail.treated_slot
+    assert detail.treated_slot.dtype == np.float64
+    # slot s delivers the pattern at beta[s] to the unit inv_eta[s]
+    assert np.array_equal(detail.treated_slot, asg.z[detail.inv_eta])
+
+
 def test_mbcr_beta_preserves_blocks():
     lay = compute_layout(10, 3)
     draw = draw_mbcr(lay, np.random.default_rng(3)).mbcr

@@ -260,6 +260,24 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
     assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
 
 
+def test_grouped_replication_inverts_eta_once(monkeypatch):
+    from tightci import design
+
+    calls = []
+    original = design.inverse_permutation
+
+    def counting(perm):
+        calls.append(perm.shape[0])
+        return original(perm)
+
+    monkeypatch.setattr(design, "inverse_permutation", counting)
+    raw = _coverage_raw(methods=["hoeff-mbcr", "studentized"], replications=1)
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 2
+    # ht_mbcr and both group-sum variants share one cached inverse
+    assert calls == [200]
+
+
 # ---------------------------------------------------------------------------
 # Width scaling runner
 
@@ -302,6 +320,27 @@ def test_width_scaling_naive_diverges():
     scaled = [row["width_times_sqrt_npi"] for row in report.rows]
     assert scaled[1] / scaled[0] == pytest.approx(math.sqrt(10), rel=0.1)
     assert scaled[2] / scaled[1] == pytest.approx(math.sqrt(10), rel=0.05)
+
+
+def test_width_scaling_samples_no_table(monkeypatch):
+    from tightci import harness
+
+    raw = {
+        "experiment": "width_scaling",
+        "grid": {"n": [100000], "pi": ["1/10", "1/100"], "alpha": [0.05]},
+        "methods": ["hoeff-mbcr", "naive-hoeffding"],
+        "replications": 1,
+        "seed": 0,
+    }
+    plain = run_width_scaling(parse_config(raw))
+    calls = []
+    monkeypatch.setattr(
+        harness, "sample_population", lambda *args: calls.append(args)
+    )
+    raw["dgp"] = {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5}
+    with_dgp = run_width_scaling(parse_config(raw))
+    assert calls == []
+    assert with_dgp.to_csv_bytes() == plain.to_csv_bytes()
 
 
 def test_width_scaling_rejects_adaptive_methods():
@@ -392,6 +431,25 @@ def test_equivalence_approximate_fallback():
     assert "not a proof" in report.summary["note"]
 
 
+def test_equivalence_approximate_budget_refused(monkeypatch):
+    from tightci import harness
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the budget")
+
+    # C(40, 20) = 137846528820 arrangements is over the default budget of
+    # 10**8; the refusal comes from that count alone.
+    assert math.comb(40, 20) > 10**8
+    monkeypatch.setattr(harness, "draw_mbcr", no_draws)
+    with pytest.raises(EnumerationBudgetError, match="137846528820 arrangements"):
+        run_equivalence(40, 20, approximate=True)
+    with pytest.raises(EnumerationBudgetError, match="budget of 14"):
+        run_equivalence(6, 2, approximate=True, budget=14, draws=10)
+    monkeypatch.undo()
+    report = run_equivalence(6, 2, approximate=True, budget=15, draws=300)
+    assert len(report.rows) == 15
+
+
 def test_equivalence_infeasible_layout():
     with pytest.raises(LayoutInfeasibleError):
         run_equivalence(19, 8)
@@ -415,6 +473,39 @@ def test_write_outputs_reproducible(tmp_path):
 
     digest = hashlib.sha256(first["csv"].read_bytes()).hexdigest()
     assert manifest["outputs"]["coverage.csv"] == digest
+
+
+def test_write_outputs_failed_manifest_moves_nothing(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    cfg = parse_config(_coverage_raw(replications=8))
+    out = tmp_path / "out"
+    report = run_experiment(cfg)
+    report.summary = {"unserializable": object()}
+    with pytest.raises(TypeError):
+        write_outputs(out, report, cfg)
+    assert list(out.glob("*.csv")) == []
+    original = Path.write_bytes
+
+    def failing(self, data):
+        if self.name.startswith(".manifest.json"):
+            raise OSError("disk full")
+        return original(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_outputs(out, run_experiment(cfg), cfg)
+    assert list(out.iterdir()) == []
+    # An earlier complete pair is left as it was, not half replaced.
+    monkeypatch.undo()
+    write_outputs(out, run_experiment(cfg), cfg)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    cfg2 = parse_config(_coverage_raw(replications=9))
+    with pytest.raises(OSError, match="disk full"):
+        write_outputs(out, run_experiment(cfg2), cfg2)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(before) == ["coverage.csv", "manifest.json"]
 
 
 def test_csv_header_and_quoting(tmp_path):
