@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .design import (  # noqa: E402,F401
     Assignment,
     DesignError,
-    DesignParams,
     EnumerationBudgetError,
     LayoutInfeasibleError,
     MbcrLayout,

@@ -144,6 +144,8 @@ def _read_columns(path, required: tuple[str, ...], optional: tuple[str, ...] = (
             raise CliError(
                 f"{path}: missing column(s) {missing}; header was {names}"
             )
+        # Key rows by the stripped names: a header 'y, z' keys them by ' z'.
+        reader.fieldnames = names
         cols: dict[str, list[float]] = {c: [] for c in names}
         for i, row in enumerate(reader):
             for c in names:
@@ -288,8 +290,8 @@ def _compute_ci(args) -> Interval:
     data = ObservedData(y=y, assignment=assignment)
     alpha = args.alpha / spec.miscoverage_factor
     if spec.adaptive is not None:
-        return spec.adaptive(data, pi, alpha)
-    est = ht_mbcr(data) if scheme == SCHEME_MBCR else ht_standard(data, pi)
+        return spec.adaptive(data, alpha)
+    est = ht_mbcr(data) if scheme == SCHEME_MBCR else ht_standard(data)
     return spec.closed(est, layout, n, pi, alpha)
 
 

@@ -73,21 +73,6 @@ def validate_propensity(pi: float) -> None:
 
 
 @dataclass(frozen=True)
-class DesignParams:
-    """Counting design: ``n`` units of which exactly ``n1`` are treated."""
-
-    n: int
-    n1: int
-
-    def __post_init__(self) -> None:
-        _check_counts(self.n, self.n1)
-
-    @property
-    def pi(self) -> Fraction:
-        return Fraction(self.n1, self.n)
-
-
-@dataclass(frozen=True)
 class MbcrLayout:
     """Derived batching arithmetic for grouped complete randomization.
 
@@ -107,13 +92,6 @@ class MbcrLayout:
     @property
     def pi(self) -> Fraction:
         return Fraction(self.n1, self.n)
-
-    @property
-    def tail_ratio(self) -> Fraction | None:
-        """Final-group size per treated unit (None when there is no tail)."""
-        if self.tail_treated == 0:
-            return None
-        return Fraction(self.tail_size, self.tail_treated)
 
     @property
     def num_groups(self) -> int:
@@ -196,14 +174,20 @@ class MbcrDraw:
         return inverse_permutation(self.eta)
 
     @cached_property
-    def treated_slot(self) -> np.ndarray:
-        """The treatment delivered at each slot, as float64."""
-        return self.layout.allocation_vector()[self.beta].astype(np.float64)
-
-    @cached_property
-    def groups(self) -> tuple[np.ndarray, ...]:
-        """The units occupying each block, tail last, in slot order."""
-        return tuple(self.inv_eta[block] for block in self.layout.slot_blocks())
+    def slot_coef(self) -> np.ndarray:
+        """Each slot's Horvitz-Thompson coefficient: ``g`` for a treated slot
+        of a full block and ``-g/(g-1)`` for a control one; the tail block
+        uses its own size-per-treated ratio in place of ``g``."""
+        lay = self.layout
+        t = lay.allocation_vector()[self.beta].astype(np.float64)
+        g = float(lay.group_size)
+        w_treat = np.full(lay.n, g)
+        w_ctrl = np.full(lay.n, g / (g - 1.0))
+        if lay.tail_size > 0:
+            body = lay.num_full_groups * lay.group_size
+            w_treat[body:] = lay.tail_size / lay.tail_treated
+            w_ctrl[body:] = lay.tail_size / (lay.tail_size - lay.tail_treated)
+        return t * w_treat - (1.0 - t) * w_ctrl
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import PROVENANCE_FIXED, PROVENANCE_SAMPLED, PotentialTable
+from .estimator import PotentialTable
 
 KIND_FIXED_TABLE = "fixed_table"
 KIND_UNIFORM_SHIFT = "uniform_shift"
@@ -66,27 +66,15 @@ class DgpSpec:
         return replace(self, n=int(n))
 
 
-def fig2a_spec(n: int) -> DgpSpec:
-    return DgpSpec(KIND_UNIFORM_SHIFT, n=n, lo=0.1, hi=0.5, shift=0.5)
-
-
-def fig2b_spec(n: int) -> DgpSpec:
-    return DgpSpec(KIND_UNIFORM_NULL, n=n, lo=0.9, hi=1.0)
-
-
-def fig2c_spec(n: int) -> DgpSpec:
-    return DgpSpec(KIND_UNIFORM_NULL, n=n, lo=0.0, hi=0.1)
-
-
 def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable:
     """Draw a potential-outcome table according to the spec.
 
-    Fixed tables are loaded from disk and marked as fixed provenance; the
-    uniform kinds draw control outcomes from U(lo, hi) and derive treated
-    outcomes by the constant shift (zero for the null kind).
+    Fixed tables are loaded from disk; the uniform kinds draw control
+    outcomes from U(lo, hi) and derive treated outcomes by the constant
+    shift (zero for the null kind).
     """
     if spec.kind == KIND_FIXED_TABLE:
-        table = PotentialTable.from_csv(spec.path, provenance=PROVENANCE_FIXED)
+        table = PotentialTable.from_csv(spec.path)
         if table.n != spec.n:
             raise DgpError(
                 f"fixed table has {table.n} rows but the spec asks for n={spec.n}"
@@ -97,7 +85,7 @@ def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable
         y1 = y0 + spec.shift
     else:
         y1 = y0.copy()
-    return PotentialTable(y0=y0, y1=y1, provenance=PROVENANCE_SAMPLED)
+    return PotentialTable(y0=y0, y1=y1)
 
 
 def true_ate_iid(spec: DgpSpec) -> float:

@@ -8,8 +8,9 @@ exact conditional-expectation oracle for verifying unbiasedness.
 Index conventions for the grouped estimator follow the draw's bookkeeping:
 for slot ``s``, the observed outcome belongs to the unit at that slot
 (``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
-``beta(s)``.  Full blocks use weights ``g`` and ``1/(1 - 1/g)``; the tail
-block replaces ``g`` with its own size-per-treated ratio.
+``beta(s)``.  The draw holds each slot's weight (``MbcrDraw.slot_coef``):
+full blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g``
+with its own size-per-treated ratio.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from .design import (
 VARIANT_STANDARD = "standard"
 VARIANT_MIRRORED = "mirrored"
 
-PROVENANCE_FIXED = "fixed"
-PROVENANCE_SAMPLED = "sampled"
-
 
 class EstimatorError(ValueError):
     """Inputs incompatible with the requested estimator."""
@@ -45,7 +43,6 @@ class PotentialTable:
 
     y0: np.ndarray
     y1: np.ndarray
-    provenance: str = PROVENANCE_FIXED
 
     def __post_init__(self) -> None:
         y0 = np.asarray(self.y0, dtype=np.float64)
@@ -59,8 +56,6 @@ class PotentialTable:
                 raise EstimatorError(f"{name} contains non-finite values")
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
                 raise EstimatorError(f"{name} has entries outside [0, 1]")
-        if self.provenance not in (PROVENANCE_FIXED, PROVENANCE_SAMPLED):
-            raise EstimatorError(f"unknown provenance {self.provenance!r}")
 
     @property
     def n(self) -> int:
@@ -72,16 +67,17 @@ class PotentialTable:
         return float(np.mean(self.y1 - self.y0))
 
     @classmethod
-    def from_csv(cls, path, provenance: str = PROVENANCE_FIXED) -> "PotentialTable":
+    def from_csv(cls, path) -> "PotentialTable":
         """Load a table from a CSV file with header ``y0,y1``."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [
-                f.strip() for f in reader.fieldnames
-            ] != ["y0", "y1"]:
+            names = [f.strip() for f in reader.fieldnames or []]
+            if names != ["y0", "y1"]:
                 raise EstimatorError(
                     f"{path}: expected CSV header 'y0,y1', got {reader.fieldnames}"
                 )
+            # Key rows by the stripped names: a header 'y0, y1' keys them by ' y1'.
+            reader.fieldnames = names
             y0, y1 = [], []
             for i, row in enumerate(reader):
                 try:
@@ -89,7 +85,7 @@ class PotentialTable:
                     y1.append(float(row["y1"]))
                 except (TypeError, ValueError) as exc:
                     raise EstimatorError(f"{path}: bad row {i + 2}: {row}") from exc
-        return cls(np.array(y0), np.array(y1), provenance=provenance)
+        return cls(np.array(y0), np.array(y1))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -148,29 +144,20 @@ def _mirrored_base(y: np.ndarray, variant: str) -> np.ndarray:
     return y - 1.0
 
 
-def ht_standard(data: ObservedData, prop: float) -> float:
-    """Plain Horvitz-Thompson estimate at a unit-wide propensity."""
-    vals = pseudo_outcome(data.y, data.assignment.z, prop)
-    return float(np.mean(vals))
+def ht_standard(data: ObservedData) -> float:
+    """Plain Horvitz-Thompson estimate at the assignment's propensity."""
+    asg = data.assignment
+    return float(np.mean(pseudo_outcome(data.y, asg.z, asg.pi)))
 
 
 def _slot_arrays(data: ObservedData):
-    """Outcomes and delivered treatments in slot order, plus slot weights."""
+    """The layout, outcomes in slot order, and each slot's coefficient."""
     detail = data.assignment.mbcr
     if detail is None:
         raise EstimatorError(
             "grouped estimator needs the draw's permutation detail (beta, eta)"
         )
-    lay = detail.layout
-    y_slot = data.y[detail.inv_eta]
-    g = float(lay.group_size)
-    w_treat = np.full(lay.n, g)
-    w_ctrl = np.full(lay.n, g / (g - 1.0))
-    if lay.tail_size > 0:
-        body = lay.num_full_groups * lay.group_size
-        w_treat[body:] = lay.tail_size / lay.tail_treated
-        w_ctrl[body:] = lay.tail_size / (lay.tail_size - lay.tail_treated)
-    return lay, y_slot, detail.treated_slot, w_treat, w_ctrl
+    return detail.layout, data.y[detail.inv_eta], detail.slot_coef
 
 
 def ht_mbcr(data: ObservedData) -> float:
@@ -181,9 +168,8 @@ def ht_mbcr(data: ObservedData) -> float:
     and the tail block by its own ratio.  With no tail this equals
     :func:`ht_standard` at ``prop = n1/n`` for every draw.
     """
-    _, y_slot, t_slot, w_treat, w_ctrl = _slot_arrays(data)
-    vals = y_slot * (t_slot * w_treat - (1.0 - t_slot) * w_ctrl)
-    return float(np.mean(vals))
+    _, y_slot, coef = _slot_arrays(data)
+    return float(np.mean(y_slot * coef))
 
 
 def groupwise_sums(data: ObservedData, variant: str = VARIANT_STANDARD) -> np.ndarray:
@@ -193,19 +179,16 @@ def groupwise_sums(data: ObservedData, variant: str = VARIANT_STANDARD) -> np.nd
     just the vector of per-unit pseudo-outcomes.  Each full-block standard
     sum lies in ``[-g, g]``.
     """
-    scheme = data.assignment.scheme
-    if scheme == SCHEME_BERNOULLI:
-        base = data.y if variant == VARIANT_STANDARD else _mirrored_base(data.y, variant)
-        prop = data.assignment.pi
-        z = data.assignment.z.astype(np.float64)
-        return base * (z / prop - (1.0 - z) / (1.0 - prop))
-    if scheme != SCHEME_MBCR:
+    asg = data.assignment
+    if asg.scheme == SCHEME_BERNOULLI:
+        return pseudo_outcome(data.y, asg.z, asg.pi, variant)
+    if asg.scheme != SCHEME_MBCR:
         raise EstimatorError(
-            f"group sums need a grouped or Bernoulli assignment, got {scheme!r}"
+            f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
-    lay, y_slot, t_slot, w_treat, w_ctrl = _slot_arrays(data)
+    lay, y_slot, coef = _slot_arrays(data)
     base = y_slot if variant == VARIANT_STANDARD else _mirrored_base(y_slot, variant)
-    vals = base * (t_slot * w_treat - (1.0 - t_slot) * w_ctrl)
+    vals = base * coef
     body = lay.num_full_groups * lay.group_size
     sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)
     if lay.tail_size > 0:

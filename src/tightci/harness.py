@@ -204,13 +204,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"config.{name}: need a positive integer, got {v!r}")
         budget = raw.get("budget", DEFAULT_ENUMERATION_BUDGET)
-        if not isinstance(budget, int) or budget < 1:
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
             raise ConfigError(f"config.budget: need a positive integer, got {budget!r}")
         approx = raw.get("approximate", False)
         if not isinstance(approx, bool):
             raise ConfigError(f"config.approximate: need a boolean, got {approx!r}")
         draws = raw.get("draws", 200_000)
-        if not isinstance(draws, int) or draws < 1:
+        if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
             raise ConfigError(f"config.draws: need a positive integer, got {draws!r}")
         known = {"experiment", "seed", "n", "n1", "budget", "approximate", "draws"}
         extra = set(raw) - known
@@ -506,10 +506,10 @@ def _coverage_chunk(
                 cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
             )
             data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
-            out[SCHEME_BERNOULLI]["est"][k] = ht_standard(data[SCHEME_BERNOULLI], pi_f)
+            out[SCHEME_BERNOULLI]["est"][k] = ht_standard(data[SCHEME_BERNOULLI])
         for m, spec in adaptive.items():
             try:
-                ci = spec.adaptive(data[spec.scheme], pi_f, cell.alpha)
+                ci = spec.adaptive(data[spec.scheme], cell.alpha)
             except EmptyArmError:
                 # The draw left an arm empty; record a miss of width zero.
                 continue
@@ -518,27 +518,34 @@ def _coverage_chunk(
     return out
 
 
-# RMSE runs use bare point estimators, so their chunks are estimate-only.
-_rmse_chunk = _coverage_chunk
-
-
 def _run_cells(config, cells, chunk_fn, workers: int):
     """Run chunk_fn over every (cell, replication range), merging by index.
 
     Chunk boundaries never influence the results: every replication owns its
     own seed path and lands at its absolute index during the merge, so any
-    worker count produces identical reports.
+    worker count produces identical reports.  More workers than CPUs or
+    tasks would only idle, so the pool is clamped to both.
     """
     reps = config.replications
-    chunk = max(1, math.ceil(reps / max(1, workers * 4)))
+    cpus = os.cpu_count() or 1
+    chunk = max(1, math.ceil(reps / (min(workers, cpus) * 4)))
     tasks = [
         (cell, start, min(start + chunk, reps))
         for cell in cells
         if cell.methods
         for start in range(0, reps, chunk)
     ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    used = max(1, min(workers, cpus, len(tasks)))
+    if used < workers:
+        log.warning(
+            "using %d of the %d requested workers (%d CPUs, %d tasks)",
+            used,
+            workers,
+            cpus,
+            len(tasks),
+        )
+    if used > 1:
+        with ProcessPoolExecutor(max_workers=used) as pool:
             outs = list(
                 pool.map(
                     chunk_fn,
@@ -567,15 +574,6 @@ def _run_cells(config, cells, chunk_fn, workers: int):
 
 
 def resolve_workers(requested: int | None) -> int:
-    env = os.environ.get("TIGHTCI_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"TIGHTCI_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ConfigError(f"TIGHTCI_THREADS must be >= 1, got {value}")
-        return value
     if requested is None:
         return 1
     if requested < 1:
@@ -648,7 +646,7 @@ def rmse_bound(method: str, n: int, pi: float) -> float:
 def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo estimator RMSE next to its theoretical bound."""
     cells = _build_cells(config)
-    merged = _run_cells(config, cells, _rmse_chunk, workers)
+    merged = _run_cells(config, cells, _coverage_chunk, workers)
     rows = [
         _row(
             config,
@@ -682,8 +680,9 @@ def run_equivalence(
     The exact path enumerates every permutation tuple and requires equality
     of integer counts.  The approximate path is a Monte Carlo chi-square
     goodness-of-fit screen, reported as approximate and never as proof.
-    Its ``budget`` caps the ``C(n, n1)`` arrangements it tabulates, and it
-    refuses before drawing anything when they exceed it.
+    Its ``budget`` caps both the ``C(n, n1)`` arrangements it tabulates and
+    the ``draws`` it makes, and it refuses before drawing anything when
+    either exceeds it.
     """
     layout = compute_layout(n, n1)
     if not approximate:
@@ -721,6 +720,11 @@ def run_equivalence(
         raise EnumerationBudgetError(
             f"the approximate screen tabulates {arrangements} arrangements, over "
             f"the budget of {budget}; increase the budget or use a smaller n"
+        )
+    if draws > budget:
+        raise EnumerationBudgetError(
+            f"the approximate screen makes {draws} draws, over the budget of "
+            f"{budget}; increase the budget or make fewer draws"
         )
     rng = child_rng(seed, 0, 0, _TAG_EQUIV)
     counts: dict[tuple[int, ...], int] = {}

@@ -446,21 +446,21 @@ def _clt_half(alpha: float, t: dict[str, Any]) -> float:
     return float(norm.ppf(1.0 - alpha / 2.0)) * math.sqrt(t["vhat"] / t["n"])
 
 
-def clt_ci(data: ObservedData, prop: float, alpha: float) -> Interval:
+def clt_ci(data: ObservedData, alpha: float) -> Interval:
     """Plug-in normal interval around the standard estimator.
 
     Asymptotic only; excluded from the coverage guarantees everywhere in
     this package.  Requires both arms to be nonempty.
     """
     alpha = _check_alpha(alpha)
-    z = data.assignment.z
-    n_treat = int(z.sum())
+    asg = data.assignment
+    n_treat = int(asg.z.sum())
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
-    vals = pseudo_outcome(data.y, z, prop)
+    vals = pseudo_outcome(data.y, asg.z, asg.pi)
     vhat = float(np.var(vals, ddof=1))
     zq = float(norm.ppf(1.0 - alpha / 2.0))
-    t = {"n": data.n, "pi": float(prop), "vhat": vhat, "z_quantile": zq}
+    t = {"n": data.n, "pi": float(asg.pi), "vhat": vhat, "z_quantile": zq}
     half = zq * math.sqrt(vhat / data.n)
     return _centered(METHOD_CLT, float(np.mean(vals)), alpha, half, t)
 
@@ -478,7 +478,8 @@ class MethodSpec:
     ``SCHEME_MBCR``, the standard one under ``SCHEME_BERNOULLI``).  A closed
     form has ``closed(psi_hat, layout, n, pi, alpha)``, whose half-width
     depends on the design alone; a data-adaptive interval has
-    ``adaptive(data, pi, alpha)``; a bare point estimator has neither.
+    ``adaptive(data, alpha)``, which reads the design from
+    ``data.assignment``; a bare point estimator has neither.
     ``half(alpha, tuning)`` (for intervals ``psi_hat +/- half``) or
     ``endpoints(alpha, tuning)`` is the arithmetic ``reevaluate`` replays.
     ``miscoverage_factor`` is k in the guarantee ``coverage >= 1 - k alpha``.
@@ -489,7 +490,7 @@ class MethodSpec:
 
     scheme: str
     closed: Callable[..., Interval] | None = None
-    adaptive: Callable[[ObservedData, float, float], Interval] | None = None
+    adaptive: Callable[[ObservedData, float], Interval] | None = None
     half: Callable[[float, dict[str, Any]], float] | None = None
     endpoints: Callable[[float, dict[str, Any]], tuple[float, float]] | None = None
     miscoverage_factor: int = 1
@@ -507,12 +508,8 @@ class MethodSpec:
         return self.closed(0.0, layout, n, pi, alpha).half_width
 
 
-def _studentized(data: ObservedData, pi: float, alpha: float) -> Interval:
-    return studentized_ci(data, alpha)
-
-
 _STUDENTIZED = dict(
-    adaptive=_studentized,
+    adaptive=studentized_ci,
     endpoints=_studentized_endpoints,
     miscoverage_factor=2,
     min_groups=MIN_CROSS_FIT_GROUPS,

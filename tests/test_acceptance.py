@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from tightci.design import compute_layout, draw_mbcr
-from tightci.dgp import fig2c_spec, sample_population
+from tightci.dgp import DgpSpec, sample_population
 from tightci.estimator import (
     ObservedData,
     PotentialTable,
@@ -251,7 +251,7 @@ def test_criterion_08_studentized_sharpness():
     over 500 replications."""
     n, n1, reps = 5000, 500, 500
     lay = compute_layout(n, n1)
-    spec = fig2c_spec(n)
+    spec = DgpSpec("uniform_null", n=n, lo=0.0, hi=0.1)
     hoeff_half = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
     margins = np.zeros(reps)
     for rep in range(reps):

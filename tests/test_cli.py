@@ -212,6 +212,19 @@ def test_ci_clip(tmp_path, capsys):
     assert -1.0 <= payload["lower"] <= payload["upper"] <= 1.0
 
 
+def test_ci_spaced_header(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    _write_bernoulli_data(plain, n=60)
+    spaced = tmp_path / "spaced.csv"
+    rows = plain.read_text().splitlines()[1:]
+    spaced.write_text("\n".join(["y, z", *rows]) + "\n")
+    flags = ["--scheme", "bernoulli", "--pi", "0.1", "--method", "clt", "--json"]
+    assert main(["ci", "--data", str(plain), *flags]) == 0
+    want = capsys.readouterr().out
+    assert main(["ci", "--data", str(spaced), *flags]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_ci_bad_schema(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from tightci.design import (
     Assignment,
     DesignError,
-    DesignParams,
     EnumerationBudgetError,
     LayoutInfeasibleError,
     compute_layout,
@@ -21,6 +20,7 @@ from tightci.design import (
     enumeration_space_size,
     inverse_permutation,
 )
+from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, ht_mbcr
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +62,12 @@ def test_layout_rejects_bad_counts():
     with pytest.raises(DesignError):
         compute_layout(10, 0)
     with pytest.raises(DesignError):
-        DesignParams(4, 3)
+        compute_layout(4, 3)
 
 
 def test_design_params_propensity_is_exact():
-    params = DesignParams(9, 3)
-    assert params.pi == Fraction(1, 3)
-    assert DesignParams(10, 5).pi == Fraction(1, 2)
+    assert compute_layout(9, 3).pi == Fraction(1, 3)
+    assert compute_layout(10, 5).pi == Fraction(1, 2)
 
 
 def test_layout_infeasible_cases():
@@ -140,7 +139,13 @@ def test_layout_invariants_random(n, data):
     assert lay.pi == Fraction(n1, n) <= Fraction(1, 2)
     if lay.tail_treated:
         assert lay.tail_size > lay.tail_treated >= 1
-        assert lay.tail_ratio == Fraction(lay.tail_size, lay.tail_treated)
+        # the tail's treated slots are weighed by its size-per-treated ratio
+        coef = draw_mbcr(lay, np.random.default_rng(n)).mbcr.slot_coef
+        tail = lay.tail_size
+        assert sorted(set(coef[lay.n - tail:])) == [
+            -tail / (tail - lay.tail_treated),
+            tail / lay.tail_treated,
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def test_mbcr_one_treated_per_group(n, n1):
     for _ in range(50):
         asg = draw_mbcr(lay, rng)
         assert int(asg.z.sum()) == n1
-        groups = asg.mbcr.groups
+        groups = [asg.mbcr.inv_eta[block] for block in lay.slot_blocks()]
         assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
         for t in range(lay.num_full_groups):
             assert int(asg.z[groups[t]].sum()) == 1
@@ -241,19 +246,8 @@ def test_mbcr_deterministic_and_consistent():
     # realized vector is the allocation pattern pushed through both shuffles
     a = lay.allocation_vector()
     assert np.array_equal(d1.z, a[d1.mbcr.beta][d1.mbcr.eta])
-    # stored groups are the units occupying each slot block
-    inv_eta = inverse_permutation(d1.mbcr.eta)
-    for block, grp in zip(lay.slot_blocks(), d1.mbcr.groups):
-        assert np.array_equal(inv_eta[block], grp)
-
-
-def test_mbcr_groups_built_only_when_read():
-    lay = compute_layout(100, 10)
-    detail = draw_mbcr(lay, np.random.default_rng(5)).mbcr
-    assert "groups" not in vars(detail)
-    first = detail.groups
-    assert detail.groups is first
-    assert len(first) == lay.num_groups
+    # the cached inverse names the unit occupying each slot
+    assert np.array_equal(d1.mbcr.inv_eta, inverse_permutation(d1.mbcr.eta))
 
 
 def _draw_mbcr_loop_reference(layout, rng):
@@ -297,17 +291,29 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
         assert np.array_equal(got, want)
 
 
-def test_mbcr_slot_bookkeeping_built_once_when_read():
-    lay = compute_layout(10, 3)
+def test_mbcr_slot_coef_built_once_when_read():
+    lay = compute_layout(10, 3)  # groups of 4 and a tail of 2 with one treated
     asg = draw_mbcr(lay, np.random.default_rng(4))
     detail = asg.mbcr
-    assert "inv_eta" not in vars(detail) and "treated_slot" not in vars(detail)
+    assert "inv_eta" not in vars(detail) and "slot_coef" not in vars(detail)
     assert detail.inv_eta is detail.inv_eta
     assert np.array_equal(detail.inv_eta[detail.eta], np.arange(lay.n))
-    assert detail.treated_slot is detail.treated_slot
-    assert detail.treated_slot.dtype == np.float64
-    # slot s delivers the pattern at beta[s] to the unit inv_eta[s]
-    assert np.array_equal(detail.treated_slot, asg.z[detail.inv_eta])
+    coef = detail.slot_coef
+    assert detail.slot_coef is coef
+    assert coef.dtype == np.float64
+    # slot s delivers the pattern at beta[s] to the unit inv_eta[s] and
+    # weighs it by g = 4 in the full blocks, by the ratio 2 in the tail
+    t = asg.z[detail.inv_eta].astype(np.float64)
+    w_treat = np.array([4.0] * 8 + [2.0] * 2)
+    w_ctrl = np.array([4.0 / 3.0] * 8 + [2.0] * 2)
+    assert np.array_equal(coef, t * w_treat - (1.0 - t) * w_ctrl)
+    # the estimators read it in place, without rebuilding it
+    y0 = np.linspace(0.0, 0.5, lay.n)
+    data = ObservedData.realize(PotentialTable(y0, y0 + 0.25), asg)
+    ht_mbcr(data)
+    groupwise_sums(data, "standard")
+    groupwise_sums(data, "mirrored")
+    assert detail.slot_coef is coef
 
 
 def test_mbcr_beta_preserves_blocks():

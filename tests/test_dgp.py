@@ -6,9 +6,6 @@ import pytest
 from tightci.dgp import (
     DgpError,
     DgpSpec,
-    fig2a_spec,
-    fig2b_spec,
-    fig2c_spec,
     sample_population,
     true_ate_iid,
 )
@@ -31,9 +28,8 @@ def test_spec_validation():
 
 
 def test_shifted_uniform_scenario():
-    spec = fig2a_spec(500)
+    spec = DgpSpec("uniform_shift", n=500, lo=0.1, hi=0.5, shift=0.5)
     table = sample_population(spec, np.random.default_rng(0))
-    assert table.provenance == "sampled"
     diffs = table.y1 - table.y0
     assert np.allclose(diffs, 0.5)
     assert table.y0.min() >= 0.1 and table.y0.max() <= 0.5
@@ -42,7 +38,10 @@ def test_shifted_uniform_scenario():
 
 
 def test_null_scenarios():
-    for spec in (fig2b_spec(300), fig2c_spec(300)):
+    for spec in (
+        DgpSpec("uniform_null", n=300, lo=0.9, hi=1.0),
+        DgpSpec("uniform_null", n=300, lo=0.0, hi=0.1),
+    ):
         table = sample_population(spec, np.random.default_rng(1))
         assert table.psi_db == 0.0
         assert np.array_equal(table.y0, table.y1)
@@ -52,7 +51,11 @@ def test_null_scenarios():
 
 def test_outputs_always_in_unit_interval():
     rng = np.random.default_rng(2)
-    for spec in (fig2a_spec(200), fig2b_spec(200), fig2c_spec(200)):
+    for spec in (
+        DgpSpec("uniform_shift", n=200, lo=0.1, hi=0.5, shift=0.5),
+        DgpSpec("uniform_null", n=200, lo=0.9, hi=1.0),
+        DgpSpec("uniform_null", n=200, lo=0.0, hi=0.1),
+    ):
         for _ in range(5):
             table = sample_population(spec, rng)
             for arr in (table.y0, table.y1):
@@ -60,7 +63,7 @@ def test_outputs_always_in_unit_interval():
 
 
 def test_sampling_deterministic():
-    spec = fig2a_spec(100)
+    spec = DgpSpec("uniform_shift", n=100, lo=0.1, hi=0.5, shift=0.5)
     a = sample_population(spec, np.random.default_rng(7))
     b = sample_population(spec, np.random.default_rng(7))
     assert np.array_equal(a.y0, b.y0)
@@ -71,8 +74,7 @@ def test_fixed_table_loading(tmp_path):
     path = tmp_path / "table.csv"
     PotentialTable(np.array([0.2, 0.4]), np.array([0.7, 0.9])).to_csv(path)
     spec = DgpSpec("fixed_table", n=2, path=str(path))
-    table = sample_population(spec, np.random.default_rng(0))
-    assert table.provenance == "fixed"
+    sample_population(spec, np.random.default_rng(0))
     assert true_ate_iid(spec) == pytest.approx(0.5)
     with pytest.raises(DgpError, match="rows"):
         sample_population(DgpSpec("fixed_table", n=3, path=str(path)),
@@ -80,6 +82,6 @@ def test_fixed_table_loading(tmp_path):
 
 
 def test_with_n_override():
-    spec = fig2c_spec(10).with_n(50)
+    spec = DgpSpec("uniform_null", n=10, lo=0.0, hi=0.1).with_n(50)
     assert spec.n == 50
     assert sample_population(spec, np.random.default_rng(3)).n == 50

@@ -89,19 +89,65 @@ def test_equivalence_config():
     assert cfg.n == 6 and cfg.n1 == 2
     with pytest.raises(ConfigError, match="config.n1"):
         parse_config({"experiment": "equivalence", "n": 6, "n1": 0, "seed": 0})
+    for name in ("budget", "draws"):
+        raw = {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0, name: True}
+        with pytest.raises(ConfigError, match=f"config.{name}"):
+            parse_config(raw)
 
 
 def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("TIGHTCI_THREADS", raising=False)
+    # the flag alone sets the count; the environment does not override it
+    monkeypatch.setenv("TIGHTCI_THREADS", "3")
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
+    assert resolve_workers(8) == 8
     with pytest.raises(ConfigError):
         resolve_workers(0)
-    monkeypatch.setenv("TIGHTCI_THREADS", "3")
-    assert resolve_workers(8) == 3
-    monkeypatch.setenv("TIGHTCI_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_workers(1)
+
+
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog):
+    from tightci import harness
+
+    pools = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = parse_config(_coverage_raw(replications=40))
+    serial = run_coverage(cfg, workers=1).to_csv_bytes()
+    assert pools == []
+    # 40 replications in chunks of 3 make 14 tasks, more than the 4 CPUs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    with caplog.at_level("WARNING", logger="tightci.harness"):
+        assert run_coverage(cfg, workers=10_000).to_csv_bytes() == serial
+    assert pools == [4]
+    clamps = [r for r in caplog.records if "requested workers" in r.getMessage()]
+    assert len(clamps) == 1
+    assert "using 4 of the 10000 requested workers" in clamps[0].getMessage()
+    # three replications make three one-replication tasks, fewer than the CPUs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    assert run_coverage(parse_config(_coverage_raw(replications=3)), workers=10_000)
+    assert pools == [4, 3]
+    # two workers on two CPUs with many tasks run as asked, with no clamp
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tightci.harness"):
+        assert run_coverage(cfg, workers=2).to_csv_bytes() == serial
+    assert pools == [4, 3, 2]
+    assert not [r for r in caplog.records if "requested workers" in r.getMessage()]
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +491,11 @@ def test_equivalence_approximate_budget_refused(monkeypatch):
         run_equivalence(40, 20, approximate=True)
     with pytest.raises(EnumerationBudgetError, match="budget of 14"):
         run_equivalence(6, 2, approximate=True, budget=14, draws=10)
+    # the draws count against the same budget
+    with pytest.raises(EnumerationBudgetError, match="makes 300 draws"):
+        run_equivalence(6, 2, approximate=True, budget=15, draws=300)
     monkeypatch.undo()
-    report = run_equivalence(6, 2, approximate=True, budget=15, draws=300)
+    report = run_equivalence(6, 2, approximate=True, budget=15, draws=15)
     assert len(report.rows) == 15
 
 

@@ -428,7 +428,7 @@ def test_clt_quantile_and_zero_width():
     from tightci.design import Assignment
 
     data = ObservedData(y=y, assignment=Assignment(z=z, scheme="complete", pi=0.2, n1=10))
-    ci = clt_ci(data, 0.2, 0.05)
+    ci = clt_ci(data, 0.05)
     # derived: Phi^{-1}(0.975) = 1.9599639845400545
     assert ci.tuning["z_quantile"] == pytest.approx(1.9599639845400545, rel=1e-9)
     assert ci.half_width == 0.0
@@ -440,7 +440,7 @@ def test_clt_empty_arm_rejected():
     z = np.ones(10, dtype=np.int8)
     data = ObservedData(y=np.zeros(10), assignment=Assignment(z=z, scheme="bernoulli", pi=0.4))
     with pytest.raises(IntervalError, match="arm"):
-        clt_ci(data, 0.4, 0.05)
+        clt_ci(data, 0.05)
 
 
 def test_clt_width_scaling_stabilizes():
@@ -452,7 +452,7 @@ def test_clt_width_scaling_stabilizes():
             y0 = rng.uniform(0.1, 0.5, n)
             table = PotentialTable(y0, y0 + 0.5)
             asg = draw_bernoulli(n, 0.1, rng)
-            ci = clt_ci(ObservedData.realize(table, asg), 0.1, 0.05)
+            ci = clt_ci(ObservedData.realize(table, asg), 0.05)
             vals.append(ci.half_width * math.sqrt(n * 0.1))
         scaled.append(float(np.mean(vals)))
     assert abs(scaled[2] / scaled[1] - 1) < 0.1
@@ -499,7 +499,7 @@ def test_reevaluate_roundtrip_all_methods():
         sub_bernoulli_ci(0.37, 0.05, scheme="bernoulli", n=1000, pi=0.1),
         sub_bernoulli_ci(0.37, 0.05, scheme="mbcr", layout=lay),
         naive_hoeffding_ci(0.37, 1000, 0.1, 0.05),
-        clt_ci(bern, 0.1, 0.05),
+        clt_ci(bern, 0.05),
         studentized_ci(data, 0.05),
     ]
     for ci in built:
