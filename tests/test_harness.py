@@ -77,6 +77,72 @@ def test_parse_config_validations():
         parse_config(_coverage_raw(dgp={"kind": "uniform_shift", "lo": 0.9, "hi": 1.0, "shift": 0.5}))
 
 
+def _equivalence_raw(**overrides):
+    return {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0, **overrides}
+
+
+def _without(raw, key):
+    return {k: v for k, v in raw.items() if k != key}
+
+
+_GRID = {"n": [100], "pi": ["1/10"], "alpha": [0.05]}
+
+# One malformed config per rejection branch, with the field path that must
+# start the ConfigError message.
+_REJECTIONS = [
+    ("config", ["experiment", "coverage"]),
+    ("config", {"seed": 0}),
+    ("config.experiment", _coverage_raw(experiment="nope")),
+    ("config", _without(_coverage_raw(), "seed")),
+    ("config.seed", _coverage_raw(seed=-1)),
+    ("config.seed", _coverage_raw(seed="3")),
+    ("config", _without(_equivalence_raw(), "n1")),
+    ("config.n", _equivalence_raw(n=0)),
+    ("config.n1", _equivalence_raw(n1=2.0)),
+    ("config.budget", _equivalence_raw(budget=0)),
+    ("config.approximate", _equivalence_raw(approximate="yes")),
+    ("config.draws", _equivalence_raw(draws=0)),
+    ("config", _equivalence_raw(grid=_GRID)),
+    ("config", _coverage_raw(extra_knob=1)),
+    ("config", _without(_coverage_raw(), "grid")),
+    ("config.grid", _coverage_raw(grid=[100])),
+    ("config.grid", _coverage_raw(grid={**_GRID, "beta": [1]})),
+    ("config.grid", _coverage_raw(grid=_without(_GRID, "alpha"))),
+    ("config.grid.pi", _coverage_raw(grid={**_GRID, "pi": []})),
+    ("config.grid.alpha", _coverage_raw(grid={**_GRID, "alpha": 0.05})),
+    ("config.grid.n[0]", _coverage_raw(grid={**_GRID, "n": [1]})),
+    ("config.grid.n[1]", _coverage_raw(grid={**_GRID, "n": [100, True]})),
+    ("config.grid.pi[1]", _coverage_raw(grid={**_GRID, "pi": ["1/10", "2/3"]})),
+    ("config.grid.alpha[0]", _coverage_raw(grid={**_GRID, "alpha": [True]})),
+    ("config.grid.alpha[0]", _coverage_raw(grid={**_GRID, "alpha": [0]})),
+    ("config", _without(_coverage_raw(), "methods")),
+    ("config.methods", _coverage_raw(methods="hoeff-mbcr")),
+    ("config.methods[1]", _coverage_raw(methods=["hoeff-mbcr", "ht-mbcr"])),
+    ("config.replications", _coverage_raw(replications=1.5)),
+    ("config.setting", _coverage_raw(setting="mixed")),
+    ("config", _without(_coverage_raw(), "dgp")),
+    ("config.dgp", _coverage_raw(dgp="uniform_shift")),
+    ("config.dgp", _coverage_raw(dgp={"lo": 0.1})),
+    ("config.dgp", _coverage_raw(dgp={"kind": "uniform_null", "mean": 0.5})),
+    ("config.dgp", _coverage_raw(dgp={"kind": "normal"})),
+    ("config.dgp", _coverage_raw(dgp={"kind": "fixed_table"})),
+    ("config.dgp", _coverage_raw(dgp={"kind": "uniform_null", "lo": 0.5, "hi": 0.5})),
+    (
+        "config.dgp",
+        _coverage_raw(experiment="width_scaling", methods=["hoeff-mbcr"], dgp=[]),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "where, raw", _REJECTIONS, ids=[f"{i:02d}-{w}" for i, (w, _) in enumerate(_REJECTIONS)]
+)
+def test_parse_config_rejections_name_the_field(where, raw):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith(where + ":")
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"experiment": "coverage",\n  "seed": }\n')
