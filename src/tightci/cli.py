@@ -16,7 +16,6 @@ requested miscoverage before building it (it divides by the method's
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -34,7 +33,13 @@ from .design import (
     draw_mbcr,
 )
 from .dgp import DgpError
-from .estimator import EstimatorError, ObservedData, ht_mbcr, ht_standard
+from .estimator import (
+    EstimatorError,
+    ObservedData,
+    ht_mbcr,
+    ht_standard,
+    read_csv_columns,
+)
 from .harness import (
     SCHEMA_VERSION,
     ConfigError,
@@ -131,35 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ci subcommand
 
 
-def _read_columns(path, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot open {path}: {exc}")
-    with fh:
-        reader = csv.DictReader(fh)
-        names = [f.strip() for f in reader.fieldnames or []]
-        missing = [c for c in required if c not in names]
-        if missing:
-            raise CliError(
-                f"{path}: missing column(s) {missing}; header was {names}"
-            )
-        # Key rows by the stripped names: a header 'y, z' keys them by ' z'.
-        reader.fieldnames = names
-        cols: dict[str, list[float]] = {c: [] for c in names}
-        for i, row in enumerate(reader):
-            for c in names:
-                value = row.get(c)
-                if value is None or value == "":
-                    raise CliError(f"{path}: row {i + 2}: empty field {c!r}")
-                try:
-                    cols[c].append(float(value))
-                except ValueError:
-                    raise CliError(f"{path}: row {i + 2}: bad value {value!r} in {c!r}")
-    present_optional = [c for c in optional if c in names]
-    return cols, present_optional
-
-
 def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
     perm = values.astype(np.int64)
     if not np.array_equal(np.asarray(values, dtype=float), perm.astype(float)):
@@ -211,32 +187,23 @@ def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignmen
 def _compute_ci(args) -> Interval:
     if not (0.0 < args.alpha < 1.0):
         raise CliError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    cols, extras = _read_columns(args.data, required=("y", "z"), optional=("beta", "eta"))
-    y = np.asarray(cols["y"], dtype=np.float64)
-    z_raw = np.asarray(cols["z"], dtype=np.float64)
-    if not np.all(np.isin(z_raw, (0.0, 1.0))):
+    cols = read_csv_columns(args.data, ("y", "z"), optional=("beta", "eta"))
+    y = cols["y"]
+    if not np.all(np.isin(cols["z"], (0.0, 1.0))):
         raise CliError("z column must be 0/1")
-    z = z_raw.astype(np.int8)
-    if y.size == 0:
-        raise CliError(f"{args.data}: no data rows")
+    z = cols["z"].astype(np.int8)
     if y.min() < 0.0 or y.max() > 1.0:
         raise CliError("y values must lie in [0, 1]; rescale the outcomes first")
     n = y.shape[0]
 
-    perm_cols = None
-    if "beta" in extras and "eta" in extras:
-        perm_cols = {"beta": np.asarray(cols["beta"]), "eta": np.asarray(cols["eta"])}
+    perm_cols = cols if "beta" in cols and "eta" in cols else None
     if args.assignment:
         if perm_cols is not None:
             raise CliError(
                 "ambiguous mbcr input: permutation columns appear in both "
                 "--data and --assignment"
             )
-        acols, _ = _read_columns(args.assignment, required=("beta", "eta"))
-        perm_cols = {
-            "beta": np.asarray(acols["beta"]),
-            "eta": np.asarray(acols["eta"]),
-        }
+        perm_cols = read_csv_columns(args.assignment, ("beta", "eta"))
 
     scheme, method = args.scheme, args.method
     spec = METHOD_TABLE[method]

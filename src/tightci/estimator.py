@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,56 @@ VARIANT_MIRRORED = "mirrored"
 
 class EstimatorError(ValueError):
     """Inputs incompatible with the requested estimator."""
+
+
+def read_csv_columns(
+    path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict[str, np.ndarray]:
+    """The numeric columns of a UTF-8 CSV file, keyed by their header names.
+
+    Spaces around the header names are ignored.  The header names every
+    ``required`` column, and nothing outside ``required + optional`` or
+    twice.  Every row holds one finite number per header name; blank lines
+    are skipped, and a file without data rows is refused.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            names = [name.strip() for name in next(reader, [])]
+            missing = [c for c in required if c not in names]
+            if missing:
+                raise EstimatorError(
+                    f"{path}: missing column(s) {missing}; header was {names}"
+                )
+            allowed = required + optional
+            extra = [c for c in names if c not in allowed or names.count(c) > 1]
+            if extra:
+                raise EstimatorError(
+                    f"{path}: unexpected or repeated column(s) {extra}; "
+                    f"header was {names}"
+                )
+            cols: dict[str, list[float]] = {c: [] for c in names}
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}: row {reader.line_num}"
+                if len(row) != len(names):
+                    raise EstimatorError(
+                        f"{where}: {len(row)} fields under a header of {len(names)}"
+                    )
+                for name, text in zip(names, row):
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise EstimatorError(f"{where}: bad value {text!r} in {name!r}")
+                    cols[name].append(value)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise EstimatorError(f"cannot read {path}: {exc}") from exc
+    if not any(cols.values()):
+        raise EstimatorError(f"{path}: no data rows")
+    return {c: np.array(v, dtype=np.float64) for c, v in cols.items()}
 
 
 @dataclass(frozen=True)
@@ -69,23 +120,8 @@ class PotentialTable:
     @classmethod
     def from_csv(cls, path) -> "PotentialTable":
         """Load a table from a CSV file with header ``y0,y1``."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            names = [f.strip() for f in reader.fieldnames or []]
-            if names != ["y0", "y1"]:
-                raise EstimatorError(
-                    f"{path}: expected CSV header 'y0,y1', got {reader.fieldnames}"
-                )
-            # Key rows by the stripped names: a header 'y0, y1' keys them by ' y1'.
-            reader.fieldnames = names
-            y0, y1 = [], []
-            for i, row in enumerate(reader):
-                try:
-                    y0.append(float(row["y0"]))
-                    y1.append(float(row["y1"]))
-                except (TypeError, ValueError) as exc:
-                    raise EstimatorError(f"{path}: bad row {i + 2}: {row}") from exc
-        return cls(np.array(y0), np.array(y1))
+        cols = read_csv_columns(path, ("y0", "y1"))
+        return cls(cols["y0"], cols["y1"])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

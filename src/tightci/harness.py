@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,17 +117,9 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 
 def parse_propensity(value: Any, where: str = "pi") -> Fraction:
     """Parse a config propensity into an exact fraction in (0, 1/2]."""
+    text = value if isinstance(value, str) else str(_number(value, where))
     try:
-        if isinstance(value, str):
-            frac = Fraction(value)
-        elif isinstance(value, bool):
-            raise ValueError("boolean is not a propensity")
-        elif isinstance(value, int):
-            frac = Fraction(value)
-        elif isinstance(value, float):
-            frac = Fraction(str(value))
-        else:
-            raise ValueError(f"unsupported type {type(value).__name__}")
+        frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse propensity {value!r}: {exc}") from exc
     if not (0 < frac <= Fraction(1, 2)):
@@ -156,156 +149,146 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _fields(obj: Any, where: str, required: tuple[str, ...], defaults: dict) -> dict:
+    """An object's fields: each required one, defaults for the rest, no others."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+    extra = set(obj) - set(required) - set(defaults)
+    if extra:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(extra)}")
+    return {**defaults, **obj}
+
+
+def _int_at_least(value: Any, k: int, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < k:
+        raise ConfigError(f"{where}: need an integer >= {k}, got {value!r}")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number; booleans and numeric strings are refused."""
+    # The bound also refuses NaN, and integers too large for a float.
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where}: need a finite number, got {value!r}")
+    return float(value)
+
+
+def _nonempty_list(value: Any, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: need a nonempty list")
+    return value
+
+
+def _choice(value: Any, choices, where: str, refusal: str) -> str:
+    """``value`` if it is one of the strings in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{where}: {value!r} {refusal}")
+    return value
 
 
 def _parse_dgp(obj: Any, n: int, where: str) -> DgpSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    kind = _require(obj, "kind", where)
-    known = {"kind", "lo", "hi", "shift", "path"}
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(extra)}")
+    defaults = {"lo": 0.0, "hi": 1.0, "shift": 0.0, "path": None}
+    fields = _fields(obj, where, ("kind",), defaults)
+    path = fields["path"]
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"{where}.path: need a string, got {path!r}")
+    bounds = {k: _number(fields[k], f"{where}.{k}") for k in ("lo", "hi", "shift")}
     try:
-        return DgpSpec(
-            kind=kind,
-            n=n,
-            lo=float(obj.get("lo", 0.0)),
-            hi=float(obj.get("hi", 1.0)),
-            shift=float(obj.get("shift", 0.0)),
-            path=obj.get("path"),
-        )
-    except (DgpError, TypeError, ValueError) as exc:
+        return DgpSpec(kind=fields["kind"], n=n, path=path, **bounds)
+    except DgpError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _defaults(*names: str) -> dict:
+    """The dataclass defaults of optional config fields."""
+    return {name: getattr(ExperimentConfig, name) for name in names}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object into an :class:`ExperimentConfig`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
-    experiment = _require(raw, "experiment", "config")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"config.experiment: unknown experiment {experiment!r}; "
-            f"choose from {EXPERIMENTS}"
-        )
-    seed = _require(raw, "seed", "config")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"config.seed: need a nonnegative integer, got {seed!r}")
-
+    # Any field may appear until the experiment says which ones belong.
+    experiment = _choice(
+        _fields(raw, "config", ("experiment",), raw)["experiment"],
+        EXPERIMENTS,
+        "config.experiment",
+        f"is not an experiment; choose from {EXPERIMENTS}",
+    )
     if experiment == EXPERIMENT_EQUIVALENCE:
-        n = _require(raw, "n", "config")
-        n1 = _require(raw, "n1", "config")
-        for name, v in (("n", n), ("n1", n1)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"config.{name}: need a positive integer, got {v!r}")
-        budget = raw.get("budget", DEFAULT_ENUMERATION_BUDGET)
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-            raise ConfigError(f"config.budget: need a positive integer, got {budget!r}")
-        approx = raw.get("approximate", False)
-        if not isinstance(approx, bool):
-            raise ConfigError(f"config.approximate: need a boolean, got {approx!r}")
-        draws = raw.get("draws", 200_000)
-        if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
-            raise ConfigError(f"config.draws: need a positive integer, got {draws!r}")
-        known = {"experiment", "seed", "n", "n1", "budget", "approximate", "draws"}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"config: unknown field(s) {sorted(extra)}")
+        optional = _defaults("budget", "approximate", "draws")
+        f = _fields(raw, "config", ("experiment", "seed", "n", "n1"), optional)
+        if not isinstance(f["approximate"], bool):
+            raise ConfigError(
+                f"config.approximate: need a boolean, got {f['approximate']!r}"
+            )
         return ExperimentConfig(
             experiment=experiment,
-            seed=seed,
-            n=n,
-            n1=n1,
-            budget=budget,
-            approximate=approx,
-            draws=draws,
+            seed=_int_at_least(f["seed"], 0, "config.seed"),
+            n=_int_at_least(f["n"], 1, "config.n"),
+            n1=_int_at_least(f["n1"], 1, "config.n1"),
+            budget=_int_at_least(f["budget"], 1, "config.budget"),
+            approximate=f["approximate"],
+            draws=_int_at_least(f["draws"], 1, "config.draws"),
             raw=raw,
         )
 
-    known = {"experiment", "seed", "grid", "methods", "dgp", "replications", "setting"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"config: unknown field(s) {sorted(extra)}")
-    grid = _require(raw, "grid", "config")
-    if not isinstance(grid, dict):
-        raise ConfigError("config.grid: expected an object")
-    grid_extra = set(grid) - {"n", "pi", "alpha"}
-    if grid_extra:
-        raise ConfigError(f"config.grid: unknown field(s) {sorted(grid_extra)}")
-    ns_raw = _require(grid, "n", "config.grid")
-    pis_raw = _require(grid, "pi", "config.grid")
-    alphas_raw = _require(grid, "alpha", "config.grid")
-    for name, lst in (("n", ns_raw), ("pi", pis_raw), ("alpha", alphas_raw)):
-        if not isinstance(lst, list) or not lst:
-            raise ConfigError(f"config.grid.{name}: need a nonempty list")
-    ns = []
-    for i, v in enumerate(ns_raw):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-            raise ConfigError(f"config.grid.n[{i}]: need an integer >= 2, got {v!r}")
-        ns.append(v)
+    required = ("experiment", "seed", "grid", "methods")
+    if experiment in (EXPERIMENT_COVERAGE, EXPERIMENT_RMSE):
+        required += ("dgp",)
+    f = _fields(raw, "config", required, _defaults("dgp", "replications", "setting"))
+    grid = _fields(f["grid"], "config.grid", ("n", "pi", "alpha"), {})
+    lists = {k: _nonempty_list(grid[k], f"config.grid.{k}") for k in grid}
+    ns = tuple(
+        _int_at_least(v, 2, f"config.grid.n[{i}]") for i, v in enumerate(lists["n"])
+    )
     pis = tuple(
-        parse_propensity(v, where=f"config.grid.pi[{i}]") for i, v in enumerate(pis_raw)
+        parse_propensity(v, where=f"config.grid.pi[{i}]")
+        for i, v in enumerate(lists["pi"])
     )
     alphas = []
-    for i, v in enumerate(alphas_raw):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not (0 < v < 1):
-            raise ConfigError(
-                f"config.grid.alpha[{i}]: need a number in (0, 1), got {v!r}"
-            )
+    for i, v in enumerate(lists["alpha"]):
+        where = f"config.grid.alpha[{i}]"
+        if not 0 < _number(v, where) < 1:
+            raise ConfigError(f"{where}: need a number in (0, 1), got {v!r}")
         alphas.append(float(v))
-    methods_raw = _require(raw, "methods", "config")
-    if not isinstance(methods_raw, list) or not methods_raw:
-        raise ConfigError("config.methods: need a nonempty list")
     allowed = {
         EXPERIMENT_COVERAGE: COVERAGE_METHODS,
         EXPERIMENT_WIDTH_SCALING: CLOSED_WIDTH_METHODS,
         EXPERIMENT_RMSE: RMSE_METHODS,
     }[experiment]
-    methods = []
-    for i, m in enumerate(methods_raw):
-        if m not in allowed:
-            raise ConfigError(
-                f"config.methods[{i}]: {m!r} not usable in a {experiment} "
-                f"experiment; choose from {sorted(allowed)}"
-            )
-        methods.append(m)
-    reps = raw.get("replications", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError(f"config.replications: need an integer >= 1, got {reps!r}")
-    setting = raw.get("setting", SETTING_DESIGN_BASED)
-    if setting not in (SETTING_DESIGN_BASED, SETTING_SUPERPOPULATION):
-        raise ConfigError(
-            f"config.setting: unknown setting {setting!r}; choose "
-            f"'{SETTING_DESIGN_BASED}' or '{SETTING_SUPERPOPULATION}'"
-        )
-    dgp = None
-    if experiment in (EXPERIMENT_COVERAGE, EXPERIMENT_RMSE):
-        dgp = _parse_dgp(_require(raw, "dgp", "config"), ns[0], "config.dgp")
-    elif "dgp" in raw:
-        dgp = _parse_dgp(raw["dgp"], ns[0], "config.dgp")
+    refusal = f"not usable in a {experiment} experiment; choose from {sorted(allowed)}"
+    methods = tuple(
+        _choice(m, allowed, f"config.methods[{i}]", refusal)
+        for i, m in enumerate(_nonempty_list(f["methods"], "config.methods"))
+    )
+    settings = (SETTING_DESIGN_BASED, SETTING_SUPERPOPULATION)
+    refusal = f"is not a setting; choose from {settings}"
+    setting = _choice(f["setting"], settings, "config.setting", refusal)
     return ExperimentConfig(
         experiment=experiment,
-        seed=seed,
-        methods=tuple(methods),
-        ns=tuple(ns),
+        seed=_int_at_least(f["seed"], 0, "config.seed"),
+        methods=methods,
+        ns=ns,
         pis=pis,
         alphas=tuple(alphas),
-        dgp=dgp,
-        replications=reps,
+        dgp=_parse_dgp(f["dgp"], ns[0], "config.dgp") if "dgp" in raw else None,
+        replications=_int_at_least(f["replications"], 1, "config.replications"),
         setting=setting,
         raw=raw,
     )
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return parse_config(raw)

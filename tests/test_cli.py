@@ -236,6 +236,40 @@ def test_ci_bad_schema(tmp_path, capsys):
     assert "missing column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"y,z\n0.25,0\n0.5,1,7\n", "row 3: 3 fields"),
+        (b"y,z\n0.25,0\n0.5\n", "row 3: 1 fields"),
+        (b"y,z\n0.25,0\nnan,1\n", "row 3: bad value 'nan'"),
+        (b"y,z,w\n0.25,0,0\n", "unexpected or repeated column(s) ['w']"),
+        (b"y,z\n0.25,0\n\xff,1\n", "cannot read"),
+    ],
+    ids=["extra-field", "short-row", "non-finite", "unknown-column", "not-utf8"],
+)
+def test_ci_malformed_rows_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    code = main([
+        "ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "0.5",
+        "--method", "naive-hoeffding",
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_ci_trailing_blank_line_loads(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    _write_bernoulli_data(plain, n=60)
+    blank = tmp_path / "blank.csv"
+    blank.write_text(plain.read_text() + "\n")
+    flags = ["--scheme", "bernoulli", "--pi", "0.1", "--method", "clt", "--json"]
+    assert main(["ci", "--data", str(plain), *flags]) == 0
+    want = capsys.readouterr().out
+    assert main(["ci", "--data", str(blank), *flags]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_simulate_fig1_config(tmp_path, capsys):
     out = tmp_path / "fig1"
     code = main([
@@ -316,6 +350,27 @@ def test_simulate_invalid_config_no_partial_output(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
     assert "missing required field" in capsys.readouterr().err
+
+
+def test_simulate_unreadable_inputs_are_validation_errors(tmp_path, capsys):
+    missing = tmp_path / "no-such-table.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "coverage",
+        "grid": {"n": [40], "pi": ["1/10"], "alpha": [0.05]},
+        "methods": ["hoeff-mbcr"],
+        "dgp": {"kind": "fixed_table", "path": str(missing)},
+        "replications": 2,
+        "seed": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"cannot read {missing}" in capsys.readouterr().err
+    absent = tmp_path / "no-such-config.json"
+    assert main(["simulate", "--config", str(absent), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"cannot read {absent}" in capsys.readouterr().err
 
 
 def test_scaling_subcommand_type_checked(tmp_path, capsys):

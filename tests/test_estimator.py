@@ -98,6 +98,26 @@ def test_table_csv_spaced_header(tmp_path):
     assert loaded.y1.tolist() == [0.5, 1.0]
 
 
+@pytest.mark.parametrize(
+    "rows, where",
+    [("0.1,0.2\n0.1,0.2,0.9\n", "row 3"), ("0.1,0.2\n\n0.1\n", "row 4")],
+    ids=["extra-field", "short-row"],
+)
+def test_table_csv_row_width_checked(tmp_path, rows, where):
+    path = tmp_path / "table.csv"
+    path.write_text("y0,y1\n" + rows)
+    with pytest.raises(EstimatorError, match=where):
+        PotentialTable.from_csv(path)
+
+
+def test_table_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("y0,y1\n0.25,0.5\n\n0.0,1.0\n\n")
+    loaded = PotentialTable.from_csv(path)
+    assert loaded.y0.tolist() == [0.25, 0.0]
+    assert loaded.y1.tolist() == [0.5, 1.0]
+
+
 def test_table_csv_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y0,y1\n0.1,1.5\n")

@@ -143,6 +143,23 @@ def test_parse_config_rejections_name_the_field(where, raw):
     assert str(excinfo.value).startswith(where + ":")
 
 
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"methods": [["hoeff-mbcr"]]}, "config.methods[0]"),
+        ({"dgp": {"kind": "fixed_table", "path": 7}}, "config.dgp.path"),
+        ({"dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": True}}, "config.dgp.hi"),
+        ({"dgp": {"kind": "uniform_shift", "lo": "0.2", "hi": 0.5}}, "config.dgp.lo"),
+        ({"dgp": {"kind": "uniform_null", "shift": float("nan")}}, "config.dgp.shift"),
+    ],
+    ids=["method-list", "path-int", "hi-bool", "lo-string", "shift-nan"],
+)
+def test_parse_config_refuses_wrong_types(overrides, where):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_coverage_raw(**overrides))
+    assert str(excinfo.value).startswith(where + ":")
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"experiment": "coverage",\n  "seed": }\n')
