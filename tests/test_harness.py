@@ -657,7 +657,7 @@ def test_csv_header_and_quoting(tmp_path):
 # ---------------------------------------------------------------------------
 # Golden report digests
 #
-# sha256 of the CSV bytes of four small reports.  Reruns only show that a
+# sha256 of the CSV bytes of small reports.  Reruns only show that a
 # report matches itself; these pins show that a change to the runner leaves
 # every byte as it was.  The coverage grid holds tiling layouts, tails with
 # one and two spilled treated units, grouped cells skipped for a
@@ -731,4 +731,39 @@ def test_golden_rmse():
     assert len(report.rows) == 3
     assert _sha256(report) == (
         "d7b6a86c7cfc5a2fcda54a218febe30defaa83013b9993541a8bab15dbc36d8d"
+    )
+
+
+def test_golden_benchmark_shapes():
+    # The shapes of the bernoulli-superpop and rmse-large-n benchmark
+    # workloads, in few replications: the Bernoulli path's CLT and
+    # Studentized widths at a small propensity, and both estimators at
+    # n = 100,000.
+    coverage = {
+        "experiment": "coverage",
+        "grid": {"n": [20000], "pi": ["1/100"], "alpha": [0.05]},
+        "methods": ["clt", "studentized-bern", "sub-bernoulli-bern", "naive-hoeffding"],
+        "dgp": {"kind": "uniform_null", "lo": 0.0, "hi": 0.1},
+        "replications": 3,
+        "seed": 11,
+        "setting": "superpopulation",
+    }
+    report = run_coverage(parse_config(coverage))
+    assert len(report.rows) == 4
+    assert _sha256(report) == (
+        "30804780b0dd443de8ef904fec024e8ef86c5d9c8e3638488eb4087183f95c83"
+    )
+    rmse = {
+        "experiment": "rmse",
+        "grid": {"n": [100000], "pi": ["1/1000"], "alpha": [0.05]},
+        "methods": ["ht-mbcr", "ht-bernoulli"],
+        "dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5},
+        "replications": 2,
+        "seed": 11,
+        "setting": "design_based",
+    }
+    report = run_rmse(parse_config(rmse))
+    assert len(report.rows) == 2
+    assert _sha256(report) == (
+        "50d743e8200a5ffa065a7e8245824eaf17e6053b9f372c7b7811d9cd4a9d04b1"
     )
