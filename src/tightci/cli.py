@@ -187,6 +187,8 @@ def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignmen
 def _compute_ci(args) -> Interval:
     if not (0.0 < args.alpha < 1.0):
         raise CliError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
     cols = read_csv_columns(args.data, ("y", "z"), optional=("beta", "eta"))
     y = cols["y"]
     if not np.all(np.isin(cols["z"], (0.0, 1.0))):

@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +156,50 @@ def compute_layout(n: int, n1: int) -> MbcrLayout:
     )
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, locked against writes: for arrays cached and shared by readers."""
+    a.flags.writeable = False
+    return a
+
+
+class LayoutConstants(NamedTuple):
+    """Read-only arrays fixed by a grouped layout.
+
+    ``allocation`` is :meth:`MbcrLayout.allocation_vector`; ``coef`` is each
+    of its slots' Horvitz-Thompson coefficient: ``g`` at a full block's
+    treated slot and ``-g/(g-1)`` at its control slots, with the tail block's
+    own size-per-treated ratio in place of ``g``.  ``block_pattern`` holds
+    one row ``0..g-1`` per full block and ``block_starts`` each full block's
+    first slot, as a column.
+    """
+
+    allocation: np.ndarray
+    coef: np.ndarray
+    block_pattern: np.ndarray
+    block_starts: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def layout_constants(layout: MbcrLayout) -> LayoutConstants:
+    """The layout's constants, built once per layout.
+
+    The cache sits outside the layout, so a pickled layout never carries the
+    arrays.
+    """
+    g, full, tail = layout.group_size, layout.num_full_groups, layout.tail_size
+    a = layout.allocation_vector()
+    coef = np.where(a == 1, float(g), -g / (g - 1.0))
+    if tail > 0:
+        treated, body = layout.tail_treated, full * g
+        coef[body:] = np.where(a[body:] == 1, tail / treated, -tail / (tail - treated))
+    return LayoutConstants(
+        allocation=read_only(a),
+        coef=read_only(coef),
+        block_pattern=np.broadcast_to(np.arange(g), (full, g)),
+        block_starts=read_only(np.arange(0, full * g, g)[:, None]),
+    )
+
+
 @dataclass(frozen=True)
 class MbcrDraw:
     """Permutation bookkeeping for one grouped draw.
@@ -177,17 +222,12 @@ class MbcrDraw:
     def slot_coef(self) -> np.ndarray:
         """Each slot's Horvitz-Thompson coefficient: ``g`` for a treated slot
         of a full block and ``-g/(g-1)`` for a control one; the tail block
-        uses its own size-per-treated ratio in place of ``g``."""
-        lay = self.layout
-        t = lay.allocation_vector()[self.beta].astype(np.float64)
-        g = float(lay.group_size)
-        w_treat = np.full(lay.n, g)
-        w_ctrl = np.full(lay.n, g / (g - 1.0))
-        if lay.tail_size > 0:
-            body = lay.num_full_groups * lay.group_size
-            w_treat[body:] = lay.tail_size / lay.tail_treated
-            w_ctrl[body:] = lay.tail_size / (lay.tail_size - lay.tail_treated)
-        return t * w_treat - (1.0 - t) * w_ctrl
+        uses its own size-per-treated ratio in place of ``g``.
+
+        Slot ``s`` delivers the allocation at ``beta[s]``, which lies in the
+        same block, so its coefficient is the allocation's at ``beta[s]``.
+        """
+        return read_only(layout_constants(self.layout).coef[self.beta])
 
 
 @dataclass(frozen=True)
@@ -203,6 +243,15 @@ class Assignment:
     @property
     def n(self) -> int:
         return int(self.z.shape[0])
+
+    @cached_property
+    def unit_coef(self) -> np.ndarray:
+        """Each unit's Horvitz-Thompson coefficient at propensity ``pi``:
+        ``1/pi`` if treated, ``-1/(1-pi)`` if not."""
+        if not 0.0 < self.pi < 1.0:
+            raise DesignError(f"propensity {self.pi} outside (0, 1)")
+        pi = float(self.pi)
+        return read_only(np.where(self.z == 1, 1.0 / pi, -1.0 / (1.0 - pi)))
 
 
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
@@ -240,17 +289,16 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     generator reproduces the draw exactly.  Unit ``j`` receives the
     allocation pattern's value at slot ``beta[eta[j]]``.
     """
-    n, g = layout.n, layout.group_size
-    body = layout.num_full_groups * g
+    n = layout.n
+    body = layout.num_full_groups * layout.group_size
+    const = layout_constants(layout)
     beta = np.arange(n)
-    blocks = np.broadcast_to(np.arange(g), (layout.num_full_groups, g))
-    within = rng.permuted(blocks, axis=1)
-    beta[:body] = (np.arange(0, body, g)[:, None] + within).ravel()
+    within = rng.permuted(const.block_pattern, axis=1)
+    beta[:body] = (const.block_starts + within).ravel()
     if layout.tail_size >= 2:
         beta[body:] = body + rng.permutation(layout.tail_size)
     eta = rng.permutation(n)
-    a = layout.allocation_vector()
-    z = a[beta][eta]
+    z = const.allocation[beta][eta]
     detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
     return Assignment(
         z=z, scheme=SCHEME_MBCR, pi=layout.n1 / n, n1=layout.n1, mbcr=detail

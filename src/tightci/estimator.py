@@ -10,7 +10,10 @@ for slot ``s``, the observed outcome belongs to the unit at that slot
 (``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
 ``beta(s)``.  The draw holds each slot's weight (``MbcrDraw.slot_coef``):
 full blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g``
-with its own size-per-treated ratio.
+with its own size-per-treated ratio.  Other draws hold each unit's weight
+(``Assignment.unit_coef``).  An :class:`ObservedData` forms its standard
+pseudo-outcomes once, so the estimators and intervals of one replication
+share them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .design import (
     Assignment,
     MbcrLayout,
     inverse_permutation,
+    read_only,
 )
 
 VARIANT_STANDARD = "standard"
@@ -157,13 +162,34 @@ class ObservedData:
     def n(self) -> int:
         return int(self.y.shape[0])
 
+    @cached_property
+    def unit_terms(self) -> np.ndarray:
+        """Standard pseudo-outcomes, one per unit: ``y * unit_coef``."""
+        return read_only(self.y * self.assignment.unit_coef)
+
+    @cached_property
+    def slot_y(self) -> np.ndarray:
+        """Outcomes in slot order: the outcome of the unit at each slot."""
+        detail = self.assignment.mbcr
+        if detail is None:
+            raise EstimatorError(
+                "grouped estimator needs the draw's permutation detail (beta, eta)"
+            )
+        return read_only(self.y[detail.inv_eta])
+
+    @cached_property
+    def slot_terms(self) -> np.ndarray:
+        """Grouped pseudo-outcomes, one per slot: ``slot_y * slot_coef``."""
+        return read_only(self.slot_y * self.assignment.mbcr.slot_coef)
+
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
     """Inverse-probability-weighted per-unit effect estimate.
 
     Standard form ``y * (z/p - (1-z)/(1-p))`` lies in
     ``[-1/(1-p), 1/p]``; the mirrored form replaces ``y`` with ``y - 1`` and
-    reflects that range.  Accepts scalars or arrays.
+    reflects that range.  Accepts scalars or arrays.  For ``z`` in {0, 1}
+    the standard form equals :attr:`ObservedData.unit_terms` bit for bit.
     """
     if not (0.0 < prop < 1.0):
         raise EstimatorError(f"propensity {prop} outside (0, 1)")
@@ -182,18 +208,7 @@ def _mirrored_base(y: np.ndarray, variant: str) -> np.ndarray:
 
 def ht_standard(data: ObservedData) -> float:
     """Plain Horvitz-Thompson estimate at the assignment's propensity."""
-    asg = data.assignment
-    return float(np.mean(pseudo_outcome(data.y, asg.z, asg.pi)))
-
-
-def _slot_arrays(data: ObservedData):
-    """The layout, outcomes in slot order, and each slot's coefficient."""
-    detail = data.assignment.mbcr
-    if detail is None:
-        raise EstimatorError(
-            "grouped estimator needs the draw's permutation detail (beta, eta)"
-        )
-    return detail.layout, data.y[detail.inv_eta], detail.slot_coef
+    return float(np.mean(data.unit_terms))
 
 
 def ht_mbcr(data: ObservedData) -> float:
@@ -204,27 +219,31 @@ def ht_mbcr(data: ObservedData) -> float:
     and the tail block by its own ratio.  With no tail this equals
     :func:`ht_standard` at ``prop = n1/n`` for every draw.
     """
-    _, y_slot, coef = _slot_arrays(data)
-    return float(np.mean(y_slot * coef))
+    return float(np.mean(data.slot_terms))
 
 
 def groupwise_sums(data: ObservedData, variant: str = VARIANT_STANDARD) -> np.ndarray:
     """Per-group sums of pseudo-outcomes, tail group last.
 
     Under Bernoulli randomization every unit is its own group, so this is
-    just the vector of per-unit pseudo-outcomes.  Each full-block standard
-    sum lies in ``[-g, g]``.
+    just the vector of per-unit pseudo-outcomes (the standard one is the
+    data's read-only ``unit_terms``).  Each full-block standard sum lies in
+    ``[-g, g]``.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
-        return pseudo_outcome(data.y, asg.z, asg.pi, variant)
+        if variant == VARIANT_STANDARD:
+            return data.unit_terms
+        return _mirrored_base(data.y, variant) * asg.unit_coef
     if asg.scheme != SCHEME_MBCR:
         raise EstimatorError(
             f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
-    lay, y_slot, coef = _slot_arrays(data)
-    base = y_slot if variant == VARIANT_STANDARD else _mirrored_base(y_slot, variant)
-    vals = base * coef
+    if variant == VARIANT_STANDARD:
+        vals = data.slot_terms
+    else:
+        vals = _mirrored_base(data.slot_y, variant) * asg.mbcr.slot_coef
+    lay = asg.mbcr.layout
     body = lay.num_full_groups * lay.group_size
     sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)
     if lay.tail_size > 0:

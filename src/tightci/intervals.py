@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -38,7 +39,6 @@ from .estimator import (
     VARIANT_STANDARD,
     ObservedData,
     groupwise_sums,
-    pseudo_outcome,
 )
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
@@ -442,8 +442,14 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
 
 
+@lru_cache(maxsize=64)
+def _z_quantile(alpha: float) -> float:
+    """The normal quantile at ``1 - alpha/2``, computed once per alpha."""
+    return float(norm.ppf(1.0 - alpha / 2.0))
+
+
 def _clt_half(alpha: float, t: dict[str, Any]) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0)) * math.sqrt(t["vhat"] / t["n"])
+    return _z_quantile(alpha) * math.sqrt(t["vhat"] / t["n"])
 
 
 def clt_ci(data: ObservedData, alpha: float) -> Interval:
@@ -457,12 +463,11 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     n_treat = int(asg.z.sum())
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
-    vals = pseudo_outcome(data.y, asg.z, asg.pi)
+    vals = data.unit_terms
     vhat = float(np.var(vals, ddof=1))
-    zq = float(norm.ppf(1.0 - alpha / 2.0))
+    zq = _z_quantile(alpha)
     t = {"n": data.n, "pi": float(asg.pi), "vhat": vhat, "z_quantile": zq}
-    half = zq * math.sqrt(vhat / data.n)
-    return _centered(METHOD_CLT, float(np.mean(vals)), alpha, half, t)
+    return _centered(METHOD_CLT, float(np.mean(vals)), alpha, _clt_half(alpha, t), t)
 
 
 # ---------------------------------------------------------------------------

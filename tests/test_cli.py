@@ -139,6 +139,24 @@ def test_ci_wrong_seed_rejected(tmp_path, capsys):
     assert "does not reproduce" in capsys.readouterr().err
 
 
+def test_ci_negative_seed_rejected(tmp_path, capsys, monkeypatch):
+    from tightci import cli
+
+    def no_draw(*args):
+        raise AssertionError("drew before validating --seed")
+
+    monkeypatch.setattr(cli, "draw_mbcr", no_draw)
+    path = tmp_path / "bare.csv"
+    path.write_text("y,z\n0.5,1\n0.25,0\n0.75,0\n0.5,0\n")
+    code = main([
+        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "1",
+        "--method", "hoeff-mbcr", "--seed", "-1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+
+
 def test_ci_alpha_validation(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_bernoulli_data(path)

@@ -19,6 +19,7 @@ from tightci.design import (
     enumerate_mbcr_distribution,
     enumeration_space_size,
     inverse_permutation,
+    layout_constants,
 )
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, ht_mbcr
 
@@ -314,6 +315,93 @@ def test_mbcr_slot_coef_built_once_when_read():
     groupwise_sums(data, "standard")
     groupwise_sums(data, "mirrored")
     assert detail.slot_coef is coef
+
+
+def _slot_coef_reference(layout, beta):
+    """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
+    t = layout.allocation_vector()[beta].astype(np.float64)
+    g = float(layout.group_size)
+    w_treat = np.full(layout.n, g)
+    w_ctrl = np.full(layout.n, g / (g - 1.0))
+    if layout.tail_size > 0:
+        body = layout.num_full_groups * layout.group_size
+        w_treat[body:] = layout.tail_size / layout.tail_treated
+        w_ctrl[body:] = layout.tail_size / (layout.tail_size - layout.tail_treated)
+    return t * w_treat - (1.0 - t) * w_ctrl
+
+
+@pytest.mark.parametrize(
+    "n,n1",
+    [
+        (12, 4),  # tiling, groups of 3
+        (10, 3),  # one treated unit spills into a tail of 2
+        (9, 4),  # two spill into a tail of 3
+        (10, 5),  # groups of 2
+        (47, 5),  # groups of 10, two spill into a tail of 7
+        (5000, 500),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed):
+    lay = compute_layout(n, n1)
+    detail = draw_mbcr(lay, np.random.default_rng(seed)).mbcr
+    expected = _slot_coef_reference(lay, detail.beta)
+    # tobytes also compares the sign of every zero
+    assert detail.slot_coef.tobytes() == expected.tobytes()
+    assert not detail.slot_coef.flags.writeable
+
+
+@pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100, 1 / 1000])
+def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
+    asg = draw_bernoulli(20000, pi, np.random.default_rng(5))
+    z = asg.z.astype(np.float64)
+    assert 0 < z.sum() < z.size
+    expected = z / pi - (1.0 - z) / (1.0 - pi)
+    assert asg.unit_coef.tobytes() == expected.tobytes()
+    assert not asg.unit_coef.flags.writeable
+    complete = draw_complete(300, 100, np.random.default_rng(5))
+    z = complete.z.astype(np.float64)
+    expected = z / complete.pi - (1.0 - z) / (1.0 - complete.pi)
+    assert complete.unit_coef.tobytes() == expected.tobytes()
+
+
+def test_unit_coef_refuses_propensity_outside_unit_interval():
+    asg = Assignment(z=np.array([0, 1], dtype=np.int8), scheme="bernoulli", pi=1.0)
+    with pytest.raises(DesignError, match="outside"):
+        asg.unit_coef
+
+
+def test_layout_constants_read_only_and_built_once(monkeypatch):
+    from tightci.design import MbcrLayout
+
+    layout_constants.cache_clear()
+    calls = []
+    original = MbcrLayout.allocation_vector
+
+    def counting(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(MbcrLayout, "allocation_vector", counting)
+    lay = compute_layout(10, 3)
+    for seed in range(5):
+        draw_mbcr(lay, np.random.default_rng(seed)).mbcr.slot_coef
+    # an equal layout shares the constants
+    assert layout_constants(compute_layout(10, 3)) is layout_constants(lay)
+    assert calls == [10]
+    const = layout_constants(lay)
+    for arr in const:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    alloc, coef = const.allocation, const.coef
+    assert alloc.tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0]
+    full_block = [4.0] + [-4.0 / 3.0] * 3
+    assert coef.tolist() == full_block * 2 + [2.0, -2.0]
+    fresh = lay.allocation_vector()
+    assert fresh is not lay.allocation_vector()
+    fresh[0] = 0
+    assert lay.allocation_vector()[0] == 1 and alloc[0] == 1
 
 
 def test_mbcr_beta_preserves_blocks():

@@ -291,6 +291,38 @@ def test_groupwise_sums_bernoulli_singletons():
     assert np.allclose(sums, expected)
 
 
+@pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100])
+def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
+    rng = np.random.default_rng(11)
+    table = _random_table(5000, rng)
+    asg = draw_bernoulli(5000, pi, rng)
+    data = ObservedData.realize(table, asg)
+    standard = pseudo_outcome(data.y, asg.z, pi)
+    assert data.unit_terms.tobytes() == standard.tobytes()
+    assert groupwise_sums(data) is data.unit_terms
+    assert not data.unit_terms.flags.writeable
+    mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
+    assert groupwise_sums(data, "mirrored").tobytes() == mirrored.tobytes()
+    assert ht_standard(data) == float(np.mean(standard))
+
+
+def test_grouped_terms_cached_on_the_data():
+    lay = compute_layout(47, 5)  # groups of 10, two spill into a tail of 7
+    rng = np.random.default_rng(12)
+    table = _random_table(47, rng)
+    data = ObservedData.realize(table, draw_mbcr(lay, rng))
+    detail = data.assignment.mbcr
+    y_slot = data.y[detail.inv_eta]
+    assert data.slot_y.tobytes() == y_slot.tobytes()
+    assert data.slot_terms.tobytes() == (y_slot * detail.slot_coef).tobytes()
+    ht_mbcr(data)
+    groupwise_sums(data)
+    groupwise_sums(data, "mirrored")
+    cached = vars(data)
+    assert cached["slot_y"] is data.slot_y and cached["slot_terms"] is data.slot_terms
+    assert "unit_terms" not in cached
+
+
 def test_groupwise_total_is_estimate():
     lay = compute_layout(9, 4)
     rng = np.random.default_rng(7)

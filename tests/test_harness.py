@@ -407,6 +407,115 @@ def test_grouped_replication_inverts_eta_once(monkeypatch):
     assert calls == [200]
 
 
+def _count_builds(monkeypatch, cls, name, calls):
+    """Replace the cached property ``cls.name`` by one that logs each build."""
+    import functools
+
+    build = cls.__dict__[name].func
+
+    def counting(self):
+        calls.append(name)
+        return build(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+@pytest.mark.parametrize(
+    "methods,built",
+    [
+        (
+            ["clt", "studentized-bern", "sub-bernoulli-bern"],
+            ["unit_coef", "unit_terms"],
+        ),
+        (["hoeff-mbcr", "studentized"], ["slot_coef", "slot_y", "slot_terms"]),
+    ],
+)
+def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
+    from tightci.design import Assignment, MbcrDraw
+    from tightci.estimator import ObservedData
+
+    calls = []
+    for cls, name in (
+        (Assignment, "unit_coef"),
+        (MbcrDraw, "slot_coef"),
+        (ObservedData, "unit_terms"),
+        (ObservedData, "slot_y"),
+        (ObservedData, "slot_terms"),
+    ):
+        _count_builds(monkeypatch, cls, name, calls)
+    raw = _coverage_raw(methods=methods, replications=1, setting="superpopulation")
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == len(methods)
+    # the estimator and every interval of the replication share one build each
+    assert sorted(calls) == sorted(built)
+
+
+def test_normal_quantile_computed_once_per_alpha(monkeypatch):
+    from tightci import intervals
+
+    calls = []
+    real = intervals.norm
+
+    class CountingNorm:
+        @staticmethod
+        def ppf(q):
+            calls.append(q)
+            return real.ppf(q)
+
+    intervals._z_quantile.cache_clear()
+    monkeypatch.setattr(intervals, "norm", CountingNorm)
+    raw = _coverage_raw(
+        grid={"n": [200, 400], "pi": ["1/10"], "alpha": [0.05, 0.1]},
+        methods=["clt"],
+        replications=30,
+    )
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 4
+    assert sorted(calls) == [1.0 - 0.1 / 2.0, 1.0 - 0.05 / 2.0]
+
+
+def test_clt_reevaluates_bit_for_bit_with_the_shared_quantile():
+    import numpy as np
+    from scipy.stats import norm
+
+    from tightci.design import draw_bernoulli
+    from tightci.estimator import ObservedData, PotentialTable
+    from tightci.intervals import _z_quantile, clt_ci, reevaluate
+
+    rng = np.random.default_rng(21)
+    y0 = rng.uniform(0.0, 0.1, 20000)
+    table = PotentialTable(y0, y0)
+    for alpha in (0.05, 0.01, 0.2):
+        _z_quantile.cache_clear()
+        data = ObservedData.realize(table, draw_bernoulli(20000, 0.01, rng))
+        ci = clt_ci(data, alpha)
+        assert reevaluate("clt", alpha, ci.tuning) == (ci.lower, ci.upper)
+        # the quantile is the one a direct norm.ppf call gives
+        zq = float(norm.ppf(1.0 - alpha / 2.0))
+        assert ci.tuning["half_width"] == zq * math.sqrt(ci.tuning["vhat"] / 20000)
+
+
+def test_cell_pickles_to_the_same_size_after_a_draw():
+    import pickle
+
+    from tightci.harness import _build_cells, _coverage_chunk
+
+    config = parse_config(
+        _coverage_raw(
+            grid={"n": [1000, 5000], "pi": ["1/10"], "alpha": [0.05]},
+            methods=["hoeff-mbcr", "sub-bernoulli-mbcr", "studentized"],
+            replications=2,
+        )
+    )
+    for cell in _build_cells(config):
+        before = len(pickle.dumps(cell))
+        _coverage_chunk(config, cell, 0, 2)
+        # the layout's cached constants stay out of the pickled task
+        assert len(pickle.dumps(cell)) == before
+
+
 # ---------------------------------------------------------------------------
 # Width scaling runner
 
