@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``ci`` computes one interval from an observed-data CSV;
-``simulate`` runs any experiment config; ``scaling``, ``rmse``, and
-``equivalence`` are typed wrappers for their experiments.  Exit codes:
+``simulate`` runs any experiment config (coverage, width scaling, RMSE or
+equivalence), writes its CSV and manifest, and prints the report summary;
+``equivalence`` builds an equivalence config from its flags and runs it the
+same way.  Exit codes:
 0 success, 1 validation error (bad flags, schemas, or incompatible
 method/scheme combinations), 2 runtime error.
 
@@ -44,8 +46,6 @@ from .harness import (
     SCHEMA_VERSION,
     ConfigError,
     EXPERIMENT_EQUIVALENCE,
-    EXPERIMENT_RMSE,
-    EXPERIMENT_WIDTH_SCALING,
     load_config,
     parse_config,
     resolve_workers,
@@ -105,15 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None)
-
-    p_scale = sub.add_parser("scaling", help="run a width-scaling config")
-    p_scale.add_argument("--config", required=True)
-    p_scale.add_argument("--out", required=True)
-
-    p_rmse = sub.add_parser("rmse", help="run an estimator-RMSE config")
-    p_rmse.add_argument("--config", required=True)
-    p_rmse.add_argument("--out", required=True)
-    p_rmse.add_argument("--workers", type=int, default=None)
 
     p_eq = sub.add_parser(
         "equivalence", help="verify grouped draws are uniform over assignments"
@@ -305,31 +296,20 @@ def cmd_ci(args) -> int:
 # harness subcommands
 
 
-def _run_config(args, expected_experiment: str | None = None) -> int:
-    config = load_config(args.config)
-    if expected_experiment and config.experiment != expected_experiment:
-        raise CliError(
-            f"{args.config}: experiment is {config.experiment!r}, but this "
-            f"subcommand runs {expected_experiment!r} configs"
-        )
-    workers = resolve_workers(getattr(args, "workers", None))
+def _run(config, out_dir, workers: int = 1) -> int:
+    """Run a config, write its CSV and manifest, and print the summary."""
     report = run_experiment(config, workers=workers)
-    paths = write_outputs(args.out, report, config)
+    paths = write_outputs(out_dir, report, config)
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['manifest']}")
+    for key, value in sorted(report.summary.items()):
+        print(f"{key}: {value}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    return _run_config(args)
-
-
-def cmd_scaling(args) -> int:
-    return _run_config(args, expected_experiment=EXPERIMENT_WIDTH_SCALING)
-
-
-def cmd_rmse(args) -> int:
-    return _run_config(args, expected_experiment=EXPERIMENT_RMSE)
+    config = load_config(args.config)
+    return _run(config, args.out, resolve_workers(args.workers))
 
 
 def cmd_equivalence(args) -> int:
@@ -343,21 +323,12 @@ def cmd_equivalence(args) -> int:
     }
     if args.budget is not None:
         raw["budget"] = args.budget
-    config = parse_config(raw)
-    report = run_experiment(config)
-    paths = write_outputs(args.out, report, config)
-    print(f"wrote {paths['csv']}")
-    print(f"wrote {paths['manifest']}")
-    for key, value in sorted(report.summary.items()):
-        print(f"{key}: {value}")
-    return 0
+    return _run(parse_config(raw), args.out)
 
 
 COMMANDS = {
     "ci": cmd_ci,
     "simulate": cmd_simulate,
-    "scaling": cmd_scaling,
-    "rmse": cmd_rmse,
     "equivalence": cmd_equivalence,
 }
 

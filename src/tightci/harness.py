@@ -459,9 +459,10 @@ def _rmse(est: np.ndarray, target: float) -> float:
 
 def _coverage_chunk(
     config: ExperimentConfig, cell: _Cell, start: int, stop: int
-) -> dict[str, dict[str, np.ndarray]]:
-    """Point estimates per scheme, plus each data-adaptive interval's
-    containment and half-width, for replications ``start`` to ``stop - 1``.
+) -> dict[tuple[str, str], np.ndarray]:
+    """One flat record for replications ``start`` to ``stop - 1``: the point
+    estimates under ``("est", scheme)``, and each data-adaptive interval's
+    containment and half-width under ``("covered", m)`` and ``("half", m)``.
 
     Closed forms need only the estimates: their half-width is fixed per cell,
     so coverage is evaluated over the merged estimate arrays.
@@ -470,12 +471,10 @@ def _coverage_chunk(
     schemes = {spec.scheme for spec in specs.values()}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
     count = stop - start
-    out = {scheme: {"est": np.zeros(count, dtype=np.float64)} for scheme in schemes}
+    out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in schemes}
     for m in adaptive:
-        out[m] = {
-            "covered": np.zeros(count, dtype=np.uint8),
-            "half": np.zeros(count, dtype=np.float64),
-        }
+        out["covered", m] = np.zeros(count, dtype=np.uint8)
+        out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
@@ -483,26 +482,27 @@ def _coverage_chunk(
         if SCHEME_MBCR in schemes:
             asg = draw_mbcr(cell.layout, child_rng(config.seed, cell.idx, rep, _TAG_MBCR))
             data[SCHEME_MBCR] = ObservedData.realize(table, asg)
-            out[SCHEME_MBCR]["est"][k] = ht_mbcr(data[SCHEME_MBCR])
+            out["est", SCHEME_MBCR][k] = ht_mbcr(data[SCHEME_MBCR])
         if SCHEME_BERNOULLI in schemes:
             asg = draw_bernoulli(
                 cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
             )
             data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
-            out[SCHEME_BERNOULLI]["est"][k] = ht_standard(data[SCHEME_BERNOULLI])
+            out["est", SCHEME_BERNOULLI][k] = ht_standard(data[SCHEME_BERNOULLI])
         for m, spec in adaptive.items():
             try:
                 ci = spec.adaptive(data[spec.scheme], cell.alpha)
             except EmptyArmError:
                 # The draw left an arm empty; record a miss of width zero.
                 continue
-            out[m]["covered"][k] = ci.contains(cell.target)
-            out[m]["half"][k] = ci.half_width
+            out["covered", m][k] = ci.contains(cell.target)
+            out["half", m][k] = ci.half_width
     return out
 
 
-def _run_cells(config, cells, chunk_fn, workers: int):
-    """Run chunk_fn over every (cell, replication range), merging by index.
+def _run_cells(config, cells, workers: int):
+    """Run :func:`_coverage_chunk` over every (cell, replication range) and
+    merge the records into one array per cell and key.
 
     Chunk boundaries never influence the results: every replication owns its
     own seed path and lands at its absolute index during the merge, so any
@@ -529,30 +529,14 @@ def _run_cells(config, cells, chunk_fn, workers: int):
         )
     if used > 1:
         with ProcessPoolExecutor(max_workers=used) as pool:
-            outs = list(
-                pool.map(
-                    chunk_fn,
-                    [config] * len(tasks),
-                    [t[0] for t in tasks],
-                    [t[1] for t in tasks],
-                    [t[2] for t in tasks],
-                )
-            )
+            outs = list(pool.map(_coverage_chunk, [config] * len(tasks), *zip(*tasks)))
     else:
-        outs = [chunk_fn(config, cell, start, stop) for cell, start, stop in tasks]
-    merged: dict[int, dict[str, dict[str, np.ndarray]]] = {}
+        outs = [_coverage_chunk(config, *task) for task in tasks]
+    merged: dict[int, dict[tuple[str, str], np.ndarray]] = {}
     for (cell, start, stop), out in zip(tasks, outs):
         dest = merged.setdefault(cell.idx, {})
-        for m, arrays in out.items():
-            slot = dest.setdefault(
-                m,
-                {
-                    key: np.zeros(reps, dtype=arr.dtype)
-                    for key, arr in arrays.items()
-                },
-            )
-            for key, arr in arrays.items():
-                slot[key][start:stop] = arr
+        for key, arr in out.items():
+            dest.setdefault(key, np.zeros(reps, dtype=arr.dtype))[start:stop] = arr
     return merged
 
 
@@ -567,13 +551,13 @@ def resolve_workers(requested: int | None) -> int:
 def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo containment rates and widths over the config grid."""
     cells = _build_cells(config)
-    merged = _run_cells(config, cells, _coverage_chunk, workers)
+    merged = _run_cells(config, cells, workers)
     rows = []
     reps = config.replications
     for cell in cells:
         for m in cell.methods:
             spec = METHOD_TABLE[m]
-            est = merged[cell.idx][spec.scheme]["est"]
+            est = merged[cell.idx]["est", spec.scheme]
             if spec.closed is not None:
                 # Interval arithmetic, element-wise: lo <= target <= hi and
                 # (hi - lo) / 2, exactly as each interval would compute them.
@@ -582,8 +566,8 @@ def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
                 covered = (lo <= cell.target) & (cell.target <= hi)
                 halves = (hi - lo) / 2.0
             else:
-                covered = merged[cell.idx][m]["covered"]
-                halves = merged[cell.idx][m]["half"]
+                covered = merged[cell.idx]["covered", m]
+                halves = merged[cell.idx]["half", m]
             rows.append(
                 _row(
                     config,
@@ -629,14 +613,14 @@ def rmse_bound(method: str, n: int, pi: float) -> float:
 def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo estimator RMSE next to its theoretical bound."""
     cells = _build_cells(config)
-    merged = _run_cells(config, cells, _coverage_chunk, workers)
+    merged = _run_cells(config, cells, workers)
     rows = [
         _row(
             config,
             cell,
             m,
             config.replications,
-            rmse=_rmse(merged[cell.idx][METHOD_TABLE[m].scheme]["est"], cell.target),
+            rmse=_rmse(merged[cell.idx]["est", METHOD_TABLE[m].scheme], cell.target),
             bound=rmse_bound(m, cell.n, float(cell.pi)),
         )
         for cell in cells
@@ -647,6 +631,18 @@ def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
 
 # ---------------------------------------------------------------------------
 # Equivalence experiment
+
+
+def _equivalence_row(n: int, n1: int, z, count: int, total: int, probability: str) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "n": n,
+        "n1": n1,
+        "assignment": "".join(str(v) for v in z),
+        "count": count,
+        "total": total,
+        "probability": probability,
+    }
 
 
 def run_equivalence(
@@ -679,25 +675,15 @@ def run_equivalence(
         rows = []
         for z in sorted(dist.counts):
             prob = dist.probability(z)
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "n": n,
-                    "n1": n1,
-                    "assignment": "".join(str(v) for v in z),
-                    "count": dist.counts[z],
-                    "total": dist.total,
-                    "probability": f"{prob.numerator}/{prob.denominator}",
-                }
-            )
-        report = Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows)
-        report.summary = {
+            probability = f"{prob.numerator}/{prob.denominator}"
+            rows.append(_equivalence_row(n, n1, z, dist.counts[z], dist.total, probability))
+        summary = {
             "exact": True,
-            "uniform": dist.is_uniform(),
+            "uniform": True,
             "total": dist.total,
             "distinct_assignments": len(dist.counts),
         }
-        return report
+        return Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows, summary)
     arrangements = math.comb(n, n1)
     if arrangements > budget:
         raise EnumerationBudgetError(
@@ -720,22 +706,13 @@ def run_equivalence(
         for i in ones:
             z[i] = 1
         support.append(tuple(z))
-    observed = np.array([counts.get(z, 0) for z in support], dtype=np.float64)
-    stat, pvalue = chisquare(observed)
+    observed = [counts.get(z, 0) for z in support]
+    stat, pvalue = chisquare(np.array(observed, dtype=np.float64))
     rows = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "n": n,
-            "n1": n1,
-            "assignment": "".join(str(v) for v in z),
-            "count": counts.get(z, 0),
-            "total": draws,
-            "probability": f"{counts.get(z, 0)}/{draws}",
-        }
-        for z in support
+        _equivalence_row(n, n1, z, count, draws, f"{count}/{draws}")
+        for z, count in zip(support, observed)
     ]
-    report = Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows)
-    report.summary = {
+    summary = {
         "exact": False,
         "approximate": True,
         "chi2_statistic": float(stat),
@@ -743,7 +720,7 @@ def run_equivalence(
         "draws": draws,
         "note": "Monte Carlo screen only, not a proof of equivalence",
     }
-    return report
+    return Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows, summary)
 
 
 # ---------------------------------------------------------------------------

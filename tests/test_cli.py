@@ -391,23 +391,7 @@ def test_simulate_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     assert f"cannot read {absent}" in capsys.readouterr().err
 
 
-def test_scaling_subcommand_type_checked(tmp_path, capsys):
-    assert main([
-        "scaling", "--config", str(CONFIGS / "fig2a.json"), "--out",
-        str(tmp_path / "x"),
-    ]) == 1
-    assert "width_scaling" in capsys.readouterr().err
-    assert main([
-        "scaling", "--config", str(CONFIGS / "fig1.json"), "--out",
-        str(tmp_path / "ok"),
-    ]) == 0
-
-
-def test_rmse_subcommand(tmp_path, capsys):
-    assert main([
-        "rmse", "--config", str(CONFIGS / "fig1.json"), "--out", str(tmp_path / "x"),
-    ]) == 1
-    assert "rmse" in capsys.readouterr().err
+def test_simulate_rmse_config(tmp_path):
     config = tmp_path / "rmse.json"
     config.write_text(json.dumps({
         "experiment": "rmse",
@@ -419,11 +403,25 @@ def test_rmse_subcommand(tmp_path, capsys):
         "setting": "design_based",
     }))
     out = tmp_path / "rmse-out"
-    assert main(["rmse", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "rmse.csv").open()))
     assert {row["method"] for row in rows} == {"ht-mbcr", "ht-bernoulli"}
     for row in rows:
         assert float(row["rmse"]) <= float(row["rmse_bound"])
+
+
+def test_simulate_equivalence_config_prints_summary(tmp_path, capsys):
+    out = tmp_path / "eq"
+    config = CONFIGS / "equivalence_6_2.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert "uniform: True" in capsys.readouterr().out.splitlines()
+
+
+def test_removed_run_subcommands_are_validation_errors(tmp_path, capsys):
+    for name in ("scaling", "rmse"):
+        args = [name, "--config", str(CONFIGS / "fig1.json"), "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_equivalence_subcommand(tmp_path, capsys):
