@@ -189,7 +189,13 @@ def _compute_ci(args) -> Interval:
         raise CliError("y values must lie in [0, 1]; rescale the outcomes first")
     n = y.shape[0]
 
-    perm_cols = cols if "beta" in cols and "eta" in cols else None
+    perm_names = [name for name in ("beta", "eta") if name in cols]
+    if len(perm_names) == 1:
+        raise CliError(
+            f"{args.data} has a {perm_names[0]} column but not its partner; "
+            "permutation detail needs both beta and eta"
+        )
+    perm_cols = cols if perm_names else None
     if args.assignment:
         if perm_cols is not None:
             raise CliError(

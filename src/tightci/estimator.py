@@ -108,10 +108,11 @@ class PotentialTable:
         if y0.ndim != 1 or y0.shape != y1.shape:
             raise EstimatorError("y0 and y1 must be equal-length vectors")
         for name, arr in (("y0", y0), ("y1", y1)):
-            if not np.all(np.isfinite(arr)):
-                raise EstimatorError(f"{name} contains non-finite values")
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-                raise EstimatorError(f"{name} has entries outside [0, 1]")
+            # NaN fails both comparisons, and +-inf fails the range.
+            if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+                raise EstimatorError(
+                    f"{name} has entries that are NaN or outside [0, 1]"
+                )
 
     @property
     def n(self) -> int:

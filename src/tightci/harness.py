@@ -47,7 +47,7 @@ from .design import (
 )
 from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
 from .estimator import ObservedData, PotentialTable, ht_mbcr, ht_standard
-from .intervals import METHOD_TABLE, EmptyArmError, MethodSpec
+from .intervals import METHOD_TABLE, MIN_ALPHA, EmptyArmError, MethodSpec
 
 log = logging.getLogger(__name__)
 
@@ -254,8 +254,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     alphas = []
     for i, v in enumerate(lists["alpha"]):
         where = f"config.grid.alpha[{i}]"
-        if not 0 < _number(v, where) < 1:
-            raise ConfigError(f"{where}: need a number in (0, 1), got {v!r}")
+        if not MIN_ALPHA <= _number(v, where) < 1:
+            raise ConfigError(
+                f"{where}: need a number in (0, 1) of at least {MIN_ALPHA!r} "
+                f"(so that 2/alpha is finite), got {v!r}"
+            )
         alphas.append(float(v))
     allowed = {
         EXPERIMENT_COVERAGE: COVERAGE_METHODS,
@@ -633,7 +636,9 @@ def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
 # Equivalence experiment
 
 
-def _equivalence_row(n: int, n1: int, z, count: int, total: int, probability: str) -> dict:
+def _equivalence_row(
+    n: int, n1: int, z, count: int, total: int, probability: str
+) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
         "n": n,
@@ -675,8 +680,8 @@ def run_equivalence(
         rows = []
         for z in sorted(dist.counts):
             prob = dist.probability(z)
-            probability = f"{prob.numerator}/{prob.denominator}"
-            rows.append(_equivalence_row(n, n1, z, dist.counts[z], dist.total, probability))
+            ratio = f"{prob.numerator}/{prob.denominator}"
+            rows.append(_equivalence_row(n, n1, z, dist.counts[z], dist.total, ratio))
         summary = {
             "exact": True,
             "uniform": True,

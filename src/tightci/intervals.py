@@ -26,6 +26,7 @@ builds its interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable
@@ -65,6 +66,8 @@ METHODS = (
 
 # Cross-fitting splits the group sums in two halves of at least two each.
 MIN_CROSS_FIT_GROUPS = 4
+# The smallest miscoverage level accepted: below it 2/alpha overflows.
+MIN_ALPHA = math.nextafter(2.0 / sys.float_info.max, 1.0)
 
 
 class IntervalError(ValueError):
@@ -76,8 +79,11 @@ class EmptyArmError(IntervalError):
 
 
 def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise IntervalError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (MIN_ALPHA <= alpha < 1.0):
+        raise IntervalError(
+            f"alpha must lie in (0, 1) and be at least {MIN_ALPHA!r} "
+            f"(so that 2/alpha is finite), got {alpha}"
+        )
     return float(alpha)
 
 

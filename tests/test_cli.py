@@ -128,6 +128,26 @@ def test_ci_missing_permutation_detail(tmp_path, capsys):
     assert "beta,eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["beta", "eta"])
+@pytest.mark.parametrize(
+    "scheme_args",
+    [
+        ["--scheme", "mbcr", "--n1", "4", "--seed", "5", "--method", "hoeff-mbcr"],
+        ["--scheme", "bernoulli", "--pi", "0.2", "--method", "sub-bernoulli-bern"],
+    ],
+    ids=["mbcr", "bernoulli"],
+)
+def test_ci_lone_permutation_column_refused(tmp_path, capsys, column, scheme_args):
+    # z is the draw --seed 5 regenerates, so only the lone column is wrong.
+    z = draw_mbcr(compute_layout(8, 4), np.random.default_rng(5)).z
+    path = tmp_path / "lone.csv"
+    rows = [f"0.5,{int(zz)},{7 * j}" for j, zz in enumerate(z)]
+    path.write_text("\n".join([f"y,z,{column}", *rows]) + "\n")
+    assert main(["ci", "--data", str(path), *scheme_args]) == 1
+    err = capsys.readouterr().err
+    assert f"{column} column" in err and "both beta and eta" in err
+
+
 def test_ci_wrong_seed_rejected(tmp_path, capsys):
     path = tmp_path / "bare.csv"
     _write_mbcr_data(path, draw_seed=7, with_perms=False)
@@ -449,13 +469,21 @@ def test_bundled_configs_parse():
 
 
 def test_module_entry_point_subprocess():
+    import os
     import subprocess
     import sys
 
+    import tightci
+
+    # The child finds the package where this process found it.
+    src = str(Path(tightci.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "tightci", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "tightci" in proc.stdout
@@ -463,5 +491,6 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "tightci", "ci", "--no-such-flag"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1

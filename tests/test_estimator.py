@@ -72,6 +72,11 @@ def test_table_validation():
         PotentialTable(np.array([0.5]), np.array([0.1, 0.2]))
     with pytest.raises(EstimatorError):
         PotentialTable(np.array([np.nan]), np.array([0.2]))
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(EstimatorError, match="outside"):
+            PotentialTable(np.array([0.5, bad]), np.array([0.1, 0.2]))
+        with pytest.raises(EstimatorError, match="outside"):
+            PotentialTable(np.array([0.5, 0.1]), np.array([bad, 0.2]))
 
 
 def test_table_csv_roundtrip(tmp_path):

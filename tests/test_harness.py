@@ -151,8 +151,9 @@ def test_parse_config_rejections_name_the_field(where, raw):
         ({"dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": True}}, "config.dgp.hi"),
         ({"dgp": {"kind": "uniform_shift", "lo": "0.2", "hi": 0.5}}, "config.dgp.lo"),
         ({"dgp": {"kind": "uniform_null", "shift": float("nan")}}, "config.dgp.shift"),
+        ({"grid": {**_GRID, "alpha": [0.05, 5e-324]}}, "config.grid.alpha[1]"),
     ],
-    ids=["method-list", "path-int", "hi-bool", "lo-string", "shift-nan"],
+    ids=["method-list", "path-int", "hi-bool", "lo-string", "shift-nan", "alpha-tiny"],
 )
 def test_parse_config_refuses_wrong_types(overrides, where):
     with pytest.raises(ConfigError) as excinfo:

@@ -7,6 +7,7 @@ library's float arithmetic.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
 from tightci.intervals import (
+    METHOD_TABLE,
     IntervalError,
     clt_ci,
     cn_mbcr_bounds,
@@ -34,6 +36,9 @@ LN40 = 3.6888794541139363  # log(2 / 0.05)
 SQRT_2LN40 = 2.716203031481239
 SQRT_4LN40 = 3.841291165279683
 SQRT_8LN40 = 5.432406062962478
+
+# The smallest alpha whose 2/alpha is a finite float.
+SMALLEST_ALPHA = math.nextafter(2.0 / sys.float_info.max, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +482,65 @@ def test_extreme_alpha_smoke():
         assert math.isfinite(naive_hoeffding_ci(0.0, 1000, 0.1, alpha).half_width)
         ci = studentized_ci(data, alpha)
         assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+
+
+def test_alpha_floor_keeps_two_over_alpha_finite():
+    from tightci.intervals import MIN_ALPHA
+
+    assert MIN_ALPHA == SMALLEST_ALPHA
+    assert math.isfinite(2.0 / MIN_ALPHA)
+    assert math.isinf(2.0 / math.nextafter(MIN_ALPHA, 0.0))
+    lay = compute_layout(1000, 100)
+    closed = [m for m, spec in METHOD_TABLE.items() if spec.closed is not None]
+    for m in closed:
+        assert math.isfinite(METHOD_TABLE[m].half_width(lay, 1000, 0.1, MIN_ALPHA))
+        for alpha in (math.nextafter(MIN_ALPHA, 0.0), 5e-324):
+            with pytest.raises(IntervalError, match="2/alpha"):
+                METHOD_TABLE[m].half_width(lay, 1000, 0.1, alpha)
+
+
+@st.composite
+def _layouts(draw):
+    """Feasible grouped layouts with n <= 10^4 and 0, 1 or 2 treated in the tail.
+
+    With n = g n1 - s and 0 <= s < n1 the block size is g: s = 0 tiles the
+    sample, 1 <= s <= g - 2 spills one treated unit into the tail, and
+    g - 1 <= s <= 2g - 3 (which needs n1 >= g) spills two.
+    """
+    tail = draw(st.sampled_from((0, 1, 2)))
+    if tail == 0:
+        g = draw(st.integers(2, 5_000))
+        n1, s = draw(st.integers(1, 10_000 // g)), 0
+    elif tail == 1:
+        g = draw(st.integers(3, 5_000))
+        n1 = draw(st.integers(2, 10_000 // g))
+        s = draw(st.integers(1, min(n1 - 1, g - 2)))
+    else:
+        g = draw(st.integers(3, 100))
+        n1 = draw(st.integers(g, 10_000 // g))
+        s = draw(st.integers(g - 1, min(n1 - 1, 2 * g - 3)))
+    layout = compute_layout(g * n1 - s, n1)
+    assert (layout.group_size, layout.tail_treated) == (g, tail)
+    return layout
+
+
+_ALPHAS = st.floats(SMALLEST_ALPHA, 0.999)
+
+
+@given(_layouts(), _ALPHAS, _ALPHAS, st.floats(-1.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_finite_monotone_and_reevaluable(layout, a1, a2, psi_hat):
+    lo_alpha, hi_alpha = sorted((a1, a2))
+    n, pi = layout.n, layout.n1 / layout.n
+    for m, spec in METHOD_TABLE.items():
+        if spec.closed is None:
+            continue
+        wide = spec.half_width(layout, n, pi, lo_alpha)
+        narrow = spec.half_width(layout, n, pi, hi_alpha)
+        assert math.isfinite(wide) and 0.0 < narrow <= wide, m
+        ci = spec.closed(psi_hat, layout, n, pi, lo_alpha)
+        packed = json.loads(json.dumps({"alpha": ci.alpha, "tuning": ci.tuning}))
+        assert reevaluate(m, packed["alpha"], packed["tuning"]) == (ci.lower, ci.upper), m
 
 
 def test_clip():
