@@ -34,7 +34,13 @@ from typing import Any, Callable
 import numpy as np
 from scipy.stats import norm
 
-from .design import SCHEME_BERNOULLI, SCHEME_COMPLETE, SCHEME_MBCR, MbcrLayout
+from .design import (
+    SCHEME_BERNOULLI,
+    SCHEME_COMPLETE,
+    SCHEME_MBCR,
+    MbcrLayout,
+    read_only,
+)
 from .estimator import (
     VARIANT_MIRRORED,
     VARIANT_STANDARD,
@@ -326,6 +332,36 @@ def studentized_scale(data: ObservedData) -> float:
     return max(1.0 / (1.0 - p) + 1.0 for p in props)
 
 
+@lru_cache(maxsize=8)
+def _split_divisors(tbar: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running-mean divisors of the two splits, built once per group count.
+
+    Step t of split one divides by ``m2 + t`` (the opposite split's size
+    plus the values folded in so far), and likewise for split two.
+    """
+    m1 = tbar // 2
+    m2 = tbar - m1
+    return (
+        read_only((m2 + np.arange(m1)).astype(np.float64)),
+        read_only((m1 + np.arange(m2)).astype(np.float64)),
+    )
+
+
+def _split_sum_of_squares(s: np.ndarray, opposite_total: float, div: np.ndarray) -> float:
+    """Sum of ``(s[t] - (opposite_total + s[:t].sum()) / div[t])**2`` over t.
+
+    The prefix sums, means, deviations and squares share one buffer.
+    """
+    buf = np.empty(s.shape[0])
+    buf[0] = 0.0
+    np.cumsum(s[:-1], out=buf[1:])
+    buf += opposite_total
+    buf /= div
+    np.subtract(s, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(buf.sum())
+
+
 def _split_statistics(theta: np.ndarray) -> tuple[int, int, float, float]:
     """Cross-seeded running-mean sums of squares for the two group splits.
 
@@ -339,12 +375,9 @@ def _split_statistics(theta: np.ndarray) -> tuple[int, int, float, float]:
     m2 = tbar - m1
     s1, s2 = theta[:m1], theta[m1:]
     tot1, tot2 = float(s1.sum()), float(s2.sum())
-    prefix1 = np.concatenate(([0.0], np.cumsum(s1[:-1])))
-    mu1 = (tot2 + prefix1) / (m2 + np.arange(m1))
-    v1 = float(((s1 - mu1) ** 2).sum())
-    prefix2 = np.concatenate(([0.0], np.cumsum(s2[:-1])))
-    mu2 = (tot1 + prefix2) / (m1 + np.arange(m2))
-    v2 = float(((s2 - mu2) ** 2).sum())
+    div1, div2 = _split_divisors(tbar)
+    v1 = _split_sum_of_squares(s1, tot2, div1)
+    v2 = _split_sum_of_squares(s2, tot1, div2)
     return m1, m2, v1, v2
 
 
@@ -357,6 +390,9 @@ def _stud_lambda(v: float, alpha: float, c: float) -> float:
 
 
 def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float:
+    """One split's penalty; unbounded when V overflowed and drove lambda to 0."""
+    if lam == 0.0:
+        return math.inf
     return (gamma_e(lam, c) * v + math.log(2.0 / alpha)) / (n * lam)
 
 
@@ -450,8 +486,15 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
 
 @lru_cache(maxsize=64)
 def _z_quantile(alpha: float) -> float:
-    """The normal quantile at ``1 - alpha/2``, computed once per alpha."""
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    """The normal quantile at ``1 - alpha/2``, computed once per alpha.
+
+    Below alpha of about 1.1e-16, ``1 - alpha/2`` rounds to 1, whose
+    quantile is inf; there the upper-tail form ``isf(alpha/2)`` gives it.
+    """
+    q = 1.0 - alpha / 2.0
+    if q == 1.0:
+        return float(norm.isf(alpha / 2.0))
+    return float(norm.ppf(q))
 
 
 def _clt_half(alpha: float, t: dict[str, Any]) -> float:
@@ -466,7 +509,7 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     """
     alpha = _check_alpha(alpha)
     asg = data.assignment
-    n_treat = int(asg.z.sum())
+    n_treat = np.count_nonzero(asg.z)
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
     vals = data.unit_terms

@@ -199,6 +199,28 @@ def test_ci_studentized_insufficient_groups(tmp_path, capsys):
     assert "insufficient groups for cross-fitting" in capsys.readouterr().err
 
 
+def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
+    # 3 treated units of 40 at pi = 1e-160: the squared pseudo-outcomes
+    # overflow, V is inf and lambda is 0, so each side is unbounded, as the
+    # CLT interval is on the same data
+    rng = np.random.default_rng(0)
+    z = np.zeros(40, dtype=int)
+    z[[3, 17, 29]] = 1
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "y,z\n" + "".join(f"{float(y)!r},{t}\n" for y, t in zip(rng.uniform(0, 1, 40), z))
+    )
+    base = ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160", "--json"]
+    for method in ("studentized", "clt"):
+        with np.errstate(over="ignore"):
+            code = main([*base, "--method", method])
+        assert code == 0, method
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lower"], payload["upper"]) == (-math.inf, math.inf)
+        lo, hi = reevaluate(payload["method"], payload["alpha"], payload["tuning"])
+        assert (lo, hi) == (-math.inf, math.inf)
+
+
 def test_ci_method_scheme_incompatibility(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_bernoulli_data(path)

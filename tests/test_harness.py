@@ -477,6 +477,28 @@ def test_normal_quantile_computed_once_per_alpha(monkeypatch):
     assert sorted(calls) == [1.0 - 0.1 / 2.0, 1.0 - 0.05 / 2.0]
 
 
+def test_split_divisors_built_once_per_group_count():
+    from tightci import intervals
+
+    intervals._split_divisors.cache_clear()
+    raw = _coverage_raw(
+        grid={"n": [200, 400], "pi": ["1/10"], "alpha": [0.05]},
+        methods=["studentized"],
+        replications=30,
+    )
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 2
+    info = intervals._split_divisors.cache_info()
+    # groups of ten: 20 and 40 group sums; two sides per replication
+    assert info.misses == 2
+    assert info.hits == 2 * 30 * 2 - 2
+    for tbar in (20, 40):
+        for div in intervals._split_divisors(tbar):
+            assert not div.flags.writeable
+            with pytest.raises(ValueError):
+                div[0] = 1.0
+
+
 def test_clt_reevaluates_bit_for_bit_with_the_shared_quantile():
     import numpy as np
     from scipy.stats import norm

@@ -14,10 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
-from tightci.estimator import ObservedData, PotentialTable
+from tightci.estimator import (
+    VARIANT_MIRRORED,
+    VARIANT_STANDARD,
+    ObservedData,
+    PotentialTable,
+    groupwise_sums,
+)
 from tightci.intervals import (
     METHOD_TABLE,
+    EmptyArmError,
     IntervalError,
+    _split_statistics,
+    _stud_lambda,
+    _studentized_endpoints,
     clt_ci,
     cn_mbcr_bounds,
     gamma_b,
@@ -27,6 +37,7 @@ from tightci.intervals import (
     naive_hoeffding_ci,
     reevaluate,
     studentized_ci,
+    studentized_scale,
     sub_bernoulli_ci,
 )
 
@@ -421,6 +432,77 @@ def test_studentized_under_bernoulli():
     assert ci.lower < ci.upper
 
 
+def _split_statistics_reference(theta):
+    """The split statistics as first written, before the in-place rewrite."""
+    tbar = theta.shape[0]
+    m1 = tbar // 2
+    m2 = tbar - m1
+    s1, s2 = theta[:m1], theta[m1:]
+    tot1, tot2 = float(s1.sum()), float(s2.sum())
+    prefix1 = np.concatenate(([0.0], np.cumsum(s1[:-1])))
+    mu1 = (tot2 + prefix1) / (m2 + np.arange(m1))
+    v1 = float(((s1 - mu1) ** 2).sum())
+    prefix2 = np.concatenate(([0.0], np.cumsum(s2[:-1])))
+    mu2 = (tot1 + prefix2) / (m1 + np.arange(m2))
+    v2 = float(((s2 - mu2) ** 2).sum())
+    return m1, m2, v1, v2
+
+
+@pytest.mark.parametrize("tbar", [4, 5, 7, 100, 101, 500, 20_000, 20_001])
+def test_split_statistics_bit_identical_to_reference(tbar):
+    rng = np.random.default_rng(tbar)
+    for magnitude in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        theta = magnitude * rng.standard_normal(tbar)
+        assert _split_statistics(theta) == _split_statistics_reference(theta)
+    # the Bernoulli pattern: pseudo-outcomes y * unit_coef at pi = 1/100
+    table = PotentialTable(rng.uniform(0, 1, tbar), rng.uniform(0, 1, tbar))
+    data = ObservedData.realize(table, draw_bernoulli(tbar, 0.01, rng))
+    for variant in (VARIANT_STANDARD, VARIANT_MIRRORED):
+        theta = groupwise_sums(data, variant)
+        assert _split_statistics(theta) == _split_statistics_reference(theta)
+
+
+def _studentized_reference(data, alpha):
+    """Both anchors of the Studentized interval from the reference statistics."""
+    n, c = data.n, studentized_scale(data)
+    t = {"n": n, "c": c}
+    for side, variant in (("l", VARIANT_STANDARD), ("u", VARIANT_MIRRORED)):
+        theta = groupwise_sums(data, variant)
+        _, _, v1, v2 = _split_statistics_reference(theta)
+        t[f"mean_{side}"] = float(theta.sum()) / n
+        t.update({f"v1_{side}": v1, f"v2_{side}": v2})
+        t[f"lam1_{side}"] = _stud_lambda(v1, alpha, c)
+        t[f"lam2_{side}"] = _stud_lambda(v2, alpha, c)
+    return t, _studentized_endpoints(alpha, t)
+
+
+@pytest.mark.parametrize(
+    "n, n1, tail_treated",
+    [(1000, 100, 0), (60, 6, 0), (47, 5, 1), (997, 100, 1), (17, 5, 2), (111, 12, 2)],
+)
+def test_studentized_anchors_unchanged_on_grouped_layouts(n, n1, tail_treated):
+    assert compute_layout(n, n1).tail_treated == tail_treated
+    for seed in range(3):
+        data = _mbcr_data(n, n1, seed)
+        for alpha in (0.05, 0.01):
+            ci = studentized_ci(data, alpha)
+            t, (lower, upper) = _studentized_reference(data, alpha)
+            assert {k: ci.tuning[k] for k in t} == t
+            assert (ci.lower, ci.upper) == (lower, upper)
+
+
+@pytest.mark.parametrize("n, pi", [(500, 0.2), (20_000, 0.01), (2001, 0.001)])
+def test_studentized_anchors_unchanged_on_bernoulli_data(n, pi):
+    rng = np.random.default_rng(n)
+    table = PotentialTable(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+    for _ in range(3):
+        data = ObservedData.realize(table, draw_bernoulli(n, pi, rng))
+        ci = studentized_ci(data, 0.05)
+        t, (lower, upper) = _studentized_reference(data, 0.05)
+        assert {k: ci.tuning[k] for k in t} == t
+        assert (ci.lower, ci.upper) == (lower, upper)
+
+
 # ---------------------------------------------------------------------------
 # Plug-in normal baseline
 
@@ -437,6 +519,26 @@ def test_clt_quantile_and_zero_width():
     # derived: Phi^{-1}(0.975) = 1.9599639845400545
     assert ci.tuning["z_quantile"] == pytest.approx(1.9599639845400545, rel=1e-9)
     assert ci.half_width == 0.0
+
+
+def test_clt_quantile_finite_below_double_precision():
+    # 1 - alpha/2 rounds to 1 below alpha of about 1.1e-16, where norm.ppf
+    # gives inf; the quantile comes from the upper tail there instead
+    from scipy.stats import norm
+
+    from tightci.intervals import MIN_ALPHA, _z_quantile
+
+    rng = np.random.default_rng(8)
+    table = PotentialTable(rng.uniform(0, 1, 200), rng.uniform(0, 1, 200))
+    data = ObservedData.realize(table, draw_bernoulli(200, 0.1, rng))
+    for alpha in (1e-16, 1e-100, MIN_ALPHA):
+        _z_quantile.cache_clear()
+        ci = clt_ci(data, alpha)
+        assert ci.tuning["z_quantile"] == float(norm.isf(alpha / 2.0))
+        assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+        assert reevaluate("clt", alpha, ci.tuning) == (ci.lower, ci.upper)
+    # where 1 - alpha/2 is below 1, the quantile is the one it always was
+    assert _z_quantile(1e-15) == float(norm.ppf(1.0 - 1e-15 / 2.0))
 
 
 def test_clt_empty_arm_rejected():
@@ -539,6 +641,58 @@ def test_closed_forms_finite_monotone_and_reevaluable(layout, a1, a2, psi_hat):
         narrow = spec.half_width(layout, n, pi, hi_alpha)
         assert math.isfinite(wide) and 0.0 < narrow <= wide, m
         ci = spec.closed(psi_hat, layout, n, pi, lo_alpha)
+        packed = json.loads(json.dumps({"alpha": ci.alpha, "tuning": ci.tuning}))
+        assert reevaluate(m, packed["alpha"], packed["tuning"]) == (ci.lower, ci.upper), m
+
+
+def _table(kind, n, rng):
+    """A table in [0, 1]: uniform, binary (the cube's corners) or constant."""
+    if kind == "uniform":
+        return PotentialTable(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+    if kind == "binary":
+        return PotentialTable(
+            rng.integers(0, 2, n).astype(np.float64),
+            rng.integers(0, 2, n).astype(np.float64),
+        )
+    y = np.full(n, rng.uniform(0, 1))
+    return PotentialTable(y, y)
+
+
+@st.composite
+def _adaptive_cases(draw):
+    """(methods, data): grouped draws on tiling, one- and two-spill layouts
+    for ``studentized``; Bernoulli draws with n <= 10^4 and pi down to 1/n
+    for ``studentized-bern`` and ``clt``."""
+    kind = draw(st.sampled_from(("uniform", "binary", "constant")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        layout = draw(_layouts())
+        table = _table(kind, layout.n, rng)
+        return ["studentized"], ObservedData.realize(table, draw_mbcr(layout, rng))
+    n = draw(st.integers(4, 10_000))
+    pi = draw(st.one_of(st.just(1.0 / n), st.floats(1.0 / n, 0.5)))
+    data = ObservedData.realize(_table(kind, n, rng), draw_bernoulli(n, pi, rng))
+    return ["studentized-bern", "clt"], data
+
+
+@given(_adaptive_cases(), _ALPHAS)
+@settings(max_examples=150, deadline=None)
+def test_adaptive_builders_finite_ordered_and_reevaluable(case, alpha):
+    methods, data = case
+    for m in methods:
+        try:
+            ci = METHOD_TABLE[m].adaptive(data, alpha)
+        except EmptyArmError:
+            assert m == "clt"
+            continue
+        except IntervalError as err:
+            assert m == "studentized"
+            lay = data.assignment.mbcr.layout
+            assert lay.num_full_groups + (lay.tail_size > 0) < 4
+            assert "insufficient groups" in str(err)
+            continue
+        assert math.isfinite(ci.lower) and math.isfinite(ci.upper), m
+        assert ci.lower <= ci.upper, m
         packed = json.loads(json.dumps({"alpha": ci.alpha, "tuning": ci.tuning}))
         assert reevaluate(m, packed["alpha"], packed["tuning"]) == (ci.lower, ci.upper), m
 
