@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -274,7 +275,16 @@ def _json_ready(value):
 
 
 def cmd_ci(args) -> int:
-    interval = _compute_ci(args)
+    # At a tiny --pi the squared pseudo-outcomes overflow; the adaptive
+    # intervals are then unbounded, which the note below says instead.
+    with np.errstate(over="ignore"):
+        interval = _compute_ci(args)
+    if not math.isfinite(interval.half_width):
+        print(
+            f"note: the variance estimate overflowed at --pi {args.pi!r}, "
+            "so the interval is unbounded",
+            file=sys.stderr,
+        )
     if args.clip:
         interval = interval.clipped()
     payload = {

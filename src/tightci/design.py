@@ -214,11 +214,6 @@ class MbcrDraw:
     eta: np.ndarray
 
     @cached_property
-    def inv_eta(self) -> np.ndarray:
-        """The unit at each slot: ``inv_eta[eta[j]] == j``."""
-        return inverse_permutation(self.eta)
-
-    @cached_property
     def slot_coef(self) -> np.ndarray:
         """Each slot's Horvitz-Thompson coefficient: ``g`` for a treated slot
         of a full block and ``-g/(g-1)`` for a control one; the tail block
@@ -289,14 +284,18 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     generator reproduces the draw exactly.  Unit ``j`` receives the
     allocation pattern's value at slot ``beta[eta[j]]``.
     """
-    n = layout.n
-    body = layout.num_full_groups * layout.group_size
+    n, g, full = layout.n, layout.group_size, layout.num_full_groups
+    body = full * g
     const = layout_constants(layout)
-    beta = np.arange(n)
-    within = rng.permuted(const.block_pattern, axis=1)
-    beta[:body] = (const.block_starts + within).ravel()
+    beta = np.empty(n, dtype=np.intp)
+    # Each block's shuffle lands in its own row of beta, then is offset there.
+    blocks = beta[:body].reshape(full, g)
+    rng.permuted(const.block_pattern, axis=1, out=blocks)
+    blocks += const.block_starts
     if layout.tail_size >= 2:
         beta[body:] = body + rng.permutation(layout.tail_size)
+    else:
+        beta[body:] = np.arange(body, n)
     eta = rng.permutation(n)
     z = const.allocation[beta][eta]
     detail = MbcrDraw(layout=layout, beta=beta, eta=eta)

@@ -170,13 +170,19 @@ class ObservedData:
 
     @cached_property
     def slot_y(self) -> np.ndarray:
-        """Outcomes in slot order: the outcome of the unit at each slot."""
+        """Outcomes in slot order: the outcome of the unit at each slot.
+
+        Unit ``j`` sits at slot ``eta[j]``, so scattering ``y`` through
+        ``eta`` places each outcome without inverting the permutation.
+        """
         detail = self.assignment.mbcr
         if detail is None:
             raise EstimatorError(
                 "grouped estimator needs the draw's permutation detail (beta, eta)"
             )
-        return read_only(self.y[detail.inv_eta])
+        slot_y = np.empty_like(self.y)
+        slot_y[detail.eta] = self.y
+        return read_only(slot_y)
 
     @cached_property
     def slot_terms(self) -> np.ndarray:

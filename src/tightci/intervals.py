@@ -484,17 +484,21 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
 
 
+# Below this alpha the normal quantile is read from the upper tail.
+_ISF_BELOW = 1e-3
+
+
 @lru_cache(maxsize=64)
 def _z_quantile(alpha: float) -> float:
     """The normal quantile at ``1 - alpha/2``, computed once per alpha.
 
-    Below alpha of about 1.1e-16, ``1 - alpha/2`` rounds to 1, whose
-    quantile is inf; there the upper-tail form ``isf(alpha/2)`` gives it.
+    Forming ``1 - alpha/2`` rounds away the low digits of small tails (and
+    all of them below alpha of about 1.1e-16), so below ``_ISF_BELOW`` the
+    upper-tail form ``isf(alpha/2)`` gives the quantile.
     """
-    q = 1.0 - alpha / 2.0
-    if q == 1.0:
+    if alpha < _ISF_BELOW:
         return float(norm.isf(alpha / 2.0))
-    return float(norm.ppf(q))
+    return float(norm.ppf(1.0 - alpha / 2.0))
 
 
 def _clt_half(alpha: float, t: dict[str, Any]) -> float:

@@ -221,6 +221,33 @@ def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
         assert (lo, hi) == (-math.inf, math.inf)
 
 
+def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
+    # the same overflowing data without an errstate of the test's own: the
+    # suite turns a RuntimeWarning into an error, so a leaked numpy
+    # overflow warning would exit 2
+    rng = np.random.default_rng(0)
+    z = np.zeros(40, dtype=int)
+    z[[3, 17, 29]] = 1
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "y,z\n" + "".join(f"{float(y)!r},{t}\n" for y, t in zip(rng.uniform(0, 1, 40), z))
+    )
+    base = ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160"]
+    for method in ("studentized", "clt"):
+        code = main([*base, "--method", method, "--json"])
+        assert code == 0, method
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert (payload["lower"], payload["upper"]) == (-math.inf, math.inf)
+        note = "note: the variance estimate overflowed at --pi 1e-160"
+        assert captured.err.splitlines() == [
+            note + ", so the interval is unbounded"
+        ], method
+    # a bounded interval prints no note
+    assert main([*base[:-1], "0.1", "--method", "clt"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ci_method_scheme_incompatibility(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_bernoulli_data(path)

@@ -229,7 +229,8 @@ def test_mbcr_one_treated_per_group(n, n1):
     for _ in range(50):
         asg = draw_mbcr(lay, rng)
         assert int(asg.z.sum()) == n1
-        groups = [asg.mbcr.inv_eta[block] for block in lay.slot_blocks()]
+        inv_eta = inverse_permutation(asg.mbcr.eta)
+        groups = [inv_eta[block] for block in lay.slot_blocks()]
         assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
         for t in range(lay.num_full_groups):
             assert int(asg.z[groups[t]].sum()) == 1
@@ -247,8 +248,8 @@ def test_mbcr_deterministic_and_consistent():
     # realized vector is the allocation pattern pushed through both shuffles
     a = lay.allocation_vector()
     assert np.array_equal(d1.z, a[d1.mbcr.beta][d1.mbcr.eta])
-    # the cached inverse names the unit occupying each slot
-    assert np.array_equal(d1.mbcr.inv_eta, inverse_permutation(d1.mbcr.eta))
+    # the unit at each slot receives the pattern's value at beta of that slot
+    assert np.array_equal(d1.z[inverse_permutation(d1.mbcr.eta)], a[d1.mbcr.beta])
 
 
 def _draw_mbcr_loop_reference(layout, rng):
@@ -296,15 +297,13 @@ def test_mbcr_slot_coef_built_once_when_read():
     lay = compute_layout(10, 3)  # groups of 4 and a tail of 2 with one treated
     asg = draw_mbcr(lay, np.random.default_rng(4))
     detail = asg.mbcr
-    assert "inv_eta" not in vars(detail) and "slot_coef" not in vars(detail)
-    assert detail.inv_eta is detail.inv_eta
-    assert np.array_equal(detail.inv_eta[detail.eta], np.arange(lay.n))
+    assert "slot_coef" not in vars(detail)
     coef = detail.slot_coef
     assert detail.slot_coef is coef
     assert coef.dtype == np.float64
     # slot s delivers the pattern at beta[s] to the unit inv_eta[s] and
     # weighs it by g = 4 in the full blocks, by the ratio 2 in the tail
-    t = asg.z[detail.inv_eta].astype(np.float64)
+    t = asg.z[inverse_permutation(detail.eta)].astype(np.float64)
     w_treat = np.array([4.0] * 8 + [2.0] * 2)
     w_ctrl = np.array([4.0 / 3.0] * 8 + [2.0] * 2)
     assert np.array_equal(coef, t * w_treat - (1.0 - t) * w_ctrl)

@@ -311,13 +311,36 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
     assert ht_standard(data) == float(np.mean(standard))
 
 
+@pytest.mark.parametrize(
+    "n,n1",
+    [
+        (12, 4),  # tiling, groups of 3
+        (10, 3),  # one treated unit spills into a tail of 2
+        (9, 4),  # two spill into a tail of 3
+        (10, 5),  # groups of 2
+        (100000, 100),  # groups of 1000
+    ],
+)
+@pytest.mark.parametrize("seed", [3, 41, 2027])
+def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed):
+    # slot_y scatters y through eta; gathering y through eta's inverse is
+    # the definition it must reproduce byte for byte
+    lay = compute_layout(n, n1)
+    rng = np.random.default_rng(seed)
+    data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
+    gathered = data.y[inverse_permutation(data.assignment.mbcr.eta)]
+    assert data.slot_y.dtype == gathered.dtype
+    assert data.slot_y.tobytes() == gathered.tobytes()
+    assert not data.slot_y.flags.writeable
+
+
 def test_grouped_terms_cached_on_the_data():
     lay = compute_layout(47, 5)  # groups of 10, two spill into a tail of 7
     rng = np.random.default_rng(12)
     table = _random_table(47, rng)
     data = ObservedData.realize(table, draw_mbcr(lay, rng))
     detail = data.assignment.mbcr
-    y_slot = data.y[detail.inv_eta]
+    y_slot = data.y[inverse_permutation(detail.eta)]
     assert data.slot_y.tobytes() == y_slot.tobytes()
     assert data.slot_terms.tobytes() == (y_slot * detail.slot_coef).tobytes()
     ht_mbcr(data)

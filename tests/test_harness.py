@@ -390,8 +390,8 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
     assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
 
 
-def test_grouped_replication_inverts_eta_once(monkeypatch):
-    from tightci import design
+def test_grouped_replication_never_inverts_eta(monkeypatch):
+    from tightci import design, estimator
 
     calls = []
     original = design.inverse_permutation
@@ -401,11 +401,42 @@ def test_grouped_replication_inverts_eta_once(monkeypatch):
         return original(perm)
 
     monkeypatch.setattr(design, "inverse_permutation", counting)
-    raw = _coverage_raw(methods=["hoeff-mbcr", "studentized"], replications=1)
+    monkeypatch.setattr(estimator, "inverse_permutation", counting)
+    raw = _coverage_raw(methods=["hoeff-mbcr", "studentized"], replications=3)
     report = run_coverage(parse_config(raw))
     assert len(report.rows) == 2
-    # ht_mbcr and both group-sum variants share one cached inverse
-    assert calls == [200]
+    # ht_mbcr and both group-sum variants read slot_y, which scatters y
+    # through eta instead of inverting it
+    assert calls == []
+
+
+def test_grouped_data_gone_before_the_bernoulli_draw(monkeypatch):
+    import weakref
+
+    from tightci import harness
+
+    grouped, checked = [], []
+    realize = harness.ObservedData.realize.__func__
+    draw = harness.draw_bernoulli
+
+    def recording_realize(cls, table, asg):
+        data = realize(cls, table, asg)
+        if asg.scheme == "mbcr":
+            grouped.append(weakref.ref(data))
+        return data
+
+    def checking_draw(*args):
+        # this replication's grouped data was realized, and is freed already
+        checked.append(len(grouped))
+        assert grouped and grouped[-1]() is None
+        return draw(*args)
+
+    monkeypatch.setattr(harness.ObservedData, "realize", classmethod(recording_realize))
+    monkeypatch.setattr(harness, "draw_bernoulli", checking_draw)
+    raw = _coverage_raw(methods=["studentized", "clt"], replications=4)
+    report = run_coverage(parse_config(raw))
+    assert len(report.rows) == 2
+    assert checked == [1, 2, 3, 4]
 
 
 def _count_builds(monkeypatch, cls, name, calls):

@@ -537,8 +537,24 @@ def test_clt_quantile_finite_below_double_precision():
         assert ci.tuning["z_quantile"] == float(norm.isf(alpha / 2.0))
         assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
         assert reevaluate("clt", alpha, ci.tuning) == (ci.lower, ci.upper)
-    # where 1 - alpha/2 is below 1, the quantile is the one it always was
-    assert _z_quantile(1e-15) == float(norm.ppf(1.0 - 1e-15 / 2.0))
+    # just above that, 1 - alpha/2 is below 1 but has lost most of the tail,
+    # so the upper-tail form gives the quantile there too
+    assert _z_quantile(1e-15) == float(norm.isf(1e-15 / 2.0))
+
+
+def test_clt_quantile_reads_the_upper_tail_below_1e_3():
+    # 1 - alpha/2 keeps too few digits of a small tail: at alpha = 1.2e-16
+    # norm.ppf of it is 8.2095 where the quantile is 8.2831
+    from scipy.stats import norm
+
+    from tightci.intervals import _z_quantile
+
+    for alpha in (1.2e-16, 1e-14, 1e-10, 9.99e-4):
+        assert _z_quantile(alpha) == float(norm.isf(alpha / 2.0))
+    assert _z_quantile(1.2e-16) == pytest.approx(8.2831, abs=1e-4)
+    # ordinary alphas keep the lower-tail form, and with it their bytes
+    for alpha in (1e-3, 0.01, 0.05, 0.1):
+        assert _z_quantile(alpha) == float(norm.ppf(1.0 - alpha / 2.0))
 
 
 def test_clt_empty_arm_rejected():
