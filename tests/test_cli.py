@@ -199,10 +199,9 @@ def test_ci_studentized_insufficient_groups(tmp_path, capsys):
     assert "insufficient groups for cross-fitting" in capsys.readouterr().err
 
 
-def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
-    # 3 treated units of 40 at pi = 1e-160: the squared pseudo-outcomes
-    # overflow, V is inf and lambda is 0, so each side is unbounded, as the
-    # CLT interval is on the same data
+def _overflow_args(tmp_path) -> list[str]:
+    """``ci`` on 3 treated units of 40 at pi = 1e-160, where the squared
+    pseudo-outcomes overflow."""
     rng = np.random.default_rng(0)
     z = np.zeros(40, dtype=int)
     z[[3, 17, 29]] = 1
@@ -210,7 +209,13 @@ def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
     path.write_text(
         "y,z\n" + "".join(f"{float(y)!r},{t}\n" for y, t in zip(rng.uniform(0, 1, 40), z))
     )
-    base = ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160", "--json"]
+    return ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160"]
+
+
+def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
+    # V is inf and lambda is 0, so each side is unbounded, as the CLT
+    # interval is on the same data
+    base = [*_overflow_args(tmp_path), "--json"]
     for method in ("studentized", "clt"):
         with np.errstate(over="ignore"):
             code = main([*base, "--method", method])
@@ -222,17 +227,9 @@ def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
 
 
 def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
-    # the same overflowing data without an errstate of the test's own: the
-    # suite turns a RuntimeWarning into an error, so a leaked numpy
-    # overflow warning would exit 2
-    rng = np.random.default_rng(0)
-    z = np.zeros(40, dtype=int)
-    z[[3, 17, 29]] = 1
-    path = tmp_path / "data.csv"
-    path.write_text(
-        "y,z\n" + "".join(f"{float(y)!r},{t}\n" for y, t in zip(rng.uniform(0, 1, 40), z))
-    )
-    base = ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160"]
+    # no errstate of the test's own: the suite turns a RuntimeWarning into
+    # an error, so a leaked numpy overflow warning would exit 2
+    base = _overflow_args(tmp_path)
     for method in ("studentized", "clt"):
         code = main([*base, "--method", method, "--json"])
         assert code == 0, method
