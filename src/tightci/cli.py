@@ -279,7 +279,10 @@ def cmd_ci(args) -> int:
     # intervals are then unbounded, which the note below says instead.
     with np.errstate(over="ignore"):
         interval = _compute_ci(args)
-    if not math.isfinite(interval.half_width):
+    adaptive = METHOD_TABLE[args.method].adaptive is not None
+    if adaptive and not math.isfinite(interval.half_width):
+        # A closed form has no variance estimate; its half-width can
+        # overflow on its own (1/pi times the log term), so it gets no note.
         print(
             f"note: the variance estimate overflowed at --pi {args.pi!r}, "
             "so the interval is unbounded",

@@ -468,45 +468,38 @@ def _coverage_chunk(
     containment and half-width under ``("covered", m)`` and ``("half", m)``.
 
     Closed forms need only the estimates: their half-width is fixed per cell,
-    so coverage is evaluated over the merged estimate arrays.  A replication
-    runs one scheme at a time and drops its data before the next scheme
-    draws; each scheme has its own stream, so the order moves no result.
+    so coverage is evaluated over the merged estimate arrays.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
-    schemes = [
-        s for s in (SCHEME_MBCR, SCHEME_BERNOULLI)
-        if any(spec.scheme == s for spec in specs.values())
-    ]
+    schemes = {spec.scheme for spec in specs.values()}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
     count = stop - start
     out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in schemes}
     for m in adaptive:
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
+    pi_f = float(cell.pi)
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
-        for scheme in schemes:
-            if scheme == SCHEME_MBCR:
-                rng = child_rng(config.seed, cell.idx, rep, _TAG_MBCR)
-                asg = draw_mbcr(cell.layout, rng)
-                estimate = ht_mbcr
-            else:
-                rng = child_rng(config.seed, cell.idx, rep, _TAG_BERN)
-                asg = draw_bernoulli(cell.n, float(cell.pi), rng)
-                estimate = ht_standard
-            data = ObservedData.realize(table, asg)
-            out["est", scheme][k] = estimate(data)
-            for m, spec in adaptive.items():
-                if spec.scheme != scheme:
-                    continue
-                try:
-                    ci = spec.adaptive(data, cell.alpha)
-                except EmptyArmError:
-                    # The draw left an arm empty; record a miss of width zero.
-                    continue
-                out["covered", m][k] = ci.contains(cell.target)
-                out["half", m][k] = ci.half_width
-            del asg, data
+        data = {}
+        if SCHEME_MBCR in schemes:
+            asg = draw_mbcr(cell.layout, child_rng(config.seed, cell.idx, rep, _TAG_MBCR))
+            data[SCHEME_MBCR] = ObservedData.realize(table, asg)
+            out["est", SCHEME_MBCR][k] = ht_mbcr(data[SCHEME_MBCR])
+        if SCHEME_BERNOULLI in schemes:
+            asg = draw_bernoulli(
+                cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
+            )
+            data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
+            out["est", SCHEME_BERNOULLI][k] = ht_standard(data[SCHEME_BERNOULLI])
+        for m, spec in adaptive.items():
+            try:
+                ci = spec.adaptive(data[spec.scheme], cell.alpha)
+            except EmptyArmError:
+                # The draw left an arm empty; record a miss of width zero.
+                continue
+            out["covered", m][k] = ci.contains(cell.target)
+            out["half", m][k] = ci.half_width
     return out
 
 

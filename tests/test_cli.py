@@ -245,6 +245,18 @@ def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_ci_closed_form_overflow_has_no_variance_note(tmp_path, capsys):
+    # naive-hoeffding estimates no variance: at pi = 1e-308 and a tiny alpha
+    # its half-width, 1/pi times the log term, overflows by itself
+    base = _overflow_args(tmp_path)
+    base[base.index("1e-160")] = "1e-308"
+    code = main([*base, "--method", "naive-hoeffding", "--alpha", "1e-300", "--json"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["half_width"] == math.inf
+    assert captured.err == ""
+
+
 def test_ci_method_scheme_incompatibility(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_bernoulli_data(path)

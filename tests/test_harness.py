@@ -410,35 +410,6 @@ def test_grouped_replication_never_inverts_eta(monkeypatch):
     assert calls == []
 
 
-def test_grouped_data_gone_before_the_bernoulli_draw(monkeypatch):
-    import weakref
-
-    from tightci import harness
-
-    grouped, checked = [], []
-    realize = harness.ObservedData.realize.__func__
-    draw = harness.draw_bernoulli
-
-    def recording_realize(cls, table, asg):
-        data = realize(cls, table, asg)
-        if asg.scheme == "mbcr":
-            grouped.append(weakref.ref(data))
-        return data
-
-    def checking_draw(*args):
-        # this replication's grouped data was realized, and is freed already
-        checked.append(len(grouped))
-        assert grouped and grouped[-1]() is None
-        return draw(*args)
-
-    monkeypatch.setattr(harness.ObservedData, "realize", classmethod(recording_realize))
-    monkeypatch.setattr(harness, "draw_bernoulli", checking_draw)
-    raw = _coverage_raw(methods=["studentized", "clt"], replications=4)
-    report = run_coverage(parse_config(raw))
-    assert len(report.rows) == 2
-    assert checked == [1, 2, 3, 4]
-
-
 def _count_builds(monkeypatch, cls, name, calls):
     """Replace the cached property ``cls.name`` by one that logs each build."""
     import functools
