@@ -310,26 +310,31 @@ def sub_bernoulli_ci(
 
 
 def studentized_scale(data: ObservedData) -> float:
-    """Scale constant c used by the Studentized interval's CGF.
+    """Scale constant c of the Studentized interval's CGF.
 
-    ``c = 1/(1 - p) + 1`` where ``p`` is the within-group propensity (the
-    marginal propensity under Bernoulli randomization), taking the larger
-    value over the full and tail groups.
+    The exponential bound is applied to the group sums, so c bounds the
+    range of a centered group sum.  A full block of ``g`` slots with treated
+    unit ``t`` sums to ``g y1_t - (g/(g-1)) (sum y0 - y0_t)``; centered at
+    its expectation ``sum y1 - sum y0`` that is
+    ``(g y1_t - sum y1) + (g y0_t - sum y0)/(g-1)``, whose two terms lie in
+    ``[-(g-1), g-1]`` and ``[-1, 1]``, so the sum lies in ``[-g, g]``.  The
+    tail block of ``s`` slots with ``t`` treated weighs them by ``s/t`` and
+    its controls by ``s/(s-t)``; its centered sum splits the same way into
+    terms in ``[-(s-t), s-t]`` and ``[-t, t]``, so it lies in ``[-s, s]``.
+    Grouped draws take ``c = max(g, s)``.  Under Bernoulli randomization
+    each group is one unit, whose centered pseudo-outcome at propensity
+    ``pi`` has one-sided range ``1/(1 - pi) + 1``.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
-        props = [asg.pi]
-    elif asg.scheme == SCHEME_MBCR and asg.mbcr is not None:
+        return 1.0 / (1.0 - asg.pi) + 1.0
+    if asg.scheme == SCHEME_MBCR and asg.mbcr is not None:
         lay = asg.mbcr.layout
-        props = [1.0 / lay.group_size]
-        if lay.tail_size > 0:
-            props.append(lay.tail_treated / lay.tail_size)
-    else:
-        raise IntervalError(
-            "Studentized interval needs Bernoulli data or a grouped draw "
-            "with permutation detail"
-        )
-    return max(1.0 / (1.0 - p) + 1.0 for p in props)
+        return float(max(lay.group_size, lay.tail_size))
+    raise IntervalError(
+        "Studentized interval needs Bernoulli data or a grouped draw "
+        "with permutation detail"
+    )
 
 
 @lru_cache(maxsize=8)
@@ -404,12 +409,9 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     endpoint is anchored at the standard pseudo-outcome mean and the upper
     endpoint at the mirrored one.  With parameter ``alpha`` the resulting
     two-sided interval has coverage at least ``1 - 2 alpha`` (each side is a
-    one-sided ``1 - alpha`` bound and the two are union bounded).
-
-    Note on the scale constant: this implementation uses
-    ``c = 1/(1 - p) + 1`` per group (the one-sided range of a centered
-    standard pseudo-outcome at within-group propensity ``p``), which is what
-    the exponential-bound inequality requires after rescaling by ``c``.
+    one-sided ``1 - alpha`` bound and the two are union bounded).  The
+    bound needs the scale ``c`` (:func:`studentized_scale`) to dominate the
+    range of a centered group sum.
     """
     alpha = _check_alpha(alpha)
     th_l = groupwise_sums(data, VARIANT_STANDARD)

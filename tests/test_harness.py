@@ -829,7 +829,7 @@ def test_golden_coverage_design_based():
     report = run_coverage(parse_config(_golden_coverage_raw("design_based")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "ee0f4a510426818fc4f438fac431f941eaf0b4b2827e8dfb8814fc05dee7e306"
+        "dca0f138a9e7bea0fa0c92ceac4fe45f1367e24e9f50bb07f6287ad5763ac4d0"
     )
 
 
@@ -837,7 +837,7 @@ def test_golden_coverage_superpopulation():
     report = run_coverage(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "2e166d18ac8d93fa5b918d368021dad51aac8c7eae39bdfa04b4fd871455bc6c"
+        "124bde1e3ff9120e238ebd09f2b3a9c061d4a0c0a822855f2110863162dd2ae4"
     )
 
 

@@ -361,14 +361,13 @@ def test_studentized_needs_enough_groups():
 def test_studentized_degenerate_variance_penalty():
     # identical potential outcomes zero out every group sum, so V = 0 on
     # both splits, lambda sits at the 1/(2c) cap, and each split contributes
-    # log(2/alpha) * 2c / n
+    # log(2/alpha) * 2c / n, with c the group-sum range g
     n, n1 = 40, 4
     table = PotentialTable(np.full(n, 0.3), np.full(n, 0.3))
     data = _mbcr_data(n, n1, 1, table=table)
     ci = studentized_ci(data, 0.05)
     c = ci.tuning["c"]
-    g = 10
-    assert c == pytest.approx(1 / (1 - 1 / g) + 1, rel=1e-12)
+    assert c == 10.0
     for key in ("lam1_l", "lam2_l", "lam1_u", "lam2_u"):
         assert ci.tuning[key] == pytest.approx(1 / (2 * c), rel=1e-12)
     per_split = LN40 * 2 * c / n
@@ -416,9 +415,37 @@ def test_studentized_anchors_match_under_grouping():
 
 
 def test_studentized_scale_variants():
-    data = _mbcr_data(60, 6, 5)  # groups of ten
-    default = studentized_ci(data, 0.05)
-    assert default.tuning["c"] == pytest.approx(1 / (1 - 0.1) + 1)
+    # a centered group sum lies in [-g, g], the tail's in [-s, s]
+    for n, n1, c in [
+        (60, 6, 10.0),  # groups of ten, no tail
+        (997, 100, 10.0),  # one treated unit spills into a tail of 7
+        (17, 5, 5.0),  # two spill into a tail of 5 beside groups of 4
+        (111, 12, 11.0),  # two spill into a tail of 11 beside groups of 10
+    ]:
+        lay = compute_layout(n, n1)
+        assert c == max(lay.group_size, lay.tail_size)
+        assert studentized_ci(_mbcr_data(n, n1, 5), 0.05).tuning["c"] == c
+
+
+def test_studentized_covers_a_sparse_null_table():
+    # n = 10,000, n1 = 100 and y0 = y1 = 1 on 50 units (ATE 0).  A draw puts
+    # no treated unit on a one with probability 0.604; its group sums then
+    # sit near -g/(g-1) times their ones, V is small and lambda sits at its
+    # cap, so a scale below the group-sum range g excludes 0.  The unit range
+    # 1/(1 - 1/g) + 1 covered 0.38 here; the guarantee is 1 - 2 alpha.
+    n = 10_000
+    y = np.zeros(n)
+    y[:50] = 1.0
+    table = PotentialTable(y, y)
+    layout = compute_layout(n, 100)
+    rng = np.random.default_rng(1)
+    draws = 300
+    covered = sum(
+        studentized_ci(ObservedData.realize(table, draw_mbcr(layout, rng)), 0.025)
+        .contains(0.0)
+        for _ in range(draws)
+    )
+    assert covered / draws >= 0.90
 
 
 def test_studentized_under_bernoulli():
