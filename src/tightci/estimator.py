@@ -2,8 +2,9 @@
 
 Inverse-probability-weighted pseudo-outcomes under all three designs,
 including the grouped form that reweights each block by its conditional
-propensity, the mirrored variant used by the Studentized interval, and an
-exact conditional-expectation oracle for verifying unbiasedness.
+propensity, and an exact conditional-expectation oracle for verifying
+unbiasedness.  Mirrored pseudo-outcomes (``y - 1`` in place of ``y``) are
+formed only by the Studentized interval under Bernoulli randomization.
 
 Index conventions for the grouped estimator follow the draw's bookkeeping:
 for slot ``s``, the observed outcome belongs to the unit at that slot
@@ -200,17 +201,13 @@ def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
     """
     if not (0.0 < prop < 1.0):
         raise EstimatorError(f"propensity {prop} outside (0, 1)")
+    if variant not in (VARIANT_STANDARD, VARIANT_MIRRORED):
+        raise EstimatorError(f"unknown variant {variant!r}")
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    base = y if variant == VARIANT_STANDARD else _mirrored_base(y, variant)
+    base = y if variant == VARIANT_STANDARD else y - 1.0
     out = base * (z / prop - (1.0 - z) / (1.0 - prop))
     return float(out) if out.ndim == 0 else out
-
-
-def _mirrored_base(y: np.ndarray, variant: str) -> np.ndarray:
-    if variant != VARIANT_MIRRORED:
-        raise EstimatorError(f"unknown variant {variant!r}")
-    return y - 1.0
 
 
 def ht_standard(data: ObservedData) -> float:
@@ -229,27 +226,21 @@ def ht_mbcr(data: ObservedData) -> float:
     return float(np.mean(data.slot_terms))
 
 
-def groupwise_sums(data: ObservedData, variant: str = VARIANT_STANDARD) -> np.ndarray:
-    """Per-group sums of pseudo-outcomes, tail group last.
+def groupwise_sums(data: ObservedData) -> np.ndarray:
+    """Per-group sums of the standard pseudo-outcomes, tail group last.
 
     Under Bernoulli randomization every unit is its own group, so this is
-    just the vector of per-unit pseudo-outcomes (the standard one is the
-    data's read-only ``unit_terms``).  Each full-block standard sum lies in
+    the data's read-only ``unit_terms``.  Each full-block sum lies in
     ``[-g, g]``.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
-        if variant == VARIANT_STANDARD:
-            return data.unit_terms
-        return _mirrored_base(data.y, variant) * asg.unit_coef
+        return data.unit_terms
     if asg.scheme != SCHEME_MBCR:
         raise EstimatorError(
             f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
-    if variant == VARIANT_STANDARD:
-        vals = data.slot_terms
-    else:
-        vals = _mirrored_base(data.slot_y, variant) * asg.mbcr.slot_coef
+    vals = data.slot_terms
     lay = asg.mbcr.layout
     body = lay.num_full_groups * lay.group_size
     sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)

@@ -41,12 +41,7 @@ from .design import (
     MbcrLayout,
     read_only,
 )
-from .estimator import (
-    VARIANT_MIRRORED,
-    VARIANT_STANDARD,
-    ObservedData,
-    groupwise_sums,
-)
+from .estimator import ObservedData, groupwise_sums
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
 METHOD_SUB_BERNOULLI_BERN = "sub-bernoulli-bern"
@@ -401,22 +396,31 @@ def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float
     return (gamma_e(lam, c) * v + math.log(2.0 / alpha)) / (n * lam)
 
 
+def _anchor_tuning(theta: np.ndarray, n: int, alpha: float, c: float) -> dict:
+    """One anchor's mean, split sums of squares and lambdas."""
+    _, _, v1, v2 = _split_statistics(theta)
+    lam1, lam2 = _stud_lambda(v1, alpha, c), _stud_lambda(v2, alpha, c)
+    return dict(mean=float(theta.sum()) / n, v1=v1, v2=v2, lam1=lam1, lam2=lam2)
+
+
 def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     """Cross-fit Studentized variance-adaptive interval.
 
     The group sums are split in half; each split's empirical variance tunes
     the exponential-bound parameter applied to the other split.  The lower
     endpoint is anchored at the standard pseudo-outcome mean and the upper
-    endpoint at the mirrored one.  With parameter ``alpha`` the resulting
-    two-sided interval has coverage at least ``1 - 2 alpha`` (each side is a
-    one-sided ``1 - alpha`` bound and the two are union bounded).  The
-    bound needs the scale ``c`` (:func:`studentized_scale`) to dominate the
-    range of a centered group sum.
+    endpoint at the mirrored one, which replaces ``y`` with ``y - 1``.  With
+    parameter ``alpha`` the resulting two-sided interval has coverage at
+    least ``1 - 2 alpha`` (each side is a one-sided ``1 - alpha`` bound and
+    the two are union bounded).  The bound needs the scale ``c``
+    (:func:`studentized_scale`) to dominate the range of a centered group
+    sum.  A grouped block's coefficients sum to zero (``g - (g-1) g/(g-1)``,
+    ``t s/t - (s-t) s/(s-t)`` in the tail), so there the mirrored sums are
+    the standard ones and one set serves both anchors.
     """
     alpha = _check_alpha(alpha)
-    th_l = groupwise_sums(data, VARIANT_STANDARD)
-    th_u = groupwise_sums(data, VARIANT_MIRRORED)
-    tbar = th_l.shape[0]
+    theta = groupwise_sums(data)
+    tbar = theta.shape[0]
     if tbar < MIN_CROSS_FIT_GROUPS:
         raise IntervalError(
             "insufficient groups for cross-fitting: need at least "
@@ -426,16 +430,16 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     n = data.n
     m1 = tbar // 2
     tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
-    for side, theta in (("l", th_l), ("u", th_u)):
-        _, _, v1, v2 = _split_statistics(theta)
-        tuning[f"mean_{side}"] = float(theta.sum()) / n
-        tuning[f"v1_{side}"] = v1
-        tuning[f"v2_{side}"] = v2
-        tuning[f"lam1_{side}"] = _stud_lambda(v1, alpha, c)
-        tuning[f"lam2_{side}"] = _stud_lambda(v2, alpha, c)
+    low = up = _anchor_tuning(theta, n, alpha, c)
+    asg = data.assignment
+    if asg.scheme == SCHEME_BERNOULLI:
+        up = _anchor_tuning((data.y - 1.0) * asg.unit_coef, n, alpha, c)
+    for side, stats in (("l", low), ("u", up)):
+        tuning.update({f"{key}_{side}": value for key, value in stats.items()})
     lower, upper = _studentized_endpoints(alpha, tuning)
     if upper < lower:
-        # Adaptive anchors can cross on extreme draws; report the point between.
+        # Under Bernoulli the two anchors differ and can cross on extreme
+        # draws; report the point between.
         mid = 0.5 * (lower + upper)
         lower = upper = mid
         tuning["degenerate_midpoint"] = mid

@@ -311,8 +311,7 @@ def test_mbcr_slot_coef_built_once_when_read():
     y0 = np.linspace(0.0, 0.5, lay.n)
     data = ObservedData.realize(PotentialTable(y0, y0 + 0.25), asg)
     ht_mbcr(data)
-    groupwise_sums(data, "standard")
-    groupwise_sums(data, "mirrored")
+    groupwise_sums(data)
     assert detail.slot_coef is coef
 
 

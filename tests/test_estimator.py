@@ -3,6 +3,7 @@ exact conditional-expectation oracle."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,8 +307,9 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
     assert data.unit_terms.tobytes() == standard.tobytes()
     assert groupwise_sums(data) is data.unit_terms
     assert not data.unit_terms.flags.writeable
+    # the Bernoulli Studentized interval's mirrored terms
     mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
-    assert groupwise_sums(data, "mirrored").tobytes() == mirrored.tobytes()
+    assert ((data.y - 1.0) * asg.unit_coef).tobytes() == mirrored.tobytes()
     assert ht_standard(data) == float(np.mean(standard))
 
 
@@ -345,7 +347,6 @@ def test_grouped_terms_cached_on_the_data():
     assert data.slot_terms.tobytes() == (y_slot * detail.slot_coef).tobytes()
     ht_mbcr(data)
     groupwise_sums(data)
-    groupwise_sums(data, "mirrored")
     cached = vars(data)
     assert cached["slot_y"] is data.slot_y and cached["slot_terms"] is data.slot_terms
     assert "unit_terms" not in cached
@@ -360,17 +361,27 @@ def test_groupwise_total_is_estimate():
 
 
 def test_mirrored_sums_equal_standard_under_grouping():
-    # the "-1" correction carries zero total weight inside every group,
-    # including the tail, so the mirrored mean is the grouped estimate exactly
+    # a mirrored sum is the standard one minus its block's coefficient
+    # total, which is exactly zero, g - (g-1) g/(g-1) in a full block and
+    # t s/t - (s-t) s/(s-t) in the tail; so the mirrored mean is the grouped
+    # estimate, and the Studentized interval reads the standard sums alone
     rng = np.random.default_rng(8)
     for n, n1 in [(100, 10), (9, 4), (10, 3), (23, 5)]:
         lay = compute_layout(n, n1)
+        g, s, t = lay.group_size, lay.tail_size, lay.tail_treated
+        assert g - (g - 1) * Fraction(g, g - 1) == 0
+        if s:
+            assert t * Fraction(s, t) - (s - t) * Fraction(s, s - t) == 0
+        props = [1 / g] * lay.num_full_groups + ([t / s] if s else [])
         for _ in range(10):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, draw_mbcr(lay, rng))
-            mirrored = groupwise_sums(data, "mirrored")
-            standard = groupwise_sums(data, "standard")
-            assert np.allclose(mirrored, standard, atol=1e-9)
+            treated = lay.allocation_vector()[data.assignment.mbcr.beta]
+            mirrored = np.array([
+                pseudo_outcome(data.slot_y[b], treated[b], p, "mirrored").sum()
+                for b, p in zip(lay.slot_blocks(), props)
+            ])
+            assert np.allclose(mirrored, groupwise_sums(data), atol=1e-9)
             assert mirrored.sum() / n == pytest.approx(ht_mbcr(data), abs=1e-10)
 
 
@@ -379,9 +390,8 @@ def test_mirrored_sums_differ_under_bernoulli():
     table = _random_table(40, rng)
     asg = draw_bernoulli(40, 0.2, rng)
     data = ObservedData.realize(table, asg)
-    assert not np.allclose(
-        groupwise_sums(data, "mirrored"), groupwise_sums(data, "standard")
-    )
+    mirrored = pseudo_outcome(data.y, asg.z, 0.2, "mirrored")
+    assert not np.allclose(mirrored, groupwise_sums(data))
 
 
 # ---------------------------------------------------------------------------

@@ -491,9 +491,10 @@ def test_split_divisors_built_once_per_group_count():
     report = run_coverage(parse_config(raw))
     assert len(report.rows) == 2
     info = intervals._split_divisors.cache_info()
-    # groups of ten: 20 and 40 group sums; two sides per replication
+    # groups of ten: 20 and 40 group sums; grouped draws split one set of
+    # sums per replication
     assert info.misses == 2
-    assert info.hits == 2 * 30 * 2 - 2
+    assert info.hits == 2 * 30 - 2
     for tbar in (20, 40):
         for div in intervals._split_divisors(tbar):
             assert not div.flags.writeable
@@ -837,7 +838,7 @@ def test_golden_coverage_superpopulation():
     report = run_coverage(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "124bde1e3ff9120e238ebd09f2b3a9c061d4a0c0a822855f2110863162dd2ae4"
+        "b24ac21a93e828a679675901beca8830837e5fb74c3b2c34ff2853dbb3f97e5e"
     )
 
 

@@ -15,11 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import (
-    VARIANT_MIRRORED,
-    VARIANT_STANDARD,
     ObservedData,
     PotentialTable,
     groupwise_sums,
+    pseudo_outcome,
 )
 from tightci.intervals import (
     METHOD_TABLE,
@@ -27,6 +26,7 @@ from tightci.intervals import (
     IntervalError,
     _split_statistics,
     _stud_lambda,
+    _stud_penalty,
     _studentized_endpoints,
     clt_ci,
     cn_mbcr_bounds,
@@ -484,17 +484,25 @@ def test_split_statistics_bit_identical_to_reference(tbar):
     # the Bernoulli pattern: pseudo-outcomes y * unit_coef at pi = 1/100
     table = PotentialTable(rng.uniform(0, 1, tbar), rng.uniform(0, 1, tbar))
     data = ObservedData.realize(table, draw_bernoulli(tbar, 0.01, rng))
-    for variant in (VARIANT_STANDARD, VARIANT_MIRRORED):
-        theta = groupwise_sums(data, variant)
+    mirrored = pseudo_outcome(data.y, data.assignment.z, 0.01, "mirrored")
+    for theta in (groupwise_sums(data), mirrored):
         assert _split_statistics(theta) == _split_statistics_reference(theta)
 
 
 def _studentized_reference(data, alpha):
-    """Both anchors of the Studentized interval from the reference statistics."""
+    """Both anchors of the Studentized interval from the reference statistics.
+
+    The lower anchor reads the standard group sums.  The upper one reads
+    the mirrored pseudo-outcomes under Bernoulli draws and, since a grouped
+    block's coefficients sum to zero, the standard sums under grouped ones.
+    """
     n, c = data.n, studentized_scale(data)
+    asg = data.assignment
+    standard = mirrored = groupwise_sums(data)
+    if asg.scheme == "bernoulli":
+        mirrored = pseudo_outcome(data.y, asg.z, asg.pi, "mirrored")
     t = {"n": n, "c": c}
-    for side, variant in (("l", VARIANT_STANDARD), ("u", VARIANT_MIRRORED)):
-        theta = groupwise_sums(data, variant)
+    for side, theta in (("l", standard), ("u", mirrored)):
         _, _, v1, v2 = _split_statistics_reference(theta)
         t[f"mean_{side}"] = float(theta.sum()) / n
         t.update({f"v1_{side}": v1, f"v2_{side}": v2})
@@ -503,10 +511,14 @@ def _studentized_reference(data, alpha):
     return t, _studentized_endpoints(alpha, t)
 
 
-@pytest.mark.parametrize(
+# Tiling layouts, and tails with one and two spilled treated units.
+GROUPED_LAYOUTS = pytest.mark.parametrize(
     "n, n1, tail_treated",
     [(1000, 100, 0), (60, 6, 0), (47, 5, 1), (997, 100, 1), (17, 5, 2), (111, 12, 2)],
 )
+
+
+@GROUPED_LAYOUTS
 def test_studentized_anchors_unchanged_on_grouped_layouts(n, n1, tail_treated):
     assert compute_layout(n, n1).tail_treated == tail_treated
     for seed in range(3):
@@ -516,6 +528,35 @@ def test_studentized_anchors_unchanged_on_grouped_layouts(n, n1, tail_treated):
             t, (lower, upper) = _studentized_reference(data, alpha)
             assert {k: ci.tuning[k] for k in t} == t
             assert (ci.lower, ci.upper) == (lower, upper)
+
+
+@GROUPED_LAYOUTS
+def test_grouped_studentized_reads_one_set_of_sums(n, n1, tail_treated, monkeypatch):
+    from tightci import intervals
+
+    calls = []
+    for name in ("groupwise_sums", "_split_statistics"):
+        real = getattr(intervals, name)
+        monkeypatch.setattr(
+            intervals, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+        )
+    for seed in range(3):
+        data = _mbcr_data(n, n1, seed)
+        for alpha in (0.05, 0.01):
+            calls.clear()
+            ci = studentized_ci(data, alpha)
+            assert calls == ["groupwise_sums", "_split_statistics"]
+            t = ci.tuning
+            for key in ("mean", "v1", "v2", "lam1", "lam2"):
+                assert t[f"{key}_u"] == t[f"{key}_l"]
+            pen_l, pen_u = (
+                _stud_penalty(t[f"lam2_{s}"], t[f"v1_{s}"], n, alpha, t["c"])
+                + _stud_penalty(t[f"lam1_{s}"], t[f"v2_{s}"], n, alpha, t["c"])
+                for s in "lu"
+            )
+            assert pen_l.hex() == pen_u.hex()
+            assert "degenerate_midpoint" not in t
+            assert reevaluate("studentized", alpha, t) == (ci.lower, ci.upper)
 
 
 @pytest.mark.parametrize("n, pi", [(500, 0.2), (20_000, 0.01), (2001, 0.001)])
