@@ -34,6 +34,7 @@ from .design import (
     SCHEME_MBCR,
     compute_layout,
     draw_mbcr,
+    validate_propensity,
 )
 from .dgp import DgpError
 from .estimator import (
@@ -218,11 +219,7 @@ def _compute_ci(args) -> Interval:
             raise CliError("scheme bernoulli needs --pi")
         if args.n1 is not None:
             raise CliError("--n1 applies to complete/mbcr schemes only")
-        if not (0.0 < args.pi <= 0.5):
-            raise CliError(
-                f"--pi {args.pi} outside (0, 1/2]; relabel arms so the smaller "
-                "one is treatment"
-            )
+        validate_propensity(args.pi)
         pi = args.pi
     else:
         if args.n1 is None:

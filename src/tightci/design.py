@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -32,6 +33,8 @@ SCHEME_MBCR = "mbcr"
 SCHEMES = (SCHEME_BERNOULLI, SCHEME_COMPLETE, SCHEME_MBCR)
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
+# The smallest propensity accepted: below it 1/pi overflows.
+MIN_PI = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 
 class DesignError(ValueError):
@@ -64,13 +67,15 @@ def _check_counts(n: int, n1: int) -> None:
         )
 
 
-def validate_propensity(pi: float) -> None:
-    """Reject propensities outside (0, 1/2]."""
-    if not (0.0 < pi <= 0.5):
+def validate_propensity(pi: float | Fraction) -> None:
+    """Reject propensities outside [MIN_PI, 1/2]; exact for a ``Fraction``."""
+    if not (0 < pi <= 0.5):
         raise DesignError(
             f"propensity {pi} outside (0, 1/2]; relabel the arms so the "
             "smaller one is called treatment"
         )
+    if pi < MIN_PI:
+        raise DesignError(f"propensity {pi} below {MIN_PI!r}, where 1/pi overflows")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Inverse-probability-weighted pseudo-outcomes under all three designs,
 including the grouped form that reweights each block by its conditional
 propensity, and an exact conditional-expectation oracle for verifying
-unbiasedness.  Mirrored pseudo-outcomes (``y - 1`` in place of ``y``) are
-formed only by the Studentized interval under Bernoulli randomization.
+unbiasedness.  Only the Bernoulli Studentized interval forms mirrored terms.
 
 Index conventions for the grouped estimator follow the draw's bookkeeping:
 for slot ``s``, the observed outcome belongs to the unit at that slot

@@ -44,6 +44,7 @@ from .design import (
     draw_bernoulli,
     draw_mbcr,
     enumerate_mbcr_distribution,
+    validate_propensity,
 )
 from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
 from .estimator import ObservedData, PotentialTable, ht_mbcr, ht_standard
@@ -116,14 +117,16 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def parse_propensity(value: Any, where: str = "pi") -> Fraction:
-    """Parse a config propensity into an exact fraction in (0, 1/2]."""
+    """Parse a config propensity into an exact fraction in [MIN_PI, 1/2]."""
     text = value if isinstance(value, str) else str(_number(value, where))
     try:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse propensity {value!r}: {exc}") from exc
-    if not (0 < frac <= Fraction(1, 2)):
-        raise ConfigError(f"{where}: propensity {value!r} outside (0, 1/2]")
+    try:
+        validate_propensity(frac)
+    except DesignError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return frac
 
 

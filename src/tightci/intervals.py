@@ -38,8 +38,10 @@ from .design import (
     SCHEME_BERNOULLI,
     SCHEME_COMPLETE,
     SCHEME_MBCR,
+    DesignError,
     MbcrLayout,
     read_only,
+    validate_propensity,
 )
 from .estimator import ObservedData, groupwise_sums
 
@@ -161,13 +163,20 @@ def gamma_e(lam: float, c: float) -> float:
     return (-math.log1p(-c * lam) - c * lam) / (c * c)
 
 
+def _unbounded_if_overflowed(lower: float, upper: float) -> tuple[float, float]:
+    """Endpoints that overflowed (to inf, or to nan as inf - inf) are unbounded."""
+    lower = lower if math.isfinite(lower) else -math.inf
+    return lower, upper if math.isfinite(upper) else math.inf
+
+
 def _centered(
     method: str, psi_hat: float, alpha: float, half: float, tuning: dict[str, Any]
 ) -> Interval:
     """``psi_hat +/- half``, with both recorded around the builder's tuning."""
+    lower, upper = _unbounded_if_overflowed(psi_hat - half, psi_hat + half)
     return Interval(
-        lower=psi_hat - half,
-        upper=psi_hat + half,
+        lower=lower,
+        upper=upper,
         alpha=alpha,
         method=method,
         tuning={"psi_hat": float(psi_hat), **tuning, "half_width": half},
@@ -277,10 +286,14 @@ def sub_bernoulli_ci(
     if scheme == SCHEME_BERNOULLI:
         if n is None or pi is None:
             raise IntervalError("Bernoulli form needs n and pi")
-        if not (0.0 < pi <= 0.5):
-            raise IntervalError(f"propensity {pi} outside (0, 1/2]")
+        try:
+            validate_propensity(pi)
+        except DesignError as exc:
+            raise IntervalError(str(exc)) from exc
         a, b = _sb_bern_range(pi)
-        lam = math.sqrt(log2a / (n * (1.0 / (1.0 - pi) + 1.0) * (1.0 / pi + 1.0)))
+        lam = math.sqrt(log2a / (n * -a * b))
+        if lam == 0.0:  # the product overflowed, near MIN_PI
+            lam = math.sqrt(log2a / (n * -a)) / math.sqrt(b)
         t = {"n": int(n), "pi": float(pi), "lam": lam, "range_lo": a, "range_hi": b}
         t["kappa"] = n * gamma_b(lam, a, b)
         return _centered(
@@ -305,20 +318,16 @@ def sub_bernoulli_ci(
 
 
 def studentized_scale(data: ObservedData) -> float:
-    """Scale constant c of the Studentized interval's CGF.
+    """Scale c of the Studentized interval's CGF: a centered group sum's range.
 
-    The exponential bound is applied to the group sums, so c bounds the
-    range of a centered group sum.  A full block of ``g`` slots with treated
-    unit ``t`` sums to ``g y1_t - (g/(g-1)) (sum y0 - y0_t)``; centered at
-    its expectation ``sum y1 - sum y0`` that is
-    ``(g y1_t - sum y1) + (g y0_t - sum y0)/(g-1)``, whose two terms lie in
-    ``[-(g-1), g-1]`` and ``[-1, 1]``, so the sum lies in ``[-g, g]``.  The
-    tail block of ``s`` slots with ``t`` treated weighs them by ``s/t`` and
-    its controls by ``s/(s-t)``; its centered sum splits the same way into
-    terms in ``[-(s-t), s-t]`` and ``[-t, t]``, so it lies in ``[-s, s]``.
-    Grouped draws take ``c = max(g, s)``.  Under Bernoulli randomization
-    each group is one unit, whose centered pseudo-outcome at propensity
-    ``pi`` has one-sided range ``1/(1 - pi) + 1``.
+    A full block of ``g`` slots with treated unit ``t`` sums to
+    ``g y1_t - (g/(g-1)) (sum y0 - y0_t)``.  Centered at ``sum y1 - sum y0``
+    it is ``(g y1_t - sum y1) + (g y0_t - sum y0)/(g-1)``, with terms in
+    ``[-(g-1), g-1]`` and ``[-1, 1]``, so it lies in ``[-g, g]``.  A tail of
+    ``s`` slots with ``t`` treated (weights ``s/t`` and ``s/(s-t)``) splits
+    into terms in ``[-(s-t), s-t]`` and ``[-t, t]``, so it lies in
+    ``[-s, s]``.  Grouped draws take ``c = max(g, s)``.  Under Bernoulli
+    randomization a group is one unit, whose range is ``1/(1 - pi) + 1``.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
@@ -412,11 +421,9 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     endpoint at the mirrored one, which replaces ``y`` with ``y - 1``.  With
     parameter ``alpha`` the resulting two-sided interval has coverage at
     least ``1 - 2 alpha`` (each side is a one-sided ``1 - alpha`` bound and
-    the two are union bounded).  The bound needs the scale ``c``
-    (:func:`studentized_scale`) to dominate the range of a centered group
-    sum.  A grouped block's coefficients sum to zero (``g - (g-1) g/(g-1)``,
-    ``t s/t - (s-t) s/(s-t)`` in the tail), so there the mirrored sums are
-    the standard ones and one set serves both anchors.
+    the two are union bounded).  A grouped block's coefficients sum to zero
+    (``g - (g-1) g/(g-1)``, ``t s/t - (s-t) s/(s-t)`` in the tail), so there
+    the mirrored sums are the standard ones and one set serves both anchors.
     """
     alpha = _check_alpha(alpha)
     theta = groupwise_sums(data)
@@ -427,42 +434,32 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
             f"{MIN_CROSS_FIT_GROUPS}, got {tbar}"
         )
     c = studentized_scale(data)
-    n = data.n
-    m1 = tbar // 2
+    n, m1 = data.n, tbar // 2
     tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
     low = up = _anchor_tuning(theta, n, alpha, c)
-    asg = data.assignment
-    if asg.scheme == SCHEME_BERNOULLI:
-        up = _anchor_tuning((data.y - 1.0) * asg.unit_coef, n, alpha, c)
+    if data.assignment.scheme == SCHEME_BERNOULLI:
+        up = _anchor_tuning((data.y - 1.0) * data.assignment.unit_coef, n, alpha, c)
     for side, stats in (("l", low), ("u", up)):
         tuning.update({f"{key}_{side}": value for key, value in stats.items()})
     lower, upper = _studentized_endpoints(alpha, tuning)
     if upper < lower:
-        # Under Bernoulli the two anchors differ and can cross on extreme
-        # draws; report the point between.
+        # Bernoulli anchors can cross on extreme draws; report the point between.
         mid = 0.5 * (lower + upper)
         lower = upper = mid
         tuning["degenerate_midpoint"] = mid
-    return Interval(
-        lower=lower,
-        upper=upper,
-        alpha=alpha,
-        method=METHOD_STUDENTIZED,
-        tuning=tuning,
-    )
+    return Interval(lower, upper, alpha, METHOD_STUDENTIZED, tuning)
 
 
 def _studentized_endpoints(alpha: float, t: dict[str, Any]) -> tuple[float, float]:
     if "degenerate_midpoint" in t:
         return t["degenerate_midpoint"], t["degenerate_midpoint"]
     n, c = t["n"], t["c"]
-    pen_l = _stud_penalty(t["lam2_l"], t["v1_l"], n, alpha, c) + _stud_penalty(
-        t["lam1_l"], t["v2_l"], n, alpha, c
+    pen_l, pen_u = (
+        _stud_penalty(t[f"lam2_{side}"], t[f"v1_{side}"], n, alpha, c)
+        + _stud_penalty(t[f"lam1_{side}"], t[f"v2_{side}"], n, alpha, c)
+        for side in "lu"
     )
-    pen_u = _stud_penalty(t["lam2_u"], t["v1_u"], n, alpha, c) + _stud_penalty(
-        t["lam1_u"], t["v2_u"], n, alpha, c
-    )
-    return t["mean_l"] - pen_l, t["mean_u"] + pen_u
+    return _unbounded_if_overflowed(t["mean_l"] - pen_l, t["mean_u"] + pen_u)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +631,8 @@ def reevaluate(method: str, alpha: float, tuning: dict[str, Any]) -> tuple[float
     """
     spec = METHOD_TABLE.get(method)
     if spec is not None and spec.half is not None:
-        half = spec.half(alpha, tuning)
-        lo, hi = tuning["psi_hat"] - half, tuning["psi_hat"] + half
+        psi_hat, half = tuning["psi_hat"], spec.half(alpha, tuning)
+        lo, hi = _unbounded_if_overflowed(psi_hat - half, psi_hat + half)
     elif spec is not None and spec.endpoints is not None:
         lo, hi = spec.endpoints(alpha, tuning)
     else:

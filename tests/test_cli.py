@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from tightci.cli import main
-from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
+from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
-from tightci.intervals import reevaluate
+from tightci.intervals import METHOD_TABLE, reevaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,15 +199,18 @@ def test_ci_studentized_insufficient_groups(tmp_path, capsys):
     assert "insufficient groups for cross-fitting" in capsys.readouterr().err
 
 
-def _overflow_args(tmp_path) -> list[str]:
+def _overflow_args(tmp_path, treated_ones=False) -> list[str]:
     """``ci`` on 3 treated units of 40 at pi = 1e-160, where the squared
-    pseudo-outcomes overflow."""
+    pseudo-outcomes overflow; optionally with every treated outcome 1."""
     rng = np.random.default_rng(0)
     z = np.zeros(40, dtype=int)
     z[[3, 17, 29]] = 1
+    y = rng.uniform(0, 1, 40)
+    if treated_ones:
+        y[z == 1] = 1.0
     path = tmp_path / "data.csv"
     path.write_text(
-        "y,z\n" + "".join(f"{float(y)!r},{t}\n" for y, t in zip(rng.uniform(0, 1, 40), z))
+        "y,z\n" + "".join(f"{float(v)!r},{t}\n" for v, t in zip(y, z))
     )
     return ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160"]
 
@@ -250,6 +253,36 @@ def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["half_width"] == math.inf
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "method", ["sub-bernoulli-bern", "studentized", "naive-hoeffding", "clt"]
+)
+def test_ci_bounds_or_refuses_at_the_propensity_floor(tmp_path, capsys, method):
+    # Near MIN_PI an estimate, a variance or a half-width can overflow; every
+    # Bernoulli-data method still prints ordered endpoints, unbounded where
+    # the arithmetic overflowed.  No errstate of the test's own: a leaked
+    # numpy warning would exit 2.
+    adaptive = METHOD_TABLE[method].adaptive is not None
+    for treated_ones in (False, True):
+        base = _overflow_args(tmp_path, treated_ones)[:-1]
+        for pi in (MIN_PI, 1e-308, 1e-307):
+            assert main([*base, repr(pi), "--method", method, "--json"]) == 0, pi
+            captured = capsys.readouterr()
+            payload = json.loads(captured.out)
+            lower, upper = payload["lower"], payload["upper"]
+            assert lower <= upper, pi
+            assert reevaluate(method, payload["alpha"], payload["tuning"]) == (
+                lower,
+                upper,
+            )
+            unbounded = math.isinf(lower) or math.isinf(upper)
+            assert ("the interval is unbounded" in captured.err) == (
+                adaptive and unbounded
+            ), pi
+    for pi in (math.nextafter(MIN_PI, 0.0), 1e-309, 5e-324):
+        assert main([*base, repr(pi), "--method", method]) == 1, pi
+        assert f"below {MIN_PI!r}" in capsys.readouterr().err
 
 
 def test_ci_method_scheme_incompatibility(tmp_path, capsys):

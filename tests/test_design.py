@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightci.design import (
+    MIN_PI,
     Assignment,
     DesignError,
     EnumerationBudgetError,
@@ -20,6 +21,7 @@ from tightci.design import (
     enumeration_space_size,
     inverse_permutation,
     layout_constants,
+    validate_propensity,
 )
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, ht_mbcr
 
@@ -361,6 +363,21 @@ def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
     z = complete.z.astype(np.float64)
     expected = z / complete.pi - (1.0 - z) / (1.0 - complete.pi)
     assert complete.unit_coef.tobytes() == expected.tobytes()
+
+
+def test_propensity_floor_keeps_one_over_pi_finite():
+    assert math.isfinite(1.0 / MIN_PI)
+    assert math.isinf(1.0 / math.nextafter(MIN_PI, 0.0))
+    # a Fraction meets both bounds exactly
+    for pi in (MIN_PI, Fraction(MIN_PI), 0.5, Fraction(1, 2)):
+        validate_propensity(pi)
+    draw_bernoulli(40, MIN_PI, np.random.default_rng(0))
+    for pi in (math.nextafter(MIN_PI, 0.0), 5e-324, Fraction(1, 10**400)):
+        with pytest.raises(DesignError, match="1/pi overflows"):
+            validate_propensity(pi)
+    for pi in (0, -0.1, 0.6, Fraction(1, 2) + Fraction(1, 10**30), math.nan):
+        with pytest.raises(DesignError, match="outside"):
+            validate_propensity(pi)
 
 
 def test_unit_coef_refuses_propensity_outside_unit_interval():

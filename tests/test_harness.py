@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tightci.design import EnumerationBudgetError, LayoutInfeasibleError
+from tightci.design import MIN_PI, EnumerationBudgetError, LayoutInfeasibleError
 from tightci.harness import (
     ConfigError,
     load_config,
@@ -52,6 +52,11 @@ def test_parse_propensity_forms():
         parse_propensity(0.6)
     with pytest.raises(ConfigError, match="outside"):
         parse_propensity(0)
+    # the floor is MIN_PI, the smallest propensity whose 1/pi is finite
+    assert parse_propensity(MIN_PI) >= MIN_PI
+    for value in (1e-309, f"1/{10**400}"):
+        with pytest.raises(ConfigError, match="1/pi overflows"):
+            parse_propensity(value)
     with pytest.raises(ConfigError):
         parse_propensity("not-a-number")
 

@@ -260,6 +260,8 @@ def test_sub_bernoulli_mbcr_tail_term():
 def test_sub_bernoulli_validation():
     with pytest.raises(IntervalError):
         sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=0.7)
+    with pytest.raises(IntervalError, match="1/pi overflows"):
+        sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=1e-309)
     with pytest.raises(IntervalError):
         sub_bernoulli_ci(0.0, 0.05, scheme="complete", n=100, pi=0.1)
     with pytest.raises(IntervalError):
