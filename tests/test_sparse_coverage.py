@@ -39,8 +39,9 @@ PATTERNS = ("null", "y1", "y0")
 
 
 def _sparse_table(n: int, k: int, pattern: str) -> PotentialTable:
+    # Spread out, so that at each n the Bernoulli draws meet other coins.
     ones = np.zeros(n)
-    ones[:k] = 1.0
+    ones[np.arange(k) * (n // k)] = 1.0
     zeros = np.zeros(n)
     if pattern == "null":
         return PotentialTable(ones, ones)
