@@ -25,21 +25,14 @@ from tightci.intervals import METHOD_CLT, METHOD_TABLE
 ALPHA = 0.025
 REPLICATIONS = 200
 CONFIDENCE = 0.999
-METHODS = [
-    "hoeff-mbcr",
-    "sub-bernoulli-mbcr",
-    "studentized",
-    "sub-bernoulli-bern",
-    "naive-hoeffding",
-    "clt",
-    "studentized-bern",
-]
+METHODS = [m for m, spec in METHOD_TABLE.items() if spec.has_interval]
 EXPECTED_TREATED_ONES = (0.5, 1, 2, 5)
 PATTERNS = ("null", "y1", "y0")
 
 
 def _sparse_table(n: int, k: int, pattern: str) -> PotentialTable:
-    # Spread out, so that at each n the Bernoulli draws meet other coins.
+    # Spread over the units: Bernoulli draws share their seed at every n, so
+    # ones packed at the front would meet the same coins at both n.
     ones = np.zeros(n)
     ones[np.arange(k) * (n // k)] = 1.0
     zeros = np.zeros(n)
