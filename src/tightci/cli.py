@@ -28,12 +28,12 @@ from . import __version__
 from .design import (
     Assignment,
     DesignError,
-    MbcrDraw,
     SCHEME_BERNOULLI,
     SCHEME_COMPLETE,
     SCHEME_MBCR,
     compute_layout,
     draw_mbcr,
+    grouped_assignment,
     validate_propensity,
 )
 from .dgp import DgpError
@@ -54,7 +54,7 @@ from .harness import (
     run_experiment,
     write_outputs,
 )
-from .intervals import METHOD_TABLE, METHODS, Interval, IntervalError
+from .intervals import METHOD_TABLE, METHODS, Interval, IntervalError, validate_alpha
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="Monte Carlo chi-square screen instead of exact enumeration",
     )
-    p_eq.add_argument("--draws", type=int, default=200_000)
+    p_eq.add_argument("--draws", type=int, default=None)
     p_eq.add_argument("--seed", type=int, default=0)
     p_eq.add_argument("--out", required=True)
     return parser
@@ -138,8 +138,8 @@ def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
     return perm
 
 
-def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignment:
-    n = y.shape[0]
+def _mbcr_assignment(args, z: np.ndarray, perm_cols) -> Assignment:
+    n = z.shape[0]
     layout = compute_layout(n, args.n1)
     have_cols = perm_cols is not None
     if have_cols and args.seed is not None:
@@ -155,31 +155,23 @@ def _mbcr_assignment(args, y: np.ndarray, z: np.ndarray, perm_cols) -> Assignmen
     if have_cols:
         beta = _validate_perm("beta", perm_cols["beta"], n)
         eta = _validate_perm("eta", perm_cols["eta"], n)
-        for block in layout.slot_blocks():
-            if not np.array_equal(np.sort(beta[block]), block):
-                raise CliError("beta column does not preserve the group blocks")
+        # Each slot's block; the tail block, when present, is the last one.
+        block = np.minimum(np.arange(n) // layout.group_size, layout.num_full_groups)
+        if not np.array_equal(block[beta], block):
+            raise CliError("beta column does not preserve the group blocks")
+        assignment = grouped_assignment(layout, beta, eta)
     else:
-        drawn = draw_mbcr(layout, np.random.default_rng(args.seed))
-        beta, eta = drawn.mbcr.beta, drawn.mbcr.eta
-    expected = layout.allocation_vector()[beta][eta]
-    if not np.array_equal(expected, z.astype(np.int8)):
+        assignment = draw_mbcr(layout, np.random.default_rng(args.seed))
+    if not np.array_equal(assignment.z, z):
         raise CliError(
             "assignment detail does not reproduce the data's z column; "
             "check the permutations or the --seed"
         )
-    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
-    return Assignment(
-        z=z.astype(np.int8),
-        scheme=SCHEME_MBCR,
-        pi=args.n1 / n,
-        n1=args.n1,
-        mbcr=detail,
-    )
+    return assignment
 
 
 def _compute_ci(args) -> Interval:
-    if not (0.0 < args.alpha < 1.0):
-        raise CliError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    validate_alpha(args.alpha)
     if args.seed is not None and args.seed < 0:
         raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
     cols = read_csv_columns(args.data, ("y", "z"), optional=("beta", "eta"))
@@ -234,13 +226,12 @@ def _compute_ci(args) -> Interval:
 
     layout = None
     if scheme == SCHEME_MBCR:
-        assignment = _mbcr_assignment(args, y, z, perm_cols)
+        assignment = _mbcr_assignment(args, z, perm_cols)
         layout = assignment.mbcr.layout
     else:
         if perm_cols is not None:
             raise CliError("beta/eta permutation detail only applies to scheme mbcr")
-        assignment = Assignment(z=z, scheme=scheme, pi=pi,
-                                n1=args.n1 if scheme == SCHEME_COMPLETE else None)
+        assignment = Assignment(z=z, scheme=scheme, pi=pi)
         if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
             # Complete randomization is the grouped design when the groups
             # tile the sample, and then the standard estimate is the grouped one.
@@ -259,29 +250,15 @@ def _compute_ci(args) -> Interval:
     return spec.closed(est, layout, n, pi, alpha)
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def cmd_ci(args) -> int:
-    # At a tiny --pi the squared pseudo-outcomes overflow; the adaptive
-    # intervals are then unbounded, which the note below says instead.
+    # At a tiny --pi the arithmetic can overflow and leave the interval
+    # unbounded, which the note below says instead of a numpy warning.
     with np.errstate(over="ignore"):
         interval = _compute_ci(args)
-    adaptive = METHOD_TABLE[args.method].adaptive is not None
-    if adaptive and not math.isfinite(interval.half_width):
-        # A closed form has no variance estimate; its half-width can
-        # overflow on its own (1/pi times the log term), so it gets no note.
+    # Not the half-width, which can overflow between two finite endpoints.
+    if math.isinf(interval.lower) or math.isinf(interval.upper):
         print(
-            f"note: the variance estimate overflowed at --pi {args.pi!r}, "
+            f"note: the arithmetic overflowed at --pi {args.pi!r}, "
             "so the interval is unbounded",
             file=sys.stderr,
         )
@@ -293,7 +270,7 @@ def cmd_ci(args) -> int:
         "lower": interval.lower,
         "upper": interval.upper,
         "half_width": interval.half_width,
-        "tuning": _json_ready(interval.tuning),
+        "tuning": interval.tuning,
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -335,10 +312,10 @@ def cmd_equivalence(args) -> int:
         "n": args.n,
         "n1": args.n1,
         "approximate": bool(args.approximate),
-        "draws": args.draws,
     }
-    if args.budget is not None:
-        raw["budget"] = args.budget
+    for name in ("budget", "draws"):
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
     return _run(parse_config(raw), args.out)
 
 

@@ -30,8 +30,6 @@ SCHEME_BERNOULLI = "bernoulli"
 SCHEME_COMPLETE = "complete"
 SCHEME_MBCR = "mbcr"
 
-SCHEMES = (SCHEME_BERNOULLI, SCHEME_COMPLETE, SCHEME_MBCR)
-
 DEFAULT_ENUMERATION_BUDGET = 10**8
 # The smallest propensity accepted: below it 1/pi overflows.
 MIN_PI = math.nextafter(1.0 / sys.float_info.max, 1.0)
@@ -237,7 +235,6 @@ class Assignment:
     z: np.ndarray
     scheme: str
     pi: float
-    n1: int | None = None
     mbcr: MbcrDraw | None = None
 
     @property
@@ -275,7 +272,18 @@ def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
     canonical = np.zeros(n, dtype=np.int8)
     canonical[:n1] = 1
     z = rng.permutation(canonical)
-    return Assignment(z=z, scheme=SCHEME_COMPLETE, pi=n1 / n, n1=int(n1))
+    return Assignment(z=z, scheme=SCHEME_COMPLETE, pi=n1 / n)
+
+
+def grouped_assignment(
+    layout: MbcrLayout, beta: np.ndarray, eta: np.ndarray
+) -> Assignment:
+    """The grouped assignment that the permutations ``beta`` and ``eta`` make:
+    unit ``j`` receives the allocation pattern's value at slot
+    ``beta[eta[j]]``."""
+    z = layout_constants(layout).allocation[beta][eta]
+    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
+    return Assignment(z=z, scheme=SCHEME_MBCR, pi=layout.n1 / layout.n, mbcr=detail)
 
 
 def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
@@ -286,8 +294,7 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     matrix (rows shuffled in order, consuming the same draws as one
     ``rng.permutation(group_size)`` per block), then one for the tail, then
     a uniform unit-wide permutation ``eta``, always in that order so a seeded
-    generator reproduces the draw exactly.  Unit ``j`` receives the
-    allocation pattern's value at slot ``beta[eta[j]]``.
+    generator reproduces the draw exactly.
     """
     n, g, full = layout.n, layout.group_size, layout.num_full_groups
     body = full * g
@@ -301,12 +308,7 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
         beta[body:] = body + rng.permutation(layout.tail_size)
     else:
         beta[body:] = np.arange(body, n)
-    eta = rng.permutation(n)
-    z = const.allocation[beta][eta]
-    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
-    return Assignment(
-        z=z, scheme=SCHEME_MBCR, pi=layout.n1 / n, n1=layout.n1, mbcr=detail
-    )
+    return grouped_assignment(layout, beta, rng.permutation(n))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,13 @@ from .design import (
 )
 from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
 from .estimator import ObservedData, PotentialTable, ht_mbcr, ht_standard
-from .intervals import METHOD_TABLE, MIN_ALPHA, EmptyArmError, MethodSpec
+from .intervals import (
+    METHOD_TABLE,
+    EmptyArmError,
+    IntervalError,
+    MethodSpec,
+    validate_alpha,
+)
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +74,9 @@ EXPERIMENTS = (
 
 SETTING_DESIGN_BASED = "design_based"
 SETTING_SUPERPOPULATION = "superpopulation"
+
+# How many grouped draws the approximate equivalence screen makes by default.
+DEFAULT_SCREEN_DRAWS = 200_000
 
 CLOSED_WIDTH_METHODS = {m for m, s in METHOD_TABLE.items() if s.closed is not None}
 COVERAGE_METHODS = {m for m, s in METHOD_TABLE.items() if s.has_interval}
@@ -148,7 +157,7 @@ class ExperimentConfig:
     n1: int | None = None
     budget: int = DEFAULT_ENUMERATION_BUDGET
     approximate: bool = False
-    draws: int = 200_000
+    draws: int = DEFAULT_SCREEN_DRAWS
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -257,12 +266,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     alphas = []
     for i, v in enumerate(lists["alpha"]):
         where = f"config.grid.alpha[{i}]"
-        if not MIN_ALPHA <= _number(v, where) < 1:
-            raise ConfigError(
-                f"{where}: need a number in (0, 1) of at least {MIN_ALPHA!r} "
-                f"(so that 2/alpha is finite), got {v!r}"
-            )
-        alphas.append(float(v))
+        try:
+            alphas.append(validate_alpha(_number(v, where)))
+        except IntervalError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     allowed = {
         EXPERIMENT_COVERAGE: COVERAGE_METHODS,
         EXPERIMENT_WIDTH_SCALING: CLOSED_WIDTH_METHODS,
@@ -658,7 +665,7 @@ def run_equivalence(
     n1: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     approximate: bool = False,
-    draws: int = 200_000,
+    draws: int = DEFAULT_SCREEN_DRAWS,
     seed: int = 0,
 ) -> Report:
     """Exact (or, on request, approximate) check that grouped draws are

@@ -81,7 +81,8 @@ class EmptyArmError(IntervalError):
     """An interval that needs both arms observed met a draw with one empty."""
 
 
-def _check_alpha(alpha: float) -> float:
+def validate_alpha(alpha: float) -> float:
+    """``alpha`` as a float; refuses miscoverage outside [MIN_ALPHA, 1)."""
     if not (MIN_ALPHA <= alpha < 1.0):
         raise IntervalError(
             f"alpha must lie in (0, 1) and be at least {MIN_ALPHA!r} "
@@ -215,7 +216,7 @@ def hoeff_mbcr_ci(psi_hat: float, layout: MbcrLayout, alpha: float) -> Interval:
     ``c_n = sqrt((T g^2 + tail^2) / n)``; with no tail group this is exactly
     ``sqrt(2 log(2/alpha) / (n pi))``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = validate_alpha(alpha)
     t = _grouped_shape(layout)
     t["cn"] = _hoeff_mbcr_constant(t)
     return _centered(METHOD_HOEFF_MBCR, psi_hat, alpha, _hoeff_mbcr_half(alpha, t), t)
@@ -281,7 +282,7 @@ def sub_bernoulli_ci(
     that CGF's quadratic coefficient ``4 T g^2 + 4 tail^2``, which attains
     the sharp small-propensity width scaling.
     """
-    alpha = _check_alpha(alpha)
+    alpha = validate_alpha(alpha)
     log2a = 2.0 * math.log(2.0 / alpha)
     if scheme == SCHEME_BERNOULLI:
         if n is None or pi is None:
@@ -425,7 +426,7 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     (``g - (g-1) g/(g-1)``, ``t s/t - (s-t) s/(s-t)`` in the tail), so there
     the mirrored sums are the standard ones and one set serves both anchors.
     """
-    alpha = _check_alpha(alpha)
+    alpha = validate_alpha(alpha)
     theta = groupwise_sums(data)
     tbar = theta.shape[0]
     if tbar < MIN_CROSS_FIT_GROUPS:
@@ -480,7 +481,7 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     two-sided union of the textbook one-sided bound.  Valid but loose: its
     effective sample size scales with ``n pi^2``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = validate_alpha(alpha)
     if not (0.0 < pi < 1.0):
         raise IntervalError(f"propensity {pi} outside (0, 1)")
     t = {"n": int(n), "pi": float(pi)}
@@ -514,7 +515,7 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     Asymptotic only; excluded from the coverage guarantees everywhere in
     this package.  Requires both arms to be nonempty.
     """
-    alpha = _check_alpha(alpha)
+    alpha = validate_alpha(alpha)
     asg = data.assignment
     n_treat = np.count_nonzero(asg.z)
     if n_treat == 0 or n_treat == data.n:

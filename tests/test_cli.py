@@ -11,7 +11,7 @@ import pytest
 from tightci.cli import main
 from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
-from tightci.intervals import METHOD_TABLE, reevaluate
+from tightci.intervals import METHOD_TABLE, METHODS, reevaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,15 +79,26 @@ def test_ci_hoeff_mbcr_prints_halfwidth(tmp_path, capsys):
     assert "0.27162030314812" in out
 
 
-def test_ci_json_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "method, flags",
+    [(m, []) for m in METHODS] + [("naive-hoeffding", ["--clip"])],
+    ids=[*METHODS, "naive-hoeffding-clip"],
+)
+def test_ci_json_roundtrip(tmp_path, capsys, method, flags):
+    # The printed tuning record alone replays the printed endpoints.
     path = tmp_path / "data.csv"
-    _write_bernoulli_data(path)
+    if METHOD_TABLE[method].scheme == "mbcr":
+        _write_mbcr_data(path)
+        scheme_args = ["--scheme", "mbcr", "--n1", "100"]
+    else:
+        _write_bernoulli_data(path)
+        scheme_args = ["--scheme", "bernoulli", "--pi", "0.1"]
     code = main([
-        "ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "0.1",
-        "--method", "sub-bernoulli-bern", "--json",
+        "ci", "--data", str(path), *scheme_args, "--method", method, "--json", *flags,
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert ("clipped" in payload["tuning"]) == ("--clip" in flags)
     lo, hi = reevaluate(payload["method"], payload["alpha"], payload["tuning"])
     assert lo == payload["lower"] and hi == payload["upper"]
 
@@ -146,6 +157,65 @@ def test_ci_lone_permutation_column_refused(tmp_path, capsys, column, scheme_arg
     assert main(["ci", "--data", str(path), *scheme_args]) == 1
     err = capsys.readouterr().err
     assert f"{column} column" in err and "both beta and eta" in err
+
+
+def _swap_beta(cols, s, t):
+    """The columns with slots s and t trading their beta entries."""
+    beta = cols["beta"].copy()
+    beta[[s, t]] = beta[[t, s]]
+    return {**cols, "beta": beta}
+
+
+_NOT_IN_BLOCKS = "beta column does not preserve the group blocks"
+
+# Each edit of a grouped draw's columns, and the refusal it must meet.
+_PERM_EDITS = {
+    "unaltered": (lambda lay, cols: cols, None),
+    "non-integer-beta": (
+        lambda lay, cols: {**cols, "beta": [0.5, *cols["beta"][1:]]},
+        "beta column must contain integers",
+    ),
+    "repeated-eta": (
+        lambda lay, cols: {**cols, "eta": [cols["eta"][1], *cols["eta"][1:]]},
+        "eta column is not a permutation",
+    ),
+    "full-block": (
+        lambda lay, cols: _swap_beta(cols, lay.group_size - 1, lay.group_size),
+        _NOT_IN_BLOCKS,
+    ),
+    # the last full block's final slot and the tail's first slot
+    "tail-block": (
+        lambda lay, cols: _swap_beta(
+            cols,
+            lay.num_full_groups * lay.group_size - 1,
+            lay.num_full_groups * lay.group_size,
+        ),
+        _NOT_IN_BLOCKS,
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", list(_PERM_EDITS))
+# (47, 5) spills one treated unit into a tail of 7 slots against blocks of 10;
+# (26, 6) spills two into a tail of 6 slots against blocks of 5.
+@pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
+def test_ci_supplied_permutation_detail_checked(tmp_path, capsys, n, n1, edit):
+    alter, message = _PERM_EDITS[edit]
+    lay = compute_layout(n, n1)
+    asg = draw_mbcr(lay, np.random.default_rng(3))
+    cols = alter(lay, {"z": asg.z, "beta": asg.mbcr.beta, "eta": asg.mbcr.eta})
+    rows = (f"0.5,{int(z)},{b},{e}" for z, b, e in zip(*cols.values()))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
+    code = main([
+        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", str(n1),
+        "--method", "hoeff-mbcr",
+    ])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and message in err
 
 
 def test_ci_wrong_seed_rejected(tmp_path, capsys):
@@ -233,26 +303,24 @@ def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
     # no errstate of the test's own: the suite turns a RuntimeWarning into
     # an error, so a leaked numpy overflow warning would exit 2
     base = _overflow_args(tmp_path)
+    note = "note: the arithmetic overflowed at --pi {}, so the interval is unbounded"
     for method in ("studentized", "clt"):
         code = main([*base, "--method", method, "--json"])
         assert code == 0, method
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert (payload["lower"], payload["upper"]) == (-math.inf, math.inf)
-        note = "note: the variance estimate overflowed at --pi 1e-160"
-        assert captured.err.splitlines() == [
-            note + ", so the interval is unbounded"
-        ], method
+        assert captured.err.splitlines() == [note.format("1e-160")], method
     # a bounded interval prints no note
     assert main([*base[:-1], "0.1", "--method", "clt"]) == 0
     assert capsys.readouterr().err == ""
-    # nor does a closed form, which estimates no variance: naive-hoeffding's
-    # half-width, 1/pi times the log term, overflows by itself
+    # a closed form gets the same note: naive-hoeffding's half-width, 1/pi
+    # times the log term, overflows by itself
     closed = [*base[:-1], "1e-308", "--method", "naive-hoeffding", "--alpha", "1e-300"]
     assert main([*closed, "--json"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["half_width"] == math.inf
-    assert captured.err == ""
+    assert captured.err.splitlines() == [note.format("1e-308")]
 
 
 @pytest.mark.parametrize(
@@ -261,9 +329,8 @@ def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
 def test_ci_bounds_or_refuses_at_the_propensity_floor(tmp_path, capsys, method):
     # Near MIN_PI an estimate, a variance or a half-width can overflow; every
     # Bernoulli-data method still prints ordered endpoints, unbounded where
-    # the arithmetic overflowed.  No errstate of the test's own: a leaked
-    # numpy warning would exit 2.
-    adaptive = METHOD_TABLE[method].adaptive is not None
+    # the arithmetic overflowed, with one note saying so.  No errstate of the
+    # test's own: a leaked numpy warning would exit 2.
     for treated_ones in (False, True):
         base = _overflow_args(tmp_path, treated_ones)[:-1]
         for pi in (MIN_PI, 1e-308, 1e-307):
@@ -277,9 +344,7 @@ def test_ci_bounds_or_refuses_at_the_propensity_floor(tmp_path, capsys, method):
                 upper,
             )
             unbounded = math.isinf(lower) or math.isinf(upper)
-            assert ("the interval is unbounded" in captured.err) == (
-                adaptive and unbounded
-            ), pi
+            assert captured.err.count("the interval is unbounded") == unbounded, pi
     for pi in (math.nextafter(MIN_PI, 0.0), 1e-309, 5e-324):
         assert main([*base, repr(pi), "--method", method]) == 1, pi
         assert f"below {MIN_PI!r}" in capsys.readouterr().err

@@ -584,7 +584,7 @@ def test_clt_quantile_and_zero_width():
     z[:10] = 1
     from tightci.design import Assignment
 
-    data = ObservedData(y=y, assignment=Assignment(z=z, scheme="complete", pi=0.2, n1=10))
+    data = ObservedData(y=y, assignment=Assignment(z=z, scheme="complete", pi=0.2))
     ci = clt_ci(data, 0.05)
     # derived: Phi^{-1}(0.975) = 1.9599639845400545
     assert ci.tuning["z_quantile"] == pytest.approx(1.9599639845400545, rel=1e-9)
