@@ -255,7 +255,6 @@ def cmd_ci(args) -> int:
     # unbounded, which the note below says instead of a numpy warning.
     with np.errstate(over="ignore"):
         interval = _compute_ci(args)
-    # Not the half-width, which can overflow between two finite endpoints.
     if math.isinf(interval.lower) or math.isinf(interval.upper):
         print(
             f"note: the arithmetic overflowed at --pi {args.pi!r}, "

@@ -216,17 +216,6 @@ class MbcrDraw:
     beta: np.ndarray
     eta: np.ndarray
 
-    @cached_property
-    def slot_coef(self) -> np.ndarray:
-        """Each slot's Horvitz-Thompson coefficient: ``g`` for a treated slot
-        of a full block and ``-g/(g-1)`` for a control one; the tail block
-        uses its own size-per-treated ratio in place of ``g``.
-
-        Slot ``s`` delivers the allocation at ``beta[s]``, which lies in the
-        same block, so its coefficient is the allocation's at ``beta[s]``.
-        """
-        return read_only(layout_constants(self.layout).coef[self.beta])
-
 
 @dataclass(frozen=True)
 class Assignment:

@@ -8,7 +8,7 @@ unbiasedness.  Only the Bernoulli Studentized interval forms mirrored terms.
 Index conventions for the grouped estimator follow the draw's bookkeeping:
 for slot ``s``, the observed outcome belongs to the unit at that slot
 (``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
-``beta(s)``.  The draw holds each slot's weight (``MbcrDraw.slot_coef``):
+``beta(s)``, weighted by ``layout_constants(layout).coef`` at ``beta(s)``:
 full blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g``
 with its own size-per-treated ratio.  Other draws hold each unit's weight
 (``Assignment.unit_coef``).  An :class:`ObservedData` forms its standard
@@ -32,6 +32,7 @@ from .design import (
     Assignment,
     MbcrLayout,
     inverse_permutation,
+    layout_constants,
     read_only,
 )
 
@@ -169,25 +170,19 @@ class ObservedData:
         return read_only(self.y * self.assignment.unit_coef)
 
     @cached_property
-    def slot_y(self) -> np.ndarray:
-        """Outcomes in slot order: the outcome of the unit at each slot.
-
-        Unit ``j`` sits at slot ``eta[j]``, so scattering ``y`` through
-        ``eta`` places each outcome without inverting the permutation.
-        """
+    def slot_terms(self) -> np.ndarray:
+        """Grouped pseudo-outcomes, one per slot: the outcome of the unit at
+        slot ``s`` (unit ``j`` sits at slot ``eta[j]``, so ``y`` is scattered
+        through ``eta``) times the layout's coefficient at ``beta[s]``."""
         detail = self.assignment.mbcr
         if detail is None:
             raise EstimatorError(
                 "grouped estimator needs the draw's permutation detail (beta, eta)"
             )
-        slot_y = np.empty_like(self.y)
-        slot_y[detail.eta] = self.y
-        return read_only(slot_y)
-
-    @cached_property
-    def slot_terms(self) -> np.ndarray:
-        """Grouped pseudo-outcomes, one per slot: ``slot_y * slot_coef``."""
-        return read_only(self.slot_y * self.assignment.mbcr.slot_coef)
+        terms = np.empty_like(self.y)
+        terms[detail.eta] = self.y
+        terms *= layout_constants(detail.layout).coef[detail.beta]
+        return read_only(terms)
 
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):

@@ -53,6 +53,7 @@ from .intervals import (
     EmptyArmError,
     IntervalError,
     MethodSpec,
+    half_width_of,
     validate_alpha,
 )
 
@@ -573,11 +574,11 @@ def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
             est = merged[cell.idx]["est", spec.scheme]
             if spec.closed is not None:
                 # Interval arithmetic, element-wise: lo <= target <= hi and
-                # (hi - lo) / 2, exactly as each interval would compute them.
+                # the half-width, exactly as each interval would compute them.
                 half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
                 lo, hi = est - half, est + half
                 covered = (lo <= cell.target) & (cell.target <= hi)
-                halves = (hi - lo) / 2.0
+                halves = half_width_of(lo, hi)
             else:
                 covered = merged[cell.idx]["covered", m]
                 halves = merged[cell.idx]["half", m]

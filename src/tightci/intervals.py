@@ -91,6 +91,20 @@ def validate_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def half_width_of(lower, upper):
+    """``(upper - lower) / 2``, or ``upper/2 - lower/2`` where that difference
+    overflows between finite endpoints; every finite difference keeps its
+    bits.  Takes two floats, or two arrays element-wise."""
+    if not isinstance(lower, np.ndarray):
+        half = (upper - lower) / 2.0
+        return upper / 2.0 - lower / 2.0 if half == math.inf else half
+    with np.errstate(over="ignore"):
+        half = (upper - lower) / 2.0
+    wide = half == math.inf
+    half[wide] = upper[wide] / 2.0 - lower[wide] / 2.0
+    return half
+
+
 @dataclass(frozen=True)
 class Interval:
     """A two-sided confidence interval plus the constants that built it."""
@@ -107,7 +121,7 @@ class Interval:
 
     @property
     def half_width(self) -> float:
-        return (self.upper - self.lower) / 2.0
+        return half_width_of(self.lower, self.upper)
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper

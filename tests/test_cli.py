@@ -345,6 +345,8 @@ def test_ci_bounds_or_refuses_at_the_propensity_floor(tmp_path, capsys, method):
             )
             unbounded = math.isinf(lower) or math.isinf(upper)
             assert captured.err.count("the interval is unbounded") == unbounded, pi
+            # two finite endpoints, however far apart, have a finite half-width
+            assert math.isfinite(payload["half_width"]) != unbounded, pi
     for pi in (math.nextafter(MIN_PI, 0.0), 1e-309, 5e-324):
         assert main([*base, repr(pi), "--method", method]) == 1, pi
         assert f"below {MIN_PI!r}" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from tightci.design import (
     layout_constants,
     validate_propensity,
 )
-from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, ht_mbcr
+from tightci.estimator import ObservedData, PotentialTable
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_layout_invariants_random(n, data):
     if lay.tail_treated:
         assert lay.tail_size > lay.tail_treated >= 1
         # the tail's treated slots are weighed by its size-per-treated ratio
-        coef = draw_mbcr(lay, np.random.default_rng(n)).mbcr.slot_coef
+        coef = layout_constants(lay).coef
         tail = lay.tail_size
         assert sorted(set(coef[lay.n - tail:])) == [
             -tail / (tail - lay.tail_treated),
@@ -295,62 +295,6 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
         assert np.array_equal(got, want)
 
 
-def test_mbcr_slot_coef_built_once_when_read():
-    lay = compute_layout(10, 3)  # groups of 4 and a tail of 2 with one treated
-    asg = draw_mbcr(lay, np.random.default_rng(4))
-    detail = asg.mbcr
-    assert "slot_coef" not in vars(detail)
-    coef = detail.slot_coef
-    assert detail.slot_coef is coef
-    assert coef.dtype == np.float64
-    # slot s delivers the pattern at beta[s] to the unit inv_eta[s] and
-    # weighs it by g = 4 in the full blocks, by the ratio 2 in the tail
-    t = asg.z[inverse_permutation(detail.eta)].astype(np.float64)
-    w_treat = np.array([4.0] * 8 + [2.0] * 2)
-    w_ctrl = np.array([4.0 / 3.0] * 8 + [2.0] * 2)
-    assert np.array_equal(coef, t * w_treat - (1.0 - t) * w_ctrl)
-    # the estimators read it in place, without rebuilding it
-    y0 = np.linspace(0.0, 0.5, lay.n)
-    data = ObservedData.realize(PotentialTable(y0, y0 + 0.25), asg)
-    ht_mbcr(data)
-    groupwise_sums(data)
-    assert detail.slot_coef is coef
-
-
-def _slot_coef_reference(layout, beta):
-    """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
-    t = layout.allocation_vector()[beta].astype(np.float64)
-    g = float(layout.group_size)
-    w_treat = np.full(layout.n, g)
-    w_ctrl = np.full(layout.n, g / (g - 1.0))
-    if layout.tail_size > 0:
-        body = layout.num_full_groups * layout.group_size
-        w_treat[body:] = layout.tail_size / layout.tail_treated
-        w_ctrl[body:] = layout.tail_size / (layout.tail_size - layout.tail_treated)
-    return t * w_treat - (1.0 - t) * w_ctrl
-
-
-@pytest.mark.parametrize(
-    "n,n1",
-    [
-        (12, 4),  # tiling, groups of 3
-        (10, 3),  # one treated unit spills into a tail of 2
-        (9, 4),  # two spill into a tail of 3
-        (10, 5),  # groups of 2
-        (47, 5),  # groups of 10, two spill into a tail of 7
-        (5000, 500),
-    ],
-)
-@pytest.mark.parametrize("seed", [0, 7, 2026])
-def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed):
-    lay = compute_layout(n, n1)
-    detail = draw_mbcr(lay, np.random.default_rng(seed)).mbcr
-    expected = _slot_coef_reference(lay, detail.beta)
-    # tobytes also compares the sign of every zero
-    assert detail.slot_coef.tobytes() == expected.tobytes()
-    assert not detail.slot_coef.flags.writeable
-
-
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100, 1 / 1000])
 def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
     asg = draw_bernoulli(20000, pi, np.random.default_rng(5))
@@ -399,8 +343,10 @@ def test_layout_constants_read_only_and_built_once(monkeypatch):
 
     monkeypatch.setattr(MbcrLayout, "allocation_vector", counting)
     lay = compute_layout(10, 3)
+    y0 = np.linspace(0.0, 0.5, lay.n)
+    table = PotentialTable(y0, y0 + 0.25)
     for seed in range(5):
-        draw_mbcr(lay, np.random.default_rng(seed)).mbcr.slot_coef
+        ObservedData.realize(table, draw_mbcr(lay, np.random.default_rng(seed))).slot_terms
     # an equal layout shares the constants
     assert layout_constants(compute_layout(10, 3)) is layout_constants(lay)
     assert calls == [10]

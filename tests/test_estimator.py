@@ -313,6 +313,19 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
     assert ht_standard(data) == float(np.mean(standard))
 
 
+def _slot_coef_reference(layout, beta):
+    """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
+    t = layout.allocation_vector()[beta].astype(np.float64)
+    g = float(layout.group_size)
+    w_treat = np.full(layout.n, g)
+    w_ctrl = np.full(layout.n, g / (g - 1.0))
+    if layout.tail_size > 0:
+        body = layout.num_full_groups * layout.group_size
+        w_treat[body:] = layout.tail_size / layout.tail_treated
+        w_ctrl[body:] = layout.tail_size / (layout.tail_size - layout.tail_treated)
+    return t * w_treat - (1.0 - t) * w_ctrl
+
+
 @pytest.mark.parametrize(
     "n,n1",
     [
@@ -320,20 +333,26 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
         (10, 3),  # one treated unit spills into a tail of 2
         (9, 4),  # two spill into a tail of 3
         (10, 5),  # groups of 2
+        (47, 5),  # groups of 10, two spill into a tail of 7
+        (5000, 500),
         (100000, 100),  # groups of 1000
     ],
 )
 @pytest.mark.parametrize("seed", [3, 41, 2027])
-def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed):
-    # slot_y scatters y through eta; gathering y through eta's inverse is
-    # the definition it must reproduce byte for byte
+def test_slot_terms_bit_identical_to_weighted_gather(n, n1, seed):
+    # slot_terms scatters y through eta and weighs it in place; the outcome
+    # gathered through eta's inverse, times each slot's coefficient, is the
+    # definition it must reproduce byte for byte
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(seed)
     data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
-    gathered = data.y[inverse_permutation(data.assignment.mbcr.eta)]
-    assert data.slot_y.dtype == gathered.dtype
-    assert data.slot_y.tobytes() == gathered.tobytes()
-    assert not data.slot_y.flags.writeable
+    detail = data.assignment.mbcr
+    gathered = data.y[inverse_permutation(detail.eta)]
+    expected = gathered * _slot_coef_reference(lay, detail.beta)
+    assert data.slot_terms.dtype == expected.dtype
+    # tobytes also compares the sign of every zero
+    assert data.slot_terms.tobytes() == expected.tobytes()
+    assert not data.slot_terms.flags.writeable
 
 
 def test_grouped_terms_cached_on_the_data():
@@ -341,14 +360,11 @@ def test_grouped_terms_cached_on_the_data():
     rng = np.random.default_rng(12)
     table = _random_table(47, rng)
     data = ObservedData.realize(table, draw_mbcr(lay, rng))
-    detail = data.assignment.mbcr
-    y_slot = data.y[inverse_permutation(detail.eta)]
-    assert data.slot_y.tobytes() == y_slot.tobytes()
-    assert data.slot_terms.tobytes() == (y_slot * detail.slot_coef).tobytes()
+    terms = data.slot_terms
     ht_mbcr(data)
     groupwise_sums(data)
     cached = vars(data)
-    assert cached["slot_y"] is data.slot_y and cached["slot_terms"] is data.slot_terms
+    assert cached["slot_terms"] is terms
     assert "unit_terms" not in cached
 
 
@@ -376,9 +392,11 @@ def test_mirrored_sums_equal_standard_under_grouping():
         for _ in range(10):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, draw_mbcr(lay, rng))
-            treated = lay.allocation_vector()[data.assignment.mbcr.beta]
+            detail = data.assignment.mbcr
+            treated = lay.allocation_vector()[detail.beta]
+            slot_y = data.y[inverse_permutation(detail.eta)]
             mirrored = np.array([
-                pseudo_outcome(data.slot_y[b], treated[b], p, "mirrored").sum()
+                pseudo_outcome(slot_y[b], treated[b], p, "mirrored").sum()
                 for b, p in zip(lay.slot_blocks(), props)
             ])
             assert np.allclose(mirrored, groupwise_sums(data), atol=1e-9)

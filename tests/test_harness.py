@@ -410,8 +410,8 @@ def test_grouped_replication_never_inverts_eta(monkeypatch):
     raw = _coverage_raw(methods=["hoeff-mbcr", "studentized"], replications=3)
     report = run_coverage(parse_config(raw))
     assert len(report.rows) == 2
-    # ht_mbcr and both group-sum variants read slot_y, which scatters y
-    # through eta instead of inverting it
+    # ht_mbcr and groupwise_sums read slot_terms, which scatters y through
+    # eta instead of inverting it
     assert calls == []
 
 
@@ -437,19 +437,17 @@ def _count_builds(monkeypatch, cls, name, calls):
             ["clt", "studentized-bern", "sub-bernoulli-bern"],
             ["unit_coef", "unit_terms"],
         ),
-        (["hoeff-mbcr", "studentized"], ["slot_coef", "slot_y", "slot_terms"]),
+        (["hoeff-mbcr", "studentized"], ["slot_terms"]),
     ],
 )
 def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
-    from tightci.design import Assignment, MbcrDraw
+    from tightci.design import Assignment
     from tightci.estimator import ObservedData
 
     calls = []
     for cls, name in (
         (Assignment, "unit_coef"),
-        (MbcrDraw, "slot_coef"),
         (ObservedData, "unit_terms"),
-        (ObservedData, "slot_y"),
         (ObservedData, "slot_terms"),
     ):
         _count_builds(monkeypatch, cls, name, calls)
@@ -610,6 +608,27 @@ def test_width_scaling_samples_no_table(monkeypatch):
     with_dgp = run_width_scaling(parse_config(raw))
     assert calls == []
     assert with_dgp.to_csv_bytes() == plain.to_csv_bytes()
+
+
+def test_width_scaling_half_width_finite_at_the_propensity_floor():
+    # At pi = 1e-308 the endpoints psi_hat -/+ half are finite but more than
+    # the largest float apart; the half-width is the builder's finite one
+    raw = {
+        "experiment": "width_scaling",
+        "grid": {"n": [2, 40], "pi": ["1e-308"], "alpha": [0.05]},
+        "methods": ["naive-hoeffding", "sub-bernoulli-bern"],
+        "replications": 1,
+        "seed": 0,
+    }
+    report = run_width_scaling(parse_config(raw))
+    halves = {(row["n"], row["method"]): row["mean_halfwidth"] for row in report.rows}
+    assert halves == {
+        (2, "naive-hoeffding"): 9.603227913199207e307,
+        (2, "sub-bernoulli-bern"): 1e308,
+        (40, "naive-hoeffding"): 2.147347041733688e307,
+        (40, "sub-bernoulli-bern"): 1e308,
+    }
+    assert b"inf" not in report.to_csv_bytes()
 
 
 def test_width_scaling_rejects_adaptive_methods():
