@@ -295,6 +295,43 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
         assert np.array_equal(got, want)
 
 
+def _slot_coef_reference(layout, beta):
+    """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
+    t = layout.allocation_vector()[beta].astype(np.float64)
+    g = float(layout.group_size)
+    w_treat = np.full(layout.n, g)
+    w_ctrl = np.full(layout.n, g / (g - 1.0))
+    if layout.tail_size > 0:
+        body = layout.num_full_groups * layout.group_size
+        w_treat[body:] = layout.tail_size / layout.tail_treated
+        w_ctrl[body:] = layout.tail_size / (layout.tail_size - layout.tail_treated)
+    return t * w_treat - (1.0 - t) * w_ctrl
+
+
+@pytest.mark.parametrize(
+    "n,n1",
+    [
+        (12, 4),  # tiling, groups of 3
+        (10, 3),  # one treated unit spills into a tail of 2
+        (9, 4),  # two spill into a tail of 3
+        (10, 5),  # groups of 2
+        (47, 5),  # groups of 10, two spill into a tail of 7
+        (5000, 500),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed):
+    # the grouped pseudo-outcomes weigh slot s by the layout's coefficient
+    # at beta[s]
+    lay = compute_layout(n, n1)
+    detail = draw_mbcr(lay, np.random.default_rng(seed)).mbcr
+    coef = layout_constants(lay).coef
+    expected = _slot_coef_reference(lay, detail.beta)
+    # tobytes also compares the sign of every zero
+    assert coef[detail.beta].tobytes() == expected.tobytes()
+    assert not coef.flags.writeable
+
+
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100, 1 / 1000])
 def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
     asg = draw_bernoulli(20000, pi, np.random.default_rng(5))
