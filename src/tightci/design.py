@@ -2,11 +2,12 @@
 
 Three assignment schemes: independent Bernoulli(pi) coin flips, complete
 randomization of a fixed treated count, and grouped ("mini-batch") complete
-randomization, which realizes complete randomization as a unit-wide shuffle
-composed with within-group shuffles over blocks of size ``ceil(1/pi)``.  The
+randomization, defined as a unit-wide shuffle ``eta`` composed with
+within-group shuffles ``beta`` over blocks of size ``ceil(1/pi)``.  The
 grouped form is distributionally identical to complete randomization but keeps
 explicit bookkeeping (which unit sits in which group, and the two permutations
-that put it there) that downstream estimators need.
+that put it there) that downstream estimators need.  The draw uses the
+identity ``beta``: the law of ``z`` and of each unit's group is unchanged.
 
 All draws are pure functions of an explicit ``numpy.random.Generator``; the
 same seeded generator always reproduces the same assignment.  Exact
@@ -171,15 +172,13 @@ class LayoutConstants(NamedTuple):
     ``allocation`` is :meth:`MbcrLayout.allocation_vector`; ``coef`` is each
     of its slots' Horvitz-Thompson coefficient: ``g`` at a full block's
     treated slot and ``-g/(g-1)`` at its control slots, with the tail block's
-    own size-per-treated ratio in place of ``g``.  ``block_pattern`` holds
-    one row ``0..g-1`` per full block and ``block_starts`` each full block's
-    first slot, as a column.
+    own size-per-treated ratio in place of ``g``.  ``slots`` is ``0..n-1``,
+    the identity ``beta`` that every draw of the layout shares.
     """
 
     allocation: np.ndarray
     coef: np.ndarray
-    block_pattern: np.ndarray
-    block_starts: np.ndarray
+    slots: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -198,8 +197,7 @@ def layout_constants(layout: MbcrLayout) -> LayoutConstants:
     return LayoutConstants(
         allocation=read_only(a),
         coef=read_only(coef),
-        block_pattern=np.broadcast_to(np.arange(g), (full, g)),
-        block_starts=read_only(np.arange(0, full * g, g)[:, None]),
+        slots=read_only(np.arange(layout.n)),
     )
 
 
@@ -276,28 +274,15 @@ def grouped_assignment(
 
 
 def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
-    """Grouped complete randomization draw.
+    """Grouped complete randomization draw: one uniform unit-wide permutation
+    ``eta`` from ``rng.permutation(n)``, with the identity ``beta``.
 
-    Samples one uniform permutation per full block, all in one
-    ``Generator.permuted`` call over a ``(num_full_groups, group_size)``
-    matrix (rows shuffled in order, consuming the same draws as one
-    ``rng.permutation(group_size)`` per block), then one for the tail, then
-    a uniform unit-wide permutation ``eta``, always in that order so a seeded
-    generator reproduces the draw exactly.
+    Shuffling within the blocks as well would not change the law of the
+    assignment or of each unit's block: a uniform ``eta`` composed with a
+    block-preserving ``beta`` is again uniform and keeps every unit's block.
     """
-    n, g, full = layout.n, layout.group_size, layout.num_full_groups
-    body = full * g
-    const = layout_constants(layout)
-    beta = np.empty(n, dtype=np.intp)
-    # Each block's shuffle lands in its own row of beta, then is offset there.
-    blocks = beta[:body].reshape(full, g)
-    rng.permuted(const.block_pattern, axis=1, out=blocks)
-    blocks += const.block_starts
-    if layout.tail_size >= 2:
-        beta[body:] = body + rng.permutation(layout.tail_size)
-    else:
-        beta[body:] = np.arange(body, n)
-    return grouped_assignment(layout, beta, rng.permutation(n))
+    slots = layout_constants(layout).slots
+    return grouped_assignment(layout, slots, rng.permutation(layout.n))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,9 @@ from .intervals import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
+# Bumped when a seed's draws change; stream 2 draws one unit-wide
+# permutation per grouped replication, stream 1 shuffled every block first.
+RNG_STREAM = 2
 
 EXPERIMENT_COVERAGE = "coverage"
 EXPERIMENT_WIDTH_SCALING = "width_scaling"
@@ -562,6 +565,16 @@ def resolve_workers(requested: int | None) -> int:
     return requested
 
 
+def _mean_half_width(halves: np.ndarray) -> float:
+    """``halves.mean()``; where its sum overflows though every half-width is
+    finite, the sum of ``halves / len(halves)``."""
+    with np.errstate(over="ignore"):
+        mean = halves.mean()
+    if mean == math.inf and np.isfinite(halves).all():
+        mean = (halves / halves.size).sum()
+    return float(mean)
+
+
 def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
     """Monte Carlo containment rates and widths over the config grid."""
     cells = _build_cells(config)
@@ -589,7 +602,7 @@ def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
                     m,
                     reps,
                     coverage=float(covered.mean()),
-                    half=float(halves.mean()),
+                    half=_mean_half_width(halves),
                     rmse=_rmse(est, cell.target),
                 )
             )
@@ -798,6 +811,7 @@ def write_outputs(out_dir, report: Report, config: ExperimentConfig) -> dict[str
         "tool": "tightci",
         "tool_version": TOOL_VERSION,
         "schema_version": SCHEMA_VERSION,
+        "rng_stream": RNG_STREAM,
         "experiment": report.experiment,
         "seed": config.seed,
         "config_sha256": config_sha256(config.raw),

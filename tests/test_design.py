@@ -1,5 +1,7 @@
 """Layout arithmetic, the three samplers, and exact enumeration."""
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -255,21 +257,16 @@ def test_mbcr_deterministic_and_consistent():
 
 
 def _draw_mbcr_loop_reference(layout, rng):
-    """The grouped draw written as one ``rng.permutation`` per block.
+    """The grouped draw written out: the identity ``beta``, then one uniform
+    unit-wide permutation ``eta``, so unit ``j`` gets the allocation
+    pattern's value at slot ``eta[j]``.
 
-    ``draw_mbcr`` shuffles every full block in one ``Generator.permuted``
-    call; this loop is the stream it must reproduce, so a numpy release that
-    changes ``permuted``'s draw order fails the comparison below.
+    This is the grouped stream: ``draw_mbcr`` must take exactly one
+    ``rng.permutation(n)`` from the generator and return these arrays.
     """
-    n, g = layout.n, layout.group_size
-    body = layout.num_full_groups * g
-    beta = np.arange(n)
-    for t in range(layout.num_full_groups):
-        beta[t * g:(t + 1) * g] = t * g + rng.permutation(g)
-    if layout.tail_size >= 2:
-        beta[body:] = body + rng.permutation(layout.tail_size)
-    eta = rng.permutation(n)
-    z = layout.allocation_vector()[beta][eta]
+    beta = np.arange(layout.n)
+    eta = rng.permutation(layout.n)
+    z = layout.allocation_vector()[eta]
     return z, beta, eta
 
 
@@ -400,6 +397,59 @@ def test_layout_constants_read_only_and_built_once(monkeypatch):
     assert fresh is not lay.allocation_vector()
     fresh[0] = 0
     assert lay.allocation_vector()[0] == 1 and alloc[0] == 1
+
+
+def _unit_block_law(layout, betas):
+    """Exact law of ``(z, each unit's block)`` over every unit-wide ``eta``
+    and every ``beta`` in ``betas``: integer counts as ``Fraction``s.
+
+    Unit ``j`` sits at slot ``eta[j]``, gets the allocation pattern's value at
+    ``beta[eta[j]]`` and, as ``beta`` keeps every slot in its block, lies in
+    the block of slot ``eta[j]``.
+    """
+    n, blocks = layout.n, layout.slot_blocks()
+    block_of = np.empty(n, dtype=np.int64)
+    for b, slots in enumerate(blocks):
+        block_of[slots] = b
+    a = layout.allocation_vector().astype(np.int64)
+    eta_mat = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # key = (z as n bits) * len(blocks)**n + (unit blocks in base len(blocks))
+    block_code = block_of[eta_mat] @ (len(blocks) ** np.arange(n))
+    z_weights = (1 << np.arange(n)) * len(blocks) ** n
+    tally = collections.Counter()
+    for beta in betas:
+        keys, counts = np.unique(
+            a[beta][eta_mat] @ z_weights + block_code, return_counts=True
+        )
+        tally.update(dict(zip(keys.tolist(), counts.tolist())))
+    total = sum(tally.values())
+    assert total == len(betas) * math.factorial(n)
+    return {key: Fraction(count, total) for key, count in tally.items()}
+
+
+@pytest.mark.parametrize(
+    "n,n1",
+    [
+        (5, 2),  # one treated unit spills into a tail of 2
+        (6, 2),  # tiling, groups of 3
+        (6, 3),  # tiling, groups of 2
+        (7, 3),  # two spill into a tail of 4
+    ],
+)
+def test_identity_beta_keeps_the_law_of_z_and_blocks(n, n1):
+    # draw_mbcr draws eta alone with the identity beta; the two-stage design
+    # also shuffles every block.  Both give z and each unit's block the same
+    # exact law.
+    lay = compute_layout(n, n1)
+    every_beta = [
+        np.concatenate(combo)
+        for combo in itertools.product(
+            *(itertools.permutations(block) for block in lay.slot_blocks())
+        )
+    ]
+    assert len(every_beta) == enumeration_space_size(lay) // math.factorial(n)
+    identity = [layout_constants(lay).slots]
+    assert _unit_block_law(lay, identity) == _unit_block_law(lay, every_beta)
 
 
 def test_mbcr_beta_preserves_blocks():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -631,6 +632,25 @@ def test_width_scaling_half_width_finite_at_the_propensity_floor():
     assert b"inf" not in report.to_csv_bytes()
 
 
+def test_coverage_mean_half_width_finite_at_the_propensity_floor():
+    # Each replication's half-width is finite, near the largest float, so
+    # the sum behind their mean overflows; the mean stays the closed form's
+    raw = _coverage_raw(
+        grid={"n": [40], "pi": ["1e-308"], "alpha": [0.05]},
+        methods=["naive-hoeffding", "sub-bernoulli-bern"],
+        replications=20,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_coverage(parse_config(raw))
+    scaling = run_width_scaling(parse_config({**raw, "experiment": "width_scaling"}))
+    closed = {row["method"]: row["mean_halfwidth"] for row in scaling.rows}
+    for row in report.rows:
+        assert math.isfinite(row["mean_halfwidth"])
+        assert row["mean_halfwidth"] == pytest.approx(closed[row["method"]], rel=1e-12)
+    assert b"inf" not in report.to_csv_bytes()
+
+
 def test_width_scaling_rejects_adaptive_methods():
     raw = {
         "experiment": "width_scaling",
@@ -759,6 +779,7 @@ def test_write_outputs_reproducible(tmp_path):
     assert first["manifest"].read_bytes() == second["manifest"].read_bytes()
     manifest = json.loads(first["manifest"].read_text())
     assert manifest["schema_version"] == "1"
+    assert manifest["rng_stream"] == 2
     assert manifest["seed"] == 3
     import hashlib
 
@@ -854,7 +875,7 @@ def test_golden_coverage_design_based():
     report = run_coverage(parse_config(_golden_coverage_raw("design_based")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "dca0f138a9e7bea0fa0c92ceac4fe45f1367e24e9f50bb07f6287ad5763ac4d0"
+        "124235aaf6d08296ea06ff894312cdaeb5a432b8918443654ad083fccfb11d44"
     )
 
 
@@ -862,7 +883,7 @@ def test_golden_coverage_superpopulation():
     report = run_coverage(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "b24ac21a93e828a679675901beca8830837e5fb74c3b2c34ff2853dbb3f97e5e"
+        "cb4533ee6a74aaef0320383351f311ef4f2521fbbc309dec9d6a0e755aaa0b7e"
     )
 
 
@@ -889,7 +910,7 @@ def test_golden_rmse():
     report = run_rmse(parse_config(raw))
     assert len(report.rows) == 3
     assert _sha256(report) == (
-        "d7b6a86c7cfc5a2fcda54a218febe30defaa83013b9993541a8bab15dbc36d8d"
+        "254004f2c83c4a2c23e9ccb7896d7cfc1e2d49413349ba6d9f978030fe59f4b7"
     )
 
 
@@ -924,5 +945,5 @@ def test_golden_benchmark_shapes():
     report = run_rmse(parse_config(rmse))
     assert len(report.rows) == 2
     assert _sha256(report) == (
-        "50d743e8200a5ffa065a7e8245824eaf17e6053b9f372c7b7811d9cd4a9d04b1"
+        "3f39eecf2cc73e279289a77f52532e619062e4287f3b4d95b2df3505a58a5d20"
     )
