@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from tightci.cli import main
-from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
+from tightci.design import (
+    MIN_PI,
+    compute_layout,
+    draw_bernoulli,
+    draw_mbcr,
+    inverse_permutation,
+)
 from tightci.estimator import ObservedData, PotentialTable
 from tightci.intervals import METHOD_TABLE, METHODS, reevaluate
 
@@ -199,10 +205,12 @@ _PERM_EDITS = {
 # (47, 5) spills one treated unit into a tail of 7 slots against blocks of 10;
 # (26, 6) spills two into a tail of 6 slots against blocks of 5.
 @pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
-def test_ci_supplied_permutation_detail_checked(tmp_path, capsys, n, n1, edit):
+def test_ci_supplied_permutation_detail_checked(
+    tmp_path, capsys, n, n1, edit, two_stage_mbcr
+):
     alter, message = _PERM_EDITS[edit]
     lay = compute_layout(n, n1)
-    asg = draw_mbcr(lay, np.random.default_rng(3))
+    asg = two_stage_mbcr(lay, np.random.default_rng(3))
     cols = alter(lay, {"z": asg.z, "beta": asg.mbcr.beta, "eta": asg.mbcr.eta})
     rows = (f"0.5,{int(z)},{b},{e}" for z, b, e in zip(*cols.values()))
     path = tmp_path / "data.csv"
@@ -216,6 +224,38 @@ def test_ci_supplied_permutation_detail_checked(tmp_path, capsys, n, n1, edit):
         assert code == 0 and err == ""
     else:
         assert code == 1 and message in err
+
+
+_GROUPED_METHODS = [m for m in METHODS if "mbcr" in METHOD_TABLE[m].cli_schemes]
+
+
+@pytest.mark.parametrize("method", _GROUPED_METHODS)
+@pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
+def test_ci_block_shuffled_columns_match_the_seeded_draw(
+    tmp_path, capsys, n, n1, method, two_stage_mbcr
+):
+    # beta,eta columns with a shuffled beta, and eta = beta^-1 . eta_seed, put
+    # every unit at a slot of its --seed block that holds its seeded z: the
+    # interval is the seeded one up to the order of each block's sum
+    lay = compute_layout(n, n1)
+    seeded = draw_mbcr(lay, np.random.default_rng(5))
+    beta = two_stage_mbcr(lay, np.random.default_rng(6)).mbcr.beta
+    eta = inverse_permutation(beta)[seeded.mbcr.eta]
+    rng = np.random.default_rng(7)
+    y0 = rng.uniform(0.0, 0.5, n)
+    y = ObservedData.realize(PotentialTable(y0, y0 + 0.5 * rng.random(n)), seeded).y
+    y_z = [f"{yy!r},{z}" for yy, z in zip(y.tolist(), seeded.z.tolist())]
+    cols, bare = tmp_path / "cols.csv", tmp_path / "bare.csv"
+    rows = (f"{yz},{b},{e}" for yz, b, e in zip(y_z, beta, eta))
+    cols.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
+    bare.write_text("\n".join(["y,z", *y_z]) + "\n")
+    base = ["--scheme", "mbcr", "--n1", str(n1), "--method", method, "--json"]
+    assert main(["ci", "--data", str(cols), *base]) == 0
+    shuffled = json.loads(capsys.readouterr().out)
+    assert main(["ci", "--data", str(bare), *base, "--seed", "5"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    for end in ("lower", "upper"):
+        assert shuffled[end] == pytest.approx(plain[end], rel=1e-12, abs=1e-12)
 
 
 def test_ci_wrong_seed_rejected(tmp_path, capsys):

@@ -227,19 +227,19 @@ def test_complete_uniform_over_arrangements():
 
 
 @pytest.mark.parametrize("n,n1", [(9, 3), (9, 4), (10, 3), (100, 10)])
-def test_mbcr_one_treated_per_group(n, n1):
+def test_mbcr_one_treated_per_group(n, n1, two_stage_mbcr):
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(77)
     for _ in range(50):
-        asg = draw_mbcr(lay, rng)
-        assert int(asg.z.sum()) == n1
-        inv_eta = inverse_permutation(asg.mbcr.eta)
-        groups = [inv_eta[block] for block in lay.slot_blocks()]
-        assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
-        for t in range(lay.num_full_groups):
-            assert int(asg.z[groups[t]].sum()) == 1
-        if lay.tail_size:
-            assert int(asg.z[groups[-1]].sum()) == lay.tail_treated
+        for asg in (draw_mbcr(lay, rng), two_stage_mbcr(lay, rng)):
+            assert int(asg.z.sum()) == n1
+            inv_eta = inverse_permutation(asg.mbcr.eta)
+            groups = [inv_eta[block] for block in lay.slot_blocks()]
+            assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
+            for t in range(lay.num_full_groups):
+                assert int(asg.z[groups[t]].sum()) == 1
+            if lay.tail_size:
+                assert int(asg.z[groups[-1]].sum()) == lay.tail_treated
 
 
 def test_mbcr_deterministic_and_consistent():
@@ -254,6 +254,15 @@ def test_mbcr_deterministic_and_consistent():
     assert np.array_equal(d1.z, a[d1.mbcr.beta][d1.mbcr.eta])
     # the unit at each slot receives the pattern's value at beta of that slot
     assert np.array_equal(d1.z[inverse_permutation(d1.mbcr.eta)], a[d1.mbcr.beta])
+
+
+def test_grouped_assignment_reads_beta(two_stage_mbcr):
+    lay = compute_layout(12, 4)
+    asg = two_stage_mbcr(lay, np.random.default_rng(99))
+    a = lay.allocation_vector()
+    assert not np.array_equal(a[asg.mbcr.beta], a)
+    assert np.array_equal(asg.z, a[asg.mbcr.beta][asg.mbcr.eta])
+    assert np.array_equal(asg.z[inverse_permutation(asg.mbcr.eta)], a[asg.mbcr.beta])
 
 
 def _draw_mbcr_loop_reference(layout, rng):
@@ -317,15 +326,15 @@ def _slot_coef_reference(layout, beta):
     ],
 )
 @pytest.mark.parametrize("seed", [0, 7, 2026])
-def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed):
+def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed, two_stage_mbcr):
     # the grouped pseudo-outcomes weigh slot s by the layout's coefficient
     # at beta[s]
     lay = compute_layout(n, n1)
-    detail = draw_mbcr(lay, np.random.default_rng(seed)).mbcr
+    beta = two_stage_mbcr(lay, np.random.default_rng(seed)).mbcr.beta
     coef = layout_constants(lay).coef
-    expected = _slot_coef_reference(lay, detail.beta)
+    expected = _slot_coef_reference(lay, beta)
     # tobytes also compares the sign of every zero
-    assert coef[detail.beta].tobytes() == expected.tobytes()
+    assert coef[beta].tobytes() == expected.tobytes()
     assert not coef.flags.writeable
 
 
@@ -452,11 +461,16 @@ def test_identity_beta_keeps_the_law_of_z_and_blocks(n, n1):
     assert _unit_block_law(lay, identity) == _unit_block_law(lay, every_beta)
 
 
-def test_mbcr_beta_preserves_blocks():
+def test_mbcr_beta_preserves_blocks(two_stage_mbcr):
     lay = compute_layout(10, 3)
-    draw = draw_mbcr(lay, np.random.default_rng(3)).mbcr
+    rng = np.random.default_rng(3)
+    # draw_mbcr shares the layout's identity beta across its draws
+    slots = layout_constants(lay).slots
+    assert draw_mbcr(lay, rng).mbcr.beta is slots
+    beta = two_stage_mbcr(lay, rng).mbcr.beta
+    assert not np.array_equal(beta, slots)
     for block in lay.slot_blocks():
-        assert np.array_equal(np.sort(draw.beta[block]), block)
+        assert np.array_equal(np.sort(beta[block]), block)
 
 
 # ---------------------------------------------------------------------------

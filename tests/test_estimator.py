@@ -241,11 +241,11 @@ def _ht_mbcr_by_hand(data):
 
 
 @pytest.mark.parametrize("n,n1,seed", [(9, 3, 17), (9, 4, 18), (10, 3, 19)])
-def test_ht_mbcr_matches_hand_expansion(n, n1, seed):
+def test_ht_mbcr_matches_hand_expansion(n, n1, seed, two_stage_mbcr):
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(seed)
     table = _random_table(n, rng)
-    asg = draw_mbcr(lay, rng)
+    asg = two_stage_mbcr(lay, rng)
     data = ObservedData.realize(table, asg)
     assert ht_mbcr(data) == pytest.approx(_ht_mbcr_by_hand(data), rel=1e-13)
 
@@ -325,13 +325,13 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
     ],
 )
 @pytest.mark.parametrize("seed", [3, 41, 2027])
-def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed):
+def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mbcr):
     # slot_terms scatters y through eta and weighs it in place; the outcome
     # gathered through eta's inverse, times each slot's coefficient, is the
     # definition it must reproduce byte for byte
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(seed)
-    data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
+    data = ObservedData.realize(_random_table(n, rng), two_stage_mbcr(lay, rng))
     detail = data.assignment.mbcr
     gathered = data.y[inverse_permutation(detail.eta)]
     expected = gathered * layout_constants(lay).coef[detail.beta]
@@ -362,7 +362,7 @@ def test_groupwise_total_is_estimate():
     assert groupwise_sums(data).sum() / 9 == pytest.approx(ht_mbcr(data), rel=1e-13)
 
 
-def test_mirrored_sums_equal_standard_under_grouping():
+def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
     # a mirrored sum is the standard one minus its block's coefficient
     # total, which is exactly zero, g - (g-1) g/(g-1) in a full block and
     # t s/t - (s-t) s/(s-t) in the tail; so the mirrored mean is the grouped
@@ -377,7 +377,7 @@ def test_mirrored_sums_equal_standard_under_grouping():
         props = [1 / g] * lay.num_full_groups + ([t / s] if s else [])
         for _ in range(10):
             table = _random_table(n, rng)
-            data = ObservedData.realize(table, draw_mbcr(lay, rng))
+            data = ObservedData.realize(table, two_stage_mbcr(lay, rng))
             detail = data.assignment.mbcr
             treated = lay.allocation_vector()[detail.beta]
             slot_y = data.y[inverse_permutation(detail.eta)]
