@@ -9,6 +9,10 @@ explicit bookkeeping (which unit sits in which group, and the two permutations
 that put it there) that downstream estimators need.  The draw uses the
 identity ``beta``: the law of ``z`` and of each unit's group is unchanged.
 
+A draw writes its arrays into a :class:`Workspace` when given one (a Monte
+Carlo chunk keeps one per design and reuses it for every replication) and
+into freshly allocated arrays otherwise, through the same in-place steps.
+
 All draws are pure functions of an explicit ``numpy.random.Generator``; the
 same seeded generator always reproduces the same assignment.  Exact
 enumeration of the grouped scheme's assignment distribution, used by the
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import NamedTuple
@@ -166,6 +170,41 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class Workspace:
+    """Full-length arrays that one design's replications are written into.
+
+    A replication chunk keeps one workspace per design and reuses its arrays
+    for every replication, so its working set is allocated and touched once
+    instead of being freed and faulted back in on each replication.  Each
+    replication overwrites the previous one's arrays: the objects built on a
+    workspace belong to the chunk that owns it, and they hold read-only views.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, n: int, dtype) -> np.ndarray:
+        """The writable array ``name`` of length ``n``, allocated on first use."""
+        a = self._arrays.get(name)
+        if a is None or a.shape != (n,) or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(n, dtype=dtype)
+        return a
+
+
+def buffer_for(workspace: Workspace | None, name: str, n: int, dtype) -> np.ndarray:
+    """Where an in-place step writes: the workspace's array ``name``, or a
+    fresh array when there is no workspace."""
+    if workspace is None:
+        return np.empty(n, dtype=dtype)
+    return workspace.array(name, n, dtype)
+
+
+def hand_out(workspace: Workspace | None, a: np.ndarray) -> np.ndarray:
+    """``a`` as its holder sees it: a read-only view of a workspace array,
+    or ``a`` itself when it was freshly allocated."""
+    return a if workspace is None else read_only(a.view())
+
+
 class LayoutConstants(NamedTuple):
     """Read-only arrays fixed by a grouped layout.
 
@@ -217,25 +256,46 @@ class MbcrDraw:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A realized treatment vector plus how it was drawn."""
+    """A realized treatment vector plus how it was drawn.
+
+    ``workspace`` is where the arrays derived from this draw (the treated
+    mask, the coefficients, and the outcomes and terms of the data realized
+    from it) are written; without one each is freshly allocated.
+    """
 
     z: np.ndarray
     scheme: str
     pi: float
     mbcr: MbcrDraw | None = None
+    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return int(self.z.shape[0])
 
     @cached_property
-    def unit_coef(self) -> np.ndarray:
-        """Each unit's Horvitz-Thompson coefficient at propensity ``pi``:
-        ``1/pi`` if treated, ``-1/(1-pi)`` if not."""
+    def treated(self) -> np.ndarray:
+        """Read-only mask of the treated units, ``z == 1``."""
+        mask = buffer_for(self.workspace, "treated", self.n, np.bool_)
+        np.equal(self.z, 1, out=mask)
+        return read_only(hand_out(self.workspace, mask))
+
+    def unit_weights(self) -> tuple[float, float]:
+        """The Horvitz-Thompson coefficients at propensity ``pi``: ``1/pi``
+        for a treated unit and ``-1/(1-pi)`` for a control."""
         if not 0.0 < self.pi < 1.0:
             raise DesignError(f"propensity {self.pi} outside (0, 1)")
         pi = float(self.pi)
-        return read_only(np.where(self.z == 1, 1.0 / pi, -1.0 / (1.0 - pi)))
+        return 1.0 / pi, -1.0 / (1.0 - pi)
+
+    @cached_property
+    def unit_coef(self) -> np.ndarray:
+        """Each unit's Horvitz-Thompson coefficient (:meth:`unit_weights`)."""
+        w_treat, w_ctrl = self.unit_weights()
+        coef = buffer_for(self.workspace, "unit_coef", self.n, np.float64)
+        coef.fill(w_ctrl)
+        np.copyto(coef, w_treat, where=self.treated)
+        return read_only(hand_out(self.workspace, coef))
 
 
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
@@ -244,13 +304,20 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def draw_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Assignment:
-    """Independent Bernoulli(pi) assignment for each unit."""
+def draw_bernoulli(
+    n: int, pi: float, rng: np.random.Generator, workspace: Workspace | None = None
+) -> Assignment:
+    """Independent Bernoulli(pi) assignment for each unit: unit ``j`` is
+    treated when its uniform ``rng.random(n)[j]`` is below ``pi``."""
     if n < 1:
         raise DesignError(f"need n >= 1, got {n}")
     validate_propensity(pi)
-    z = (rng.random(n) < pi).astype(np.int8)
-    return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi))
+    u = rng.random(out=buffer_for(workspace, "uniforms", n, np.float64))
+    # A boolean's byte is 0 or 1, so the mask read as int8 is the 0/1 vector.
+    z = np.less(u, pi, out=buffer_for(workspace, "z", n, np.bool_)).view(np.int8)
+    return Assignment(
+        z=hand_out(workspace, z), scheme=SCHEME_BERNOULLI, pi=float(pi), workspace=workspace
+    )
 
 
 def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
@@ -263,26 +330,44 @@ def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
 
 
 def grouped_assignment(
-    layout: MbcrLayout, beta: np.ndarray, eta: np.ndarray
+    layout: MbcrLayout,
+    beta: np.ndarray,
+    eta: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> Assignment:
     """The grouped assignment that the permutations ``beta`` and ``eta`` make:
     unit ``j`` receives the allocation pattern's value at slot
-    ``beta[eta[j]]``."""
-    z = layout_constants(layout).allocation[beta][eta]
-    detail = MbcrDraw(layout=layout, beta=beta, eta=eta)
-    return Assignment(z=z, scheme=SCHEME_MBCR, pi=layout.n1 / layout.n, mbcr=detail)
+    ``beta[eta[j]]``.  The layout's own ``slots`` as ``beta`` is the identity,
+    and the pattern is then read without gathering through it."""
+    const = layout_constants(layout)
+    pattern = const.allocation if beta is const.slots else const.allocation[beta]
+    z = np.take(pattern, eta, out=buffer_for(workspace, "z", layout.n, np.int8))
+    detail = MbcrDraw(layout=layout, beta=beta, eta=hand_out(workspace, eta))
+    return Assignment(
+        z=hand_out(workspace, z),
+        scheme=SCHEME_MBCR,
+        pi=layout.n1 / layout.n,
+        mbcr=detail,
+        workspace=workspace,
+    )
 
 
-def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
+def draw_mbcr(
+    layout: MbcrLayout, rng: np.random.Generator, workspace: Workspace | None = None
+) -> Assignment:
     """Grouped complete randomization draw: one uniform unit-wide permutation
-    ``eta`` from ``rng.permutation(n)``, with the identity ``beta``.
+    ``eta``, bit for bit ``rng.permutation(n)``, with the identity ``beta``.
 
     Shuffling within the blocks as well would not change the law of the
     assignment or of each unit's block: a uniform ``eta`` composed with a
     block-preserving ``beta`` is again uniform and keeps every unit's block.
     """
     slots = layout_constants(layout).slots
-    return grouped_assignment(layout, slots, rng.permutation(layout.n))
+    eta = buffer_for(workspace, "eta", layout.n, slots.dtype)
+    # rng.permutation(n) shuffles a fresh arange(n) in place; so does this.
+    np.copyto(eta, slots)
+    rng.shuffle(eta)
+    return grouped_assignment(layout, slots, eta, workspace)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ for slot ``s``, the observed outcome belongs to the unit at that slot
 ``beta(s)``, weighted by ``layout_constants(layout).coef`` at ``beta(s)``:
 full blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g``
 with its own size-per-treated ratio.  Other draws hold each unit's weight
-(``Assignment.unit_coef``).  An :class:`ObservedData` forms its standard
+(``Assignment.unit_weights``).  An :class:`ObservedData` forms its standard
 pseudo-outcomes once, so the estimators and intervals of one replication
-share them.
+share them; its outcomes and terms are written into the assignment's
+workspace when it has one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .design import (
     SCHEME_MBCR,
     Assignment,
     MbcrLayout,
+    buffer_for,
+    hand_out,
     inverse_permutation,
     layout_constants,
     read_only,
@@ -156,9 +159,11 @@ class ObservedData:
         """Observe the potential outcome selected by each unit's arm."""
         if table.n != assignment.n:
             raise EstimatorError("table and assignment sizes differ")
-        z = assignment.z
-        y = np.where(z == 1, table.y1, table.y0)
-        return cls(y=y, assignment=assignment)
+        ws = assignment.workspace
+        y = buffer_for(ws, "y", assignment.n, np.float64)
+        np.copyto(y, table.y0)
+        np.copyto(y, table.y1, where=assignment.treated)
+        return cls(y=hand_out(ws, y), assignment=assignment)
 
     @property
     def n(self) -> int:
@@ -166,23 +171,33 @@ class ObservedData:
 
     @cached_property
     def unit_terms(self) -> np.ndarray:
-        """Standard pseudo-outcomes, one per unit: ``y * unit_coef``."""
-        return read_only(self.y * self.assignment.unit_coef)
+        """Standard pseudo-outcomes, one per unit: ``y * unit_coef``, formed
+        as every unit's control term and then the treated units' over it."""
+        asg = self.assignment
+        w_treat, w_ctrl = asg.unit_weights()
+        terms = buffer_for(asg.workspace, "unit_terms", self.n, np.float64)
+        np.multiply(self.y, w_ctrl, out=terms)
+        np.multiply(self.y, w_treat, out=terms, where=asg.treated)
+        return read_only(hand_out(asg.workspace, terms))
 
     @cached_property
     def slot_terms(self) -> np.ndarray:
         """Grouped pseudo-outcomes, one per slot: the outcome of the unit at
         slot ``s`` (unit ``j`` sits at slot ``eta[j]``, so ``y`` is scattered
-        through ``eta``) times the layout's coefficient at ``beta[s]``."""
-        detail = self.assignment.mbcr
+        through ``eta``) times the layout's coefficient at ``beta[s]``, read
+        directly when ``beta`` is the layout's identity ``slots``."""
+        asg = self.assignment
+        detail = asg.mbcr
         if detail is None:
             raise EstimatorError(
                 "grouped estimator needs the draw's permutation detail (beta, eta)"
             )
-        terms = np.empty_like(self.y)
+        const = layout_constants(detail.layout)
+        coef = const.coef if detail.beta is const.slots else const.coef[detail.beta]
+        terms = buffer_for(asg.workspace, "slot_terms", self.n, np.float64)
         terms[detail.eta] = self.y
-        terms *= layout_constants(detail.layout).coef[detail.beta]
-        return read_only(terms)
+        terms *= coef
+        return read_only(hand_out(asg.workspace, terms))
 
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):

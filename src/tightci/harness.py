@@ -40,6 +40,7 @@ from .design import (
     DesignError,
     EnumerationBudgetError,
     MbcrLayout,
+    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -482,7 +483,9 @@ def _coverage_chunk(
     containment and half-width under ``("covered", m)`` and ``("half", m)``.
 
     Closed forms need only the estimates: their half-width is fixed per cell,
-    so coverage is evaluated over the merged estimate arrays.
+    so coverage is evaluated over the merged estimate arrays.  Each design
+    draws, realizes and weights every replication of the chunk into one
+    workspace, so the chunk's full-length arrays are allocated once.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
     schemes = {spec.scheme for spec in specs.values()}
@@ -493,16 +496,24 @@ def _coverage_chunk(
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
+    workspaces = {scheme: Workspace() for scheme in schemes}
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
         data = {}
         if SCHEME_MBCR in schemes:
-            asg = draw_mbcr(cell.layout, child_rng(config.seed, cell.idx, rep, _TAG_MBCR))
+            asg = draw_mbcr(
+                cell.layout,
+                child_rng(config.seed, cell.idx, rep, _TAG_MBCR),
+                workspaces[SCHEME_MBCR],
+            )
             data[SCHEME_MBCR] = ObservedData.realize(table, asg)
             out["est", SCHEME_MBCR][k] = ht_mbcr(data[SCHEME_MBCR])
         if SCHEME_BERNOULLI in schemes:
             asg = draw_bernoulli(
-                cell.n, pi_f, child_rng(config.seed, cell.idx, rep, _TAG_BERN)
+                cell.n,
+                pi_f,
+                child_rng(config.seed, cell.idx, rep, _TAG_BERN),
+                workspaces[SCHEME_BERNOULLI],
             )
             data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
             out["est", SCHEME_BERNOULLI][k] = ht_standard(data[SCHEME_BERNOULLI])
@@ -524,11 +535,14 @@ def _run_cells(config, cells, workers: int):
     Chunk boundaries never influence the results: every replication owns its
     own seed path and lands at its absolute index during the merge, so any
     worker count produces identical reports.  More workers than CPUs or
-    tasks would only idle, so the pool is clamped to both.
+    tasks would only idle, so the pool is clamped to both.  The pool gets
+    four chunks per worker for load balance; one worker runs each cell as a
+    single chunk, whose workspaces are then built once per cell.
     """
     reps = config.replications
     cpus = os.cpu_count() or 1
-    chunk = max(1, math.ceil(reps / (min(workers, cpus) * 4)))
+    pool = min(workers, cpus)
+    chunk = reps if pool == 1 else max(1, math.ceil(reps / (pool * 4)))
     tasks = [
         (cell, start, min(start + chunk, reps))
         for cell in cells

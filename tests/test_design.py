@@ -15,6 +15,7 @@ from tightci.design import (
     DesignError,
     EnumerationBudgetError,
     LayoutInfeasibleError,
+    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_complete,
@@ -350,6 +351,48 @@ def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
     z = complete.z.astype(np.float64)
     expected = z / complete.pi - (1.0 - z) / (1.0 - complete.pi)
     assert complete.unit_coef.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 20000, 100000])
+@pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 1000, Fraction(1, 10)])
+def test_bernoulli_z_is_the_int8_comparison(n, pi):
+    # z reads the comparison's booleans as int8: the dtype and the bytes of
+    # (u < pi).astype(np.int8), from the same uniforms
+    for seed in (0, 9):
+        asg = draw_bernoulli(n, pi, np.random.default_rng(seed))
+        want = (np.random.default_rng(seed).random(n) < pi).astype(np.int8)
+        assert asg.z.dtype == want.dtype == np.int8
+        assert asg.z.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,n1", [(10, 3), (5000, 500)])
+def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
+    # a draw into a workspace gives the bytes of the one-shot draw, holds
+    # read-only views, and the next draw into it overwrites the same arrays
+    lay = compute_layout(n, n1)
+    ws_mbcr, ws_bern = Workspace(), Workspace()
+    first = draw_mbcr(lay, np.random.default_rng(1), ws_mbcr)
+    bern = draw_bernoulli(n, n1 / n, np.random.default_rng(1), ws_bern)
+    views = (first.z, first.mbcr.eta, first.treated, bern.z, bern.treated, bern.unit_coef)
+    for view in views:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0
+    for seed in (2, 3):
+        again = draw_mbcr(lay, np.random.default_rng(seed), ws_mbcr)
+        fresh = draw_mbcr(lay, np.random.default_rng(seed))
+        assert again.z.tobytes() == fresh.z.tobytes()
+        assert again.mbcr.eta.tobytes() == fresh.mbcr.eta.tobytes()
+        assert np.shares_memory(again.z, first.z)
+        assert np.shares_memory(again.mbcr.eta, first.mbcr.eta)
+        b_again = draw_bernoulli(n, n1 / n, np.random.default_rng(seed), ws_bern)
+        b_fresh = draw_bernoulli(n, n1 / n, np.random.default_rng(seed))
+        assert b_again.z.tobytes() == b_fresh.z.tobytes()
+        assert b_again.unit_coef.tobytes() == b_fresh.unit_coef.tobytes()
+        assert np.shares_memory(b_again.unit_coef, bern.unit_coef)
+    # one-shot draws own their arrays, writable as before
+    assert fresh.z.flags.writeable and fresh.mbcr.eta.flags.writeable
+    assert b_fresh.z.flags.writeable
 
 
 def test_propensity_floor_keeps_one_over_pi_finite():

@@ -14,6 +14,7 @@ from tightci.design import (
     draw_bernoulli,
     draw_complete,
     draw_mbcr,
+    grouped_assignment,
     inverse_permutation,
     layout_constants,
 )
@@ -339,6 +340,64 @@ def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mb
     # tobytes also compares the sign of every zero
     assert data.slot_terms.tobytes() == expected.tobytes()
     assert not data.slot_terms.flags.writeable
+
+
+def test_identity_beta_skips_the_gathers():
+    import tracemalloc
+
+    # with the layout's own slots as beta the pattern and the coefficients
+    # are read directly; an equal beta that is another array is gathered
+    # through, with the same bytes
+    n = 100000
+    lay = compute_layout(n, 100)
+    rng = np.random.default_rng(4)
+    table = _random_table(n, rng)
+    eta = rng.permutation(n)
+    slots = layout_constants(lay).slots
+    peaks, terms = {}, {}
+    tracemalloc.start()
+    try:
+        for name, beta in (("identity", slots), ("gathered", np.arange(n))):
+            asg = grouped_assignment(lay, beta, eta)
+            data = ObservedData.realize(table, asg)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            terms[name] = data.slot_terms
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            assert asg.z.tobytes() == lay.allocation_vector()[eta].tobytes()
+    finally:
+        tracemalloc.stop()
+    assert terms["identity"].tobytes() == terms["gathered"].tobytes()
+    full = 8 * n  # one full-length float64 array
+    assert full <= peaks["identity"] < 2 * full <= peaks["gathered"]
+
+
+def test_public_draws_and_data_keep_their_bytes():
+    # a one-shot draw, realization or term vector is never written by a
+    # later one
+    n = 5000
+    lay = compute_layout(n, 50)
+    table = _random_table(n, np.random.default_rng(6))
+    held = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        grouped = ObservedData.realize(table, draw_mbcr(lay, rng))
+        bern = ObservedData.realize(table, draw_bernoulli(n, 0.01, rng))
+        arrays = (
+            grouped.assignment.z,
+            grouped.assignment.mbcr.eta,
+            grouped.y,
+            grouped.slot_terms,
+            bern.assignment.z,
+            bern.assignment.unit_coef,
+            bern.y,
+            bern.unit_terms,
+        )
+        held.append((arrays, [a.tobytes() for a in arrays]))
+    (first, first_bytes), (second, _) = held
+    assert [a.tobytes() for a in first] == first_bytes
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a, b)
 
 
 def test_grouped_terms_cached_on_the_data():

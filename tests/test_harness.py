@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tightci.design import MIN_PI, EnumerationBudgetError, LayoutInfeasibleError
@@ -414,6 +415,109 @@ def test_grouped_replication_never_inverts_eta(monkeypatch):
     # ht_mbcr and groupwise_sums read slot_terms, which scatters y through
     # eta instead of inverting it
     assert calls == []
+
+
+@pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
+def test_chunk_equals_its_one_replication_chunks(setting):
+    from tightci.harness import _build_cells, _coverage_chunk
+
+    # a chunk reuses its arrays across replications; none may carry over, so
+    # a chunk's record is byte for byte its one-replication chunks' records
+    raw = _coverage_raw(
+        grid={"n": [1000], "pi": ["3/100"], "alpha": [0.05]},
+        methods=["studentized", "studentized-bern", "clt", "hoeff-mbcr", "naive-hoeffding"],
+        replications=6,
+        setting=setting,
+    )
+    cfg = parse_config(raw)
+    (cell,) = _build_cells(cfg)
+    assert cell.layout.tail_size > 0 and len(cell.methods) == 5
+    whole = _coverage_chunk(cfg, cell, 0, 6)
+    parts = [_coverage_chunk(cfg, cell, rep, rep + 1) for rep in range(6)]
+    assert sorted(whole) == sorted(parts[0])
+    for key, arr in whole.items():
+        joined = np.concatenate([part[key] for part in parts])
+        assert arr.dtype == joined.dtype
+        assert arr.tobytes() == joined.tobytes()
+
+
+def test_chunk_allocates_no_full_length_array_after_its_first_replication(monkeypatch):
+    import tracemalloc
+
+    from tightci import harness
+
+    # each replication begins with its grouped draw's child_rng call; the
+    # traced peak between two such calls, over the traced size at the first,
+    # is what that replication allocated.  clt and studentized-bern are left
+    # out: their interval arithmetic makes full-length temporaries of its own.
+    n = 20000
+    raw = _coverage_raw(
+        grid={"n": [n], "pi": ["1/100"], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "naive-hoeffding"],
+        replications=5,
+    )
+    cfg = parse_config(raw)
+    (cell,) = harness._build_cells(cfg)
+    real = harness.child_rng
+    starts, peaks = [], []
+
+    def marking(seed, *path):
+        if path[-1] == harness._TAG_MBCR:
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            starts.append(current)
+            tracemalloc.reset_peak()
+        return real(seed, *path)
+
+    monkeypatch.setattr(harness, "child_rng", marking)
+    tracemalloc.start()
+    try:
+        harness._coverage_chunk(cfg, cell, 0, 5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    grown = [peak - start for start, peak in zip(starts, peaks[1:])]
+    assert len(grown) == 5
+    full = 8 * n  # one full-length float64 array
+    assert grown[0] >= full  # the first replication builds the arrays
+    assert max(grown[1:]) < full
+
+
+def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
+    from tightci import harness
+
+    calls = []
+    real = harness._coverage_chunk
+
+    def recording(config, cell, start, stop):
+        calls.append((cell.n, start, stop))
+        return real(config, cell, start, stop)
+
+    monkeypatch.setattr(harness, "_coverage_chunk", recording)
+    raw = _coverage_raw(grid={"n": [100, 200], "pi": ["1/10"], "alpha": [0.05]})
+    cfg = parse_config(raw)
+    serial = run_coverage(cfg, workers=1).to_csv_bytes()
+    assert calls == [(100, 0, 40), (200, 0, 40)]
+    # the pool still splits each cell into four chunks per worker
+    calls.clear()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    assert run_coverage(cfg, workers=2).to_csv_bytes() == serial
+    assert calls == [(n, s, s + 5) for n in (100, 200) for s in range(0, 40, 5)]
 
 
 def _count_builds(monkeypatch, cls, name, calls):
