@@ -166,7 +166,8 @@ def compute_layout(n: int, n1: int) -> MbcrLayout:
 
 def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, locked against writes: for arrays cached and shared by readers."""
-    a.flags.writeable = False
+    if a.flags.writeable:
+        a.flags.writeable = False
     return a
 
 
@@ -181,28 +182,28 @@ class Workspace:
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def array(self, name: str, n: int, dtype) -> np.ndarray:
-        """The writable array ``name`` of length ``n``, allocated on first use."""
-        a = self._arrays.get(name)
-        if a is None or a.shape != (n,) or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(n, dtype=dtype)
-        return a
+    def array(self, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The array ``name`` of length ``n`` and a read-only view of it, both
+        made on first use."""
+        pair = self._arrays.get(name)
+        if pair is None:
+            a = np.empty(n, dtype=dtype)
+            pair = self._arrays[name] = (a, read_only(a.view()))
+        return pair
 
 
-def buffer_for(workspace: Workspace | None, name: str, n: int, dtype) -> np.ndarray:
-    """Where an in-place step writes: the workspace's array ``name``, or a
-    fresh array when there is no workspace."""
+def buffer_for(
+    workspace: Workspace | None, name: str, n: int, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """An array for an in-place step to write, and the array its result is
+    handed out as: the workspace's array ``name`` and its read-only view, or,
+    without a workspace, one fresh array twice."""
     if workspace is None:
-        return np.empty(n, dtype=dtype)
+        a = np.empty(n, dtype=dtype)
+        return a, a
     return workspace.array(name, n, dtype)
-
-
-def hand_out(workspace: Workspace | None, a: np.ndarray) -> np.ndarray:
-    """``a`` as its holder sees it: a read-only view of a workspace array,
-    or ``a`` itself when it was freshly allocated."""
-    return a if workspace is None else read_only(a.view())
 
 
 class LayoutConstants(NamedTuple):
@@ -276,9 +277,9 @@ class Assignment:
     @cached_property
     def treated(self) -> np.ndarray:
         """Read-only mask of the treated units, ``z == 1``."""
-        mask = buffer_for(self.workspace, "treated", self.n, np.bool_)
+        mask, shown = buffer_for(self.workspace, "treated", self.n, np.bool_)
         np.equal(self.z, 1, out=mask)
-        return read_only(hand_out(self.workspace, mask))
+        return read_only(shown)
 
     def unit_weights(self) -> tuple[float, float]:
         """The Horvitz-Thompson coefficients at propensity ``pi``: ``1/pi``
@@ -292,10 +293,10 @@ class Assignment:
     def unit_coef(self) -> np.ndarray:
         """Each unit's Horvitz-Thompson coefficient (:meth:`unit_weights`)."""
         w_treat, w_ctrl = self.unit_weights()
-        coef = buffer_for(self.workspace, "unit_coef", self.n, np.float64)
+        coef, shown = buffer_for(self.workspace, "unit_coef", self.n, np.float64)
         coef.fill(w_ctrl)
         np.copyto(coef, w_treat, where=self.treated)
-        return read_only(hand_out(self.workspace, coef))
+        return read_only(shown)
 
 
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
@@ -312,12 +313,12 @@ def draw_bernoulli(
     if n < 1:
         raise DesignError(f"need n >= 1, got {n}")
     validate_propensity(pi)
-    u = rng.random(out=buffer_for(workspace, "uniforms", n, np.float64))
+    u, _ = buffer_for(workspace, "uniforms", n, np.float64)
+    below, shown = buffer_for(workspace, "z", n, np.bool_)
+    np.less(rng.random(out=u), pi, out=below)
     # A boolean's byte is 0 or 1, so the mask read as int8 is the 0/1 vector.
-    z = np.less(u, pi, out=buffer_for(workspace, "z", n, np.bool_)).view(np.int8)
-    return Assignment(
-        z=hand_out(workspace, z), scheme=SCHEME_BERNOULLI, pi=float(pi), workspace=workspace
-    )
+    z = shown.view(np.int8)
+    return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi), workspace=workspace)
 
 
 def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
@@ -330,24 +331,33 @@ def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
 
 
 def grouped_assignment(
-    layout: MbcrLayout,
-    beta: np.ndarray,
-    eta: np.ndarray,
-    workspace: Workspace | None = None,
+    layout: MbcrLayout, beta: np.ndarray, eta: np.ndarray
 ) -> Assignment:
     """The grouped assignment that the permutations ``beta`` and ``eta`` make:
     unit ``j`` receives the allocation pattern's value at slot
     ``beta[eta[j]]``.  The layout's own ``slots`` as ``beta`` is the identity,
     and the pattern is then read without gathering through it."""
+    return _grouped(layout, beta, eta, eta, None)
+
+
+def _grouped(
+    layout: MbcrLayout,
+    beta: np.ndarray,
+    eta: np.ndarray,
+    held_eta: np.ndarray,
+    workspace: Workspace | None,
+) -> Assignment:
+    """:func:`grouped_assignment`, with ``z`` in ``workspace`` and the draw
+    holding ``held_eta``, the array ``eta`` as the draw's holder sees it."""
     const = layout_constants(layout)
     pattern = const.allocation if beta is const.slots else const.allocation[beta]
-    z = np.take(pattern, eta, out=buffer_for(workspace, "z", layout.n, np.int8))
-    detail = MbcrDraw(layout=layout, beta=beta, eta=hand_out(workspace, eta))
+    z, shown = buffer_for(workspace, "z", layout.n, np.int8)
+    np.take(pattern, eta, out=z)
     return Assignment(
-        z=hand_out(workspace, z),
+        z=shown,
         scheme=SCHEME_MBCR,
         pi=layout.n1 / layout.n,
-        mbcr=detail,
+        mbcr=MbcrDraw(layout=layout, beta=beta, eta=held_eta),
         workspace=workspace,
     )
 
@@ -363,11 +373,12 @@ def draw_mbcr(
     block-preserving ``beta`` is again uniform and keeps every unit's block.
     """
     slots = layout_constants(layout).slots
-    eta = buffer_for(workspace, "eta", layout.n, slots.dtype)
+    eta, shown = buffer_for(workspace, "eta", layout.n, slots.dtype)
     # rng.permutation(n) shuffles a fresh arange(n) in place; so does this.
     np.copyto(eta, slots)
     rng.shuffle(eta)
-    return grouped_assignment(layout, slots, eta, workspace)
+    # np.take copies an index array it cannot write, so it reads eta itself.
+    return _grouped(layout, slots, eta, shown, workspace)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .design import (
     Assignment,
     MbcrLayout,
     buffer_for,
-    hand_out,
     inverse_permutation,
     layout_constants,
     read_only,
@@ -159,11 +158,10 @@ class ObservedData:
         """Observe the potential outcome selected by each unit's arm."""
         if table.n != assignment.n:
             raise EstimatorError("table and assignment sizes differ")
-        ws = assignment.workspace
-        y = buffer_for(ws, "y", assignment.n, np.float64)
+        y, shown = buffer_for(assignment.workspace, "y", assignment.n, np.float64)
         np.copyto(y, table.y0)
         np.copyto(y, table.y1, where=assignment.treated)
-        return cls(y=hand_out(ws, y), assignment=assignment)
+        return cls(y=shown, assignment=assignment)
 
     @property
     def n(self) -> int:
@@ -175,10 +173,10 @@ class ObservedData:
         as every unit's control term and then the treated units' over it."""
         asg = self.assignment
         w_treat, w_ctrl = asg.unit_weights()
-        terms = buffer_for(asg.workspace, "unit_terms", self.n, np.float64)
+        terms, shown = buffer_for(asg.workspace, "unit_terms", self.n, np.float64)
         np.multiply(self.y, w_ctrl, out=terms)
         np.multiply(self.y, w_treat, out=terms, where=asg.treated)
-        return read_only(hand_out(asg.workspace, terms))
+        return read_only(shown)
 
     @cached_property
     def slot_terms(self) -> np.ndarray:
@@ -194,10 +192,10 @@ class ObservedData:
             )
         const = layout_constants(detail.layout)
         coef = const.coef if detail.beta is const.slots else const.coef[detail.beta]
-        terms = buffer_for(asg.workspace, "slot_terms", self.n, np.float64)
+        terms, shown = buffer_for(asg.workspace, "slot_terms", self.n, np.float64)
         terms[detail.eta] = self.y
         terms *= coef
-        return read_only(hand_out(asg.workspace, terms))
+        return read_only(shown)
 
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
