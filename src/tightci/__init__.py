@@ -17,7 +17,6 @@ from .design import (  # noqa: E402,F401
     MbcrLayout,
     compute_layout,
     draw_bernoulli,
-    draw_complete,
     draw_mbcr,
     enumerate_mbcr_distribution,
 )
@@ -25,11 +24,9 @@ from .estimator import (  # noqa: E402,F401
     EstimatorError,
     ObservedData,
     PotentialTable,
-    conditional_mean_given_eta,
     groupwise_sums,
     ht_mbcr,
     ht_standard,
-    pseudo_outcome,
 )
 from .intervals import (  # noqa: E402,F401
     Interval,

@@ -130,12 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
-    perm = values.astype(np.int64)
-    if not np.array_equal(np.asarray(values, dtype=float), perm.astype(float)):
+    """The float column ``values`` as an integer permutation of ``0..n-1``,
+    checked before the cast, which would mangle a value outside int64."""
+    if not np.array_equal(values, np.trunc(values)):
         raise CliError(f"{name} column must contain integers")
-    if not np.array_equal(np.sort(perm), np.arange(n)):
+    if not np.array_equal(np.sort(values), np.arange(n)):
         raise CliError(f"{name} column is not a permutation of 0..{n - 1}")
-    return perm
+    return values.astype(np.int64)
 
 
 def _mbcr_assignment(args, z: np.ndarray, perm_cols) -> Assignment:
@@ -159,7 +160,8 @@ def _mbcr_assignment(args, z: np.ndarray, perm_cols) -> Assignment:
         block = np.minimum(np.arange(n) // layout.group_size, layout.num_full_groups)
         if not np.array_equal(block[beta], block):
             raise CliError("beta column does not preserve the group blocks")
-        assignment = grouped_assignment(layout, beta, eta)
+        # Unit j gets the pattern at beta[eta[j]], a slot of eta[j]'s block.
+        assignment = grouped_assignment(layout, beta[eta])
     else:
         assignment = draw_mbcr(layout, np.random.default_rng(args.seed))
     if not np.array_equal(assignment.z, z):
@@ -231,6 +233,8 @@ def _compute_ci(args) -> Interval:
     else:
         if perm_cols is not None:
             raise CliError("beta/eta permutation detail only applies to scheme mbcr")
+        if args.seed is not None:
+            raise CliError("--seed only applies to scheme mbcr")
         assignment = Assignment(z=z, scheme=scheme, pi=pi)
         if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
             # Complete randomization is the grouped design when the groups

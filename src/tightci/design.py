@@ -2,12 +2,15 @@
 
 Three assignment schemes: independent Bernoulli(pi) coin flips, complete
 randomization of a fixed treated count, and grouped ("mini-batch") complete
-randomization, defined as a unit-wide shuffle ``eta`` composed with
-within-group shuffles ``beta`` over blocks of size ``ceil(1/pi)``.  The
-grouped form is distributionally identical to complete randomization but keeps
-explicit bookkeeping (which unit sits in which group, and the two permutations
-that put it there) that downstream estimators need.  The draw uses the
-identity ``beta``: the law of ``z`` and of each unit's group is unchanged.
+randomization over blocks of size ``ceil(1/pi)``.  The grouped form is
+distributionally identical to complete randomization but keeps explicit
+bookkeeping that downstream estimators need: one uniform unit-wide
+permutation ``eta`` that seats unit ``j`` at slot ``eta[j]``, and so in that
+slot's block.  The paper defines the design in two stages, ``eta`` composed
+with within-block shuffles ``beta``; a uniform ``eta`` composed with a
+block-preserving ``beta`` is again uniform, so one permutation gives ``z``
+and each unit's block the same law.  :func:`enumerate_mbcr_distribution`
+enumerates the two-stage definition.
 
 A draw writes its arrays into a :class:`Workspace` when given one (a Monte
 Carlo chunk keeps one per design and reuses it for every replication) and
@@ -116,14 +119,6 @@ class MbcrLayout:
         a[body:body + self.tail_treated] = 1
         return a
 
-    def slot_blocks(self) -> list[np.ndarray]:
-        """Slot index ranges, one per group, tail last when present."""
-        g, t = self.group_size, self.num_full_groups
-        blocks = [np.arange(i * g, (i + 1) * g) for i in range(t)]
-        if self.tail_size > 0:
-            blocks.append(np.arange(t * g, self.n))
-        return blocks
-
 
 def compute_layout(n: int, n1: int) -> MbcrLayout:
     """Group-size arithmetic for a treated count ``n1`` out of ``n`` units.
@@ -213,7 +208,7 @@ class LayoutConstants(NamedTuple):
     of its slots' Horvitz-Thompson coefficient: ``g`` at a full block's
     treated slot and ``-g/(g-1)`` at its control slots, with the tail block's
     own size-per-treated ratio in place of ``g``.  ``slots`` is ``0..n-1``,
-    the identity ``beta`` that every draw of the layout shares.
+    which every draw copies and shuffles into its ``eta``.
     """
 
     allocation: np.ndarray
@@ -243,15 +238,11 @@ def layout_constants(layout: MbcrLayout) -> LayoutConstants:
 
 @dataclass(frozen=True)
 class MbcrDraw:
-    """Permutation bookkeeping for one grouped draw.
-
-    ``beta`` permutes slots within each block (slot ``s`` delivers the
-    allocation pattern's value at ``beta[s]``); ``eta`` maps unit ``j`` to
-    slot ``eta[j]``.
+    """Permutation bookkeeping for one grouped draw: ``eta`` maps unit ``j``
+    to slot ``eta[j]``, which delivers the allocation pattern's value there.
     """
 
     layout: MbcrLayout
-    beta: np.ndarray
     eta: np.ndarray
 
 
@@ -299,12 +290,6 @@ class Assignment:
         return read_only(shown)
 
 
-def inverse_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.shape[0])
-    return inv
-
-
 def draw_bernoulli(
     n: int, pi: float, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> Assignment:
@@ -321,43 +306,27 @@ def draw_bernoulli(
     return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi), workspace=workspace)
 
 
-def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
-    """Uniform draw over all arrangements of ``n1`` ones among ``n`` slots."""
-    _check_counts(n, n1)
-    canonical = np.zeros(n, dtype=np.int8)
-    canonical[:n1] = 1
-    z = rng.permutation(canonical)
-    return Assignment(z=z, scheme=SCHEME_COMPLETE, pi=n1 / n)
-
-
-def grouped_assignment(
-    layout: MbcrLayout, beta: np.ndarray, eta: np.ndarray
-) -> Assignment:
-    """The grouped assignment that the permutations ``beta`` and ``eta`` make:
-    unit ``j`` receives the allocation pattern's value at slot
-    ``beta[eta[j]]``.  The layout's own ``slots`` as ``beta`` is the identity,
-    and the pattern is then read without gathering through it."""
-    return _grouped(layout, beta, eta, eta, None)
+def grouped_assignment(layout: MbcrLayout, eta: np.ndarray) -> Assignment:
+    """The grouped assignment that the permutation ``eta`` makes: unit ``j``
+    receives the allocation pattern's value at slot ``eta[j]``."""
+    return _grouped(layout, eta, eta, None)
 
 
 def _grouped(
     layout: MbcrLayout,
-    beta: np.ndarray,
     eta: np.ndarray,
     held_eta: np.ndarray,
     workspace: Workspace | None,
 ) -> Assignment:
     """:func:`grouped_assignment`, with ``z`` in ``workspace`` and the draw
     holding ``held_eta``, the array ``eta`` as the draw's holder sees it."""
-    const = layout_constants(layout)
-    pattern = const.allocation if beta is const.slots else const.allocation[beta]
     z, shown = buffer_for(workspace, "z", layout.n, np.int8)
-    np.take(pattern, eta, out=z)
+    np.take(layout_constants(layout).allocation, eta, out=z)
     return Assignment(
         z=shown,
         scheme=SCHEME_MBCR,
         pi=layout.n1 / layout.n,
-        mbcr=MbcrDraw(layout=layout, beta=beta, eta=held_eta),
+        mbcr=MbcrDraw(layout=layout, eta=held_eta),
         workspace=workspace,
     )
 
@@ -366,7 +335,7 @@ def draw_mbcr(
     layout: MbcrLayout, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> Assignment:
     """Grouped complete randomization draw: one uniform unit-wide permutation
-    ``eta``, bit for bit ``rng.permutation(n)``, with the identity ``beta``.
+    ``eta``, bit for bit ``rng.permutation(n)``.
 
     Shuffling within the blocks as well would not change the law of the
     assignment or of each unit's block: a uniform ``eta`` composed with a
@@ -378,7 +347,7 @@ def draw_mbcr(
     np.copyto(eta, slots)
     rng.shuffle(eta)
     # np.take copies an index array it cannot write, so it reads eta itself.
-    return _grouped(layout, slots, eta, shown, workspace)
+    return _grouped(layout, eta, shown, workspace)
 
 
 @dataclass(frozen=True)

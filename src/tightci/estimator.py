@@ -2,15 +2,14 @@
 
 Inverse-probability-weighted pseudo-outcomes under all three designs,
 including the grouped form that reweights each block by its conditional
-propensity, and an exact conditional-expectation oracle for verifying
-unbiasedness.  Only the Bernoulli Studentized interval forms mirrored terms.
+propensity.  Only the Bernoulli Studentized interval forms mirrored terms.
 
 Index conventions for the grouped estimator follow the draw's bookkeeping:
 for slot ``s``, the observed outcome belongs to the unit at that slot
 (``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
-``beta(s)``, weighted by ``layout_constants(layout).coef`` at ``beta(s)``:
-full blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g``
-with its own size-per-treated ratio.  Other draws hold each unit's weight
+``s``, weighted by ``layout_constants(layout).coef`` at ``s``: full blocks
+use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its own
+size-per-treated ratio.  Other draws hold each unit's weight
 (``Assignment.unit_weights``).  An :class:`ObservedData` forms its standard
 pseudo-outcomes once, so the estimators and intervals of one replication
 share them; its outcomes and terms are written into the assignment's
@@ -20,7 +19,6 @@ workspace when it has one.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,15 +29,10 @@ from .design import (
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
     Assignment,
-    MbcrLayout,
     buffer_for,
-    inverse_permutation,
     layout_constants,
     read_only,
 )
-
-VARIANT_STANDARD = "standard"
-VARIANT_MIRRORED = "mirrored"
 
 
 class EstimatorError(ValueError):
@@ -182,39 +175,17 @@ class ObservedData:
     def slot_terms(self) -> np.ndarray:
         """Grouped pseudo-outcomes, one per slot: the outcome of the unit at
         slot ``s`` (unit ``j`` sits at slot ``eta[j]``, so ``y`` is scattered
-        through ``eta``) times the layout's coefficient at ``beta[s]``, read
-        directly when ``beta`` is the layout's identity ``slots``."""
+        through ``eta``) times the layout's coefficient at ``s``."""
         asg = self.assignment
         detail = asg.mbcr
         if detail is None:
             raise EstimatorError(
-                "grouped estimator needs the draw's permutation detail (beta, eta)"
+                "grouped estimator needs the draw's permutation detail (eta)"
             )
-        const = layout_constants(detail.layout)
-        coef = const.coef if detail.beta is const.slots else const.coef[detail.beta]
         terms, shown = buffer_for(asg.workspace, "slot_terms", self.n, np.float64)
         terms[detail.eta] = self.y
-        terms *= coef
+        terms *= layout_constants(detail.layout).coef
         return read_only(shown)
-
-
-def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
-    """Inverse-probability-weighted per-unit effect estimate.
-
-    Standard form ``y * (z/p - (1-z)/(1-p))`` lies in
-    ``[-1/(1-p), 1/p]``; the mirrored form replaces ``y`` with ``y - 1`` and
-    reflects that range.  Accepts scalars or arrays.  For ``z`` in {0, 1}
-    the standard form equals :attr:`ObservedData.unit_terms` bit for bit.
-    """
-    if not (0.0 < prop < 1.0):
-        raise EstimatorError(f"propensity {prop} outside (0, 1)")
-    if variant not in (VARIANT_STANDARD, VARIANT_MIRRORED):
-        raise EstimatorError(f"unknown variant {variant!r}")
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    base = y if variant == VARIANT_STANDARD else y - 1.0
-    out = base * (z / prop - (1.0 - z) / (1.0 - prop))
-    return float(out) if out.ndim == 0 else out
 
 
 def ht_standard(data: ObservedData) -> float:
@@ -254,44 +225,3 @@ def groupwise_sums(data: ObservedData) -> np.ndarray:
     if lay.tail_size > 0:
         sums = np.append(sums, vals[body:].sum())
     return sums
-
-
-def conditional_mean_given_eta(
-    table: PotentialTable, layout: MbcrLayout, eta: np.ndarray
-) -> float:
-    """Exact expectation of the grouped estimate over within-group shuffles.
-
-    Given the unit-wide permutation, averages each group's sum over every
-    admissible placement of its treated units (single choices for full
-    blocks, subsets for the tail) and adds the groups up; group placements
-    are independent so the sum of per-group means is the exact expectation.
-    The result equals the table's finite-population effect for every
-    permutation.
-    """
-    eta = np.asarray(eta)
-    if eta.shape[0] != layout.n or table.n != layout.n:
-        raise EstimatorError("table, layout, and permutation sizes differ")
-    inv_eta = inverse_permutation(eta)
-    g = float(layout.group_size)
-    w_ctrl = g / (g - 1.0)
-    total = 0.0
-    blocks = layout.slot_blocks()
-    full = blocks[: layout.num_full_groups]
-    for block in full:
-        units = inv_eta[block]
-        y0g, y1g = table.y0[units], table.y1[units]
-        s0 = y0g.sum()
-        total += float(np.mean(g * y1g - w_ctrl * (s0 - y0g)))
-    if layout.tail_size > 0:
-        units = inv_eta[blocks[-1]]
-        y0g, y1g = table.y0[units], table.y1[units]
-        s0 = y0g.sum()
-        wt = layout.tail_size / layout.tail_treated
-        wc = layout.tail_size / (layout.tail_size - layout.tail_treated)
-        acc = 0.0
-        combos = list(itertools.combinations(range(layout.tail_size), layout.tail_treated))
-        for picked in combos:
-            sel = list(picked)
-            acc += wt * y1g[sel].sum() - wc * (s0 - y0g[sel].sum())
-        total += acc / len(combos)
-    return total / layout.n

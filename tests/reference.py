@@ -1,0 +1,100 @@
+"""Reference forms the tests check the library against.
+
+Plain per-unit and per-block expressions of what the library computes in
+vectorized form, and the exact conditional-expectation oracle for the
+grouped estimator's unbiasedness.  No library code path calls them.
+"""
+
+import itertools
+
+import numpy as np
+
+from tightci.design import SCHEME_COMPLETE, Assignment, MbcrLayout, _check_counts
+from tightci.estimator import EstimatorError, PotentialTable
+
+VARIANT_STANDARD = "standard"
+VARIANT_MIRRORED = "mirrored"
+
+
+def draw_complete(n: int, n1: int, rng: np.random.Generator) -> Assignment:
+    """Uniform draw over all arrangements of ``n1`` ones among ``n`` slots."""
+    _check_counts(n, n1)
+    canonical = np.zeros(n, dtype=np.int8)
+    canonical[:n1] = 1
+    z = rng.permutation(canonical)
+    return Assignment(z=z, scheme=SCHEME_COMPLETE, pi=n1 / n)
+
+
+def inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.shape[0])
+    return inv
+
+
+def slot_blocks(layout: MbcrLayout) -> list[np.ndarray]:
+    """Slot index ranges, one per group, tail last when present."""
+    g, t = layout.group_size, layout.num_full_groups
+    blocks = [np.arange(i * g, (i + 1) * g) for i in range(t)]
+    if layout.tail_size > 0:
+        blocks.append(np.arange(t * g, layout.n))
+    return blocks
+
+
+def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
+    """Inverse-probability-weighted per-unit effect estimate.
+
+    Standard form ``y * (z/p - (1-z)/(1-p))`` lies in
+    ``[-1/(1-p), 1/p]``; the mirrored form replaces ``y`` with ``y - 1`` and
+    reflects that range.  Accepts scalars or arrays.  For ``z`` in {0, 1}
+    the standard form equals ``ObservedData.unit_terms`` bit for bit.
+    """
+    if not (0.0 < prop < 1.0):
+        raise EstimatorError(f"propensity {prop} outside (0, 1)")
+    if variant not in (VARIANT_STANDARD, VARIANT_MIRRORED):
+        raise EstimatorError(f"unknown variant {variant!r}")
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    base = y if variant == VARIANT_STANDARD else y - 1.0
+    out = base * (z / prop - (1.0 - z) / (1.0 - prop))
+    return float(out) if out.ndim == 0 else out
+
+
+def conditional_mean_given_eta(
+    table: PotentialTable, layout: MbcrLayout, eta: np.ndarray
+) -> float:
+    """Exact expectation of the grouped estimate over within-group shuffles.
+
+    Given the unit-wide permutation, averages each group's sum over every
+    admissible placement of its treated units (single choices for full
+    blocks, subsets for the tail) and adds the groups up; group placements
+    are independent so the sum of per-group means is the exact expectation.
+    The result equals the table's finite-population effect for every
+    permutation.
+    """
+    eta = np.asarray(eta)
+    if eta.shape[0] != layout.n or table.n != layout.n:
+        raise EstimatorError("table, layout, and permutation sizes differ")
+    inv_eta = inverse_permutation(eta)
+    g = float(layout.group_size)
+    w_ctrl = g / (g - 1.0)
+    total = 0.0
+    blocks = slot_blocks(layout)
+    full = blocks[: layout.num_full_groups]
+    for block in full:
+        units = inv_eta[block]
+        y0g, y1g = table.y0[units], table.y1[units]
+        s0 = y0g.sum()
+        total += float(np.mean(g * y1g - w_ctrl * (s0 - y0g)))
+    if layout.tail_size > 0:
+        units = inv_eta[blocks[-1]]
+        y0g, y1g = table.y0[units], table.y1[units]
+        s0 = y0g.sum()
+        wt = layout.tail_size / layout.tail_treated
+        wc = layout.tail_size / (layout.tail_size - layout.tail_treated)
+        acc = 0.0
+        combos = list(itertools.combinations(range(layout.tail_size), layout.tail_treated))
+        for picked in combos:
+            sel = list(picked)
+            acc += wt * y1g[sel].sum() - wc * (s0 - y0g[sel].sum())
+        total += acc / len(combos)
+    return total / layout.n

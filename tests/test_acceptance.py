@@ -11,14 +11,10 @@ import time
 
 import numpy as np
 
+from reference import conditional_mean_given_eta
 from tightci.design import compute_layout, draw_mbcr
 from tightci.dgp import DgpSpec, sample_population
-from tightci.estimator import (
-    ObservedData,
-    PotentialTable,
-    conditional_mean_given_eta,
-    ht_mbcr,
-)
+from tightci.estimator import ObservedData, PotentialTable, ht_mbcr
 from tightci.harness import (
     child_rng,
     parse_config,

@@ -8,14 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import draw_complete, inverse_permutation
 from tightci.cli import main
-from tightci.design import (
-    MIN_PI,
-    compute_layout,
-    draw_bernoulli,
-    draw_mbcr,
-    inverse_permutation,
-)
+from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
 from tightci.intervals import METHOD_TABLE, METHODS, reevaluate
 
@@ -47,7 +42,7 @@ def _write_mbcr_data(path, n=1000, n1=100, seed=42, draw_seed=99, with_perms=Tru
         w = csv.writer(fh)
         if with_perms:
             w.writerow(["y", "z", "beta", "eta"])
-            rows = zip(data.y, asg.z, asg.mbcr.beta, asg.mbcr.eta)
+            rows = zip(data.y, asg.z, np.arange(n), asg.mbcr.eta)
             for yy, zz, bb, ee in rows:
                 w.writerow([repr(float(yy)), int(zz), int(bb), int(ee)])
         else:
@@ -181,6 +176,11 @@ _PERM_EDITS = {
         lambda lay, cols: {**cols, "beta": [0.5, *cols["beta"][1:]]},
         "beta column must contain integers",
     ),
+    # refused on the float column, before a cast to int64 could mangle it
+    "beta-beyond-int64": (
+        lambda lay, cols: {**cols, "beta": [1e20, *cols["beta"][1:]]},
+        "beta column is not a permutation",
+    ),
     "repeated-eta": (
         lambda lay, cols: {**cols, "eta": [cols["eta"][1], *cols["eta"][1:]]},
         "eta column is not a permutation",
@@ -206,12 +206,13 @@ _PERM_EDITS = {
 # (26, 6) spills two into a tail of 6 slots against blocks of 5.
 @pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
 def test_ci_supplied_permutation_detail_checked(
-    tmp_path, capsys, n, n1, edit, two_stage_mbcr
+    tmp_path, capsys, n, n1, edit, two_stage_perms
 ):
     alter, message = _PERM_EDITS[edit]
     lay = compute_layout(n, n1)
-    asg = two_stage_mbcr(lay, np.random.default_rng(3))
-    cols = alter(lay, {"z": asg.z, "beta": asg.mbcr.beta, "eta": asg.mbcr.eta})
+    beta, eta = two_stage_perms(lay, np.random.default_rng(3))
+    z = lay.allocation_vector()[beta[eta]]
+    cols = alter(lay, {"z": z, "beta": beta, "eta": eta})
     rows = (f"0.5,{int(z)},{b},{e}" for z, b, e in zip(*cols.values()))
     path = tmp_path / "data.csv"
     path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
@@ -232,14 +233,14 @@ _GROUPED_METHODS = [m for m in METHODS if "mbcr" in METHOD_TABLE[m].cli_schemes]
 @pytest.mark.parametrize("method", _GROUPED_METHODS)
 @pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
 def test_ci_block_shuffled_columns_match_the_seeded_draw(
-    tmp_path, capsys, n, n1, method, two_stage_mbcr
+    tmp_path, capsys, n, n1, method, two_stage_perms
 ):
     # beta,eta columns with a shuffled beta, and eta = beta^-1 . eta_seed, put
-    # every unit at a slot of its --seed block that holds its seeded z: the
-    # interval is the seeded one up to the order of each block's sum
+    # every unit at a slot of its --seed block that holds its seeded z: they
+    # compose to the seeded eta, so the interval is the seeded one
     lay = compute_layout(n, n1)
     seeded = draw_mbcr(lay, np.random.default_rng(5))
-    beta = two_stage_mbcr(lay, np.random.default_rng(6)).mbcr.beta
+    beta, _ = two_stage_perms(lay, np.random.default_rng(6))
     eta = inverse_permutation(beta)[seeded.mbcr.eta]
     rng = np.random.default_rng(7)
     y0 = rng.uniform(0.0, 0.5, n)
@@ -285,6 +286,24 @@ def test_ci_negative_seed_rejected(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--seed" in err
+
+
+@pytest.mark.parametrize("scheme", ["bernoulli", "complete"])
+def test_ci_seed_refused_outside_mbcr(tmp_path, capsys, scheme):
+    # only a grouped draw is regenerated from --seed; elsewhere it would be
+    # ignored, so it is refused like the permutation columns
+    path = tmp_path / "data.csv"
+    data = _write_bernoulli_data(path)
+    design = {
+        "bernoulli": ["--pi", "0.1"],
+        "complete": ["--n1", str(int(data.assignment.z.sum()))],
+    }[scheme]
+    base = ["ci", "--data", str(path), "--scheme", scheme, *design, "--method", "clt"]
+    assert main(base) == 0
+    capsys.readouterr()
+    assert main([*base, "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed only applies to scheme mbcr" in err
 
 
 def test_ci_alpha_validation(tmp_path, capsys):
@@ -410,8 +429,6 @@ def test_ci_complete_scheme_with_tiling_groups(tmp_path, capsys):
     n, n1 = 200, 20
     y0 = rng.uniform(0, 0.4, n)
     table = PotentialTable(y0, y0 + 0.5)
-    from tightci.design import draw_complete
-
     asg = draw_complete(n, n1, rng)
     data = ObservedData.realize(table, asg)
     path = tmp_path / "complete.csv"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import draw_complete, inverse_permutation, slot_blocks
 from tightci.design import (
     MIN_PI,
     Assignment,
@@ -18,11 +19,10 @@ from tightci.design import (
     Workspace,
     compute_layout,
     draw_bernoulli,
-    draw_complete,
     draw_mbcr,
     enumerate_mbcr_distribution,
     enumeration_space_size,
-    inverse_permutation,
+    grouped_assignment,
     layout_constants,
     validate_propensity,
 )
@@ -235,7 +235,7 @@ def test_mbcr_one_treated_per_group(n, n1, two_stage_mbcr):
         for asg in (draw_mbcr(lay, rng), two_stage_mbcr(lay, rng)):
             assert int(asg.z.sum()) == n1
             inv_eta = inverse_permutation(asg.mbcr.eta)
-            groups = [inv_eta[block] for block in lay.slot_blocks()]
+            groups = [inv_eta[block] for block in slot_blocks(lay)]
             assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
             for t in range(lay.num_full_groups):
                 assert int(asg.z[groups[t]].sum()) == 1
@@ -248,36 +248,36 @@ def test_mbcr_deterministic_and_consistent():
     d1 = draw_mbcr(lay, np.random.default_rng(99))
     d2 = draw_mbcr(lay, np.random.default_rng(99))
     assert np.array_equal(d1.z, d2.z)
-    assert np.array_equal(d1.mbcr.beta, d2.mbcr.beta)
     assert np.array_equal(d1.mbcr.eta, d2.mbcr.eta)
-    # realized vector is the allocation pattern pushed through both shuffles
+    # realized vector is the allocation pattern pushed through eta
     a = lay.allocation_vector()
-    assert np.array_equal(d1.z, a[d1.mbcr.beta][d1.mbcr.eta])
-    # the unit at each slot receives the pattern's value at beta of that slot
-    assert np.array_equal(d1.z[inverse_permutation(d1.mbcr.eta)], a[d1.mbcr.beta])
+    assert np.array_equal(d1.z, a[d1.mbcr.eta])
+    # the unit at each slot receives the pattern's value at that slot
+    assert np.array_equal(d1.z[inverse_permutation(d1.mbcr.eta)], a)
 
 
-def test_grouped_assignment_reads_beta(two_stage_mbcr):
+def test_grouped_assignment_reads_beta(two_stage_perms):
+    # the two-stage draw is the one permutation beta[eta]
     lay = compute_layout(12, 4)
-    asg = two_stage_mbcr(lay, np.random.default_rng(99))
+    beta, eta = two_stage_perms(lay, np.random.default_rng(99))
     a = lay.allocation_vector()
-    assert not np.array_equal(a[asg.mbcr.beta], a)
-    assert np.array_equal(asg.z, a[asg.mbcr.beta][asg.mbcr.eta])
-    assert np.array_equal(asg.z[inverse_permutation(asg.mbcr.eta)], a[asg.mbcr.beta])
+    assert not np.array_equal(a[beta], a)
+    asg = grouped_assignment(lay, beta[eta])
+    assert np.array_equal(asg.z, a[beta][eta])
+    assert np.array_equal(asg.z[inverse_permutation(eta)], a[beta])
 
 
 def _draw_mbcr_loop_reference(layout, rng):
-    """The grouped draw written out: the identity ``beta``, then one uniform
-    unit-wide permutation ``eta``, so unit ``j`` gets the allocation
-    pattern's value at slot ``eta[j]``.
+    """The grouped draw written out: one uniform unit-wide permutation
+    ``eta``, so unit ``j`` gets the allocation pattern's value at slot
+    ``eta[j]``.
 
     This is the grouped stream: ``draw_mbcr`` must take exactly one
     ``rng.permutation(n)`` from the generator and return these arrays.
     """
-    beta = np.arange(layout.n)
     eta = rng.permutation(layout.n)
     z = layout.allocation_vector()[eta]
-    return z, beta, eta
+    return z, eta
 
 
 @pytest.mark.parametrize(
@@ -296,8 +296,8 @@ def _draw_mbcr_loop_reference(layout, rng):
 def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
     lay = compute_layout(n, n1)
     asg = draw_mbcr(lay, np.random.default_rng(seed))
-    z, beta, eta = _draw_mbcr_loop_reference(lay, np.random.default_rng(seed))
-    for got, want in ((asg.z, z), (asg.mbcr.beta, beta), (asg.mbcr.eta, eta)):
+    z, eta = _draw_mbcr_loop_reference(lay, np.random.default_rng(seed))
+    for got, want in ((asg.z, z), (asg.mbcr.eta, eta)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -327,11 +327,11 @@ def _slot_coef_reference(layout, beta):
     ],
 )
 @pytest.mark.parametrize("seed", [0, 7, 2026])
-def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed, two_stage_mbcr):
-    # the grouped pseudo-outcomes weigh slot s by the layout's coefficient
-    # at beta[s]
+def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed, two_stage_perms):
+    # the two-stage design weighs slot s by the layout's coefficient at
+    # beta[s]
     lay = compute_layout(n, n1)
-    beta = two_stage_mbcr(lay, np.random.default_rng(seed)).mbcr.beta
+    beta, _ = two_stage_perms(lay, np.random.default_rng(seed))
     coef = layout_constants(lay).coef
     expected = _slot_coef_reference(lay, beta)
     # tobytes also compares the sign of every zero
@@ -459,7 +459,7 @@ def _unit_block_law(layout, betas):
     ``beta[eta[j]]`` and, as ``beta`` keeps every slot in its block, lies in
     the block of slot ``eta[j]``.
     """
-    n, blocks = layout.n, layout.slot_blocks()
+    n, blocks = layout.n, slot_blocks(layout)
     block_of = np.empty(n, dtype=np.int64)
     for b, slots in enumerate(blocks):
         block_of[slots] = b
@@ -489,14 +489,13 @@ def _unit_block_law(layout, betas):
     ],
 )
 def test_identity_beta_keeps_the_law_of_z_and_blocks(n, n1):
-    # draw_mbcr draws eta alone with the identity beta; the two-stage design
-    # also shuffles every block.  Both give z and each unit's block the same
-    # exact law.
+    # draw_mbcr draws eta alone; the two-stage design also shuffles every
+    # block.  Both give z and each unit's block the same exact law.
     lay = compute_layout(n, n1)
     every_beta = [
         np.concatenate(combo)
         for combo in itertools.product(
-            *(itertools.permutations(block) for block in lay.slot_blocks())
+            *(itertools.permutations(block) for block in slot_blocks(lay))
         )
     ]
     assert len(every_beta) == enumeration_space_size(lay) // math.factorial(n)
@@ -504,16 +503,16 @@ def test_identity_beta_keeps_the_law_of_z_and_blocks(n, n1):
     assert _unit_block_law(lay, identity) == _unit_block_law(lay, every_beta)
 
 
-def test_mbcr_beta_preserves_blocks(two_stage_mbcr):
+def test_mbcr_beta_preserves_blocks(two_stage_perms):
     lay = compute_layout(10, 3)
-    rng = np.random.default_rng(3)
-    # draw_mbcr shares the layout's identity beta across its draws
-    slots = layout_constants(lay).slots
-    assert draw_mbcr(lay, rng).mbcr.beta is slots
-    beta = two_stage_mbcr(lay, rng).mbcr.beta
-    assert not np.array_equal(beta, slots)
-    for block in lay.slot_blocks():
+    beta, eta = two_stage_perms(lay, np.random.default_rng(3))
+    assert not np.array_equal(beta, np.arange(lay.n))
+    block_of = np.empty(lay.n, dtype=np.int64)
+    for b, block in enumerate(slot_blocks(lay)):
         assert np.array_equal(np.sort(beta[block]), block)
+        block_of[block] = b
+    # so the composed beta[eta] seats every unit in the block eta gives it
+    assert np.array_equal(block_of[beta[eta]], block_of[eta])
 
 
 # ---------------------------------------------------------------------------

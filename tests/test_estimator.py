@@ -9,24 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import (
+    conditional_mean_given_eta,
+    draw_complete,
+    inverse_permutation,
+    pseudo_outcome,
+    slot_blocks,
+)
 from tightci.design import (
     compute_layout,
     draw_bernoulli,
-    draw_complete,
     draw_mbcr,
-    grouped_assignment,
-    inverse_permutation,
     layout_constants,
 )
 from tightci.estimator import (
     EstimatorError,
     ObservedData,
     PotentialTable,
-    conditional_mean_given_eta,
     groupwise_sums,
     ht_mbcr,
     ht_standard,
-    pseudo_outcome,
 )
 
 
@@ -222,7 +224,6 @@ def _ht_mbcr_by_hand(data):
     det = data.assignment.mbcr
     lay = det.layout
     eta = det.eta.tolist()
-    beta = det.beta.tolist()
     a = lay.allocation_vector().tolist()
     inv_eta = {eta[j]: j for j in range(lay.n)}
     g = lay.group_size
@@ -230,13 +231,13 @@ def _ht_mbcr_by_hand(data):
     for t in range(lay.num_full_groups):
         for s in range(t * g, (t + 1) * g):
             y = data.y[inv_eta[s]]
-            treated = a[beta[s]]
+            treated = a[s]
             total += y * (treated / (1 / g) - (1 - treated) / (1 - 1 / g))
     if lay.tail_size:
         ratio = lay.tail_size / lay.tail_treated
         for s in range(lay.num_full_groups * g, lay.n):
             y = data.y[inv_eta[s]]
-            treated = a[beta[s]]
+            treated = a[s]
             total += y * (treated / (1 / ratio) - (1 - treated) / (1 - 1 / ratio))
     return total / lay.n
 
@@ -335,41 +336,32 @@ def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mb
     data = ObservedData.realize(_random_table(n, rng), two_stage_mbcr(lay, rng))
     detail = data.assignment.mbcr
     gathered = data.y[inverse_permutation(detail.eta)]
-    expected = gathered * layout_constants(lay).coef[detail.beta]
+    expected = gathered * layout_constants(lay).coef
     assert data.slot_terms.dtype == expected.dtype
     # tobytes also compares the sign of every zero
     assert data.slot_terms.tobytes() == expected.tobytes()
     assert not data.slot_terms.flags.writeable
 
 
-def test_identity_beta_skips_the_gathers():
+def test_grouped_slot_terms_peak_under_two_arrays():
     import tracemalloc
 
-    # with the layout's own slots as beta the pattern and the coefficients
-    # are read directly; an equal beta that is another array is gathered
-    # through, with the same bytes
+    # slot_terms scatters y into its one full-length buffer and weighs it in
+    # place by the layout's coefficients: an inverse of eta or a gathered
+    # copy of the coefficients would take it to two arrays
     n = 100000
     lay = compute_layout(n, 100)
     rng = np.random.default_rng(4)
-    table = _random_table(n, rng)
-    eta = rng.permutation(n)
-    slots = layout_constants(lay).slots
-    peaks, terms = {}, {}
+    data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
     tracemalloc.start()
     try:
-        for name, beta in (("identity", slots), ("gathered", np.arange(n))):
-            asg = grouped_assignment(lay, beta, eta)
-            data = ObservedData.realize(table, asg)
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            terms[name] = data.slot_terms
-            peaks[name] = tracemalloc.get_traced_memory()[1] - start
-            assert asg.z.tobytes() == lay.allocation_vector()[eta].tobytes()
+        start = tracemalloc.get_traced_memory()[0]
+        data.slot_terms
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert terms["identity"].tobytes() == terms["gathered"].tobytes()
     full = 8 * n  # one full-length float64 array
-    assert full <= peaks["identity"] < 2 * full <= peaks["gathered"]
+    assert full <= peak < 2 * full
 
 
 def test_public_draws_and_data_keep_their_bytes():
@@ -438,11 +430,11 @@ def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, two_stage_mbcr(lay, rng))
             detail = data.assignment.mbcr
-            treated = lay.allocation_vector()[detail.beta]
+            treated = lay.allocation_vector()
             slot_y = data.y[inverse_permutation(detail.eta)]
             mirrored = np.array([
                 pseudo_outcome(slot_y[b], treated[b], p, "mirrored").sum()
-                for b, p in zip(lay.slot_blocks(), props)
+                for b, p in zip(slot_blocks(lay), props)
             ])
             assert np.allclose(mirrored, groupwise_sums(data), atol=1e-9)
             assert mirrored.sum() / n == pytest.approx(ht_mbcr(data), abs=1e-10)

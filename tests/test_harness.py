@@ -397,26 +397,6 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
     assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
 
 
-def test_grouped_replication_never_inverts_eta(monkeypatch):
-    from tightci import design, estimator
-
-    calls = []
-    original = design.inverse_permutation
-
-    def counting(perm):
-        calls.append(perm.shape[0])
-        return original(perm)
-
-    monkeypatch.setattr(design, "inverse_permutation", counting)
-    monkeypatch.setattr(estimator, "inverse_permutation", counting)
-    raw = _coverage_raw(methods=["hoeff-mbcr", "studentized"], replications=3)
-    report = run_coverage(parse_config(raw))
-    assert len(report.rows) == 2
-    # ht_mbcr and groupwise_sums read slot_terms, which scatters y through
-    # eta instead of inverting it
-    assert calls == []
-
-
 @pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
 def test_chunk_equals_its_one_replication_chunks(setting):
     from tightci.harness import _build_cells, _coverage_chunk

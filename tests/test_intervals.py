@@ -13,13 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import pseudo_outcome
 from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
-from tightci.estimator import (
-    ObservedData,
-    PotentialTable,
-    groupwise_sums,
-    pseudo_outcome,
-)
+from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
     EmptyArmError,
