@@ -48,10 +48,9 @@ from .harness import (  # noqa: E402,F401
     Report,
     load_config,
     parse_config,
-    run_coverage,
     run_equivalence,
     run_experiment,
-    run_rmse,
+    run_monte_carlo,
     run_width_scaling,
     write_outputs,
 )

@@ -174,19 +174,27 @@ class Workspace:
     instead of being freed and faulted back in on each replication.  Each
     replication overwrites the previous one's arrays: the objects built on a
     workspace belong to the chunk that owns it, and they hold read-only views.
+    The length ``n`` is bound at construction, and a draw of any other length
+    refuses the workspace.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self.n = n
         self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def array(self, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    def array(self, name: str, dtype) -> tuple[np.ndarray, np.ndarray]:
         """The array ``name`` of length ``n`` and a read-only view of it, both
         made on first use."""
         pair = self._arrays.get(name)
         if pair is None:
-            a = np.empty(n, dtype=dtype)
+            a = np.empty(self.n, dtype=dtype)
             pair = self._arrays[name] = (a, read_only(a.view()))
         return pair
+
+
+def _check_workspace(workspace: Workspace | None, n: int) -> None:
+    if workspace is not None and workspace.n != n:
+        raise DesignError(f"a workspace of length {workspace.n} cannot hold {n} units")
 
 
 def buffer_for(
@@ -194,11 +202,11 @@ def buffer_for(
 ) -> tuple[np.ndarray, np.ndarray]:
     """An array for an in-place step to write, and the array its result is
     handed out as: the workspace's array ``name`` and its read-only view, or,
-    without a workspace, one fresh array twice."""
+    without a workspace, one fresh array of length ``n`` twice."""
     if workspace is None:
         a = np.empty(n, dtype=dtype)
         return a, a
-    return workspace.array(name, n, dtype)
+    return workspace.array(name, dtype)
 
 
 class LayoutConstants(NamedTuple):
@@ -298,6 +306,7 @@ def draw_bernoulli(
     if n < 1:
         raise DesignError(f"need n >= 1, got {n}")
     validate_propensity(pi)
+    _check_workspace(workspace, n)
     u, _ = buffer_for(workspace, "uniforms", n, np.float64)
     below, shown = buffer_for(workspace, "z", n, np.bool_)
     np.less(rng.random(out=u), pi, out=below)
@@ -341,6 +350,7 @@ def draw_mbcr(
     assignment or of each unit's block: a uniform ``eta`` composed with a
     block-preserving ``beta`` is again uniform and keeps every unit's block.
     """
+    _check_workspace(workspace, layout.n)
     slots = layout_constants(layout).slots
     eta, shown = buffer_for(workspace, "eta", layout.n, slots.dtype)
     # rng.permutation(n) shuffles a fresh arange(n) in place; so does this.

@@ -71,7 +71,7 @@ def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable
 
     Fixed tables are loaded from disk; the uniform kinds draw control
     outcomes from U(lo, hi) and derive treated outcomes by the constant
-    shift (zero for the null kind).
+    shift; a null table's treated outcomes are its control array itself.
     """
     if spec.kind == KIND_FIXED_TABLE:
         table = PotentialTable.from_csv(spec.path)
@@ -81,10 +81,7 @@ def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable
             )
         return table
     y0 = rng.uniform(spec.lo, spec.hi, size=spec.n)
-    if spec.kind == KIND_UNIFORM_SHIFT:
-        y1 = y0 + spec.shift
-    else:
-        y1 = y0.copy()
+    y1 = y0 + spec.shift if spec.kind == KIND_UNIFORM_SHIFT else y0
     return PotentialTable(y0=y0, y1=y1)
 
 

@@ -2,11 +2,13 @@
 
 Experiments are described by a JSON config (grid of sample sizes,
 propensities, and levels; method list; data-generating process; replication
-count; seed) and produce CSV reports plus a manifest.  Reports are
-byte-identical across reruns and across worker counts: replication ``r`` of
-cell ``c`` always draws from a generator seeded by the tuple
-``(seed, c, r, tag)`` via ``numpy.random.SeedSequence``, and results are
-assembled in replication order regardless of how work was chunked.
+count; seed) and produce CSV reports plus a manifest.  Coverage and RMSE
+experiments share one runner, :func:`run_monte_carlo`: every row has its
+RMSE, then an interval's coverage and width or an estimator's RMSE bound.
+Reports are byte-identical across reruns and across worker counts:
+replication ``r`` of cell ``c`` always draws from a generator seeded by the
+tuple ``(seed, c, r, tag)`` via ``numpy.random.SeedSequence``, and results
+are assembled in replication order regardless of how work was chunked.
 
 Propensities in configs may be written as JSON numbers or as fraction
 strings like ``"1/10"``; numbers are interpreted through their shortest
@@ -285,6 +287,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _choice(m, allowed, f"config.methods[{i}]", refusal)
         for i, m in enumerate(_nonempty_list(f["methods"], "config.methods"))
     )
+    for i, m in enumerate(methods):
+        if m in methods[:i]:
+            first = f"config.methods[{methods.index(m)}]"
+            raise ConfigError(f"config.methods[{i}]: {m!r} repeats {first}")
     settings = (SETTING_DESIGN_BASED, SETTING_SUPERPOPULATION)
     refusal = f"is not a setting; choose from {settings}"
     setting = _choice(f["setting"], settings, "config.setting", refusal)
@@ -467,10 +473,6 @@ def _row(
     }
 
 
-def _rmse(est: np.ndarray, target: float) -> float:
-    return float(np.sqrt(np.mean((est - target) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # Replication chunks
 
@@ -496,7 +498,7 @@ def _coverage_chunk(
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
-    workspaces = {scheme: Workspace() for scheme in schemes}
+    workspaces = {scheme: Workspace(cell.n) for scheme in schemes}
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
         data = {}
@@ -589,38 +591,47 @@ def _mean_half_width(halves: np.ndarray) -> float:
     return float(mean)
 
 
-def run_coverage(config: ExperimentConfig, workers: int = 1) -> Report:
-    """Monte Carlo containment rates and widths over the config grid."""
+def rmse_bound(method: str, n: int, pi: float) -> float:
+    """Theoretical root-mean-square-error bound for each estimator."""
+    if method not in RMSE_METHODS:
+        raise ConfigError(f"no RMSE bound for method {method!r}")
+    if METHOD_TABLE[method].scheme == SCHEME_MBCR:
+        return 2.0 / math.sqrt(n * pi)
+    return math.sqrt(2.0 / (n * pi))
+
+
+def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> Report:
+    """Monte Carlo summaries of every (cell, method) over the config grid.
+
+    Each row carries the RMSE of the method's point estimate about the
+    cell's target.  An interval adds its containment rate and mean
+    half-width; a bare estimator adds its theoretical RMSE bound.
+    """
     cells = _build_cells(config)
     merged = _run_cells(config, cells, workers)
     rows = []
-    reps = config.replications
     for cell in cells:
         for m in cell.methods:
             spec = METHOD_TABLE[m]
-            est = merged[cell.idx]["est", spec.scheme]
-            if spec.closed is not None:
+            record = merged[cell.idx]
+            est = record["est", spec.scheme]
+            fill = {"rmse": float(np.sqrt(np.mean((est - cell.target) ** 2)))}
+            if not spec.has_interval:
+                fill["bound"] = rmse_bound(m, cell.n, float(cell.pi))
+            elif spec.closed is None:
+                covered, halves = record["covered", m], record["half", m]
+            else:
                 # Interval arithmetic, element-wise: lo <= target <= hi and
                 # the half-width, exactly as each interval would compute them.
                 half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
                 lo, hi = est - half, est + half
                 covered = (lo <= cell.target) & (cell.target <= hi)
                 halves = half_width_of(lo, hi)
-            else:
-                covered = merged[cell.idx]["covered", m]
-                halves = merged[cell.idx]["half", m]
-            rows.append(
-                _row(
-                    config,
-                    cell,
-                    m,
-                    reps,
-                    coverage=float(covered.mean()),
-                    half=_mean_half_width(halves),
-                    rmse=_rmse(est, cell.target),
-                )
-            )
-    return Report(EXPERIMENT_COVERAGE, REPORT_COLUMNS, rows)
+            if spec.has_interval:
+                fill["coverage"] = float(covered.mean())
+                fill["half"] = _mean_half_width(halves)
+            rows.append(_row(config, cell, m, config.replications, **fill))
+    return Report(config.experiment, REPORT_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -636,38 +647,6 @@ def run_width_scaling(config: ExperimentConfig) -> Report:
             half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
             rows.append(_row(config, cell, m, 0, half=half))
     return Report(EXPERIMENT_WIDTH_SCALING, REPORT_COLUMNS, rows)
-
-
-# ---------------------------------------------------------------------------
-# RMSE experiment
-
-
-def rmse_bound(method: str, n: int, pi: float) -> float:
-    """Theoretical root-mean-square-error bound for each estimator."""
-    if method not in RMSE_METHODS:
-        raise ConfigError(f"no RMSE bound for method {method!r}")
-    if METHOD_TABLE[method].scheme == SCHEME_MBCR:
-        return 2.0 / math.sqrt(n * pi)
-    return math.sqrt(2.0 / (n * pi))
-
-
-def run_rmse(config: ExperimentConfig, workers: int = 1) -> Report:
-    """Monte Carlo estimator RMSE next to its theoretical bound."""
-    cells = _build_cells(config)
-    merged = _run_cells(config, cells, workers)
-    rows = [
-        _row(
-            config,
-            cell,
-            m,
-            config.replications,
-            rmse=_rmse(merged[cell.idx]["est", METHOD_TABLE[m].scheme], cell.target),
-            bound=rmse_bound(m, cell.n, float(cell.pi)),
-        )
-        for cell in cells
-        for m in cell.methods
-    ]
-    return Report(EXPERIMENT_RMSE, REPORT_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +750,10 @@ def run_equivalence(
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
-    if config.experiment == EXPERIMENT_COVERAGE:
-        return run_coverage(config, workers=workers)
+    if config.experiment in (EXPERIMENT_COVERAGE, EXPERIMENT_RMSE):
+        return run_monte_carlo(config, workers=workers)
     if config.experiment == EXPERIMENT_WIDTH_SCALING:
         return run_width_scaling(config)
-    if config.experiment == EXPERIMENT_RMSE:
-        return run_rmse(config, workers=workers)
     if config.experiment == EXPERIMENT_EQUIVALENCE:
         return run_equivalence(
             config.n,

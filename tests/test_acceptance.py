@@ -18,9 +18,8 @@ from tightci.estimator import ObservedData, PotentialTable, ht_mbcr
 from tightci.harness import (
     child_rng,
     parse_config,
-    run_coverage,
     run_equivalence,
-    run_rmse,
+    run_monte_carlo,
 )
 from tightci.intervals import (
     gamma_b,
@@ -120,7 +119,7 @@ def test_criterion_04_coverage():
                 "seed": 20260810,
                 "setting": setting,
             })
-            for row in run_coverage(cfg).rows:
+            for row in run_monte_carlo(cfg).rows:
                 floor = 0.90 if row["method"] == "studentized" else 0.95
                 if row["coverage_rate"] < floor:
                     failures.append(
@@ -155,8 +154,8 @@ def test_criterion_05_rmse_bounds():
         "grid": {"n": [10_000], "pi": ["1/100"], "alpha": [0.05]},
         "methods": ["ht-bernoulli"],
     })
-    row_m = run_rmse(cfg_mbcr).rows[0]
-    row_b = run_rmse(cfg_bern).rows[0]
+    row_m = run_monte_carlo(cfg_mbcr).rows[0]
+    row_b = run_monte_carlo(cfg_bern).rows[0]
     elapsed = time.perf_counter() - start
     ok = (
         row_m["rmse"] <= 2.0 / math.sqrt(1000 * 0.1)
@@ -293,8 +292,8 @@ def test_criterion_10_worker_determinism():
         "seed": 20260810,
         "setting": "superpopulation",
     })
-    serial = run_coverage(cfg, workers=1).to_csv_bytes()
-    parallel = run_coverage(cfg, workers=8).to_csv_bytes()
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    parallel = run_monte_carlo(cfg, workers=8).to_csv_bytes()
     ok = serial == parallel
     _criterion(10, "1-worker and 8-worker runs emit identical bytes", ok,
                f"{len(serial)} bytes")

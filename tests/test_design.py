@@ -370,7 +370,7 @@ def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
     # a draw into a workspace gives the bytes of the one-shot draw, holds
     # read-only views, and the next draw into it overwrites the same arrays
     lay = compute_layout(n, n1)
-    ws_mbcr, ws_bern = Workspace(), Workspace()
+    ws_mbcr, ws_bern = Workspace(n), Workspace(n)
     first = draw_mbcr(lay, np.random.default_rng(1), ws_mbcr)
     bern = draw_bernoulli(n, n1 / n, np.random.default_rng(1), ws_bern)
     views = (first.z, first.mbcr.eta, first.treated, bern.z, bern.treated, bern.unit_coef)
@@ -393,6 +393,27 @@ def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
     # one-shot draws own their arrays, writable as before
     assert fresh.z.flags.writeable and fresh.mbcr.eta.flags.writeable
     assert b_fresh.z.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda n, rng, ws: draw_bernoulli(n, 0.3, rng, ws),
+        lambda n, rng, ws: draw_mbcr(compute_layout(n, n // 5), rng, ws),
+    ],
+    ids=["bernoulli", "mbcr"],
+)
+def test_workspace_refuses_a_draw_of_another_length(draw):
+    # the workspace's length is bound at construction; a longer draw is
+    # refused before it consumes any randomness
+    ws = Workspace(10)
+    rng = np.random.default_rng(0)
+    assert draw(10, rng, ws).n == 10
+    state = rng.bit_generator.state
+    with pytest.raises(DesignError, match="workspace of length 10"):
+        draw(20, rng, ws)
+    assert rng.bit_generator.state == state
+    assert draw(10, rng, ws).n == 10
 
 
 def test_propensity_floor_keeps_one_over_pi_finite():

@@ -49,6 +49,17 @@ def test_null_scenarios():
         assert spec.lo <= table.y0.min() and table.y0.max() <= spec.hi
 
 
+def test_null_table_arms_share_one_array():
+    # a null table's treated outcomes are its control array itself, not a copy
+    rng = np.random.default_rng(3)
+    null = sample_population(DgpSpec("uniform_null", n=50, lo=0.0, hi=0.1), rng)
+    assert null.y1 is null.y0
+    spec = DgpSpec("uniform_shift", n=50, lo=0.1, hi=0.5, shift=0.0)
+    shift = sample_population(spec, rng)
+    assert shift.y1 is not shift.y0
+    assert not np.shares_memory(shift.y1, shift.y0)
+
+
 def test_outputs_always_in_unit_interval():
     rng = np.random.default_rng(2)
     for spec in (

@@ -16,10 +16,9 @@ from tightci.harness import (
     parse_propensity,
     resolve_workers,
     rmse_bound,
-    run_coverage,
     run_equivalence,
     run_experiment,
-    run_rmse,
+    run_monte_carlo,
     run_width_scaling,
     write_outputs,
 )
@@ -138,6 +137,7 @@ _REJECTIONS = [
         "config.dgp",
         _coverage_raw(experiment="width_scaling", methods=["hoeff-mbcr"], dgp=[]),
     ),
+    ("config.methods[1]", _coverage_raw(methods=["clt", "clt", "hoeff-mbcr"])),
 ]
 
 
@@ -218,25 +218,25 @@ def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     cfg = parse_config(_coverage_raw(replications=40))
-    serial = run_coverage(cfg, workers=1).to_csv_bytes()
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert pools == []
     # 40 replications in chunks of 3 make 14 tasks, more than the 4 CPUs
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     with caplog.at_level("WARNING", logger="tightci.harness"):
-        assert run_coverage(cfg, workers=10_000).to_csv_bytes() == serial
+        assert run_monte_carlo(cfg, workers=10_000).to_csv_bytes() == serial
     assert pools == [4]
     clamps = [r for r in caplog.records if "requested workers" in r.getMessage()]
     assert len(clamps) == 1
     assert "using 4 of the 10000 requested workers" in clamps[0].getMessage()
     # three replications make three one-replication tasks, fewer than the CPUs
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-    assert run_coverage(parse_config(_coverage_raw(replications=3)), workers=10_000)
+    assert run_monte_carlo(parse_config(_coverage_raw(replications=3)), workers=10_000)
     assert pools == [4, 3]
     # two workers on two CPUs with many tasks run as asked, with no clamp
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     caplog.clear()
     with caplog.at_level("WARNING", logger="tightci.harness"):
-        assert run_coverage(cfg, workers=2).to_csv_bytes() == serial
+        assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
     assert pools == [4, 3, 2]
     assert not [r for r in caplog.records if "requested workers" in r.getMessage()]
 
@@ -247,15 +247,15 @@ def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog):
 
 def test_coverage_deterministic_and_worker_independent():
     cfg = parse_config(_coverage_raw(replications=48))
-    first = run_coverage(cfg, workers=1).to_csv_bytes()
-    again = run_coverage(cfg, workers=1).to_csv_bytes()
-    parallel = run_coverage(cfg, workers=4).to_csv_bytes()
+    first = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    again = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    parallel = run_monte_carlo(cfg, workers=4).to_csv_bytes()
     assert first == again == parallel
 
 
 def test_coverage_rows_shape():
     cfg = parse_config(_coverage_raw())
-    report = run_coverage(cfg)
+    report = run_monte_carlo(cfg)
     assert len(report.rows) == 3
     for row in report.rows:
         assert row["schema_version"] == "1"
@@ -269,7 +269,7 @@ def test_coverage_rows_shape():
 
 def test_coverage_superpopulation_target():
     cfg = parse_config(_coverage_raw(setting="superpopulation", replications=60))
-    report = run_coverage(cfg)
+    report = run_monte_carlo(cfg)
     # conservative intervals still cover the analytic truth of 0.5
     for row in report.rows:
         if row["method"] != "clt":
@@ -280,7 +280,7 @@ def test_coverage_skips_infeasible_grouped_cells(caplog):
     raw = _coverage_raw(grid={"n": [100], "pi": ["1/3", "1/10"], "alpha": [0.05]})
     cfg = parse_config(raw)
     with caplog.at_level("WARNING"):
-        report = run_coverage(cfg)
+        report = run_monte_carlo(cfg)
     methods_by_pi = {}
     for row in report.rows:
         methods_by_pi.setdefault(row["pi"], []).append(row["method"])
@@ -297,14 +297,14 @@ def test_coverage_skips_infeasible_layouts(caplog):
                         replications=10)
     cfg = parse_config(raw)
     with caplog.at_level("WARNING"):
-        report = run_coverage(cfg)
+        report = run_monte_carlo(cfg)
     assert all(row["method"] == "sub-bernoulli-bern" for row in report.rows)
 
 
 def test_coverage_extreme_alpha_smoke():
     raw = _coverage_raw(grid={"n": [100], "pi": ["1/10"], "alpha": [1 - 1e-9]},
                         replications=8)
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     for row in report.rows:
         assert math.isfinite(row["mean_halfwidth"])
 
@@ -319,7 +319,7 @@ def test_coverage_skips_studentized_cells_with_too_few_groups(caplog):
         replications=3,
     )
     with caplog.at_level("WARNING"):
-        report = run_coverage(parse_config(raw))
+        report = run_monte_carlo(parse_config(raw))
     methods_by_n = {}
     for row in report.rows:
         methods_by_n.setdefault(row["n"], []).append(row["method"])
@@ -359,7 +359,7 @@ def test_fixed_table_read_once_per_cell(tmp_path, monkeypatch, setting):
         replications=40,
         setting=setting,
     )
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 4
     assert len(reads) == 2  # one per cell, not one per replication
 
@@ -392,7 +392,7 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
         methods=closed + ["studentized"],
         replications=40,
     )
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 10
     assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
 
@@ -476,7 +476,7 @@ def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
     monkeypatch.setattr(harness, "_coverage_chunk", recording)
     raw = _coverage_raw(grid={"n": [100, 200], "pi": ["1/10"], "alpha": [0.05]})
     cfg = parse_config(raw)
-    serial = run_coverage(cfg, workers=1).to_csv_bytes()
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert calls == [(100, 0, 40), (200, 0, 40)]
     # the pool still splits each cell into four chunks per worker
     calls.clear()
@@ -496,7 +496,7 @@ def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    assert run_coverage(cfg, workers=2).to_csv_bytes() == serial
+    assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
     assert calls == [(n, s, s + 5) for n in (100, 200) for s in range(0, 40, 5)]
 
 
@@ -537,7 +537,7 @@ def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
     ):
         _count_builds(monkeypatch, cls, name, calls)
     raw = _coverage_raw(methods=methods, replications=1, setting="superpopulation")
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == len(methods)
     # the estimator and every interval of the replication share one build each
     assert sorted(calls) == sorted(built)
@@ -562,7 +562,7 @@ def test_normal_quantile_computed_once_per_alpha(monkeypatch):
         methods=["clt"],
         replications=30,
     )
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 4
     assert sorted(calls) == [1.0 - 0.1 / 2.0, 1.0 - 0.05 / 2.0]
 
@@ -576,7 +576,7 @@ def test_split_divisors_built_once_per_group_count():
         methods=["studentized"],
         replications=30,
     )
-    report = run_coverage(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 2
     info = intervals._split_divisors.cache_info()
     # groups of ten: 20 and 40 group sums; grouped draws split one set of
@@ -726,7 +726,7 @@ def test_coverage_mean_half_width_finite_at_the_propensity_floor():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = run_coverage(parse_config(raw))
+        report = run_monte_carlo(parse_config(raw))
     scaling = run_width_scaling(parse_config({**raw, "experiment": "width_scaling"}))
     closed = {row["method"]: row["mean_halfwidth"] for row in scaling.rows}
     for row in report.rows:
@@ -761,7 +761,7 @@ def test_rmse_runner_reports_bounds():
         "seed": 5,
         "setting": "design_based",
     }
-    report = run_rmse(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     by_method = {row["method"]: row for row in report.rows}
     assert by_method["ht-mbcr"]["rmse_bound"] == pytest.approx(2 / math.sqrt(40))
     assert by_method["ht-bernoulli"]["rmse_bound"] == pytest.approx(
@@ -781,7 +781,7 @@ def test_rmse_zero_for_constant_null_table_grouped():
         "seed": 6,
         "setting": "design_based",
     }
-    report = run_rmse(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     # within-group weights cancel, so the estimate is (near) zero every draw
     assert report.rows[0]["rmse"] == pytest.approx(0.0, abs=1e-5)
 
@@ -956,7 +956,7 @@ def _sha256(report):
 
 
 def test_golden_coverage_design_based():
-    report = run_coverage(parse_config(_golden_coverage_raw("design_based")))
+    report = run_monte_carlo(parse_config(_golden_coverage_raw("design_based")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
         "124235aaf6d08296ea06ff894312cdaeb5a432b8918443654ad083fccfb11d44"
@@ -964,7 +964,7 @@ def test_golden_coverage_design_based():
 
 
 def test_golden_coverage_superpopulation():
-    report = run_coverage(parse_config(_golden_coverage_raw("superpopulation")))
+    report = run_monte_carlo(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
         "cb4533ee6a74aaef0320383351f311ef4f2521fbbc309dec9d6a0e755aaa0b7e"
@@ -991,7 +991,7 @@ def test_golden_rmse():
         "seed": 11,
         "setting": "design_based",
     }
-    report = run_rmse(parse_config(raw))
+    report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 3
     assert _sha256(report) == (
         "254004f2c83c4a2c23e9ccb7896d7cfc1e2d49413349ba6d9f978030fe59f4b7"
@@ -1012,7 +1012,7 @@ def test_golden_benchmark_shapes():
         "seed": 11,
         "setting": "superpopulation",
     }
-    report = run_coverage(parse_config(coverage))
+    report = run_monte_carlo(parse_config(coverage))
     assert len(report.rows) == 4
     assert _sha256(report) == (
         "30804780b0dd443de8ef904fec024e8ef86c5d9c8e3638488eb4087183f95c83"
@@ -1026,7 +1026,7 @@ def test_golden_benchmark_shapes():
         "seed": 11,
         "setting": "design_based",
     }
-    report = run_rmse(parse_config(rmse))
+    report = run_monte_carlo(parse_config(rmse))
     assert len(report.rows) == 2
     assert _sha256(report) == (
         "3f39eecf2cc73e279289a77f52532e619062e4287f3b4d95b2df3505a58a5d20"

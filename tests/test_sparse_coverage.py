@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import beta
 
 from tightci.estimator import PotentialTable
-from tightci.harness import parse_config, run_coverage
+from tightci.harness import parse_config, run_monte_carlo
 from tightci.intervals import METHOD_CLT, METHOD_TABLE
 
 ALPHA = 0.025
@@ -68,7 +68,7 @@ def test_every_interval_covers_sparse_binary_tables(n, pi_den, tmp_path):
                 "seed": 1,
                 "setting": "design_based",
             }
-            report = run_coverage(parse_config(raw))
+            report = run_monte_carlo(parse_config(raw))
             assert [row["method"] for row in report.rows] == METHODS
             for row in report.rows:
                 rate = row["coverage_rate"]
