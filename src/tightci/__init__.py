@@ -25,8 +25,7 @@ from .estimator import (  # noqa: E402,F401
     ObservedData,
     PotentialTable,
     groupwise_sums,
-    ht_mbcr,
-    ht_standard,
+    ht_estimate,
 )
 from .intervals import (  # noqa: E402,F401
     Interval,

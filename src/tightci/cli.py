@@ -40,8 +40,7 @@ from .dgp import DgpError
 from .estimator import (
     EstimatorError,
     ObservedData,
-    ht_mbcr,
-    ht_standard,
+    ht_estimate,
     read_csv_columns,
 )
 from .harness import (
@@ -213,7 +212,6 @@ def _compute_ci(args) -> Interval:
             raise CliError("scheme bernoulli needs --pi")
         if args.n1 is not None:
             raise CliError("--n1 applies to complete/mbcr schemes only")
-        validate_propensity(args.pi)
         pi = args.pi
     else:
         if args.n1 is None:
@@ -225,6 +223,7 @@ def _compute_ci(args) -> Interval:
                 f"data has {int(z.sum())} treated units but --n1 is {args.n1}"
             )
         pi = args.n1 / n
+    validate_propensity(pi)
 
     layout = None
     if scheme == SCHEME_MBCR:
@@ -250,8 +249,7 @@ def _compute_ci(args) -> Interval:
     alpha = args.alpha / spec.miscoverage_factor
     if spec.adaptive is not None:
         return spec.adaptive(data, alpha)
-    est = ht_mbcr(data) if scheme == SCHEME_MBCR else ht_standard(data)
-    return spec.closed(est, layout, n, pi, alpha)
+    return spec.closed(ht_estimate(data), layout, n, pi, alpha)
 
 
 def cmd_ci(args) -> int:

@@ -76,10 +76,8 @@ def _check_counts(n: int, n1: int) -> None:
 def validate_propensity(pi: float | Fraction) -> None:
     """Reject propensities outside [MIN_PI, 1/2]; exact for a ``Fraction``."""
     if not (0 < pi <= 0.5):
-        raise DesignError(
-            f"propensity {pi} outside (0, 1/2]; relabel the arms so the "
-            "smaller one is called treatment"
-        )
+        hint = "; relabel the arms so the smaller one is called treatment"
+        raise DesignError(f"propensity {pi} outside (0, 1/2]" + (hint if pi > 0.5 else ""))
     if pi < MIN_PI:
         raise DesignError(f"propensity {pi} below {MIN_PI!r}, where 1/pi overflows")
 
@@ -259,8 +257,8 @@ class Assignment:
     """A realized treatment vector plus how it was drawn.
 
     ``workspace`` is where the arrays derived from this draw (the treated
-    mask, the coefficients, and the outcomes and terms of the data realized
-    from it) are written; without one each is freshly allocated.
+    mask, and the outcomes and terms of the data realized from it) are
+    written; without one each is freshly allocated.
     """
 
     z: np.ndarray
@@ -287,15 +285,6 @@ class Assignment:
             raise DesignError(f"propensity {self.pi} outside (0, 1)")
         pi = float(self.pi)
         return 1.0 / pi, -1.0 / (1.0 - pi)
-
-    @cached_property
-    def unit_coef(self) -> np.ndarray:
-        """Each unit's Horvitz-Thompson coefficient (:meth:`unit_weights`)."""
-        w_treat, w_ctrl = self.unit_weights()
-        coef, shown = buffer_for(self.workspace, "unit_coef", self.n, np.float64)
-        coef.fill(w_ctrl)
-        np.copyto(coef, w_treat, where=self.treated)
-        return read_only(shown)
 
 
 def draw_bernoulli(

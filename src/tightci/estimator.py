@@ -1,19 +1,18 @@
 """Horvitz-Thompson estimation of the average treatment effect.
 
-Inverse-probability-weighted pseudo-outcomes under all three designs,
-including the grouped form that reweights each block by its conditional
-propensity.  Only the Bernoulli Studentized interval forms mirrored terms.
-
-Index conventions for the grouped estimator follow the draw's bookkeeping:
-for slot ``s``, the observed outcome belongs to the unit at that slot
+Both point estimators are the mean of one draw's pseudo-outcomes,
+:attr:`ObservedData.terms`, read by :func:`ht_estimate`; the design alone
+fixes each term's weight.  A grouped draw's terms are in slot order: for slot
+``s``, the observed outcome belongs to the unit at that slot
 (``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
 ``s``, weighted by ``layout_constants(layout).coef`` at ``s``: full blocks
 use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its own
-size-per-treated ratio.  Other draws hold each unit's weight
-(``Assignment.unit_weights``).  An :class:`ObservedData` forms its standard
-pseudo-outcomes once, so the estimators and intervals of one replication
-share them; its outcomes and terms are written into the assignment's
-workspace when it has one.
+size-per-treated ratio.  Other draws' terms are in unit order, each unit
+weighted at the assignment's propensity (``Assignment.unit_weights``).  An
+:class:`ObservedData` forms its terms once, so the estimator and intervals
+of one replication share them; its outcomes and terms are written into the
+assignment's workspace when it has one.  Only the Bernoulli Studentized
+interval forms mirrored terms, with the same weighting step.
 """
 
 from __future__ import annotations
@@ -161,64 +160,58 @@ class ObservedData:
         return int(self.y.shape[0])
 
     @cached_property
-    def unit_terms(self) -> np.ndarray:
-        """Standard pseudo-outcomes, one per unit: ``y * unit_coef``, formed
-        as every unit's control term and then the treated units' over it."""
+    def terms(self) -> np.ndarray:
+        """The draw's pseudo-outcomes, read-only.  A grouped draw gives one
+        per slot: the outcome of the unit at slot ``s`` (unit ``j`` sits at
+        slot ``eta[j]``, so ``y`` is scattered through ``eta``) times the
+        layout's coefficient at ``s``.  Other draws give one per unit."""
         asg = self.assignment
-        w_treat, w_ctrl = asg.unit_weights()
-        terms, shown = buffer_for(asg.workspace, "unit_terms", self.n, np.float64)
-        np.multiply(self.y, w_ctrl, out=terms)
-        np.multiply(self.y, w_treat, out=terms, where=asg.treated)
-        return read_only(shown)
-
-    @cached_property
-    def slot_terms(self) -> np.ndarray:
-        """Grouped pseudo-outcomes, one per slot: the outcome of the unit at
-        slot ``s`` (unit ``j`` sits at slot ``eta[j]``, so ``y`` is scattered
-        through ``eta``) times the layout's coefficient at ``s``."""
-        asg = self.assignment
-        detail = asg.mbcr
-        if detail is None:
+        if asg.scheme != SCHEME_MBCR:
+            return _weigh_units(self.y, asg, "terms")
+        if asg.mbcr is None:
             raise EstimatorError(
                 "grouped estimator needs the draw's permutation detail (eta)"
             )
-        terms, shown = buffer_for(asg.workspace, "slot_terms", self.n, np.float64)
-        terms[detail.eta] = self.y
-        terms *= layout_constants(detail.layout).coef
+        terms, shown = buffer_for(asg.workspace, "terms", self.n, np.float64)
+        terms[asg.mbcr.eta] = self.y
+        terms *= layout_constants(asg.mbcr.layout).coef
         return read_only(shown)
 
 
-def ht_standard(data: ObservedData) -> float:
-    """Plain Horvitz-Thompson estimate at the assignment's propensity."""
-    return float(np.mean(data.unit_terms))
+def _weigh_units(values: np.ndarray, asg: Assignment, name: str) -> np.ndarray:
+    """``values`` times each unit's Horvitz-Thompson weight, read-only, in
+    the workspace array ``name``: every unit's control term, then the
+    treated units' over it.  Both steps read ``values``, so the array
+    written must not be ``values`` itself."""
+    w_treat, w_ctrl = asg.unit_weights()
+    out, shown = buffer_for(asg.workspace, name, asg.n, np.float64)
+    np.multiply(values, w_ctrl, out=out)
+    np.multiply(values, w_treat, out=out, where=asg.treated)
+    return read_only(shown)
 
 
-def ht_mbcr(data: ObservedData) -> float:
-    """Grouped Horvitz-Thompson estimate.
-
-    Evaluates, slot by slot, the outcome of the unit at each slot against
-    the treatment delivered there, weighting full blocks by the block size
-    and the tail block by its own ratio.  With no tail this equals
-    :func:`ht_standard` at ``prop = n1/n`` for every draw.
-    """
-    return float(np.mean(data.slot_terms))
+def ht_estimate(data: ObservedData) -> float:
+    """Horvitz-Thompson estimate, the mean of the draw's pseudo-outcomes: the
+    grouped estimator for a grouped draw, which with no tail equals the
+    standard one at ``prop = n1/n``, and the standard estimator otherwise."""
+    return float(np.mean(data.terms))
 
 
 def groupwise_sums(data: ObservedData) -> np.ndarray:
     """Per-group sums of the standard pseudo-outcomes, tail group last.
 
     Under Bernoulli randomization every unit is its own group, so this is
-    the data's read-only ``unit_terms``.  Each full-block sum lies in
+    the data's read-only ``terms``.  Each full-block sum lies in
     ``[-g, g]``.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
-        return data.unit_terms
+        return data.terms
     if asg.scheme != SCHEME_MBCR:
         raise EstimatorError(
             f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
-    vals = data.slot_terms
+    vals = data.terms
     lay = asg.mbcr.layout
     body = lay.num_full_groups * lay.group_size
     sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)

@@ -50,7 +50,7 @@ from .design import (
     validate_propensity,
 )
 from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
-from .estimator import ObservedData, PotentialTable, ht_mbcr, ht_standard
+from .estimator import ObservedData, PotentialTable, ht_estimate
 from .intervals import (
     METHOD_TABLE,
     EmptyArmError,
@@ -121,6 +121,8 @@ _TAG_REP_TABLE = 1
 _TAG_MBCR = 2
 _TAG_BERN = 3
 _TAG_EQUIV = 4
+# Each design's draw tag, in the order a replication draws the designs.
+_DRAW_TAGS = {SCHEME_MBCR: _TAG_MBCR, SCHEME_BERNOULLI: _TAG_BERN}
 
 
 class ConfigError(ValueError):
@@ -490,35 +492,26 @@ def _coverage_chunk(
     workspace, so the chunk's full-length arrays are allocated once.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
-    schemes = {spec.scheme for spec in specs.values()}
+    used = {spec.scheme for spec in specs.values()}
+    workspaces = {scheme: Workspace(cell.n) for scheme in _DRAW_TAGS if scheme in used}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
     count = stop - start
-    out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in schemes}
+    out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in workspaces}
     for m in adaptive:
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
-    workspaces = {scheme: Workspace(cell.n) for scheme in schemes}
     for k, rep in enumerate(range(start, stop)):
         table = _cell_table(config, cell, rep)
         data = {}
-        if SCHEME_MBCR in schemes:
-            asg = draw_mbcr(
-                cell.layout,
-                child_rng(config.seed, cell.idx, rep, _TAG_MBCR),
-                workspaces[SCHEME_MBCR],
-            )
-            data[SCHEME_MBCR] = ObservedData.realize(table, asg)
-            out["est", SCHEME_MBCR][k] = ht_mbcr(data[SCHEME_MBCR])
-        if SCHEME_BERNOULLI in schemes:
-            asg = draw_bernoulli(
-                cell.n,
-                pi_f,
-                child_rng(config.seed, cell.idx, rep, _TAG_BERN),
-                workspaces[SCHEME_BERNOULLI],
-            )
-            data[SCHEME_BERNOULLI] = ObservedData.realize(table, asg)
-            out["est", SCHEME_BERNOULLI][k] = ht_standard(data[SCHEME_BERNOULLI])
+        for scheme, workspace in workspaces.items():
+            rng = child_rng(config.seed, cell.idx, rep, _DRAW_TAGS[scheme])
+            if scheme == SCHEME_MBCR:
+                asg = draw_mbcr(cell.layout, rng, workspace)
+            else:
+                asg = draw_bernoulli(cell.n, pi_f, rng, workspace)
+            data[scheme] = ObservedData.realize(table, asg)
+            out["est", scheme][k] = ht_estimate(data[scheme])
         for m, spec in adaptive.items():
             try:
                 ci = spec.adaptive(data[spec.scheme], cell.alpha)
@@ -683,7 +676,8 @@ def run_equivalence(
     goodness-of-fit screen, reported as approximate and never as proof.
     Its ``budget`` caps both the ``C(n, n1)`` arrangements it tabulates and
     the ``draws`` it makes, and it refuses before drawing anything when
-    either exceeds it.
+    either exceeds it, or when ``draws`` is below five per arrangement, the
+    usual condition for a Pearson chi-square.
     """
     layout = compute_layout(n, n1)
     if not approximate:
@@ -716,6 +710,11 @@ def run_equivalence(
         raise EnumerationBudgetError(
             f"the approximate screen makes {draws} draws, over the budget of "
             f"{budget}; increase the budget or make fewer draws"
+        )
+    if draws < 5 * arrangements:
+        raise EnumerationBudgetError(
+            f"the approximate screen makes {draws} draws, under the chi-square's "
+            f"five per arrangement: {5 * arrangements} for {arrangements} arrangements"
         )
     rng = child_rng(seed, 0, 0, _TAG_EQUIV)
     counts: dict[tuple[int, ...], int] = {}

@@ -43,7 +43,7 @@ from .design import (
     read_only,
     validate_propensity,
 )
-from .estimator import ObservedData, groupwise_sums
+from .estimator import ObservedData, _weigh_units, groupwise_sums
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
 METHOD_SUB_BERNOULLI_BERN = "sub-bernoulli-bern"
@@ -453,7 +453,8 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
     low = up = _anchor_tuning(theta, n, alpha, c)
     if data.assignment.scheme == SCHEME_BERNOULLI:
-        up = _anchor_tuning((data.y - 1.0) * data.assignment.unit_coef, n, alpha, c)
+        mirrored = _weigh_units(data.y - 1.0, data.assignment, "mirrored")
+        up = _anchor_tuning(mirrored, n, alpha, c)
     for side, stats in (("l", low), ("u", up)):
         tuning.update({f"{key}_{side}": value for key, value in stats.items()})
     lower, upper = _studentized_endpoints(alpha, tuning)
@@ -524,7 +525,7 @@ def _clt_half(alpha: float, t: dict[str, Any]) -> float:
 
 
 def clt_ci(data: ObservedData, alpha: float) -> Interval:
-    """Plug-in normal interval around the standard estimator.
+    """Plug-in normal interval around the data's ``ht_estimate``.
 
     Asymptotic only; excluded from the coverage guarantees everywhere in
     this package.  Requires both arms to be nonempty.
@@ -534,7 +535,7 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     n_treat = np.count_nonzero(asg.z)
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
-    vals = data.unit_terms
+    vals = data.terms
     vhat = float(np.var(vals, ddof=1))
     zq = _z_quantile(alpha)
     t = {"n": data.n, "pi": float(asg.pi), "vhat": vhat, "z_quantile": zq}
@@ -549,9 +550,9 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
 class MethodSpec:
     """How one method tag draws, estimates and builds its interval.
 
-    ``scheme`` is the design the method draws under; the point estimator
-    follows from it (the grouped Horvitz-Thompson estimator under
-    ``SCHEME_MBCR``, the standard one under ``SCHEME_BERNOULLI``).  A closed
+    ``scheme`` is the design the method draws under, which makes its point
+    estimate, :func:`~tightci.estimator.ht_estimate`, the grouped (under
+    ``SCHEME_MBCR``) or the standard Horvitz-Thompson estimator.  A closed
     form has ``closed(psi_hat, layout, n, pi, alpha)``, whose half-width
     depends on the design alone; a data-adaptive interval has
     ``adaptive(data, alpha)``, which reads the design from

@@ -46,7 +46,8 @@ def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
     Standard form ``y * (z/p - (1-z)/(1-p))`` lies in
     ``[-1/(1-p), 1/p]``; the mirrored form replaces ``y`` with ``y - 1`` and
     reflects that range.  Accepts scalars or arrays.  For ``z`` in {0, 1}
-    the standard form equals ``ObservedData.unit_terms`` bit for bit.
+    the standard form equals the ``ObservedData.terms`` of a draw that is
+    not grouped bit for bit.
     """
     if not (0.0 < prop < 1.0):
         raise EstimatorError(f"propensity {prop} outside (0, 1)")

@@ -14,7 +14,7 @@ import numpy as np
 from reference import conditional_mean_given_eta
 from tightci.design import compute_layout, draw_mbcr
 from tightci.dgp import DgpSpec, sample_population
-from tightci.estimator import ObservedData, PotentialTable, ht_mbcr
+from tightci.estimator import ObservedData, PotentialTable, ht_estimate
 from tightci.harness import (
     child_rng,
     parse_config,
@@ -254,7 +254,7 @@ def test_criterion_08_studentized_sharpness():
         asg = draw_mbcr(lay, child_rng(20260810, 0, rep, 2))
         data = ObservedData.realize(table, asg)
         ci = studentized_ci(data, 0.05)
-        margins[rep] = ci.upper - ht_mbcr(data)
+        margins[rep] = ci.upper - ht_estimate(data)
     mean_margin = float(margins.mean())
     ok = mean_margin <= 0.5 * hoeff_half
     _criterion(8, "Studentized upper margin at most half the Hoeffding width",

@@ -448,6 +448,24 @@ def test_ci_complete_scheme_with_tiling_groups(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "method", [m for m in METHODS if "complete" in METHOD_TABLE[m].cli_schemes]
+)
+def test_ci_complete_scheme_refuses_n1_above_half(tmp_path, capsys, method):
+    # 3 of 4 units treated is a propensity of 0.75, refused for every
+    # method, whether or not it builds a grouped layout
+    path = tmp_path / "complete.csv"
+    path.write_text("y,z\n0.1,1\n0.5,1\n0.7,1\n0.9,0\n")
+    code = main([
+        "ci", "--data", str(path), "--scheme", "complete", "--n1", "3",
+        "--method", method,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "relabel the arms" in captured.err
+
+
 def test_ci_clip(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_bernoulli_data(path, n=60)

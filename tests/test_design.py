@@ -341,16 +341,19 @@ def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed, two_stage_p
 
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100, 1 / 1000])
 def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
+    # each unit's weight is its term at y = 1, which the product keeps exactly
     asg = draw_bernoulli(20000, pi, np.random.default_rng(5))
     z = asg.z.astype(np.float64)
     assert 0 < z.sum() < z.size
     expected = z / pi - (1.0 - z) / (1.0 - pi)
-    assert asg.unit_coef.tobytes() == expected.tobytes()
-    assert not asg.unit_coef.flags.writeable
+    coef = ObservedData(y=np.ones(z.size), assignment=asg).terms
+    assert coef.tobytes() == expected.tobytes()
+    assert not coef.flags.writeable
     complete = draw_complete(300, 100, np.random.default_rng(5))
     z = complete.z.astype(np.float64)
     expected = z / complete.pi - (1.0 - z) / (1.0 - complete.pi)
-    assert complete.unit_coef.tobytes() == expected.tobytes()
+    coef = ObservedData(y=np.ones(z.size), assignment=complete).terms
+    assert coef.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 20000, 100000])
@@ -373,7 +376,7 @@ def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
     ws_mbcr, ws_bern = Workspace(n), Workspace(n)
     first = draw_mbcr(lay, np.random.default_rng(1), ws_mbcr)
     bern = draw_bernoulli(n, n1 / n, np.random.default_rng(1), ws_bern)
-    views = (first.z, first.mbcr.eta, first.treated, bern.z, bern.treated, bern.unit_coef)
+    views = (first.z, first.mbcr.eta, first.treated, bern.z, bern.treated)
     for view in views:
         assert not view.flags.writeable
         with pytest.raises(ValueError):
@@ -388,8 +391,8 @@ def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
         b_again = draw_bernoulli(n, n1 / n, np.random.default_rng(seed), ws_bern)
         b_fresh = draw_bernoulli(n, n1 / n, np.random.default_rng(seed))
         assert b_again.z.tobytes() == b_fresh.z.tobytes()
-        assert b_again.unit_coef.tobytes() == b_fresh.unit_coef.tobytes()
-        assert np.shares_memory(b_again.unit_coef, bern.unit_coef)
+        assert b_again.treated.tobytes() == b_fresh.treated.tobytes()
+        assert np.shares_memory(b_again.treated, bern.treated)
     # one-shot draws own their arrays, writable as before
     assert fresh.z.flags.writeable and fresh.mbcr.eta.flags.writeable
     assert b_fresh.z.flags.writeable
@@ -434,7 +437,7 @@ def test_propensity_floor_keeps_one_over_pi_finite():
 def test_unit_coef_refuses_propensity_outside_unit_interval():
     asg = Assignment(z=np.array([0, 1], dtype=np.int8), scheme="bernoulli", pi=1.0)
     with pytest.raises(DesignError, match="outside"):
-        asg.unit_coef
+        ObservedData(y=np.array([0.5, 0.5]), assignment=asg).terms
 
 
 def test_layout_constants_read_only_and_built_once(monkeypatch):
@@ -453,7 +456,7 @@ def test_layout_constants_read_only_and_built_once(monkeypatch):
     y0 = np.linspace(0.0, 0.5, lay.n)
     table = PotentialTable(y0, y0 + 0.25)
     for seed in range(5):
-        ObservedData.realize(table, draw_mbcr(lay, np.random.default_rng(seed))).slot_terms
+        ObservedData.realize(table, draw_mbcr(lay, np.random.default_rng(seed))).terms
     # an equal layout shares the constants
     assert layout_constants(compute_layout(10, 3)) is layout_constants(lay)
     assert calls == [10]

@@ -17,6 +17,8 @@ from reference import (
     slot_blocks,
 )
 from tightci.design import (
+    Assignment,
+    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -26,9 +28,9 @@ from tightci.estimator import (
     EstimatorError,
     ObservedData,
     PotentialTable,
+    _weigh_units,
     groupwise_sums,
-    ht_mbcr,
-    ht_standard,
+    ht_estimate,
 )
 
 
@@ -153,11 +155,11 @@ def test_ht_standard_small_cases():
     z = np.array([1, 0], dtype=np.int8)
     asg = type(asg)(z=z, scheme="bernoulli", pi=0.5)
     data = ObservedData(y=np.array([1.0, 0.0]), assignment=asg)
-    assert ht_standard(data) == pytest.approx(1.0)
+    assert ht_estimate(data) == pytest.approx(1.0)
     data = ObservedData(y=np.array([1.0, 1.0]), assignment=asg)
-    assert ht_standard(data) == pytest.approx(0.0)
+    assert ht_estimate(data) == pytest.approx(0.0)
     data = ObservedData(y=np.array([0.0, 0.0]), assignment=asg)
-    assert ht_standard(data) == 0.0
+    assert ht_estimate(data) == 0.0
 
 
 def test_ht_standard_matches_vectorized_oracle():
@@ -168,12 +170,12 @@ def test_ht_standard_matches_vectorized_oracle():
         data = ObservedData.realize(table, asg)
         z = asg.z.astype(float)
         oracle = float(np.mean(data.y * (z / 0.2 - (1 - z) / 0.8)))
-        assert ht_standard(data) == pytest.approx(oracle, rel=1e-14)
+        assert ht_estimate(data) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_bernoulli_unbiasedness_monte_carlo():
     # Mean of the estimator over 10^6 draws, against the fixed-table effect.
-    # The vectorized evaluation below is checked against ht_standard above.
+    # The vectorized evaluation below is checked against ht_estimate above.
     rng = np.random.default_rng(42)
     n, pi, reps = 8, 0.25, 10**6
     table = _random_table(n, rng)
@@ -189,10 +191,15 @@ def test_bernoulli_unbiasedness_monte_carlo():
 
 
 def test_ht_mbcr_requires_detail():
+    # a grouped assignment built by hand without its permutation has no
+    # slot order to weigh, and is refused
     table = _random_table(6, np.random.default_rng(0))
-    asg = draw_complete(6, 2, np.random.default_rng(0))
+    z = draw_complete(6, 2, np.random.default_rng(0)).z
+    data = ObservedData.realize(table, Assignment(z=z, scheme="mbcr", pi=2 / 6))
     with pytest.raises(EstimatorError, match="detail"):
-        ht_mbcr(ObservedData.realize(table, asg))
+        ht_estimate(data)
+    with pytest.raises(EstimatorError, match="detail"):
+        groupwise_sums(data)
 
 
 def test_ht_mbcr_equals_standard_without_tail():
@@ -202,9 +209,10 @@ def test_ht_mbcr_equals_standard_without_tail():
     for _ in range(20):
         asg = draw_mbcr(lay, rng)
         data = ObservedData.realize(table, asg)
-        assert ht_mbcr(data) == pytest.approx(
-            ht_standard(data), rel=0, abs=1e-12
-        )
+        # the same draw read as complete randomization, in unit order
+        plain = Assignment(z=asg.z, scheme="complete", pi=asg.pi)
+        standard = ht_estimate(ObservedData(y=data.y, assignment=plain))
+        assert ht_estimate(data) == pytest.approx(standard, rel=0, abs=1e-12)
 
 
 def test_ht_mbcr_constant_table_cancels():
@@ -214,7 +222,7 @@ def test_ht_mbcr_constant_table_cancels():
         table = PotentialTable(np.full(n, 0.4), np.full(n, 0.4))
         asg = draw_mbcr(lay, rng)
         data = ObservedData.realize(table, asg)
-        assert ht_mbcr(data) == pytest.approx(0.0, abs=1e-12)
+        assert ht_estimate(data) == pytest.approx(0.0, abs=1e-12)
 
 
 def _ht_mbcr_by_hand(data):
@@ -249,7 +257,7 @@ def test_ht_mbcr_matches_hand_expansion(n, n1, seed, two_stage_mbcr):
     table = _random_table(n, rng)
     asg = two_stage_mbcr(lay, rng)
     data = ObservedData.realize(table, asg)
-    assert ht_mbcr(data) == pytest.approx(_ht_mbcr_by_hand(data), rel=1e-13)
+    assert ht_estimate(data) == pytest.approx(_ht_mbcr_by_hand(data), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +310,22 @@ def test_groupwise_sums_bernoulli_singletons():
 
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100])
 def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
-    rng = np.random.default_rng(11)
-    table = _random_table(5000, rng)
-    asg = draw_bernoulli(5000, pi, rng)
-    data = ObservedData.realize(table, asg)
-    standard = pseudo_outcome(data.y, asg.z, pi)
-    assert data.unit_terms.tobytes() == standard.tobytes()
-    assert groupwise_sums(data) is data.unit_terms
-    assert not data.unit_terms.flags.writeable
-    # the Bernoulli Studentized interval's mirrored terms
-    mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
-    assert ((data.y - 1.0) * asg.unit_coef).tobytes() == mirrored.tobytes()
-    assert ht_standard(data) == float(np.mean(standard))
+    for workspace in (None, Workspace(5000)):
+        rng = np.random.default_rng(11)
+        table = _random_table(5000, rng)
+        asg = draw_bernoulli(5000, pi, rng, workspace)
+        data = ObservedData.realize(table, asg)
+        standard = pseudo_outcome(data.y, asg.z, pi)
+        assert data.terms.tobytes() == standard.tobytes()
+        assert groupwise_sums(data) is data.terms
+        assert not data.terms.flags.writeable
+        # the Bernoulli Studentized interval's mirrored terms, weighed by the
+        # same step into their own array
+        mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
+        weighed = _weigh_units(data.y - 1.0, asg, "mirrored")
+        assert weighed.tobytes() == mirrored.tobytes()
+        assert not weighed.flags.writeable
+        assert ht_estimate(data) == float(np.mean(standard))
 
 
 @pytest.mark.parametrize(
@@ -328,7 +340,7 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
 )
 @pytest.mark.parametrize("seed", [3, 41, 2027])
 def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mbcr):
-    # slot_terms scatters y through eta and weighs it in place; the outcome
+    # terms scatters y through eta and weighs it in place; the outcome
     # gathered through eta's inverse, times each slot's coefficient, is the
     # definition it must reproduce byte for byte
     lay = compute_layout(n, n1)
@@ -337,16 +349,16 @@ def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mb
     detail = data.assignment.mbcr
     gathered = data.y[inverse_permutation(detail.eta)]
     expected = gathered * layout_constants(lay).coef
-    assert data.slot_terms.dtype == expected.dtype
+    assert data.terms.dtype == expected.dtype
     # tobytes also compares the sign of every zero
-    assert data.slot_terms.tobytes() == expected.tobytes()
-    assert not data.slot_terms.flags.writeable
+    assert data.terms.tobytes() == expected.tobytes()
+    assert not data.terms.flags.writeable
 
 
 def test_grouped_slot_terms_peak_under_two_arrays():
     import tracemalloc
 
-    # slot_terms scatters y into its one full-length buffer and weighs it in
+    # terms scatters y into its one full-length buffer and weighs it in
     # place by the layout's coefficients: an inverse of eta or a gathered
     # copy of the coefficients would take it to two arrays
     n = 100000
@@ -356,7 +368,7 @@ def test_grouped_slot_terms_peak_under_two_arrays():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        data.slot_terms
+        data.terms
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -379,11 +391,11 @@ def test_public_draws_and_data_keep_their_bytes():
             grouped.assignment.z,
             grouped.assignment.mbcr.eta,
             grouped.y,
-            grouped.slot_terms,
+            grouped.terms,
             bern.assignment.z,
-            bern.assignment.unit_coef,
+            bern.assignment.treated,
             bern.y,
-            bern.unit_terms,
+            bern.terms,
         )
         held.append((arrays, [a.tobytes() for a in arrays]))
     (first, first_bytes), (second, _) = held
@@ -397,12 +409,12 @@ def test_grouped_terms_cached_on_the_data():
     rng = np.random.default_rng(12)
     table = _random_table(47, rng)
     data = ObservedData.realize(table, draw_mbcr(lay, rng))
-    terms = data.slot_terms
-    ht_mbcr(data)
+    terms = data.terms
+    ht_estimate(data)
     groupwise_sums(data)
     cached = vars(data)
-    assert cached["slot_terms"] is terms
-    assert "unit_terms" not in cached
+    assert cached["terms"] is terms
+    assert set(cached) == {"y", "assignment", "terms"}
 
 
 def test_groupwise_total_is_estimate():
@@ -410,7 +422,7 @@ def test_groupwise_total_is_estimate():
     rng = np.random.default_rng(7)
     table = _random_table(9, rng)
     data = ObservedData.realize(table, draw_mbcr(lay, rng))
-    assert groupwise_sums(data).sum() / 9 == pytest.approx(ht_mbcr(data), rel=1e-13)
+    assert groupwise_sums(data).sum() / 9 == pytest.approx(ht_estimate(data), rel=1e-13)
 
 
 def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
@@ -437,7 +449,7 @@ def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
                 for b, p in zip(slot_blocks(lay), props)
             ])
             assert np.allclose(mirrored, groupwise_sums(data), atol=1e-9)
-            assert mirrored.sum() / n == pytest.approx(ht_mbcr(data), abs=1e-10)
+            assert mirrored.sum() / n == pytest.approx(ht_estimate(data), abs=1e-10)
 
 
 def test_mirrored_sums_differ_under_bernoulli():

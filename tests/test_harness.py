@@ -518,29 +518,20 @@ def _count_builds(monkeypatch, cls, name, calls):
 @pytest.mark.parametrize(
     "methods,built",
     [
-        (
-            ["clt", "studentized-bern", "sub-bernoulli-bern"],
-            ["unit_coef", "unit_terms"],
-        ),
-        (["hoeff-mbcr", "studentized"], ["slot_terms"]),
+        (["clt", "studentized-bern", "sub-bernoulli-bern"], ["terms"]),
+        (["hoeff-mbcr", "studentized"], ["terms"]),
     ],
 )
 def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
-    from tightci.design import Assignment
     from tightci.estimator import ObservedData
 
     calls = []
-    for cls, name in (
-        (Assignment, "unit_coef"),
-        (ObservedData, "unit_terms"),
-        (ObservedData, "slot_terms"),
-    ):
-        _count_builds(monkeypatch, cls, name, calls)
+    _count_builds(monkeypatch, ObservedData, "terms", calls)
     raw = _coverage_raw(methods=methods, replications=1, setting="superpopulation")
     report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == len(methods)
-    # the estimator and every interval of the replication share one build each
-    assert sorted(calls) == sorted(built)
+    # the estimator and every interval of the replication share one build
+    assert calls == built
 
 
 def test_normal_quantile_computed_once_per_alpha(monkeypatch):
@@ -840,8 +831,11 @@ def test_equivalence_approximate_budget_refused(monkeypatch):
     # the draws count against the same budget
     with pytest.raises(EnumerationBudgetError, match="makes 300 draws"):
         run_equivalence(6, 2, approximate=True, budget=15, draws=300)
+    # a Pearson chi-square needs five expected draws per arrangement
+    with pytest.raises(EnumerationBudgetError, match="74 draws.*75 for 15 arrangements"):
+        run_equivalence(6, 2, approximate=True, budget=75, draws=74)
     monkeypatch.undo()
-    report = run_equivalence(6, 2, approximate=True, budget=15, draws=15)
+    report = run_equivalence(6, 2, approximate=True, budget=75, draws=75)
     assert len(report.rows) == 15
 
 

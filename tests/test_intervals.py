@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import pseudo_outcome
-from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
+from tightci.design import Workspace, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
@@ -479,7 +479,7 @@ def test_split_statistics_bit_identical_to_reference(tbar):
     for magnitude in (1e-3, 1e-1, 1.0, 1e1, 1e3):
         theta = magnitude * rng.standard_normal(tbar)
         assert _split_statistics(theta) == _split_statistics_reference(theta)
-    # the Bernoulli pattern: pseudo-outcomes y * unit_coef at pi = 1/100
+    # the Bernoulli pattern: a draw's terms and its mirrored terms at pi = 1/100
     table = PotentialTable(rng.uniform(0, 1, tbar), rng.uniform(0, 1, tbar))
     data = ObservedData.realize(table, draw_bernoulli(tbar, 0.01, rng))
     mirrored = pseudo_outcome(data.y, data.assignment.z, 0.01, "mirrored")
@@ -561,8 +561,11 @@ def test_grouped_studentized_reads_one_set_of_sums(n, n1, tail_treated, monkeypa
 def test_studentized_anchors_unchanged_on_bernoulli_data(n, pi):
     rng = np.random.default_rng(n)
     table = PotentialTable(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
-    for _ in range(3):
-        data = ObservedData.realize(table, draw_bernoulli(n, pi, rng))
+    # a one-shot draw, then two into one workspace as a chunk makes them,
+    # where the mirrored terms must not be weighed over their own input
+    chunk = Workspace(n)
+    for workspace in (None, chunk, chunk):
+        data = ObservedData.realize(table, draw_bernoulli(n, pi, rng, workspace))
         ci = studentized_ci(data, 0.05)
         t, (lower, upper) = _studentized_reference(data, 0.05)
         assert {k: ci.tuning[k] for k in t} == t
