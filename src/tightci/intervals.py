@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .design import (
     SCHEME_BERNOULLI,
@@ -513,11 +513,12 @@ def _z_quantile(alpha: float) -> float:
 
     Forming ``1 - alpha/2`` rounds away the low digits of small tails (and
     all of them below alpha of about 1.1e-16), so below ``_ISF_BELOW`` the
-    upper-tail form ``isf(alpha/2)`` gives the quantile.
+    upper-tail form ``-ndtri(alpha/2)`` gives the quantile.  Both forms are
+    bit for bit scipy.stats' ``norm.isf(alpha/2)`` and ``norm.ppf(1 - alpha/2)``.
     """
     if alpha < _ISF_BELOW:
-        return float(norm.isf(alpha / 2.0))
-    return float(norm.ppf(1.0 - alpha / 2.0))
+        return float(-ndtri(alpha / 2.0))
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 def _clt_half(alpha: float, t: dict[str, Any]) -> float:

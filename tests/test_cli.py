@@ -696,17 +696,23 @@ def test_bundled_configs_parse():
         assert cfg.experiment in {"coverage", "width_scaling", "rmse", "equivalence"}
 
 
-def test_module_entry_point_subprocess():
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that finds the package where this
+    process found it."""
     import os
-    import subprocess
-    import sys
 
     import tightci
 
-    # The child finds the package where this process found it.
     src = str(Path(tightci.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_subprocess():
+    import subprocess
+    import sys
+
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "tightci", "--version"],
         capture_output=True,
@@ -722,3 +728,16 @@ def test_module_entry_point_subprocess():
         env=env,
     )
     assert proc.returncode == 1
+
+
+def test_runtime_does_not_import_scipy_stats():
+    # the quantile and the chi-square tail come from scipy.special; a fresh
+    # process that imports the command line never loads scipy.stats
+    import subprocess
+    import sys
+
+    code = "import sys, tightci.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -208,14 +208,13 @@ def test_complete_two_units():
 
 def test_complete_uniform_over_arrangements():
     # n=6, n1=2: each of the 15 arrangements within 4 SE of 1/15 over 10^6 draws
-    rng = np.random.default_rng(314159)
     reps = 10**6
-    counts = np.zeros(64, dtype=np.int64)
-    for _ in range(reps):
-        z = draw_complete(6, 2, rng).z
-        code = int(z[0]) | int(z[1]) << 1 | int(z[2]) << 2 | int(z[3]) << 3 \
-            | int(z[4]) << 4 | int(z[5]) << 5
-        counts[code] += 1
+    canonical = np.array([1, 1, 0, 0, 0, 0], dtype=np.int8)
+    # one row-wise shuffle takes the stream that one draw_complete per row takes
+    z = np.random.default_rng(314159).permuted(np.broadcast_to(canonical, (reps, 6)), axis=1)
+    rng = np.random.default_rng(314159)
+    assert np.array_equal(z[:1000], [draw_complete(6, 2, rng).z for _ in range(1000)])
+    counts = np.bincount(np.packbits(z, axis=1, bitorder="little")[:, 0], minlength=64)
     observed = counts[counts > 0]
     assert observed.size == 15
     p = 1 / 15

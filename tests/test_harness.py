@@ -538,16 +538,14 @@ def test_normal_quantile_computed_once_per_alpha(monkeypatch):
     from tightci import intervals
 
     calls = []
-    real = intervals.norm
+    real = intervals.ndtri
 
-    class CountingNorm:
-        @staticmethod
-        def ppf(q):
-            calls.append(q)
-            return real.ppf(q)
+    def counting_ndtri(q):
+        calls.append(q)
+        return real(q)
 
     intervals._z_quantile.cache_clear()
-    monkeypatch.setattr(intervals, "norm", CountingNorm)
+    monkeypatch.setattr(intervals, "ndtri", counting_ndtri)
     raw = _coverage_raw(
         grid={"n": [200, 400], "pi": ["1/10"], "alpha": [0.05, 0.1]},
         methods=["clt"],
@@ -807,9 +805,15 @@ def test_equivalence_budget_error_suggests_fallback():
 
 
 def test_equivalence_approximate_fallback():
+    from scipy.stats import chisquare
+
     report = run_equivalence(4, 2, approximate=True, draws=3000, seed=1)
     assert report.summary["approximate"] is True
     assert 0.0 <= report.summary["chi2_pvalue"] <= 1.0
+    # the screen's statistic and tail are scipy.stats.chisquare's, bit for bit
+    stat, pvalue = chisquare(np.array([row["count"] for row in report.rows], dtype=np.float64))
+    assert report.summary["chi2_statistic"] == float(stat)
+    assert report.summary["chi2_pvalue"] == float(pvalue)
     assert sum(row["count"] for row in report.rows) == 3000
     assert "not a proof" in report.summary["note"]
 

@@ -616,13 +616,14 @@ def test_clt_quantile_reads_the_upper_tail_below_1e_3():
     # norm.ppf of it is 8.2095 where the quantile is 8.2831
     from scipy.stats import norm
 
-    from tightci.intervals import _z_quantile
+    from tightci.intervals import _ISF_BELOW, MIN_ALPHA, _z_quantile
 
-    for alpha in (1.2e-16, 1e-14, 1e-10, 9.99e-4):
+    below_edge = math.nextafter(_ISF_BELOW, 0.0)
+    for alpha in (MIN_ALPHA, 1.2e-16, 1e-14, 1e-10, 9.99e-4, below_edge):
         assert _z_quantile(alpha) == float(norm.isf(alpha / 2.0))
     assert _z_quantile(1.2e-16) == pytest.approx(8.2831, abs=1e-4)
     # ordinary alphas keep the lower-tail form, and with it their bytes
-    for alpha in (1e-3, 0.01, 0.05, 0.1):
+    for alpha in (_ISF_BELOW, 0.01, 0.05, 0.1, 0.999):
         assert _z_quantile(alpha) == float(norm.ppf(1.0 - alpha / 2.0))
 
 
