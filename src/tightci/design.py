@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -39,8 +38,15 @@ SCHEME_COMPLETE = "complete"
 SCHEME_MBCR = "mbcr"
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-# The smallest propensity accepted: below it 1/pi overflows.
-MIN_PI = math.nextafter(1.0 / sys.float_info.max, 1.0)
+# The propensity floor and the sample-size cap.  Below pi = 2**-300 no
+# design of at most 2**53 units has even a 2**-247 chance of treating a
+# unit, and up to 2**53 every count is exact in float64.  Inside them no
+# arithmetic in the library can overflow: a pseudo-outcome term is at most
+# 2**300 in size, a squared deviation is at most about 2**604, a sum of
+# them over MAX_N units stays below 2**660, and the product n*(-a)*b of
+# sub-bernoulli-bern's lambda is below 2**360, all far under 2**1024.
+MIN_PI = 2.0**-300
+MAX_N = 2**53
 
 
 class DesignError(ValueError):
@@ -74,12 +80,16 @@ def _check_counts(n: int, n1: int) -> None:
 
 
 def validate_propensity(pi: float | Fraction) -> None:
-    """Reject propensities outside [MIN_PI, 1/2]; exact for a ``Fraction``."""
+    """Reject propensities outside [MIN_PI, 1/2]; exact for a ``Fraction``.
+
+    The floor ``MIN_PI = 2**-300`` keeps every computation finite; see its
+    definition.
+    """
     if not (0 < pi <= 0.5):
         hint = "; relabel the arms so the smaller one is called treatment"
         raise DesignError(f"propensity {pi} outside (0, 1/2]" + (hint if pi > 0.5 else ""))
     if pi < MIN_PI:
-        raise DesignError(f"propensity {pi} below {MIN_PI!r}, where 1/pi overflows")
+        raise DesignError(f"propensity {pi} below the floor {MIN_PI!r}")
 
 
 @dataclass(frozen=True)

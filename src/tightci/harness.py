@@ -37,6 +37,7 @@ from scipy.special import chdtrc
 from . import __version__ as TOOL_VERSION
 from .design import (
     DEFAULT_ENUMERATION_BUDGET,
+    MAX_N,
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
     DesignError,
@@ -56,7 +57,6 @@ from .intervals import (
     EmptyArmError,
     IntervalError,
     MethodSpec,
-    half_width_of,
     validate_alpha,
 )
 
@@ -135,7 +135,11 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def parse_propensity(value: Any, where: str = "pi") -> Fraction:
-    """Parse a config propensity into an exact fraction in [MIN_PI, 1/2]."""
+    """Parse a config propensity into an exact fraction in [MIN_PI, 1/2].
+
+    ``f"1/{2**300}"`` is exactly the floor ``MIN_PI``; a smaller value is
+    refused with the floor in the message.
+    """
     text = value if isinstance(value, str) else str(_number(value, where))
     try:
         frac = Fraction(text)
@@ -183,9 +187,12 @@ def _fields(obj: Any, where: str, required: tuple[str, ...], defaults: dict) -> 
     return {**defaults, **obj}
 
 
-def _int_at_least(value: Any, k: int, where: str) -> int:
+def _int_at_least(value: Any, k: int, where: str, most: int | None = None) -> int:
+    """``value`` if it is an integer of at least ``k`` (and at most ``most``)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < k:
         raise ConfigError(f"{where}: need an integer >= {k}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{where}: need an integer <= {most}, got {value!r}")
     return value
 
 
@@ -266,7 +273,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = _fields(f["grid"], "config.grid", ("n", "pi", "alpha"), {})
     lists = {k: _nonempty_list(grid[k], f"config.grid.{k}") for k in grid}
     ns = tuple(
-        _int_at_least(v, 2, f"config.grid.n[{i}]") for i, v in enumerate(lists["n"])
+        _int_at_least(v, 2, f"config.grid.n[{i}]", MAX_N)
+        for i, v in enumerate(lists["n"])
     )
     pis = tuple(
         parse_propensity(v, where=f"config.grid.pi[{i}]")
@@ -574,16 +582,6 @@ def resolve_workers(requested: int | None) -> int:
     return requested
 
 
-def _mean_half_width(halves: np.ndarray) -> float:
-    """``halves.mean()``; where its sum overflows though every half-width is
-    finite, the sum of ``halves / len(halves)``."""
-    with np.errstate(over="ignore"):
-        mean = halves.mean()
-    if mean == math.inf and np.isfinite(halves).all():
-        mean = (halves / halves.size).sum()
-    return float(mean)
-
-
 def rmse_bound(method: str, n: int, pi: float) -> float:
     """Theoretical root-mean-square-error bound for each estimator."""
     if method not in RMSE_METHODS:
@@ -619,10 +617,10 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> Report:
                 half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
                 lo, hi = est - half, est + half
                 covered = (lo <= cell.target) & (cell.target <= hi)
-                halves = half_width_of(lo, hi)
+                halves = (hi - lo) / 2.0
             if spec.has_interval:
                 fill["coverage"] = float(covered.mean())
-                fill["half"] = _mean_half_width(halves)
+                fill["half"] = float(halves.mean())
             rows.append(_row(config, cell, m, config.replications, **fill))
     return Report(config.experiment, REPORT_COLUMNS, rows)
 

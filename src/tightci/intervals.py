@@ -57,16 +57,6 @@ METHOD_STUDENTIZED_BERN = "studentized-bern"
 METHOD_HT_MBCR = "ht-mbcr"
 METHOD_HT_BERNOULLI = "ht-bernoulli"
 
-# The interval methods the command line offers.
-METHODS = (
-    METHOD_HOEFF_MBCR,
-    METHOD_SUB_BERNOULLI_BERN,
-    METHOD_SUB_BERNOULLI_MBCR,
-    METHOD_STUDENTIZED,
-    METHOD_NAIVE_HOEFFDING,
-    METHOD_CLT,
-)
-
 # Cross-fitting splits the group sums in two halves of at least two each.
 MIN_CROSS_FIT_GROUPS = 4
 # The smallest miscoverage level accepted: below it 2/alpha overflows.
@@ -91,20 +81,6 @@ def validate_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def half_width_of(lower, upper):
-    """``(upper - lower) / 2``, or ``upper/2 - lower/2`` where that difference
-    overflows between finite endpoints; every finite difference keeps its
-    bits.  Takes two floats, or two arrays element-wise."""
-    if not isinstance(lower, np.ndarray):
-        half = (upper - lower) / 2.0
-        return upper / 2.0 - lower / 2.0 if half == math.inf else half
-    with np.errstate(over="ignore"):
-        half = (upper - lower) / 2.0
-    wide = half == math.inf
-    half[wide] = upper[wide] / 2.0 - lower[wide] / 2.0
-    return half
-
-
 @dataclass(frozen=True)
 class Interval:
     """A two-sided confidence interval plus the constants that built it."""
@@ -121,7 +97,7 @@ class Interval:
 
     @property
     def half_width(self) -> float:
-        return half_width_of(self.lower, self.upper)
+        return (self.upper - self.lower) / 2.0
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
@@ -178,20 +154,13 @@ def gamma_e(lam: float, c: float) -> float:
     return (-math.log1p(-c * lam) - c * lam) / (c * c)
 
 
-def _unbounded_if_overflowed(lower: float, upper: float) -> tuple[float, float]:
-    """Endpoints that overflowed (to inf, or to nan as inf - inf) are unbounded."""
-    lower = lower if math.isfinite(lower) else -math.inf
-    return lower, upper if math.isfinite(upper) else math.inf
-
-
 def _centered(
     method: str, psi_hat: float, alpha: float, half: float, tuning: dict[str, Any]
 ) -> Interval:
     """``psi_hat +/- half``, with both recorded around the builder's tuning."""
-    lower, upper = _unbounded_if_overflowed(psi_hat - half, psi_hat + half)
     return Interval(
-        lower=lower,
-        upper=upper,
+        lower=psi_hat - half,
+        upper=psi_hat + half,
         alpha=alpha,
         method=method,
         tuning={"psi_hat": float(psi_hat), **tuning, "half_width": half},
@@ -307,8 +276,6 @@ def sub_bernoulli_ci(
             raise IntervalError(str(exc)) from exc
         a, b = _sb_bern_range(pi)
         lam = math.sqrt(log2a / (n * -a * b))
-        if lam == 0.0:  # the product overflowed, near MIN_PI
-            lam = math.sqrt(log2a / (n * -a)) / math.sqrt(b)
         t = {"n": int(n), "pi": float(pi), "lam": lam, "range_lo": a, "range_hi": b}
         t["kappa"] = n * gamma_b(lam, a, b)
         return _centered(
@@ -414,9 +381,7 @@ def _stud_lambda(v: float, alpha: float, c: float) -> float:
 
 
 def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float:
-    """One split's penalty; unbounded when V overflowed and drove lambda to 0."""
-    if lam == 0.0:
-        return math.inf
+    """One split's penalty."""
     return (gamma_e(lam, c) * v + math.log(2.0 / alpha)) / (n * lam)
 
 
@@ -475,7 +440,7 @@ def _studentized_endpoints(alpha: float, t: dict[str, Any]) -> tuple[float, floa
         + _stud_penalty(t[f"lam1_{side}"], t[f"v2_{side}"], n, alpha, c)
         for side in "lu"
     )
-    return _unbounded_if_overflowed(t["mean_l"] - pen_l, t["mean_u"] + pen_u)
+    return t["mean_l"] - pen_l, t["mean_u"] + pen_u
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +567,14 @@ METHOD_TABLE: dict[str, MethodSpec] = {
         # Complete data whose groups tile the sample needs no draw detail.
         cli_schemes=(SCHEME_MBCR, SCHEME_COMPLETE),
     ),
+    METHOD_SUB_BERNOULLI_BERN: MethodSpec(
+        SCHEME_BERNOULLI,
+        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
+            est, alpha, scheme=SCHEME_BERNOULLI, n=n, pi=pi
+        ),
+        half=_sb_bern_half,
+        cli_schemes=_BERNOULLI_DATA,
+    ),
     METHOD_SUB_BERNOULLI_MBCR: MethodSpec(
         SCHEME_MBCR,
         closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
@@ -612,14 +585,6 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     ),
     METHOD_STUDENTIZED: MethodSpec(
         SCHEME_MBCR, cli_schemes=(SCHEME_MBCR, SCHEME_BERNOULLI), **_STUDENTIZED
-    ),
-    METHOD_SUB_BERNOULLI_BERN: MethodSpec(
-        SCHEME_BERNOULLI,
-        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
-            est, alpha, scheme=SCHEME_BERNOULLI, n=n, pi=pi
-        ),
-        half=_sb_bern_half,
-        cli_schemes=_BERNOULLI_DATA,
     ),
     METHOD_NAIVE_HOEFFDING: MethodSpec(
         SCHEME_BERNOULLI,
@@ -635,6 +600,9 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     METHOD_HT_BERNOULLI: MethodSpec(SCHEME_BERNOULLI),
 }
 
+# The interval methods the command line offers, in the table's order.
+METHODS = tuple(m for m, s in METHOD_TABLE.items() if s.cli_schemes)
+
 
 # ---------------------------------------------------------------------------
 # Re-evaluation from a tuning record
@@ -649,7 +617,7 @@ def reevaluate(method: str, alpha: float, tuning: dict[str, Any]) -> tuple[float
     spec = METHOD_TABLE.get(method)
     if spec is not None and spec.half is not None:
         psi_hat, half = tuning["psi_hat"], spec.half(alpha, tuning)
-        lo, hi = _unbounded_if_overflowed(psi_hat - half, psi_hat + half)
+        lo, hi = psi_hat - half, psi_hat + half
     elif spec is not None and spec.endpoints is not None:
         lo, hi = spec.endpoints(alpha, tuning)
     else:

@@ -6,6 +6,7 @@ grouped estimator's unbiasedness.  No library code path calls them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,3 +100,13 @@ def conditional_mean_given_eta(
             acc += wt * y1g[sel].sum() - wc * (s0 - y0g[sel].sum())
         total += acc / len(combos)
     return total / layout.n
+
+
+def two_point_cgf(lam: float, a: float, b: float) -> float:
+    """The two-point CGF ``log(b/(b-a) e^{lam a} - a/(b-a) e^{lam b})``.
+
+    Written as ``log1p((b expm1(lam a) - a expm1(lam b)) / (b - a))``, which
+    keeps its digits when ``lam b`` is small, where a log-sum-exp of the two
+    terms cancels.  Overflows once ``lam b`` exceeds about 709.
+    """
+    return math.log1p((b * math.expm1(lam * a) - a * math.expm1(lam * b)) / (b - a))

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, validation, and output contracts."""
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from reference import draw_complete, inverse_permutation
 from tightci.cli import main
-from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
+from tightci.design import MAX_N, MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable
 from tightci.intervals import METHOD_TABLE, METHODS, reevaluate
 
@@ -328,9 +329,9 @@ def test_ci_studentized_insufficient_groups(tmp_path, capsys):
     assert "insufficient groups for cross-fitting" in capsys.readouterr().err
 
 
-def _overflow_args(tmp_path, treated_ones=False) -> list[str]:
-    """``ci`` on 3 treated units of 40 at pi = 1e-160, where the squared
-    pseudo-outcomes overflow; optionally with every treated outcome 1."""
+def _sparse_bernoulli_args(tmp_path, treated_ones=False) -> list[str]:
+    """``ci`` on 3 treated units of 40 under Bernoulli data, before ``--pi``;
+    optionally with every treated outcome 1."""
     rng = np.random.default_rng(0)
     z = np.zeros(40, dtype=int)
     z[[3, 17, 29]] = 1
@@ -341,74 +342,36 @@ def _overflow_args(tmp_path, treated_ones=False) -> list[str]:
     path.write_text(
         "y,z\n" + "".join(f"{float(v)!r},{t}\n" for v, t in zip(y, z))
     )
-    return ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi", "1e-160"]
-
-
-def test_ci_studentized_variance_overflow_is_unbounded(tmp_path, capsys):
-    # V is inf and lambda is 0, so each side is unbounded, as the CLT
-    # interval is on the same data
-    base = [*_overflow_args(tmp_path), "--json"]
-    for method in ("studentized", "clt"):
-        with np.errstate(over="ignore"):
-            code = main([*base, "--method", method])
-        assert code == 0, method
-        payload = json.loads(capsys.readouterr().out)
-        assert (payload["lower"], payload["upper"]) == (-math.inf, math.inf)
-        lo, hi = reevaluate(payload["method"], payload["alpha"], payload["tuning"])
-        assert (lo, hi) == (-math.inf, math.inf)
-
-
-def test_ci_variance_overflow_notes_the_unbounded_interval(tmp_path, capsys):
-    # no errstate of the test's own: the suite turns a RuntimeWarning into
-    # an error, so a leaked numpy overflow warning would exit 2
-    base = _overflow_args(tmp_path)
-    note = "note: the arithmetic overflowed at --pi {}, so the interval is unbounded"
-    for method in ("studentized", "clt"):
-        code = main([*base, "--method", method, "--json"])
-        assert code == 0, method
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert (payload["lower"], payload["upper"]) == (-math.inf, math.inf)
-        assert captured.err.splitlines() == [note.format("1e-160")], method
-    # a bounded interval prints no note
-    assert main([*base[:-1], "0.1", "--method", "clt"]) == 0
-    assert capsys.readouterr().err == ""
-    # a closed form gets the same note: naive-hoeffding's half-width, 1/pi
-    # times the log term, overflows by itself
-    closed = [*base[:-1], "1e-308", "--method", "naive-hoeffding", "--alpha", "1e-300"]
-    assert main([*closed, "--json"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["half_width"] == math.inf
-    assert captured.err.splitlines() == [note.format("1e-308")]
+    return ["ci", "--data", str(path), "--scheme", "bernoulli", "--pi"]
 
 
 @pytest.mark.parametrize(
     "method", ["sub-bernoulli-bern", "studentized", "naive-hoeffding", "clt"]
 )
 def test_ci_bounds_or_refuses_at_the_propensity_floor(tmp_path, capsys, method):
-    # Near MIN_PI an estimate, a variance or a half-width can overflow; every
-    # Bernoulli-data method still prints ordered endpoints, unbounded where
-    # the arithmetic overflowed, with one note saying so.  No errstate of the
-    # test's own: a leaked numpy warning would exit 2.
+    # From MIN_PI up every Bernoulli-data method prints finite, ordered
+    # endpoints, a finite half-width and nothing on stderr.  No errstate of
+    # the test's own: the suite turns a RuntimeWarning into an error, so an
+    # overflow anywhere would exit 2.
     for treated_ones in (False, True):
-        base = _overflow_args(tmp_path, treated_ones)[:-1]
-        for pi in (MIN_PI, 1e-308, 1e-307):
-            assert main([*base, repr(pi), "--method", method, "--json"]) == 0, pi
+        base = _sparse_bernoulli_args(tmp_path, treated_ones)
+        for pi, alpha in itertools.product((MIN_PI, 2 * MIN_PI, 1e-90), (0.05, 1e-300)):
+            args = [*base, repr(pi), "--method", method, "--alpha", repr(alpha)]
+            assert main([*args, "--json"]) == 0, (pi, alpha)
             captured = capsys.readouterr()
+            assert captured.err == "", (pi, alpha)
             payload = json.loads(captured.out)
             lower, upper = payload["lower"], payload["upper"]
-            assert lower <= upper, pi
+            assert math.isfinite(lower) and math.isfinite(upper), (pi, alpha)
+            assert lower <= upper, (pi, alpha)
+            assert math.isfinite(payload["half_width"]), (pi, alpha)
             assert reevaluate(method, payload["alpha"], payload["tuning"]) == (
                 lower,
                 upper,
             )
-            unbounded = math.isinf(lower) or math.isinf(upper)
-            assert captured.err.count("the interval is unbounded") == unbounded, pi
-            # two finite endpoints, however far apart, have a finite half-width
-            assert math.isfinite(payload["half_width"]) != unbounded, pi
-    for pi in (math.nextafter(MIN_PI, 0.0), 1e-309, 5e-324):
+    for pi in (math.nextafter(MIN_PI, 0.0), 1e-160, 1e-308, 5e-324):
         assert main([*base, repr(pi), "--method", method]) == 1, pi
-        assert f"below {MIN_PI!r}" in capsys.readouterr().err
+        assert f"below the floor {MIN_PI!r}" in capsys.readouterr().err
 
 
 def test_ci_method_scheme_incompatibility(tmp_path, capsys):
@@ -616,6 +579,31 @@ def test_simulate_invalid_config_no_partial_output(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
     assert "missing required field" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_grid_beyond_the_floor_or_cap(tmp_path, capsys):
+    # a grid n above 2**53 is refused up front, as is a pi below the floor,
+    # before any cell runs or any output is written
+    grid = {"n": [40], "pi": ["1/10"], "alpha": [0.05]}
+    bad = [
+        ({"n": [40, MAX_N + 1]}, f"config.grid.n[1]: need an integer <= {MAX_N}"),
+        ({"n": [10**400]}, f"config.grid.n[0]: need an integer <= {MAX_N}"),
+        ({"pi": ["1e-308"]}, "config.grid.pi[0]: propensity"),
+    ]
+    for i, (override, message) in enumerate(bad):
+        config = tmp_path / f"cfg{i}.json"
+        config.write_text(json.dumps({
+            "experiment": "width_scaling",
+            "grid": {**grid, **override},
+            "methods": ["naive-hoeffding"],
+            "seed": 1,
+        }))
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+    assert f"below the floor {MIN_PI!r}" in err
 
 
 def test_simulate_unreadable_inputs_are_validation_errors(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import draw_complete, inverse_permutation, slot_blocks
 from tightci.design import (
+    MAX_N,
     MIN_PI,
     Assignment,
     DesignError,
@@ -419,14 +420,17 @@ def test_workspace_refuses_a_draw_of_another_length(draw):
 
 
 def test_propensity_floor_keeps_one_over_pi_finite():
-    assert math.isfinite(1.0 / MIN_PI)
-    assert math.isinf(1.0 / math.nextafter(MIN_PI, 0.0))
+    # The floor's derivation: MAX_N squared deviations of terms at most
+    # 1/MIN_PI + 1 in size still sum to a finite float.
+    assert MIN_PI == 2.0**-300 and MAX_N == 2**53
+    assert math.isfinite(MAX_N * (2.0 / MIN_PI + 2.0) ** 2)
     # a Fraction meets both bounds exactly
-    for pi in (MIN_PI, Fraction(MIN_PI), 0.5, Fraction(1, 2)):
+    for pi in (MIN_PI, Fraction(MIN_PI), Fraction(1, 2**300), 0.5, Fraction(1, 2)):
         validate_propensity(pi)
     draw_bernoulli(40, MIN_PI, np.random.default_rng(0))
-    for pi in (math.nextafter(MIN_PI, 0.0), 5e-324, Fraction(1, 10**400)):
-        with pytest.raises(DesignError, match="1/pi overflows"):
+    floor = f"below the floor {MIN_PI!r}"
+    for pi in (math.nextafter(MIN_PI, 0.0), 1e-160, 5e-324, Fraction(1, 2**300 + 1)):
+        with pytest.raises(DesignError, match=floor):
             validate_propensity(pi)
     for pi in (0, -0.1, 0.6, Fraction(1, 2) + Fraction(1, 10**30), math.nan):
         with pytest.raises(DesignError, match="outside"):
