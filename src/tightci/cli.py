@@ -3,8 +3,8 @@
 Subcommands: ``ci`` computes one interval from an observed-data CSV;
 ``simulate`` runs any experiment config (coverage, width scaling, RMSE or
 equivalence), writes its CSV and manifest, and prints the report summary;
-``equivalence`` builds an equivalence config from its flags and runs it the
-same way.  Exit codes:
+``equivalence`` builds the equivalence config of its flags, seed 0, and
+runs it the same way, exactly as ``simulate`` would.  Exit codes:
 0 success, 1 validation error (bad flags, schemas, or incompatible
 method/scheme combinations), 2 runtime error.
 
@@ -112,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--n", type=int, required=True)
     p_eq.add_argument("--n1", type=int, required=True)
     p_eq.add_argument("--budget", type=int, default=None)
-    p_eq.add_argument(
-        "--approximate",
-        action="store_true",
-        help="Monte Carlo chi-square screen instead of exact enumeration",
-    )
-    p_eq.add_argument("--draws", type=int, default=None)
-    p_eq.add_argument("--seed", type=int, default=0)
     p_eq.add_argument("--out", required=True)
     return parser
 
@@ -297,16 +290,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_equivalence(args) -> int:
-    raw = {
-        "experiment": EXPERIMENT_EQUIVALENCE,
-        "seed": args.seed,
-        "n": args.n,
-        "n1": args.n1,
-        "approximate": bool(args.approximate),
-    }
-    for name in ("budget", "draws"):
-        if getattr(args, name) is not None:
-            raw[name] = getattr(args, name)
+    # The exact enumeration reads no random stream; the seed is only recorded.
+    raw = {"experiment": EXPERIMENT_EQUIVALENCE, "seed": 0, "n": args.n, "n1": args.n1}
+    if args.budget is not None:
+        raw["budget"] = args.budget
     return _run(parse_config(raw), args.out)
 
 

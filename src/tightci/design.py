@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import NamedTuple
@@ -87,9 +88,20 @@ def validate_propensity(pi: float | Fraction) -> None:
     """
     if not (0 < pi <= 0.5):
         hint = "; relabel the arms so the smaller one is called treatment"
-        raise DesignError(f"propensity {pi} outside (0, 1/2]" + (hint if pi > 0.5 else ""))
+        raise DesignError(
+            f"propensity {_shown(pi)} outside (0, 1/2]" + (hint if pi > 0.5 else "")
+        )
     if pi < MIN_PI:
-        raise DesignError(f"propensity {pi} below the floor {MIN_PI!r}")
+        raise DesignError(f"propensity {_shown(pi)} below the floor {MIN_PI!r}")
+
+
+def _shown(pi: float | Fraction) -> float | str:
+    """``pi`` for a message: a ``Fraction`` to six significant digits, in an
+    exponent range wide enough that no value rounds to zero."""
+    if not isinstance(pi, Fraction):
+        return pi
+    wide = Context(Emin=MIN_EMIN, Emax=MAX_EMAX)
+    return format(wide.divide(pi.numerator, pi.denominator), ".6g")
 
 
 @dataclass(frozen=True)
@@ -403,8 +415,7 @@ def enumerate_mbcr_distribution(
     if space > budget:
         raise EnumerationBudgetError(
             f"exact enumeration needs {space} permutation tuples, over the "
-            f"budget of {budget}; increase the budget or fall back to an "
-            "approximate Monte Carlo chi-square check"
+            f"budget of {budget}; increase the budget or use a smaller n"
         )
     n, g = layout.n, layout.group_size
     a = layout.allocation_vector()

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import __version__ as TOOL_VERSION
 from .design import (
@@ -41,7 +40,6 @@ from .design import (
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
     DesignError,
-    EnumerationBudgetError,
     MbcrLayout,
     Workspace,
     compute_layout,
@@ -82,9 +80,6 @@ EXPERIMENTS = (
 SETTING_DESIGN_BASED = "design_based"
 SETTING_SUPERPOPULATION = "superpopulation"
 
-# How many grouped draws the approximate equivalence screen makes by default.
-DEFAULT_SCREEN_DRAWS = 200_000
-
 CLOSED_WIDTH_METHODS = {m for m, s in METHOD_TABLE.items() if s.closed is not None}
 COVERAGE_METHODS = {m for m, s in METHOD_TABLE.items() if s.has_interval}
 RMSE_METHODS = {m for m, s in METHOD_TABLE.items() if not s.has_interval}
@@ -120,7 +115,6 @@ _TAG_CELL_TABLE = 0
 _TAG_REP_TABLE = 1
 _TAG_MBCR = 2
 _TAG_BERN = 3
-_TAG_EQUIV = 4
 # Each design's draw tag, in the order a replication draws the designs.
 _DRAW_TAGS = {SCHEME_MBCR: _TAG_MBCR, SCHEME_BERNOULLI: _TAG_BERN}
 
@@ -169,8 +163,6 @@ class ExperimentConfig:
     n: int | None = None
     n1: int | None = None
     budget: int = DEFAULT_ENUMERATION_BUDGET
-    approximate: bool = False
-    draws: int = DEFAULT_SCREEN_DRAWS
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -249,20 +241,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         f"is not an experiment; choose from {EXPERIMENTS}",
     )
     if experiment == EXPERIMENT_EQUIVALENCE:
-        optional = _defaults("budget", "approximate", "draws")
-        f = _fields(raw, "config", ("experiment", "seed", "n", "n1"), optional)
-        if not isinstance(f["approximate"], bool):
-            raise ConfigError(
-                f"config.approximate: need a boolean, got {f['approximate']!r}"
-            )
+        f = _fields(raw, "config", ("experiment", "seed", "n", "n1"), _defaults("budget"))
         return ExperimentConfig(
             experiment=experiment,
             seed=_int_at_least(f["seed"], 0, "config.seed"),
             n=_int_at_least(f["n"], 1, "config.n"),
             n1=_int_at_least(f["n1"], 1, "config.n1"),
             budget=_int_at_least(f["budget"], 1, "config.budget"),
-            approximate=f["approximate"],
-            draws=_int_at_least(f["draws"], 1, "config.draws"),
             raw=raw,
         )
 
@@ -644,102 +629,38 @@ def run_width_scaling(config: ExperimentConfig) -> Report:
 # Equivalence experiment
 
 
-def _equivalence_row(
-    n: int, n1: int, z, count: int, total: int, probability: str
-) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "n1": n1,
-        "assignment": "".join(str(v) for v in z),
-        "count": count,
-        "total": total,
-        "probability": probability,
-    }
+def run_equivalence(n: int, n1: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Report:
+    """Exact check that grouped draws are uniform over all arrangements of
+    ``n1`` treated among ``n`` units.
 
-
-def run_equivalence(
-    n: int,
-    n1: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    approximate: bool = False,
-    draws: int = DEFAULT_SCREEN_DRAWS,
-    seed: int = 0,
-) -> Report:
-    """Exact (or, on request, approximate) check that grouped draws are
-    uniform over all arrangements of ``n1`` treated among ``n`` units.
-
-    The exact path enumerates every permutation tuple and requires equality
-    of integer counts.  The approximate path is a Monte Carlo chi-square
-    goodness-of-fit screen, reported as approximate and never as proof; its
-    Pearson statistic and ``chdtrc`` tail are ``scipy.stats.chisquare``'s.
-    Its ``budget`` caps both the ``C(n, n1)`` arrangements it tabulates and
-    the ``draws`` it makes, and it refuses before drawing anything when
-    either exceeds it, or when ``draws`` is below five per arrangement, the
-    usual condition for a Pearson chi-square.
+    Enumerates every permutation tuple of the two-stage design and requires
+    equal integer counts for every assignment; ``budget`` caps the number of
+    tuples, and a larger count is refused before anything is enumerated.
     """
-    layout = compute_layout(n, n1)
-    if not approximate:
-        dist = enumerate_mbcr_distribution(layout, budget=budget)
-        if not dist.is_uniform():
-            raise RuntimeError(
-                f"exact enumeration for (n={n}, n1={n1}) is not uniform over "
-                "assignments; the grouped sampler violates its distributional "
-                "contract"
-            )
-        rows = []
-        for z in sorted(dist.counts):
-            prob = dist.probability(z)
-            ratio = f"{prob.numerator}/{prob.denominator}"
-            rows.append(_equivalence_row(n, n1, z, dist.counts[z], dist.total, ratio))
-        summary = {
-            "exact": True,
-            "uniform": True,
+    dist = enumerate_mbcr_distribution(compute_layout(n, n1), budget=budget)
+    if not dist.is_uniform():
+        raise RuntimeError(
+            f"exact enumeration for (n={n}, n1={n1}) is not uniform over "
+            "assignments; the grouped sampler violates its distributional "
+            "contract"
+        )
+    rows = []
+    for z in sorted(dist.counts):
+        prob = dist.probability(z)
+        rows.append({
+            "schema_version": SCHEMA_VERSION,
+            "n": n,
+            "n1": n1,
+            "assignment": "".join(str(v) for v in z),
+            "count": dist.counts[z],
             "total": dist.total,
-            "distinct_assignments": len(dist.counts),
-        }
-        return Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows, summary)
-    arrangements = math.comb(n, n1)
-    if arrangements > budget:
-        raise EnumerationBudgetError(
-            f"the approximate screen tabulates {arrangements} arrangements, over "
-            f"the budget of {budget}; increase the budget or use a smaller n"
-        )
-    if draws > budget:
-        raise EnumerationBudgetError(
-            f"the approximate screen makes {draws} draws, over the budget of "
-            f"{budget}; increase the budget or make fewer draws"
-        )
-    if draws < 5 * arrangements:
-        raise EnumerationBudgetError(
-            f"the approximate screen makes {draws} draws, under the chi-square's "
-            f"five per arrangement: {5 * arrangements} for {arrangements} arrangements"
-        )
-    rng = child_rng(seed, 0, 0, _TAG_EQUIV)
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(draws):
-        z = tuple(int(v) for v in draw_mbcr(layout, rng).z)
-        counts[z] = counts.get(z, 0) + 1
-    support = []
-    for ones in itertools.combinations(range(n), n1):
-        z = [0] * n
-        for i in ones:
-            z[i] = 1
-        support.append(tuple(z))
-    observed = [counts.get(z, 0) for z in support]
-    obs = np.array(observed, dtype=np.float64)
-    stat = ((obs - obs.mean()) ** 2 / obs.mean()).sum()
-    rows = [
-        _equivalence_row(n, n1, z, count, draws, f"{count}/{draws}")
-        for z, count in zip(support, observed)
-    ]
+            "probability": f"{prob.numerator}/{prob.denominator}",
+        })
     summary = {
-        "exact": False,
-        "approximate": True,
-        "chi2_statistic": float(stat),
-        "chi2_pvalue": float(chdtrc(obs.size - 1, stat)),
-        "draws": draws,
-        "note": "Monte Carlo screen only, not a proof of equivalence",
+        "exact": True,
+        "uniform": True,
+        "total": dist.total,
+        "distinct_assignments": len(dist.counts),
     }
     return Report(EXPERIMENT_EQUIVALENCE, EQUIVALENCE_COLUMNS, rows, summary)
 
@@ -754,14 +675,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
     if config.experiment == EXPERIMENT_WIDTH_SCALING:
         return run_width_scaling(config)
     if config.experiment == EXPERIMENT_EQUIVALENCE:
-        return run_equivalence(
-            config.n,
-            config.n1,
-            budget=config.budget,
-            approximate=config.approximate,
-            draws=config.draws,
-            seed=config.seed,
-        )
+        return run_equivalence(config.n, config.n1, budget=config.budget)
     raise ConfigError(f"unknown experiment {config.experiment!r}")
 
 

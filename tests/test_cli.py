@@ -670,6 +670,28 @@ def test_equivalence_subcommand(tmp_path, capsys):
     assert all(row["count"] == "1728" for row in rows)
 
 
+def test_equivalence_screen_flags_are_gone(tmp_path, capsys):
+    # the exact enumeration is the only check: no Monte Carlo screen, and no
+    # seed, since nothing it does reads a random stream
+    for i, extra in enumerate((["--approximate"], ["--draws", "75"], ["--seed", "3"])):
+        out = tmp_path / f"eq{i}"
+        args = ["equivalence", "--n", "6", "--n1", "2", "--out", str(out), *extra]
+        assert main(args) == 1, extra
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_equivalence_subcommand_matches_its_config(tmp_path, capsys):
+    # the subcommand builds the bundled config's fields, so both entry points
+    # write the same CSV and the same manifest
+    cli_out, sim_out = tmp_path / "cli", tmp_path / "sim"
+    assert main(["equivalence", "--n", "6", "--n1", "2", "--out", str(cli_out)]) == 0
+    config = CONFIGS / "equivalence_6_2.json"
+    assert main(["simulate", "--config", str(config), "--out", str(sim_out)]) == 0
+    for name in ("equivalence.csv", "manifest.json"):
+        assert (cli_out / name).read_bytes() == (sim_out / name).read_bytes(), name
+
+
 def test_equivalence_budget_validation(capsys, tmp_path):
     code = main(["equivalence", "--n", "10", "--n1", "5", "--out", str(tmp_path / "x")])
     assert code == 1
@@ -719,7 +741,7 @@ def test_module_entry_point_subprocess():
 
 
 def test_runtime_does_not_import_scipy_stats():
-    # the quantile and the chi-square tail come from scipy.special; a fresh
+    # the normal quantile comes from scipy.special; a fresh
     # process that imports the command line never loads scipy.stats
     import subprocess
     import sys

@@ -55,9 +55,19 @@ def test_parse_propensity_forms():
         parse_propensity(0)
     # the floor is MIN_PI, the smallest propensity accepted
     assert parse_propensity(MIN_PI) >= MIN_PI
-    for value in (1e-309, f"1/{10**400}"):
-        with pytest.raises(ConfigError, match="below the floor"):
+    # a refused value is named to six significant digits, not as a Fraction
+    # of hundreds of digits (past 4300 digits, str() of one raises ValueError)
+    floor_cases = [
+        (1e-309, "1e-309"),
+        ("1e-308", "1e-308"),
+        (f"1/{10**400}", "1e-400"),
+        ("1e-5000", "1e-5000"),
+    ]
+    for value, shown in floor_cases:
+        with pytest.raises(ConfigError, match="below the floor") as info:
             parse_propensity(value)
+        message = str(info.value)
+        assert len(message) < 120 and f"propensity {shown} below" in message, message
     with pytest.raises(ConfigError):
         parse_propensity("not-a-number")
 
@@ -106,8 +116,8 @@ _REJECTIONS = [
     ("config.n", _equivalence_raw(n=0)),
     ("config.n1", _equivalence_raw(n1=2.0)),
     ("config.budget", _equivalence_raw(budget=0)),
-    ("config.approximate", _equivalence_raw(approximate="yes")),
-    ("config.draws", _equivalence_raw(draws=0)),
+    ("config", _equivalence_raw(approximate=False)),
+    ("config", _equivalence_raw(draws=10)),
     ("config", _equivalence_raw(grid=_GRID)),
     ("config", _coverage_raw(extra_knob=1)),
     ("config", _without(_coverage_raw(), "grid")),
@@ -182,10 +192,9 @@ def test_equivalence_config():
     assert cfg.n == 6 and cfg.n1 == 2
     with pytest.raises(ConfigError, match="config.n1"):
         parse_config({"experiment": "equivalence", "n": 6, "n1": 0, "seed": 0})
-    for name in ("budget", "draws"):
-        raw = {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0, name: True}
-        with pytest.raises(ConfigError, match=f"config.{name}"):
-            parse_config(raw)
+    raw = {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0, "budget": True}
+    with pytest.raises(ConfigError, match="config.budget"):
+        parse_config(raw)
 
 
 def test_resolve_workers(monkeypatch):
@@ -811,48 +820,12 @@ def test_equivalence_exact_6_2():
         assert len(row["assignment"]) == 6
 
 
-def test_equivalence_budget_error_suggests_fallback():
-    with pytest.raises(EnumerationBudgetError, match="chi-square"):
+def test_equivalence_budget_error_names_the_count():
+    with pytest.raises(EnumerationBudgetError) as info:
         run_equivalence(10, 5)
-
-
-def test_equivalence_approximate_fallback():
-    from scipy.stats import chisquare
-
-    report = run_equivalence(4, 2, approximate=True, draws=3000, seed=1)
-    assert report.summary["approximate"] is True
-    assert 0.0 <= report.summary["chi2_pvalue"] <= 1.0
-    # the screen's statistic and tail are scipy.stats.chisquare's, bit for bit
-    stat, pvalue = chisquare(np.array([row["count"] for row in report.rows], dtype=np.float64))
-    assert report.summary["chi2_statistic"] == float(stat)
-    assert report.summary["chi2_pvalue"] == float(pvalue)
-    assert sum(row["count"] for row in report.rows) == 3000
-    assert "not a proof" in report.summary["note"]
-
-
-def test_equivalence_approximate_budget_refused(monkeypatch):
-    from tightci import harness
-
-    def no_draws(*args):
-        raise AssertionError("drew before checking the budget")
-
-    # C(40, 20) = 137846528820 arrangements is over the default budget of
-    # 10**8; the refusal comes from that count alone.
-    assert math.comb(40, 20) > 10**8
-    monkeypatch.setattr(harness, "draw_mbcr", no_draws)
-    with pytest.raises(EnumerationBudgetError, match="137846528820 arrangements"):
-        run_equivalence(40, 20, approximate=True)
-    with pytest.raises(EnumerationBudgetError, match="budget of 14"):
-        run_equivalence(6, 2, approximate=True, budget=14, draws=10)
-    # the draws count against the same budget
-    with pytest.raises(EnumerationBudgetError, match="makes 300 draws"):
-        run_equivalence(6, 2, approximate=True, budget=15, draws=300)
-    # a Pearson chi-square needs five expected draws per arrangement
-    with pytest.raises(EnumerationBudgetError, match="74 draws.*75 for 15 arrangements"):
-        run_equivalence(6, 2, approximate=True, budget=75, draws=74)
-    monkeypatch.undo()
-    report = run_equivalence(6, 2, approximate=True, budget=75, draws=75)
-    assert len(report.rows) == 15
+    message = str(info.value)
+    assert "116121600 permutation tuples, over the budget of 100000000" in message
+    assert "chi-square" not in message
 
 
 def test_equivalence_infeasible_layout():
