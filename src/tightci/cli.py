@@ -18,6 +18,7 @@ requested miscoverage before building it (it divides by the method's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,6 +75,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tightci", description=__doc__)
     parser.add_argument(

@@ -96,12 +96,21 @@ def validate_propensity(pi: float | Fraction) -> None:
 
 
 def _shown(pi: float | Fraction) -> float | str:
-    """``pi`` for a message: a ``Fraction`` to six significant digits, in an
-    exponent range wide enough that no value rounds to zero."""
+    """``pi`` for a message: a ``Fraction`` to six significant digits, trailing
+    zeros dropped, in an exponent range wide enough that none rounds to zero."""
     if not isinstance(pi, Fraction):
         return pi
-    wide = Context(Emin=MIN_EMIN, Emax=MAX_EMAX)
-    return format(wide.divide(pi.numerator, pi.denominator), ".6g")
+    # Converting a long integer to decimal is quadratic in its digits, so the
+    # fraction is cut to a 128-bit integer times 2**-shift.  Their product to
+    # 28 digits equals a short decimal exactly, so its ties round correctly.
+    p, q = pi.numerator, pi.denominator
+    shift = 128 - (p.bit_length() - q.bit_length()) if p else 0
+    m = (p << shift) // q if shift >= 0 else p // (q << -shift)
+    fine, wide, six = (Context(k, Emin=MIN_EMIN, Emax=MAX_EMAX) for k in (50, 28, 6))
+    x = six.plus(wide.multiply(m, fine.power(2, -shift))).normalize(six)
+    if x.as_tuple().exponent > 0 and x.adjusted() < 6:
+        x = x.quantize(1)  # 50, not 5e+1
+    return format(x, "g")
 
 
 @dataclass(frozen=True)
@@ -369,6 +378,24 @@ def draw_mbcr(
     rng.shuffle(eta)
     # np.take copies an index array it cannot write, so it reads eta itself.
     return _grouped(layout, eta, shown, workspace)
+
+
+def treated_set_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> np.ndarray:
+    """The units a grouped draw seats at the tail's slots, in slot order (its
+    first ``tail_treated`` are the tail's treated units), then the units at
+    the full blocks' treated slots: everything the estimate of a fixed table
+    reads.  The units at any distinct slots of a uniform permutation are an
+    ordered sample without replacement, so this is one, of O(1/pi + n pi)
+    units, in the law of :func:`draw_mbcr`'s units at those slots."""
+    size = layout.tail_size + layout.n1 - layout.tail_treated
+    return rng.choice(layout.n, size, replace=False)
+
+
+def treated_set_bernoulli(n: int, pi: float, rng: np.random.Generator) -> np.ndarray:
+    """The units a Bernoulli(pi) draw treats: a binomial count, then a
+    uniform subset of that size, in the law of :func:`draw_bernoulli`'s."""
+    validate_propensity(pi)
+    return rng.choice(n, rng.binomial(n, pi), replace=False)
 
 
 @dataclass(frozen=True)

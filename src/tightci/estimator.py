@@ -12,7 +12,9 @@ weighted at the assignment's propensity (``Assignment.unit_weights``).  An
 :class:`ObservedData` forms its terms once, so the estimator and intervals
 of one replication share them; its outcomes and terms are written into the
 assignment's workspace when it has one.  Only the Bernoulli Studentized
-interval forms mirrored terms, with the same weighting step.
+interval forms mirrored terms, with the same weighting step.  On a fixed
+table, :func:`treated_set_estimate` gives the same estimate from the units
+a draw treats, without realizing the others.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .design import (
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
     Assignment,
+    MbcrLayout,
     buffer_for,
     layout_constants,
     read_only,
@@ -195,6 +198,31 @@ def ht_estimate(data: ObservedData) -> float:
     grouped estimator for a grouped draw, which with no tail equals the
     standard one at ``prop = n1/n``, and the standard estimator otherwise."""
     return float(np.mean(data.terms))
+
+
+def treated_set_estimate(
+    table: PotentialTable,
+    units: np.ndarray,
+    y0_total: float,
+    layout: MbcrLayout | None = None,
+    pi: float | None = None,
+) -> float:
+    """:func:`ht_estimate` of a draw on a fixed table, from the units it treats
+    and ``y0_total = table.y0.sum()``: under a grouped ``layout``, ``units``
+    as :func:`~tightci.design.treated_set_mbcr` orders them, and otherwise
+    the units a Bernoulli(``pi``) draw treats.
+
+    Every control outside a tail has the same weight, so their sum is
+    ``y0_total`` less the ``y0`` of the units listed.
+    """
+    y1, y0 = table.y1[units], table.y0[units]
+    if layout is None:
+        return float((y1.sum() / pi - (y0_total - y0.sum()) / (1.0 - pi)) / table.n)
+    g, s, k = layout.group_size, layout.tail_size, layout.tail_treated
+    total = g * y1[s:].sum() - g / (g - 1.0) * (y0_total - y0.sum())
+    if s:
+        total += s / k * y1[:k].sum() - s / (s - k) * y0[k:s].sum()
+    return float(total / table.n)
 
 
 def groupwise_sums(data: ObservedData) -> np.ndarray:

@@ -5,10 +5,18 @@ propensities, and levels; method list; data-generating process; replication
 count; seed) and produce CSV reports plus a manifest.  Coverage and RMSE
 experiments share one runner, :func:`run_monte_carlo`: every row has its
 RMSE, then an interval's coverage and width or an estimator's RMSE bound.
-Reports are byte-identical across reruns and across worker counts:
-replication ``r`` of cell ``c`` always draws from a generator seeded by the
-tuple ``(seed, c, r, tag)`` via ``numpy.random.SeedSequence``, and results
-are assembled in replication order regardless of how work was chunked.
+Reports are byte-identical across reruns and across worker counts: every
+(cell ``c``, tag) has one PCG64 stream seeded by ``(seed, c, tag)`` via
+``numpy.random.SeedSequence``, replication ``r`` draws from its segment that
+starts ``r * 2**64`` draws in, and results are assembled in replication
+order regardless of how work was chunked.
+
+A design whose methods in a cell read only the point estimate, on a table
+fixed for the cell, draws just the units its estimate reads
+(:func:`~tightci.design.treated_set_mbcr`,
+:func:`~tightci.design.treated_set_bernoulli`), O(n pi) work per
+replication; a design with a data-adaptive interval, or a table sampled per
+replication, draws and weighs every unit.
 
 Propensities in configs may be written as JSON numbers or as fraction
 strings like ``"1/10"``; numbers are interpreted through their shortest
@@ -46,10 +54,12 @@ from .design import (
     draw_bernoulli,
     draw_mbcr,
     enumerate_mbcr_distribution,
+    treated_set_bernoulli,
+    treated_set_mbcr,
     validate_propensity,
 )
 from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
-from .estimator import ObservedData, PotentialTable, ht_estimate
+from .estimator import ObservedData, PotentialTable, ht_estimate, treated_set_estimate
 from .intervals import (
     METHOD_TABLE,
     EmptyArmError,
@@ -61,9 +71,12 @@ from .intervals import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
-# Bumped when a seed's draws change; stream 2 draws one unit-wide
-# permutation per grouped replication, stream 1 shuffled every block first.
-RNG_STREAM = 2
+# Bumped when a seed's draws change.  Stream 3 advances one PCG64 per (cell,
+# tag) to each replication's segment and draws only the treated units of a
+# design whose methods read nothing but the estimate; stream 2 seeded every
+# (cell, replication, tag) on its own and drew one unit-wide permutation per
+# grouped replication; stream 1 shuffled every block first.
+RNG_STREAM = 3
 
 EXPERIMENT_COVERAGE = "coverage"
 EXPERIMENT_WIDTH_SCALING = "width_scaling"
@@ -110,7 +123,7 @@ EQUIVALENCE_COLUMNS = [
     "probability",
 ]
 
-# Stream tags for the per-replication seed derivation.
+# Stream tags: the cell's table, then the streams of every replication.
 _TAG_CELL_TABLE = 0
 _TAG_REP_TABLE = 1
 _TAG_MBCR = 2
@@ -124,8 +137,25 @@ class ConfigError(ValueError):
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for one node of the (seed, cell, rep, tag) tree."""
+    """Independent generator for the node ``(seed, *path)`` of the seed tree."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
+
+
+def substream(seed: int, cell: int, tag: int):
+    """``at(rep)``: the (seed, cell, tag) stream's generator, reset to its
+    seeded state and advanced ``rep * 2**64`` draws, so that replication
+    ``rep`` owns a disjoint segment whatever chunk runs it, at a fraction of
+    the cost of seeding a generator per replication."""
+    bitgen = np.random.PCG64(np.random.SeedSequence((int(seed), int(cell), int(tag))))
+    seeded = bitgen.state
+    rng = np.random.Generator(bitgen)
+
+    def at(rep: int) -> np.random.Generator:
+        bitgen.state = seeded
+        bitgen.advance(rep << 64)
+        return rng
+
+    return at
 
 
 def parse_propensity(value: Any, where: str = "pi") -> Fraction:
@@ -426,14 +456,6 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
     return cells
 
 
-def _cell_table(config: ExperimentConfig, cell: _Cell, rep: int) -> PotentialTable:
-    if cell.table is not None:
-        return cell.table
-    return sample_population(
-        config.dgp.with_n(cell.n), child_rng(config.seed, cell.idx, rep, _TAG_REP_TABLE)
-    )
-
-
 def _row(
     config: ExperimentConfig,
     cell: _Cell,
@@ -480,31 +502,49 @@ def _coverage_chunk(
     containment and half-width under ``("covered", m)`` and ``("half", m)``.
 
     Closed forms need only the estimates: their half-width is fixed per cell,
-    so coverage is evaluated over the merged estimate arrays.  Each design
-    draws, realizes and weights every replication of the chunk into one
-    workspace, so the chunk's full-length arrays are allocated once.
+    so coverage is evaluated over the merged estimate arrays.  A design that
+    no adaptive interval reads, on the cell's fixed table, draws only the
+    units its estimate needs.  Every other design draws, realizes and weights
+    every replication of the chunk into one workspace, so the chunk's
+    full-length arrays are allocated once.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
-    used = {spec.scheme for spec in specs.values()}
-    workspaces = {scheme: Workspace(cell.n) for scheme in _DRAW_TAGS if scheme in used}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
+    schemes = {spec.scheme for spec in specs.values()}
+    used = [scheme for scheme in _DRAW_TAGS if scheme in schemes]
+    streams = {s: substream(config.seed, cell.idx, _DRAW_TAGS[s]) for s in used}
+    if cell.table is None:
+        tables, dense = substream(config.seed, cell.idx, _TAG_REP_TABLE), schemes
+    else:
+        y0_total, dense = cell.table.y0.sum(), {s.scheme for s in adaptive.values()}
+    workspaces = {scheme: Workspace(cell.n) for scheme in used if scheme in dense}
     count = stop - start
-    out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in workspaces}
+    out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in used}
     for m in adaptive:
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
     for k, rep in enumerate(range(start, stop)):
-        table = _cell_table(config, cell, rep)
+        table = cell.table
+        if table is None:
+            table = sample_population(config.dgp.with_n(cell.n), tables(rep))
         data = {}
-        for scheme, workspace in workspaces.items():
-            rng = child_rng(config.seed, cell.idx, rep, _DRAW_TAGS[scheme])
-            if scheme == SCHEME_MBCR:
-                asg = draw_mbcr(cell.layout, rng, workspace)
+        for scheme in used:
+            rng = streams[scheme](rep)
+            if scheme in workspaces:
+                if scheme == SCHEME_MBCR:
+                    asg = draw_mbcr(cell.layout, rng, workspaces[scheme])
+                else:
+                    asg = draw_bernoulli(cell.n, pi_f, rng, workspaces[scheme])
+                data[scheme] = ObservedData.realize(table, asg)
+                est = ht_estimate(data[scheme])
+            elif scheme == SCHEME_MBCR:
+                units = treated_set_mbcr(cell.layout, rng)
+                est = treated_set_estimate(table, units, y0_total, cell.layout)
             else:
-                asg = draw_bernoulli(cell.n, pi_f, rng, workspace)
-            data[scheme] = ObservedData.realize(table, asg)
-            out["est", scheme][k] = ht_estimate(data[scheme])
+                units = treated_set_bernoulli(cell.n, pi_f, rng)
+                est = treated_set_estimate(table, units, y0_total, pi=pi_f)
+            out["est", scheme][k] = est
         for m, spec in adaptive.items():
             try:
                 ci = spec.adaptive(data[spec.scheme], cell.alpha)
@@ -521,7 +561,7 @@ def _run_cells(config, cells, workers: int):
     merge the records into one array per cell and key.
 
     Chunk boundaries never influence the results: every replication owns its
-    own seed path and lands at its absolute index during the merge, so any
+    stream segments and lands at its absolute index during the merge, so any
     worker count produces identical reports.  More workers than CPUs or
     tasks would only idle, so the pool is clamped to both.  The pool gets
     four chunks per worker for load balance; one worker runs each cell as a

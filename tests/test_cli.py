@@ -59,6 +59,17 @@ def test_version_exits_zero(capsys):
     assert "tightci" in out and "schema" in out
 
 
+def test_main_builds_its_parser_once_per_process(capsys, tmp_path):
+    from tightci import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["--version"]) == 0
+    missing = str(tmp_path / "missing.json")
+    assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_unknown_flag_is_validation_error(capsys):
     assert main(["ci", "--nonsense"]) == 1
     assert "error:" in capsys.readouterr().err

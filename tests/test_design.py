@@ -437,6 +437,27 @@ def test_propensity_floor_keeps_one_over_pi_finite():
             validate_propensity(pi)
 
 
+def test_refused_fraction_is_shown_in_time_linear_in_its_digits():
+    import time
+
+    # a million-digit denominator is refused by its six leading digits
+    pi = Fraction(1, 10**10**6)
+    start = time.perf_counter()
+    with pytest.raises(DesignError, match="below the floor") as info:
+        validate_propensity(pi)
+    assert time.perf_counter() - start < 2.0
+    assert "propensity 1e-1000000 below" in str(info.value)
+    cases = [
+        (Fraction(1, 10**308), "propensity 1e-308 below"),
+        (Fraction(1, 10**400), "propensity 1e-400 below"),
+        (Fraction(3, 4), "propensity 0.75 outside"),
+    ]
+    for pi, shown in cases:
+        with pytest.raises(DesignError) as info:
+            validate_propensity(pi)
+        assert shown in str(info.value)
+
+
 def test_unit_coef_refuses_propensity_outside_unit_interval():
     asg = Assignment(z=np.array([0, 1], dtype=np.int8), scheme="bernoulli", pi=1.0)
     with pytest.raises(DesignError, match="outside"):

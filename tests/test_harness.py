@@ -432,46 +432,64 @@ def test_chunk_equals_its_one_replication_chunks(setting):
         assert arr.tobytes() == joined.tobytes()
 
 
-def test_chunk_allocates_no_full_length_array_after_its_first_replication(monkeypatch):
+def _growth_per_replication(monkeypatch, methods, marker, n=20000, reps=5):
+    """What each replication of one chunk allocated: the traced peak between
+    two calls of ``harness.<marker>``, which begins every replication, over
+    the traced size at the first."""
     import tracemalloc
 
     from tightci import harness
 
-    # each replication begins with its grouped draw's child_rng call; the
-    # traced peak between two such calls, over the traced size at the first,
-    # is what that replication allocated.  clt and studentized-bern are left
-    # out: their interval arithmetic makes full-length temporaries of its own.
-    n = 20000
     raw = _coverage_raw(
         grid={"n": [n], "pi": ["1/100"], "alpha": [0.05]},
-        methods=["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "naive-hoeffding"],
-        replications=5,
+        methods=methods,
+        replications=reps,
     )
     cfg = parse_config(raw)
     (cell,) = harness._build_cells(cfg)
-    real = harness.child_rng
+    real = getattr(harness, marker)
     starts, peaks = [], []
 
-    def marking(seed, *path):
-        if path[-1] == harness._TAG_MBCR:
-            current, peak = tracemalloc.get_traced_memory()
-            peaks.append(peak)
-            starts.append(current)
-            tracemalloc.reset_peak()
-        return real(seed, *path)
+    def marking(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        starts.append(current)
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "child_rng", marking)
+    monkeypatch.setattr(harness, marker, marking)
     tracemalloc.start()
     try:
-        harness._coverage_chunk(cfg, cell, 0, 5)
+        harness._coverage_chunk(cfg, cell, 0, reps)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     grown = [peak - start for start, peak in zip(starts, peaks[1:])]
-    assert len(grown) == 5
+    assert len(grown) == reps
+    return grown
+
+
+def test_chunk_allocates_no_full_length_array_after_its_first_replication(monkeypatch):
+    # each replication begins with its grouped draw, dense here because
+    # studentized reads every unit.  clt and studentized-bern are left out:
+    # their interval arithmetic makes full-length temporaries of its own.
+    n = 20000
+    methods = ["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "naive-hoeffding"]
+    grown = _growth_per_replication(monkeypatch, methods, "draw_mbcr", n)
     full = 8 * n  # one full-length float64 array
     assert grown[0] >= full  # the first replication builds the arrays
     assert max(grown[1:]) < full
+
+
+def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
+    # with only closed forms on a fixed table, both designs draw their
+    # treated sets, and no replication builds a full-length array
+    n = 20000
+    methods = [
+        "hoeff-mbcr", "sub-bernoulli-mbcr", "sub-bernoulli-bern", "naive-hoeffding"
+    ]
+    grown = _growth_per_replication(monkeypatch, methods, "treated_set_mbcr", n)
+    assert max(grown) < 8 * n
 
 
 def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
@@ -846,7 +864,7 @@ def test_write_outputs_reproducible(tmp_path):
     assert first["manifest"].read_bytes() == second["manifest"].read_bytes()
     manifest = json.loads(first["manifest"].read_text())
     assert manifest["schema_version"] == "1"
-    assert manifest["rng_stream"] == 2
+    assert manifest["rng_stream"] == 3
     assert manifest["seed"] == 3
     import hashlib
 
@@ -942,7 +960,7 @@ def test_golden_coverage_design_based():
     report = run_monte_carlo(parse_config(_golden_coverage_raw("design_based")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "124235aaf6d08296ea06ff894312cdaeb5a432b8918443654ad083fccfb11d44"
+        "708e783acca0c1e6c8c0b5c39cee28421781be9fc8c8f346dc3ff680fc55b97a"
     )
 
 
@@ -950,7 +968,7 @@ def test_golden_coverage_superpopulation():
     report = run_monte_carlo(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "cb4533ee6a74aaef0320383351f311ef4f2521fbbc309dec9d6a0e755aaa0b7e"
+        "083f50346079b1646bd26a0e458dc15113173bcf6bced956449ed76f51fd5a4e"
     )
 
 
@@ -977,7 +995,7 @@ def test_golden_rmse():
     report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == 3
     assert _sha256(report) == (
-        "254004f2c83c4a2c23e9ccb7896d7cfc1e2d49413349ba6d9f978030fe59f4b7"
+        "9846016e85422630345910f9bbaa580c3a32d3c792f645d2295be631939b3c09"
     )
 
 
@@ -998,7 +1016,7 @@ def test_golden_benchmark_shapes():
     report = run_monte_carlo(parse_config(coverage))
     assert len(report.rows) == 4
     assert _sha256(report) == (
-        "30804780b0dd443de8ef904fec024e8ef86c5d9c8e3638488eb4087183f95c83"
+        "63b8fc8289c910401837a237e4870661b067b1b6120f678f24b00e0ea1feb691"
     )
     rmse = {
         "experiment": "rmse",
@@ -1012,5 +1030,5 @@ def test_golden_benchmark_shapes():
     report = run_monte_carlo(parse_config(rmse))
     assert len(report.rows) == 2
     assert _sha256(report) == (
-        "3f39eecf2cc73e279289a77f52532e619062e4287f3b4d95b2df3505a58a5d20"
+        "bb2f4bef70e5777e158ad1a06a8b903f446a2b17d459b89fc53f42abbfcc9ee2"
     )
