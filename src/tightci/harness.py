@@ -491,7 +491,7 @@ def _row(
 
 
 # ---------------------------------------------------------------------------
-# Replication chunks
+# Replication chunks and their schedule
 
 
 def _coverage_chunk(
@@ -556,44 +556,63 @@ def _coverage_chunk(
     return out
 
 
+# A pool worker's (config, cells), stored once by its initializer.
+_worker_run: tuple = ()
+
+
+def _init_worker(*run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_slice(task, config=None, cells=None):
+    """One process's records; a pool worker runs on its initializer's run."""
+    if cells is None:
+        config, cells = _worker_run
+    return [_coverage_chunk(config, cells[i], start, stop) for i, start, stop in task]
+
+
 def _run_cells(config, cells, workers: int):
     """Run :func:`_coverage_chunk` over every (cell, replication range) and
     merge the records into one array per cell and key.
 
-    Chunk boundaries never influence the results: every replication owns its
-    stream segments and lands at its absolute index during the merge, so any
-    worker count produces identical reports.  More workers than CPUs or
-    tasks would only idle, so the pool is clamped to both.  The pool gets
-    four chunks per worker for load balance; one worker runs each cell as a
-    single chunk, whose workspaces are then built once per cell.
+    Ranges never influence the results: every replication owns its stream
+    segments and lands at its absolute index during the merge, so any worker
+    count produces identical reports.  ``used`` processes, at most the CPUs
+    and the cell-replications, each run one slice of every cell: the parent
+    runs slice 0, and a pool of ``used - 1``, given the config and cells once
+    by its initializer, runs one task of ``(cell index, start, stop)`` each.
     """
     reps = config.replications
     cpus = os.cpu_count() or 1
-    pool = min(workers, cpus)
-    chunk = reps if pool == 1 else max(1, math.ceil(reps / (pool * 4)))
-    tasks = [
-        (cell, start, min(start + chunk, reps))
-        for cell in cells
-        if cell.methods
-        for start in range(0, reps, chunk)
-    ]
-    used = max(1, min(workers, cpus, len(tasks)))
+    active = [i for i, cell in enumerate(cells) if cell.methods]
+    used = max(1, min(workers, cpus, reps * len(active)))
     if used < workers:
         log.warning(
-            "using %d of the %d requested workers (%d CPUs, %d tasks)",
+            "using %d of the %d requested workers (%d CPUs, %d cell-replications)",
             used,
             workers,
             cpus,
-            len(tasks),
+            reps * len(active),
         )
-    if used > 1:
-        with ProcessPoolExecutor(max_workers=used) as pool:
-            outs = list(pool.map(_coverage_chunk, [config] * len(tasks), *zip(*tasks)))
+    # Process w's range of active cell k is cuts[k + w : k + w + 2] less cuts[k]:
+    # a cell's ranges differ by at most one, and so (telescoping) do the totals.
+    cuts = [j * reps // used for j in range(len(active) + used)]
+    slices = [[] for _ in range(used)]
+    for k, i in enumerate(active):
+        for w, task in enumerate(slices):
+            if cuts[k + w + 1] > cuts[k + w]:
+                task.append((i, cuts[k + w] - cuts[k], cuts[k + w + 1] - cuts[k]))
+    if used == 1:
+        outs = [_run_slice(slices[0], config, cells)]
     else:
-        outs = [_coverage_chunk(config, *task) for task in tasks]
+        init = {"initializer": _init_worker, "initargs": (config, cells)}
+        with ProcessPoolExecutor(used - 1, **init) as pool:
+            rest = pool.map(_run_slice, slices[1:])
+            outs = [_run_slice(slices[0], config, cells), *rest]
     merged: dict[int, dict[tuple[str, str], np.ndarray]] = {}
-    for (cell, start, stop), out in zip(tasks, outs):
-        dest = merged.setdefault(cell.idx, {})
+    for (i, start, stop), out in zip(itertools.chain(*slices), itertools.chain(*outs)):
+        dest = merged.setdefault(cells[i].idx, {})
         for key, arr in out.items():
             dest.setdefault(key, np.zeros(reps, dtype=arr.dtype))[start:stop] = arr
     return merged

@@ -207,49 +207,198 @@ def test_resolve_workers(monkeypatch):
         resolve_workers(0)
 
 
-def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog):
+class SerialPool:
+    """Stands in for ``ProcessPoolExecutor`` and starts no process: it runs
+    its initializer and maps in this process, and keeps its size, its
+    initializer's arguments and every mapped argument."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.initargs = initargs
+        self.tasks = []
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        columns = [list(it) for it in iterables]
+        self.tasks.extend(zip(*columns))
+        return map(fn, *columns)
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Run the harness's pools as :class:`SerialPool`; the pools made."""
     from tightci import harness
 
     pools = []
 
-    class SerialPool:
-        """Records the pool size and maps in this process; starts nothing."""
+    def make(max_workers, **kwargs):
+        pools.append(SerialPool(max_workers, **kwargs))
+        return pools[-1]
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
+    # the initializer runs here; put the worker's run back afterwards
+    monkeypatch.setattr(harness, "_worker_run", harness._worker_run)
+    return pools
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_pools):
+    from tightci import harness
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     cfg = parse_config(_coverage_raw(replications=40))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
-    assert pools == []
-    # 40 replications in chunks of 3 make 14 tasks, more than the 4 CPUs
+    assert serial_pools == []
+    # 40 cell-replications are more than the 4 CPUs; the parent is one of 4
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=10_000).to_csv_bytes() == serial
-    assert pools == [4]
+    assert [pool.max_workers for pool in serial_pools] == [3]
     clamps = [r for r in caplog.records if "requested workers" in r.getMessage()]
     assert len(clamps) == 1
     assert "using 4 of the 10000 requested workers" in clamps[0].getMessage()
-    # three replications make three one-replication tasks, fewer than the CPUs
+    # three replications make three cell-replications, fewer than the CPUs
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     assert run_monte_carlo(parse_config(_coverage_raw(replications=3)), workers=10_000)
-    assert pools == [4, 3]
+    assert [pool.max_workers for pool in serial_pools] == [3, 2]
     # two workers on two CPUs with many tasks run as asked, with no clamp
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     caplog.clear()
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
-    assert pools == [4, 3, 2]
+    assert [pool.max_workers for pool in serial_pools] == [3, 2, 1]
     assert not [r for r in caplog.records if "requested workers" in r.getMessage()]
+
+
+@pytest.mark.parametrize(
+    "ns,reps,workers,cpus",
+    [
+        ([100], 1, 4, 4),  # one cell-replication: no pool
+        ([101], 5, 2, 2),  # every method skipped: nothing to run
+        ([100, 101, 200], 3, 4, 8),  # fewer replications than processes
+        ([100, 200, 300], 2, 8, 5),
+        ([100, 200], 40, 3, 3),
+        ([100, 101, 200, 300], 7, 16, 3),
+        ([100, 200], 9, 2, 64),
+    ],
+)
+def test_schedule_runs_each_replication_once_in_balanced_slices(
+    monkeypatch, caplog, serial_pools, ns, reps, workers, cpus
+):
+    from tightci import harness
+
+    calls, submitted = [], []
+    real = harness._coverage_chunk
+
+    def recording(config, cell, start, stop):
+        calls.append((cell.idx, start, stop))
+        submitted.append(sum(len(pool.tasks) for pool in serial_pools))
+        return real(config, cell, start, stop)
+
+    raw = _coverage_raw(
+        grid={"n": ns, "pi": ["1/10"], "alpha": [0.05]},
+        methods=["hoeff-mbcr"],  # n = 101 has no grouped layout at pi = 1/10
+        replications=reps,
+    )
+    cfg = parse_config(raw)
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    monkeypatch.setattr(harness, "_coverage_chunk", recording)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    with caplog.at_level("WARNING", logger="tightci.harness"):
+        assert run_monte_carlo(cfg, workers=workers).to_csv_bytes() == serial
+    active = [idx for idx, n in enumerate(ns) if n % 10 == 0]
+    used = max(1, min(workers, cpus, reps * len(active)))
+    assert [pool.max_workers for pool in serial_pools] == ([used - 1] if used > 1 else [])
+    clamps = [r.getMessage() for r in caplog.records if "requested workers" in r.getMessage()]
+    if used < workers:
+        assert clamps == [
+            f"using {used} of the {workers} requested workers "
+            f"({cpus} CPUs, {reps * len(active)} cell-replications)"
+        ]
+    else:
+        assert clamps == []
+    # the pool's tasks are slices 1 .. used - 1; the parent ran the rest
+    tasks = [task for pool in serial_pools for (task,) in pool.tasks]
+    assert len(tasks) == max(0, used - 1)
+    # the pool has its tasks before any range runs, so the parent's overlap them
+    assert set(submitted) <= {len(tasks)}
+    pooled = [rng for task in tasks for rng in task]
+    parent = [rng for rng in calls if rng not in pooled]
+    assert sorted(parent + pooled) == sorted(calls)
+    processes = [parent, *tasks]
+    for cell in active:
+        sizes = []
+        for ranges in processes:
+            own = [(start, stop) for idx, start, stop in ranges if idx == cell]
+            assert len(own) <= 1  # one contiguous range per cell
+            sizes.append(own[0][1] - own[0][0] if own else 0)
+        assert max(sizes) - min(sizes) <= 1
+        covered = sorted((start, stop) for idx, start, stop in calls if idx == cell)
+        bounds = [b for start_stop in covered for b in start_stop]
+        # the ranges tile 0 .. reps, so every replication runs exactly once
+        assert bounds[0] == 0 and bounds[-1] == reps and bounds[1:-1:2] == bounds[2::2]
+    assert {idx for idx, _, _ in calls} == set(active)
+    totals = [sum(stop - start for _, start, stop in ranges) for ranges in processes]
+    assert max(totals) - min(totals) <= 1
+
+
+def _pool_payload(serial_pools, monkeypatch, n):
+    """The pickled size of every task mapped at ``n`` on two workers."""
+    import pickle
+
+    from tightci import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    raw = _coverage_raw(
+        grid={"n": [n, 2 * n], "pi": ["1/100"], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "sub-bernoulli-bern"],
+        replications=4,
+    )
+    serial_pools.clear()
+    run_monte_carlo(parse_config(raw), workers=2)
+    (pool,) = serial_pools
+    # the cells, tables included, reach the pool once, through its initializer
+    config, cells = pool.initargs
+    assert [cell.table.n for cell in cells] == [n, 2 * n]
+    return [len(pickle.dumps(task)) for task in pool.tasks]
+
+
+def test_pool_tasks_carry_only_their_ranges(monkeypatch, serial_pools):
+    small = _pool_payload(serial_pools, monkeypatch, 1_000)
+    large = _pool_payload(serial_pools, monkeypatch, 100_000)
+    assert len(large) == 1
+    assert max(large) < 1024
+    assert large == small
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_pool_error_reaches_the_caller_and_leaves_no_process(monkeypatch, where):
+    import multiprocessing
+    import os
+
+    from tightci import harness
+
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a two-process pool needs two CPUs")
+    if where == "child" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only a forked worker sees the patched chunk")
+    parent = os.getpid()
+    real = harness._coverage_chunk
+
+    def failing(config, cell, start, stop):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"chunk failed in the {where}")
+        return real(config, cell, start, stop)
+
+    monkeypatch.setattr(harness, "_coverage_chunk", failing)
+    cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=4))
+    with pytest.raises(ValueError, match=f"chunk failed in the {where}"):
+        run_monte_carlo(cfg, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +641,7 @@ def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
     assert max(grown) < 8 * n
 
 
-def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
+def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_pools):
     from tightci import harness
 
     calls = []
@@ -507,26 +656,12 @@ def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch):
     cfg = parse_config(raw)
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert calls == [(100, 0, 40), (200, 0, 40)]
-    # the pool still splits each cell into four chunks per worker
+    # two processes take one half of each cell: the parent the first halves,
+    # then the pool's one worker the second
     calls.clear()
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
-    assert calls == [(n, s, s + 5) for n in (100, 200) for s in range(0, 40, 5)]
+    assert calls == [(100, 0, 20), (200, 0, 20), (100, 20, 40), (200, 20, 40)]
 
 
 def _count_builds(monkeypatch, cls, name, calls):
