@@ -31,7 +31,6 @@ from .intervals import (  # noqa: E402,F401
     Interval,
     IntervalError,
     clt_ci,
-    cn_mbcr_bounds,
     gamma_b,
     gamma_e,
     hoeff_mbcr_ci,

@@ -12,12 +12,9 @@ block-preserving ``beta`` is again uniform, so one permutation gives ``z``
 and each unit's block the same law.  :func:`enumerate_mbcr_distribution`
 enumerates the two-stage definition.
 
-A draw writes its arrays into a :class:`Workspace` when given one (a Monte
-Carlo chunk keeps one per design and reuses it for every replication) and
-into freshly allocated arrays otherwise, through the same in-place steps.
-
-All draws are pure functions of an explicit ``numpy.random.Generator``; the
-same seeded generator always reproduces the same assignment.  Exact
+All draws are pure functions of an explicit ``numpy.random.Generator`` and
+return arrays of their own; the same seeded generator always reproduces the
+same assignment.  Exact
 enumeration of the grouped scheme's assignment distribution, used by the
 verification harness, counts permutation tuples with integer arithmetic only.
 """
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -195,62 +192,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Workspace:
-    """Full-length arrays that one design's replications are written into.
-
-    A replication chunk keeps one workspace per design and reuses its arrays
-    for every replication, so its working set is allocated and touched once
-    instead of being freed and faulted back in on each replication.  Each
-    replication overwrites the previous one's arrays: the objects built on a
-    workspace belong to the chunk that owns it, and they hold read-only views.
-    The length ``n`` is bound at construction, and a draw of any other length
-    refuses the workspace.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def array(self, name: str, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """The array ``name`` of length ``n`` and a read-only view of it, both
-        made on first use."""
-        pair = self._arrays.get(name)
-        if pair is None:
-            a = np.empty(self.n, dtype=dtype)
-            pair = self._arrays[name] = (a, read_only(a.view()))
-        return pair
-
-
-def _check_workspace(workspace: Workspace | None, n: int) -> None:
-    if workspace is not None and workspace.n != n:
-        raise DesignError(f"a workspace of length {workspace.n} cannot hold {n} units")
-
-
-def buffer_for(
-    workspace: Workspace | None, name: str, n: int, dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """An array for an in-place step to write, and the array its result is
-    handed out as: the workspace's array ``name`` and its read-only view, or,
-    without a workspace, one fresh array of length ``n`` twice."""
-    if workspace is None:
-        a = np.empty(n, dtype=dtype)
-        return a, a
-    return workspace.array(name, dtype)
-
-
 class LayoutConstants(NamedTuple):
     """Read-only arrays fixed by a grouped layout.
 
     ``allocation`` is :meth:`MbcrLayout.allocation_vector`; ``coef`` is each
     of its slots' Horvitz-Thompson coefficient: ``g`` at a full block's
     treated slot and ``-g/(g-1)`` at its control slots, with the tail block's
-    own size-per-treated ratio in place of ``g``.  ``slots`` is ``0..n-1``,
-    which every draw copies and shuffles into its ``eta``.
+    own size-per-treated ratio in place of ``g``.
     """
 
     allocation: np.ndarray
     coef: np.ndarray
-    slots: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -266,11 +218,7 @@ def layout_constants(layout: MbcrLayout) -> LayoutConstants:
     if tail > 0:
         treated, body = layout.tail_treated, full * g
         coef[body:] = np.where(a[body:] == 1, tail / treated, -tail / (tail - treated))
-    return LayoutConstants(
-        allocation=read_only(a),
-        coef=read_only(coef),
-        slots=read_only(np.arange(layout.n)),
-    )
+    return LayoutConstants(allocation=read_only(a), coef=read_only(coef))
 
 
 @dataclass(frozen=True)
@@ -285,18 +233,12 @@ class MbcrDraw:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A realized treatment vector plus how it was drawn.
-
-    ``workspace`` is where the arrays derived from this draw (the treated
-    mask, and the outcomes and terms of the data realized from it) are
-    written; without one each is freshly allocated.
-    """
+    """A realized treatment vector plus how it was drawn."""
 
     z: np.ndarray
     scheme: str
     pi: float
     mbcr: MbcrDraw | None = None
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -305,9 +247,7 @@ class Assignment:
     @cached_property
     def treated(self) -> np.ndarray:
         """Read-only mask of the treated units, ``z == 1``."""
-        mask, shown = buffer_for(self.workspace, "treated", self.n, np.bool_)
-        np.equal(self.z, 1, out=mask)
-        return read_only(shown)
+        return read_only(self.z == 1)
 
     def unit_weights(self) -> tuple[float, float]:
         """The Horvitz-Thompson coefficients at propensity ``pi``: ``1/pi``
@@ -318,66 +258,37 @@ class Assignment:
         return 1.0 / pi, -1.0 / (1.0 - pi)
 
 
-def draw_bernoulli(
-    n: int, pi: float, rng: np.random.Generator, workspace: Workspace | None = None
-) -> Assignment:
+def draw_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Assignment:
     """Independent Bernoulli(pi) assignment for each unit: unit ``j`` is
     treated when its uniform ``rng.random(n)[j]`` is below ``pi``."""
     if n < 1:
         raise DesignError(f"need n >= 1, got {n}")
     validate_propensity(pi)
-    _check_workspace(workspace, n)
-    u, _ = buffer_for(workspace, "uniforms", n, np.float64)
-    below, shown = buffer_for(workspace, "z", n, np.bool_)
-    np.less(rng.random(out=u), pi, out=below)
     # A boolean's byte is 0 or 1, so the mask read as int8 is the 0/1 vector.
-    z = shown.view(np.int8)
-    return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi), workspace=workspace)
+    z = (rng.random(n) < pi).view(np.int8)
+    return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi))
 
 
 def grouped_assignment(layout: MbcrLayout, eta: np.ndarray) -> Assignment:
     """The grouped assignment that the permutation ``eta`` makes: unit ``j``
     receives the allocation pattern's value at slot ``eta[j]``."""
-    return _grouped(layout, eta, eta, None)
-
-
-def _grouped(
-    layout: MbcrLayout,
-    eta: np.ndarray,
-    held_eta: np.ndarray,
-    workspace: Workspace | None,
-) -> Assignment:
-    """:func:`grouped_assignment`, with ``z`` in ``workspace`` and the draw
-    holding ``held_eta``, the array ``eta`` as the draw's holder sees it."""
-    z, shown = buffer_for(workspace, "z", layout.n, np.int8)
-    np.take(layout_constants(layout).allocation, eta, out=z)
     return Assignment(
-        z=shown,
+        z=layout_constants(layout).allocation[eta],
         scheme=SCHEME_MBCR,
         pi=layout.n1 / layout.n,
-        mbcr=MbcrDraw(layout=layout, eta=held_eta),
-        workspace=workspace,
+        mbcr=MbcrDraw(layout=layout, eta=eta),
     )
 
 
-def draw_mbcr(
-    layout: MbcrLayout, rng: np.random.Generator, workspace: Workspace | None = None
-) -> Assignment:
+def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
     """Grouped complete randomization draw: one uniform unit-wide permutation
-    ``eta``, bit for bit ``rng.permutation(n)``.
+    ``eta``, ``rng.permutation(n)``.
 
     Shuffling within the blocks as well would not change the law of the
     assignment or of each unit's block: a uniform ``eta`` composed with a
     block-preserving ``beta`` is again uniform and keeps every unit's block.
     """
-    _check_workspace(workspace, layout.n)
-    slots = layout_constants(layout).slots
-    eta, shown = buffer_for(workspace, "eta", layout.n, slots.dtype)
-    # rng.permutation(n) shuffles a fresh arange(n) in place; so does this.
-    np.copyto(eta, slots)
-    rng.shuffle(eta)
-    # np.take copies an index array it cannot write, so it reads eta itself.
-    return _grouped(layout, eta, shown, workspace)
+    return grouped_assignment(layout, rng.permutation(layout.n))
 
 
 def treated_set_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> np.ndarray:

@@ -9,12 +9,11 @@ fixes each term's weight.  A grouped draw's terms are in slot order: for slot
 use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its own
 size-per-treated ratio.  Other draws' terms are in unit order, each unit
 weighted at the assignment's propensity (``Assignment.unit_weights``).  An
-:class:`ObservedData` forms its terms once, so the estimator and intervals
-of one replication share them; its outcomes and terms are written into the
-assignment's workspace when it has one.  Only the Bernoulli Studentized
-interval forms mirrored terms, with the same weighting step.  On a fixed
-table, :func:`treated_set_estimate` gives the same estimate from the units
-a draw treats, without realizing the others.
+:class:`ObservedData` forms its terms once, in a fresh array, so the
+estimator and intervals of one replication share them.  Only the Bernoulli
+Studentized interval forms mirrored terms, with the same weighting step.
+On a fixed table, :func:`treated_set_estimate` gives the same estimate from
+the units a draw treats, without realizing the others.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .design import (
     SCHEME_MBCR,
     Assignment,
     MbcrLayout,
-    buffer_for,
     layout_constants,
     read_only,
 )
@@ -153,10 +151,9 @@ class ObservedData:
         """Observe the potential outcome selected by each unit's arm."""
         if table.n != assignment.n:
             raise EstimatorError("table and assignment sizes differ")
-        y, shown = buffer_for(assignment.workspace, "y", assignment.n, np.float64)
-        np.copyto(y, table.y0)
+        y = table.y0.copy()
         np.copyto(y, table.y1, where=assignment.treated)
-        return cls(y=shown, assignment=assignment)
+        return cls(y=y, assignment=assignment)
 
     @property
     def n(self) -> int:
@@ -170,27 +167,24 @@ class ObservedData:
         layout's coefficient at ``s``.  Other draws give one per unit."""
         asg = self.assignment
         if asg.scheme != SCHEME_MBCR:
-            return _weigh_units(self.y, asg, "terms")
+            return _weigh_units(self.y, asg)
         if asg.mbcr is None:
             raise EstimatorError(
                 "grouped estimator needs the draw's permutation detail (eta)"
             )
-        terms, shown = buffer_for(asg.workspace, "terms", self.n, np.float64)
+        terms = np.empty(self.n)
         terms[asg.mbcr.eta] = self.y
         terms *= layout_constants(asg.mbcr.layout).coef
-        return read_only(shown)
+        return read_only(terms)
 
 
-def _weigh_units(values: np.ndarray, asg: Assignment, name: str) -> np.ndarray:
-    """``values`` times each unit's Horvitz-Thompson weight, read-only, in
-    the workspace array ``name``: every unit's control term, then the
-    treated units' over it.  Both steps read ``values``, so the array
-    written must not be ``values`` itself."""
+def _weigh_units(values: np.ndarray, asg: Assignment) -> np.ndarray:
+    """``values`` times each unit's Horvitz-Thompson weight, read-only: every
+    unit's control term, then the treated units' over it."""
     w_treat, w_ctrl = asg.unit_weights()
-    out, shown = buffer_for(asg.workspace, name, asg.n, np.float64)
-    np.multiply(values, w_ctrl, out=out)
+    out = values * w_ctrl
     np.multiply(values, w_treat, out=out, where=asg.treated)
-    return read_only(shown)
+    return read_only(out)
 
 
 def ht_estimate(data: ObservedData) -> float:

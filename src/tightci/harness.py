@@ -49,7 +49,6 @@ from .design import (
     SCHEME_MBCR,
     DesignError,
     MbcrLayout,
-    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -504,9 +503,9 @@ def _coverage_chunk(
     Closed forms need only the estimates: their half-width is fixed per cell,
     so coverage is evaluated over the merged estimate arrays.  A design that
     no adaptive interval reads, on the cell's fixed table, draws only the
-    units its estimate needs.  Every other design draws, realizes and weights
-    every replication of the chunk into one workspace, so the chunk's
-    full-length arrays are allocated once.
+    units its estimate needs.  Every other design (``dense``) draws, realizes
+    and weights the whole table in fresh arrays, which each replication frees
+    when it ends.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
@@ -517,7 +516,6 @@ def _coverage_chunk(
         tables, dense = substream(config.seed, cell.idx, _TAG_REP_TABLE), schemes
     else:
         y0_total, dense = cell.table.y0.sum(), {s.scheme for s in adaptive.values()}
-    workspaces = {scheme: Workspace(cell.n) for scheme in used if scheme in dense}
     count = stop - start
     out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in used}
     for m in adaptive:
@@ -531,12 +529,15 @@ def _coverage_chunk(
         data = {}
         for scheme in used:
             rng = streams[scheme](rep)
-            if scheme in workspaces:
-                if scheme == SCHEME_MBCR:
-                    asg = draw_mbcr(cell.layout, rng, workspaces[scheme])
-                else:
-                    asg = draw_bernoulli(cell.n, pi_f, rng, workspaces[scheme])
-                data[scheme] = ObservedData.realize(table, asg)
+            if scheme in dense:
+                # The draw is bound to no name of the loop, so it is freed
+                # with the replication's data.
+                data[scheme] = ObservedData.realize(
+                    table,
+                    draw_mbcr(cell.layout, rng)
+                    if scheme == SCHEME_MBCR
+                    else draw_bernoulli(cell.n, pi_f, rng),
+                )
                 est = ht_estimate(data[scheme])
             elif scheme == SCHEME_MBCR:
                 units = treated_set_mbcr(cell.layout, rng)

@@ -205,25 +205,6 @@ def hoeff_mbcr_ci(psi_hat: float, layout: MbcrLayout, alpha: float) -> Interval:
     return _centered(METHOD_HOEFF_MBCR, psi_hat, alpha, _hoeff_mbcr_half(alpha, t), t)
 
 
-def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
-    """Propensity-only value or upper bound for the grouped width constant.
-
-    Returns ``(bound, tail_treated)``: the exact ``1/sqrt(pi)`` when the
-    groups tile the sample, ``(1 + pi)/sqrt(pi)`` with one spilled treated
-    unit, and ``sqrt((1+pi)^2/pi + 2 (1/pi + 1)^2 / n)`` with two.  The bound
-    always dominates the exact constant.
-    """
-    pi = float(layout.pi)
-    if layout.tail_treated == 0:
-        return 1.0 / math.sqrt(pi), 0
-    if layout.tail_treated == 1:
-        return (1.0 + pi) / math.sqrt(pi), 1
-    bound = math.sqrt(
-        (1.0 + pi) ** 2 / pi + 2.0 * (1.0 / pi + 1.0) ** 2 / layout.n
-    )
-    return bound, 2
-
-
 # ---------------------------------------------------------------------------
 # Sub-Bernoulli intervals
 
@@ -418,7 +399,7 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
     low = up = _anchor_tuning(theta, n, alpha, c)
     if data.assignment.scheme == SCHEME_BERNOULLI:
-        mirrored = _weigh_units(data.y - 1.0, data.assignment, "mirrored")
+        mirrored = _weigh_units(data.y - 1.0, data.assignment)
         up = _anchor_tuning(mirrored, n, alpha, c)
     for side, stats in (("l", low), ("u", up)):
         tuning.update({f"{key}_{side}": value for key, value in stats.items()})

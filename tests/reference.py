@@ -1,8 +1,9 @@
 """Reference forms the tests check the library against.
 
 Plain per-unit and per-block expressions of what the library computes in
-vectorized form, and the exact conditional-expectation oracle for the
-grouped estimator's unbiasedness.  No library code path calls them.
+vectorized form, the exact conditional-expectation oracle for the grouped
+estimator's unbiasedness, and the propensity-only bound on the grouped width
+constant.  No library code path calls them.
 """
 
 import itertools
@@ -110,3 +111,22 @@ def two_point_cgf(lam: float, a: float, b: float) -> float:
     terms cancels.  Overflows once ``lam b`` exceeds about 709.
     """
     return math.log1p((b * math.expm1(lam * a) - a * math.expm1(lam * b)) / (b - a))
+
+
+def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
+    """Propensity-only value or upper bound for the grouped width constant.
+
+    Returns ``(bound, tail_treated)``: the exact ``1/sqrt(pi)`` when the
+    groups tile the sample, ``(1 + pi)/sqrt(pi)`` with one spilled treated
+    unit, and ``sqrt((1+pi)^2/pi + 2 (1/pi + 1)^2 / n)`` with two.  The bound
+    always dominates the exact constant.
+    """
+    pi = float(layout.pi)
+    if layout.tail_treated == 0:
+        return 1.0 / math.sqrt(pi), 0
+    if layout.tail_treated == 1:
+        return (1.0 + pi) / math.sqrt(pi), 1
+    bound = math.sqrt(
+        (1.0 + pi) ** 2 / pi + 2.0 * (1.0 / pi + 1.0) ** 2 / layout.n
+    )
+    return bound, 2

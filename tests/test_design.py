@@ -17,7 +17,6 @@ from tightci.design import (
     DesignError,
     EnumerationBudgetError,
     LayoutInfeasibleError,
-    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -368,57 +367,6 @@ def test_bernoulli_z_is_the_int8_comparison(n, pi):
         assert asg.z.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n,n1", [(10, 3), (5000, 500)])
-def test_workspace_draws_are_read_only_views_of_reused_arrays(n, n1):
-    # a draw into a workspace gives the bytes of the one-shot draw, holds
-    # read-only views, and the next draw into it overwrites the same arrays
-    lay = compute_layout(n, n1)
-    ws_mbcr, ws_bern = Workspace(n), Workspace(n)
-    first = draw_mbcr(lay, np.random.default_rng(1), ws_mbcr)
-    bern = draw_bernoulli(n, n1 / n, np.random.default_rng(1), ws_bern)
-    views = (first.z, first.mbcr.eta, first.treated, bern.z, bern.treated)
-    for view in views:
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0] = 0
-    for seed in (2, 3):
-        again = draw_mbcr(lay, np.random.default_rng(seed), ws_mbcr)
-        fresh = draw_mbcr(lay, np.random.default_rng(seed))
-        assert again.z.tobytes() == fresh.z.tobytes()
-        assert again.mbcr.eta.tobytes() == fresh.mbcr.eta.tobytes()
-        assert np.shares_memory(again.z, first.z)
-        assert np.shares_memory(again.mbcr.eta, first.mbcr.eta)
-        b_again = draw_bernoulli(n, n1 / n, np.random.default_rng(seed), ws_bern)
-        b_fresh = draw_bernoulli(n, n1 / n, np.random.default_rng(seed))
-        assert b_again.z.tobytes() == b_fresh.z.tobytes()
-        assert b_again.treated.tobytes() == b_fresh.treated.tobytes()
-        assert np.shares_memory(b_again.treated, bern.treated)
-    # one-shot draws own their arrays, writable as before
-    assert fresh.z.flags.writeable and fresh.mbcr.eta.flags.writeable
-    assert b_fresh.z.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda n, rng, ws: draw_bernoulli(n, 0.3, rng, ws),
-        lambda n, rng, ws: draw_mbcr(compute_layout(n, n // 5), rng, ws),
-    ],
-    ids=["bernoulli", "mbcr"],
-)
-def test_workspace_refuses_a_draw_of_another_length(draw):
-    # the workspace's length is bound at construction; a longer draw is
-    # refused before it consumes any randomness
-    ws = Workspace(10)
-    rng = np.random.default_rng(0)
-    assert draw(10, rng, ws).n == 10
-    state = rng.bit_generator.state
-    with pytest.raises(DesignError, match="workspace of length 10"):
-        draw(20, rng, ws)
-    assert rng.bit_generator.state == state
-    assert draw(10, rng, ws).n == 10
-
-
 def test_propensity_floor_keeps_one_over_pi_finite():
     # The floor's derivation: MAX_N squared deviations of terms at most
     # 1/MIN_PI + 1 in size still sum to a finite float.
@@ -547,7 +495,7 @@ def test_identity_beta_keeps_the_law_of_z_and_blocks(n, n1):
         )
     ]
     assert len(every_beta) == enumeration_space_size(lay) // math.factorial(n)
-    identity = [layout_constants(lay).slots]
+    identity = [np.arange(lay.n)]
     assert _unit_block_law(lay, identity) == _unit_block_law(lay, every_beta)
 
 
@@ -621,3 +569,12 @@ def test_assignment_shape():
     assert isinstance(asg, Assignment)
     assert asg.n == 7
     assert asg.mbcr is None
+    # the cached treated mask is shared by the replication's readers, so it
+    # is read-only under both designs
+    grouped = draw_mbcr(compute_layout(10, 3), np.random.default_rng(1))
+    for a in (asg, grouped):
+        assert a.treated.tobytes() == (a.z == 1).tobytes()
+        assert a.treated is a.treated
+        assert not a.treated.flags.writeable
+        with pytest.raises(ValueError):
+            a.treated[0] = True

@@ -18,7 +18,6 @@ from reference import (
 )
 from tightci.design import (
     Assignment,
-    Workspace,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -310,19 +309,19 @@ def test_groupwise_sums_bernoulli_singletons():
 
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 10, 1 / 100])
 def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
-    for workspace in (None, Workspace(5000)):
-        rng = np.random.default_rng(11)
+    for seed in (11, 12):
+        rng = np.random.default_rng(seed)
         table = _random_table(5000, rng)
-        asg = draw_bernoulli(5000, pi, rng, workspace)
+        asg = draw_bernoulli(5000, pi, rng)
         data = ObservedData.realize(table, asg)
         standard = pseudo_outcome(data.y, asg.z, pi)
         assert data.terms.tobytes() == standard.tobytes()
         assert groupwise_sums(data) is data.terms
         assert not data.terms.flags.writeable
         # the Bernoulli Studentized interval's mirrored terms, weighed by the
-        # same step into their own array
+        # same step
         mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
-        weighed = _weigh_units(data.y - 1.0, asg, "mirrored")
+        weighed = _weigh_units(data.y - 1.0, asg)
         assert weighed.tobytes() == mirrored.tobytes()
         assert not weighed.flags.writeable
         assert ht_estimate(data) == float(np.mean(standard))

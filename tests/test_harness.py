@@ -561,8 +561,8 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
 def test_chunk_equals_its_one_replication_chunks(setting):
     from tightci.harness import _build_cells, _coverage_chunk
 
-    # a chunk reuses its arrays across replications; none may carry over, so
-    # a chunk's record is byte for byte its one-replication chunks' records
+    # no state may carry over from one replication to the next, so a chunk's
+    # record is byte for byte its one-replication chunks' records
     raw = _coverage_raw(
         grid={"n": [1000], "pi": ["3/100"], "alpha": [0.05]},
         methods=["studentized", "studentized-bern", "clt", "hoeff-mbcr", "naive-hoeffding"],
@@ -581,10 +581,12 @@ def test_chunk_equals_its_one_replication_chunks(setting):
         assert arr.tobytes() == joined.tobytes()
 
 
-def _growth_per_replication(monkeypatch, methods, marker, n=20000, reps=5):
-    """What each replication of one chunk allocated: the traced peak between
-    two calls of ``harness.<marker>``, which begins every replication, over
-    the traced size at the first."""
+def _growth_per_replication(
+    monkeypatch, methods, marker, n=20000, reps=5, setting="design_based"
+):
+    """What each replication of one chunk allocated, and the traced size at
+    its start: the traced peak between two calls of ``harness.<marker>``,
+    which begins every replication, over the traced size at the first."""
     import tracemalloc
 
     from tightci import harness
@@ -593,6 +595,7 @@ def _growth_per_replication(monkeypatch, methods, marker, n=20000, reps=5):
         grid={"n": [n], "pi": ["1/100"], "alpha": [0.05]},
         methods=methods,
         replications=reps,
+        setting=setting,
     )
     cfg = parse_config(raw)
     (cell,) = harness._build_cells(cfg)
@@ -614,20 +617,38 @@ def _growth_per_replication(monkeypatch, methods, marker, n=20000, reps=5):
     finally:
         tracemalloc.stop()
     grown = [peak - start for start, peak in zip(starts, peaks[1:])]
-    assert len(grown) == reps
-    return grown
+    assert len(grown) == len(starts) == reps
+    return grown, starts
 
 
-def test_chunk_allocates_no_full_length_array_after_its_first_replication(monkeypatch):
-    # each replication begins with its grouped draw, dense here because
-    # studentized reads every unit.  clt and studentized-bern are left out:
-    # their interval arithmetic makes full-length temporaries of its own.
+@pytest.mark.parametrize(
+    "methods, marker, setting",
+    [
+        # a grouped draw, dense because studentized reads every unit
+        (
+            ["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "naive-hoeffding"],
+            "draw_mbcr",
+            "design_based",
+        ),
+        # a Bernoulli draw on a fresh table every replication
+        (["clt", "studentized-bern"], "draw_bernoulli", "superpopulation"),
+    ],
+    ids=["grouped", "bernoulli-superpopulation"],
+)
+def test_dense_chunk_holds_no_array_past_its_replication(
+    monkeypatch, methods, marker, setting
+):
+    # a dense replication allocates its full-length arrays and frees them
+    # when it ends.  The first replication also builds what a cell caches
+    # (the layout's constants, the cross-fit divisors), so from the second
+    # on every replication starts at the same traced size.
     n = 20000
-    methods = ["hoeff-mbcr", "studentized", "sub-bernoulli-bern", "naive-hoeffding"]
-    grown = _growth_per_replication(monkeypatch, methods, "draw_mbcr", n)
+    grown, starts = _growth_per_replication(
+        monkeypatch, methods, marker, n, setting=setting
+    )
     full = 8 * n  # one full-length float64 array
-    assert grown[0] >= full  # the first replication builds the arrays
-    assert max(grown[1:]) < full
+    assert min(grown) >= full  # every replication builds its own arrays
+    assert max(starts[1:]) - min(starts[1:]) < full
 
 
 def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
@@ -637,7 +658,7 @@ def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
     methods = [
         "hoeff-mbcr", "sub-bernoulli-mbcr", "sub-bernoulli-bern", "naive-hoeffding"
     ]
-    grown = _growth_per_replication(monkeypatch, methods, "treated_set_mbcr", n)
+    grown, _ = _growth_per_replication(monkeypatch, methods, "treated_set_mbcr", n)
     assert max(grown) < 8 * n
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import pseudo_outcome, two_point_cgf
-from tightci.design import Workspace, compute_layout, draw_bernoulli, draw_mbcr
+from reference import cn_mbcr_bounds, pseudo_outcome, two_point_cgf
+from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
@@ -26,7 +26,6 @@ from tightci.intervals import (
     _stud_penalty,
     _studentized_endpoints,
     clt_ci,
-    cn_mbcr_bounds,
     gamma_b,
     gamma_e,
     hoeff_mbcr_ci,
@@ -576,11 +575,9 @@ def test_grouped_studentized_reads_one_set_of_sums(n, n1, tail_treated, monkeypa
 def test_studentized_anchors_unchanged_on_bernoulli_data(n, pi):
     rng = np.random.default_rng(n)
     table = PotentialTable(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
-    # a one-shot draw, then two into one workspace as a chunk makes them,
-    # where the mirrored terms must not be weighed over their own input
-    chunk = Workspace(n)
-    for workspace in (None, chunk, chunk):
-        data = ObservedData.realize(table, draw_bernoulli(n, pi, rng, workspace))
+    # three draws in a row, as a chunk makes them
+    for _ in range(3):
+        data = ObservedData.realize(table, draw_bernoulli(n, pi, rng))
         ci = studentized_ci(data, 0.05)
         t, (lower, upper) = _studentized_reference(data, 0.05)
         assert {k: ci.tuning[k] for k in t} == t
