@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``ci`` computes one interval from an observed-data CSV;
+Subcommands: ``ci`` computes one interval from an observed-data CSV (a
+grouped draw's ``beta,eta`` permutations ride in the same file);
 ``simulate`` runs any experiment config (coverage, width scaling, RMSE or
-equivalence), writes its CSV and manifest, and prints the report summary;
-``equivalence`` builds the equivalence config of its flags, seed 0, and
-runs it the same way, exactly as ``simulate`` would.  Exit codes:
-0 success, 1 validation error (bad flags, schemas, or incompatible
-method/scheme combinations), 2 runtime error.
+the exact equivalence check), writes its CSV and manifest, and prints the
+report summary.  Exit codes: 0 success, 1 validation error (bad flags,
+schemas, or incompatible method/scheme combinations), 2 runtime error.
 
 The ``--alpha`` flag is always the total miscoverage of the printed
 interval.  Closed-form methods use it directly; the Studentized interval's
@@ -46,9 +45,7 @@ from .estimator import (
 from .harness import (
     SCHEMA_VERSION,
     ConfigError,
-    EXPERIMENT_EQUIVALENCE,
     load_config,
-    parse_config,
     resolve_workers,
     run_experiment,
     write_outputs,
@@ -97,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--n1", type=int, help="treated count (complete/mbcr schemes)")
     p_ci.add_argument("--alpha", type=float, default=0.05, help="total miscoverage")
     p_ci.add_argument("--clip", action="store_true", help="clip endpoints to [-1, 1]")
-    p_ci.add_argument("--assignment", help="CSV with columns beta,eta for mbcr data")
     p_ci.add_argument(
         "--seed", type=int, help="regenerate the mbcr permutations from this seed"
     )
@@ -107,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None)
-
-    p_eq = sub.add_parser(
-        "equivalence", help="verify grouped draws are uniform over assignments"
-    )
-    p_eq.add_argument("--n", type=int, required=True)
-    p_eq.add_argument("--n1", type=int, required=True)
-    p_eq.add_argument("--budget", type=int, default=None)
-    p_eq.add_argument("--out", required=True)
     return parser
 
 
@@ -144,7 +132,7 @@ def _mbcr_assignment(args, z: np.ndarray, perm_cols) -> Assignment:
     if not have_cols and args.seed is None:
         raise CliError(
             "mbcr data needs its permutation detail: give beta,eta columns "
-            "(in --data or --assignment) or a --seed to regenerate the draw"
+            "in --data or a --seed to regenerate the draw"
         )
     if have_cols:
         beta = _validate_perm("beta", perm_cols["beta"], n)
@@ -185,13 +173,6 @@ def _compute_ci(args) -> Interval:
             "permutation detail needs both beta and eta"
         )
     perm_cols = cols if perm_names else None
-    if args.assignment:
-        if perm_cols is not None:
-            raise CliError(
-                "ambiguous mbcr input: permutation columns appear in both "
-                "--data and --assignment"
-            )
-        perm_cols = read_csv_columns(args.assignment, ("beta", "eta"))
 
     scheme, method = args.scheme, args.method
     spec = METHOD_TABLE[method]
@@ -272,13 +253,14 @@ def cmd_ci(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# harness subcommands
+# simulate subcommand
 
 
-def _run(config, out_dir, workers: int = 1) -> int:
+def cmd_simulate(args) -> int:
     """Run a config, write its CSV and manifest, and print the summary."""
-    report = run_experiment(config, workers=workers)
-    paths = write_outputs(out_dir, report, config)
+    config = load_config(args.config)
+    report = run_experiment(config, workers=resolve_workers(args.workers))
+    paths = write_outputs(args.out, report, config)
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['manifest']}")
     for key, value in sorted(report.summary.items()):
@@ -286,23 +268,9 @@ def _run(config, out_dir, workers: int = 1) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    return _run(config, args.out, resolve_workers(args.workers))
-
-
-def cmd_equivalence(args) -> int:
-    # The exact enumeration reads no random stream; the seed is only recorded.
-    raw = {"experiment": EXPERIMENT_EQUIVALENCE, "seed": 0, "n": args.n, "n1": args.n1}
-    if args.budget is not None:
-        raw["budget"] = args.budget
-    return _run(parse_config(raw), args.out)
-
-
 COMMANDS = {
     "ci": cmd_ci,
     "simulate": cmd_simulate,
-    "equivalence": cmd_equivalence,
 }
 
 

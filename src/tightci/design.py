@@ -332,12 +332,18 @@ class MbcrDistribution:
         )
 
 
+def _space_factors(layout: MbcrLayout):
+    """The factors of ``g!**T * s! * n!``, one at a time, each at least 2."""
+    sizes = itertools.chain(
+        itertools.repeat(layout.group_size, layout.num_full_groups),
+        (layout.tail_size, layout.n),
+    )
+    return itertools.chain.from_iterable(range(2, k + 1) for k in sizes)
+
+
 def enumeration_space_size(layout: MbcrLayout) -> int:
     """Number of permutation tuples the exact enumeration must visit."""
-    size = math.factorial(layout.group_size) ** layout.num_full_groups
-    if layout.tail_size >= 2:
-        size *= math.factorial(layout.tail_size)
-    return size * math.factorial(layout.n)
+    return math.prod(_space_factors(layout))
 
 
 def enumerate_mbcr_distribution(
@@ -348,13 +354,19 @@ def enumerate_mbcr_distribution(
     Visits every tuple of within-block permutations and every unit-wide
     permutation, counting each resulting assignment with integer arithmetic.
     Refuses (never silently samples) when the tuple count exceeds ``budget``.
+    The count's factors are each at least 2, so it is multiplied out only
+    until it passes the budget, in at most ``log2(budget) + 1`` steps; a
+    refusal names the count if that took every factor, else a lower bound.
     """
-    space = enumeration_space_size(layout)
-    if space > budget:
-        raise EnumerationBudgetError(
-            f"exact enumeration needs {space} permutation tuples, over the "
-            f"budget of {budget}; increase the budget or use a smaller n"
-        )
+    space, factors = 1, _space_factors(layout)
+    for factor in factors:
+        space *= factor
+        if space > budget:
+            bound = "" if next(factors, None) is None else "at least "
+            raise EnumerationBudgetError(
+                f"exact enumeration needs {bound}{space} permutation tuples, over "
+                f"the budget of {budget}; increase the budget or use a smaller n"
+            )
     n, g = layout.n, layout.group_size
     a = layout.allocation_vector()
     block_perms = [

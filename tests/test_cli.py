@@ -664,49 +664,99 @@ def test_simulate_equivalence_config_prints_summary(tmp_path, capsys):
     assert "uniform: True" in capsys.readouterr().out.splitlines()
 
 
-def test_removed_run_subcommands_are_validation_errors(tmp_path, capsys):
-    for name in ("scaling", "rmse"):
-        args = [name, "--config", str(CONFIGS / "fig1.json"), "--out", str(tmp_path)]
-        assert main(args) == 1
-        assert "invalid choice" in capsys.readouterr().err
-
-
 def test_equivalence_subcommand(tmp_path, capsys):
+    # the exact check runs through simulate --config: a written config with
+    # n = 6, n1 = 2 puts each of the 15 treated pairs 1728 times
     out = tmp_path / "eq"
-    assert main(["equivalence", "--n", "6", "--n1", "2", "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "uniform: True" in stdout
+    config = _equivalence_config(tmp_path, 6, 2)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert "uniform: True" in capsys.readouterr().out
     rows = list(csv.DictReader((out / "equivalence.csv").open()))
     assert len(rows) == 15
     assert all(row["count"] == "1728" for row in rows)
 
 
-def test_equivalence_screen_flags_are_gone(tmp_path, capsys):
-    # the exact enumeration is the only check: no Monte Carlo screen, and no
-    # seed, since nothing it does reads a random stream
-    for i, extra in enumerate((["--approximate"], ["--draws", "75"], ["--seed", "3"])):
-        out = tmp_path / f"eq{i}"
-        args = ["equivalence", "--n", "6", "--n1", "2", "--out", str(out), *extra]
-        assert main(args) == 1, extra
-        assert "unrecognized arguments" in capsys.readouterr().err
+def test_removed_run_subcommands_are_validation_errors(tmp_path, capsys):
+    # simulate --config runs every experiment, the equivalence check included
+    for name in ("scaling", "rmse", "equivalence"):
+        out = tmp_path / name
+        args = [name, "--config", str(CONFIGS / "fig1.json"), "--out", str(out)]
+        assert main(args) == 1
+        assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
 
 
-def test_equivalence_subcommand_matches_its_config(tmp_path, capsys):
-    # the subcommand builds the bundled config's fields, so both entry points
-    # write the same CSV and the same manifest
-    cli_out, sim_out = tmp_path / "cli", tmp_path / "sim"
-    assert main(["equivalence", "--n", "6", "--n1", "2", "--out", str(cli_out)]) == 0
-    config = CONFIGS / "equivalence_6_2.json"
-    assert main(["simulate", "--config", str(config), "--out", str(sim_out)]) == 0
-    for name in ("equivalence.csv", "manifest.json"):
-        assert (cli_out / name).read_bytes() == (sim_out / name).read_bytes(), name
+def test_ci_assignment_flag_is_gone(tmp_path, capsys):
+    # a grouped draw's beta,eta columns ride in --data, the one input file
+    data = tmp_path / "obs.csv"
+    _write_mbcr_data(data, with_perms=False)
+    perms = tmp_path / "perms.csv"
+    perms.write_text("beta,eta\n0,0\n")
+    args = ["ci", "--data", str(data), "--scheme", "mbcr", "--n1", "100",
+            "--method", "hoeff-mbcr", "--assignment", str(perms)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "perms.csv"]
+
+
+def _equivalence_config(tmp_path, n, n1):
+    config = tmp_path / "equivalence.json"
+    config.write_text(json.dumps({"experiment": "equivalence", "n": n, "n1": n1, "seed": 0}))
+    return config
 
 
 def test_equivalence_budget_validation(capsys, tmp_path):
-    code = main(["equivalence", "--n", "10", "--n1", "5", "--out", str(tmp_path / "x")])
-    assert code == 1
+    out = tmp_path / "x"
+    config = _equivalence_config(tmp_path, 10, 5)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, n1",
+    [(1000, 10), (2000, 10), (10**6, 1), (3 * 10**6, 1), (10**400, 1)],
+    ids=["1000-10", "2000-10", "1e6-1", "3e6-1", "1e400-1"],
+)
+def test_equivalence_budget_refusal_is_prompt_and_short(capsys, tmp_path, n, n1):
+    # the tuple count g!**T * s! * n! is multiplied out only until it passes
+    # the budget, so a huge space is refused at once with a short message
+    import time
+
+    out = tmp_path / "x"
+    config = _equivalence_config(tmp_path, n, n1)
+    start = time.perf_counter()
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert elapsed < 2.0
+    assert len(err) < 200
+    assert "at least" in err and "over the budget of 100000000" in err
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse(capsys):
+    # every command the README's CLI block shows parses, so the docs cannot
+    # advertise a deleted subcommand or flag
+    import shlex
+
+    from tightci.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert commands and all(line.startswith("tightci ") for line in commands)
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        if argv == ["--version"]:
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 0
+        else:
+            build_parser().parse_args(argv)
 
 
 def test_bundled_configs_parse():
