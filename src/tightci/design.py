@@ -36,6 +36,13 @@ SCHEME_COMPLETE = "complete"
 SCHEME_MBCR = "mbcr"
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
+# The largest budget a config may set, fixed so that a config gives the same
+# exit on every machine: about five minutes at the 30 M tuples per second the
+# enumeration runs on a 2-core Xeon VM.  A grouped tuple count is at least
+# n!, so a space within the cap has n <= 13 (13! is about 6.2e9, 14! about
+# 8.7e10), and the 2**n tally and the int64 ``1 << arange(n)`` weights stay
+# small.
+MAX_ENUMERATION_BUDGET = 10**10
 # The propensity floor and the sample-size cap.  Below pi = 2**-300 no
 # design of at most 2**53 units has even a 2**-247 chance of treating a
 # unit, and up to 2**53 every count is exact in float64.  Inside them no

@@ -44,6 +44,7 @@ import numpy as np
 from . import __version__ as TOOL_VERSION
 from .design import (
     DEFAULT_ENUMERATION_BUDGET,
+    MAX_ENUMERATION_BUDGET,
     MAX_N,
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
@@ -208,12 +209,18 @@ def _fields(obj: Any, where: str, required: tuple[str, ...], defaults: dict) -> 
     return {**defaults, **obj}
 
 
+def _brief(value: Any) -> str:
+    """``repr(value)``, cut short: a JSON integer can run to thousands of digits."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _int_at_least(value: Any, k: int, where: str, most: int | None = None) -> int:
     """``value`` if it is an integer of at least ``k`` (and at most ``most``)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < k:
-        raise ConfigError(f"{where}: need an integer >= {k}, got {value!r}")
+        raise ConfigError(f"{where}: need an integer >= {k}, got {_brief(value)}")
     if most is not None and value > most:
-        raise ConfigError(f"{where}: need an integer <= {most}, got {value!r}")
+        raise ConfigError(f"{where}: need an integer <= {most}, got {_brief(value)}")
     return value
 
 
@@ -276,7 +283,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             seed=_int_at_least(f["seed"], 0, "config.seed"),
             n=_int_at_least(f["n"], 1, "config.n"),
             n1=_int_at_least(f["n1"], 1, "config.n1"),
-            budget=_int_at_least(f["budget"], 1, "config.budget"),
+            budget=_int_at_least(
+                f["budget"], 1, "config.budget", MAX_ENUMERATION_BUDGET
+            ),
             raw=raw,
         )
 
@@ -505,7 +514,10 @@ def _coverage_chunk(
     no adaptive interval reads, on the cell's fixed table, draws only the
     units its estimate needs.  Every other design (``dense``) draws, realizes
     and weights the whole table in fresh arrays, which each replication frees
-    when it ends.
+    when it ends.  A method whose spec has a ``block`` (the grouped
+    Studentized interval) keeps only the replication's group sums, in its
+    :class:`~tightci.intervals.StudentizedBlock`; each full block, and the
+    last, is evaluated at once into the record.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
@@ -522,6 +534,12 @@ def _coverage_chunk(
         out["covered", m] = np.zeros(count, dtype=np.uint8)
         out["half", m] = np.zeros(count, dtype=np.float64)
     pi_f = float(cell.pi)
+    blocks = {
+        m: spec.block(cell.layout, cell.alpha, count)
+        for m, spec in adaptive.items()
+        if spec.block is not None
+    }
+    per_draw = {m: spec for m, spec in adaptive.items() if m not in blocks}
     for k, rep in enumerate(range(start, stop)):
         table = cell.table
         if table is None:
@@ -546,7 +564,14 @@ def _coverage_chunk(
                 units = treated_set_bernoulli(cell.n, pi_f, rng)
                 est = treated_set_estimate(table, units, y0_total, pi=pi_f)
             out["est", scheme][k] = est
-        for m, spec in adaptive.items():
+        for m, block in blocks.items():
+            block.add(data[specs[m].scheme])
+            if block.full or k == count - 1:
+                bounds = block.evaluate()
+                for i, (lower, upper) in enumerate(bounds, k + 1 - len(bounds)):
+                    out["covered", m][i] = lower <= cell.target <= upper
+                    out["half", m][i] = (upper - lower) / 2.0
+        for m, spec in per_draw.items():
             try:
                 ci = spec.adaptive(data[spec.scheme], cell.alpha)
             except EmptyArmError:

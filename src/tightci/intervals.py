@@ -17,7 +17,10 @@ Constructions provided:
   coverage guarantees.
 
 Every builder records the constants it used in a ``tuning`` mapping, and
-``reevaluate`` reproduces the endpoints from that record alone.
+``reevaluate`` reproduces the endpoints from that record alone.  A coverage
+chunk, which needs only endpoints, evaluates grouped Studentized intervals
+a block of draws at a time with :class:`StudentizedBlock`, through the same
+split statistics and scalar tail as ``studentized_ci``, bit for bit.
 ``METHOD_TABLE`` maps every method tag the package knows to its
 :class:`MethodSpec`, the one place that says how a tag draws, estimates and
 builds its interval.
@@ -278,6 +281,19 @@ def sub_bernoulli_ci(
 
 # ---------------------------------------------------------------------------
 # Cross-fit Studentized interval
+#
+# ``_split_statistics`` works along the last axis, so one call serves a
+# stack of group-sum rows; a scalar ``math`` tail per row then forms the
+# anchors, since numpy's vectorized ``log`` may differ from libm's in the
+# last bit.  ``studentized_ci`` evaluates one draw this way, and a coverage
+# chunk a block of grouped draws (:class:`StudentizedBlock`).
+
+# The most group sums a StudentizedBlock stacks (one draw's, if they are more).
+STUDENTIZED_BLOCK_VALUES = 2**16
+
+
+def _grouped_scale(layout: MbcrLayout) -> float:
+    return float(max(layout.group_size, layout.tail_size))
 
 
 def studentized_scale(data: ObservedData) -> float:
@@ -296,8 +312,7 @@ def studentized_scale(data: ObservedData) -> float:
     if asg.scheme == SCHEME_BERNOULLI:
         return 1.0 / (1.0 - asg.pi) + 1.0
     if asg.scheme == SCHEME_MBCR and asg.mbcr is not None:
-        lay = asg.mbcr.layout
-        return float(max(lay.group_size, lay.tail_size))
+        return _grouped_scale(asg.mbcr.layout)
     raise IntervalError(
         "Studentized interval needs Bernoulli data or a grouped draw "
         "with permutation detail"
@@ -319,34 +334,37 @@ def _split_divisors(tbar: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _split_sum_of_squares(s: np.ndarray, opposite_total: float, div: np.ndarray) -> float:
-    """Sum of ``(s[t] - (opposite_total + s[:t].sum()) / div[t])**2`` over t.
+def _split_sum_of_squares(s: np.ndarray, opposite_total, div: np.ndarray):
+    """Sum of ``(s[t] - (opposite_total + s[:t].sum()) / div[t])**2`` over t,
+    along the last axis.
 
     The prefix sums, means, deviations and squares share one buffer.
     """
-    buf = np.empty(s.shape[0])
-    buf[0] = 0.0
-    np.cumsum(s[:-1], out=buf[1:])
-    buf += opposite_total
+    buf = np.empty(s.shape)
+    buf[..., 0] = 0.0
+    np.cumsum(s[..., :-1], axis=-1, out=buf[..., 1:])
+    buf += opposite_total[..., None]
     buf /= div
     np.subtract(s, buf, out=buf)
     np.square(buf, out=buf)
-    return float(buf.sum())
+    return buf.sum(axis=-1)
 
 
-def _split_statistics(theta: np.ndarray) -> tuple[int, int, float, float]:
+def _split_statistics(theta: np.ndarray) -> tuple[int, int, Any, Any]:
     """Cross-seeded running-mean sums of squares for the two group splits.
 
     Split one holds the first ``floor(T/2)`` group sums.  Its running mean
     at step t starts from the full total of the opposite split and then
     folds in this split's first ``t - 1`` values; the returned V is the sum
-    of squared deviations of each value from its running mean.
+    of squared deviations of each value from its running mean.  Works along
+    the last axis: one row of sums gives scalar V's, a stack of rows one V
+    per row, each bit for bit the row's own.
     """
-    tbar = theta.shape[0]
+    tbar = theta.shape[-1]
     m1 = tbar // 2
     m2 = tbar - m1
-    s1, s2 = theta[:m1], theta[m1:]
-    tot1, tot2 = float(s1.sum()), float(s2.sum())
+    s1, s2 = theta[..., :m1], theta[..., m1:]
+    tot1, tot2 = s1.sum(axis=-1), s2.sum(axis=-1)
     div1, div2 = _split_divisors(tbar)
     v1 = _split_sum_of_squares(s1, tot2, div1)
     v2 = _split_sum_of_squares(s2, tot1, div2)
@@ -366,11 +384,42 @@ def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float
     return (gamma_e(lam, c) * v + math.log(2.0 / alpha)) / (n * lam)
 
 
-def _anchor_tuning(theta: np.ndarray, n: int, alpha: float, c: float) -> dict:
-    """One anchor's mean, split sums of squares and lambdas."""
-    _, _, v1, v2 = _split_statistics(theta)
-    lam1, lam2 = _stud_lambda(v1, alpha, c), _stud_lambda(v2, alpha, c)
-    return dict(mean=float(theta.sum()) / n, v1=v1, v2=v2, lam1=lam1, lam2=lam2)
+# What an anchor records, in the order of its tuples and tuning keys.
+_ANCHOR_KEYS = ("mean", "v1", "v2", "lam1", "lam2")
+
+
+def _row_anchors(rows: np.ndarray, n: int, alpha: float, c: float) -> list:
+    """The anchor ``(mean, v1, v2, lam1, lam2)`` of every row of ``rows``, in
+    order: the split statistics of the whole stack in one call, then the
+    scalar tail row by row."""
+    _, _, v1, v2 = _split_statistics(rows)
+    stats = zip(*(arr.ravel().tolist() for arr in (rows.sum(axis=-1), v1, v2)))
+    return [
+        (total / n, a, b, _stud_lambda(a, alpha, c), _stud_lambda(b, alpha, c))
+        for total, a, b in stats
+    ]
+
+
+def _stud_penalties(anchor: tuple, n: int, alpha: float, c: float) -> float:
+    """Both splits' penalties of one anchor; each uses the other's lambda."""
+    _, v1, v2, lam1, lam2 = anchor
+    return _stud_penalty(lam2, v1, n, alpha, c) + _stud_penalty(lam1, v2, n, alpha, c)
+
+
+def _stud_bounds(
+    low: tuple, up: tuple, n: int, alpha: float, c: float
+) -> tuple[float, float, bool]:
+    """The lower anchor's mean less its penalties and the upper anchor's mean
+    plus its own, and whether they crossed; a grouped draw's one anchor
+    serves both.  Bernoulli anchors can cross on extreme draws, and then
+    both endpoints are the point between."""
+    pen_l = _stud_penalties(low, n, alpha, c)
+    pen_u = pen_l if up is low else _stud_penalties(up, n, alpha, c)
+    lower, upper = low[0] - pen_l, up[0] + pen_u
+    if upper < lower:
+        lower = upper = 0.5 * (lower + upper)
+        return lower, upper, True
+    return lower, upper, False
 
 
 def studentized_ci(data: ObservedData, alpha: float) -> Interval:
@@ -396,32 +445,59 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
         )
     c = studentized_scale(data)
     n, m1 = data.n, tbar // 2
-    tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
-    low = up = _anchor_tuning(theta, n, alpha, c)
+    low = up = _row_anchors(theta, n, alpha, c)[0]
     if data.assignment.scheme == SCHEME_BERNOULLI:
         mirrored = _weigh_units(data.y - 1.0, data.assignment)
-        up = _anchor_tuning(mirrored, n, alpha, c)
-    for side, stats in (("l", low), ("u", up)):
-        tuning.update({f"{key}_{side}": value for key, value in stats.items()})
-    lower, upper = _studentized_endpoints(alpha, tuning)
-    if upper < lower:
-        # Bernoulli anchors can cross on extreme draws; report the point between.
-        mid = 0.5 * (lower + upper)
-        lower = upper = mid
-        tuning["degenerate_midpoint"] = mid
+        up = _row_anchors(mirrored, n, alpha, c)[0]
+    tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
+    for side, anchor in (("l", low), ("u", up)):
+        tuning.update({f"{key}_{side}": v for key, v in zip(_ANCHOR_KEYS, anchor)})
+    lower, upper, crossed = _stud_bounds(low, up, n, alpha, c)
+    if crossed:
+        tuning["degenerate_midpoint"] = lower
     return Interval(lower, upper, alpha, METHOD_STUDENTIZED, tuning)
 
 
 def _studentized_endpoints(alpha: float, t: dict[str, Any]) -> tuple[float, float]:
-    if "degenerate_midpoint" in t:
-        return t["degenerate_midpoint"], t["degenerate_midpoint"]
-    n, c = t["n"], t["c"]
-    pen_l, pen_u = (
-        _stud_penalty(t[f"lam2_{side}"], t[f"v1_{side}"], n, alpha, c)
-        + _stud_penalty(t[f"lam1_{side}"], t[f"v2_{side}"], n, alpha, c)
-        for side in "lu"
-    )
-    return t["mean_l"] - pen_l, t["mean_u"] + pen_u
+    low, up = ([t[f"{key}_{side}"] for key in _ANCHOR_KEYS] for side in "lu")
+    return _stud_bounds(low, up, t["n"], alpha, t["c"])[:2]
+
+
+class StudentizedBlock:
+    """A grouped design's Studentized intervals over a chunk, a block of
+    draws at a time.
+
+    :meth:`add` copies a draw's group sums into a stack of at most
+    ``STUDENTIZED_BLOCK_VALUES`` values (one draw's, if they are more), so
+    memory does not grow with the draws; :meth:`evaluate` returns every
+    stacked draw's endpoints from one row-wise split-statistics call and the
+    scalar tail per row, exactly as :func:`studentized_ci` gives them.  The
+    cell's ``c`` is fixed once; the layout must have the groups
+    cross-fitting needs.
+    """
+
+    def __init__(self, layout: MbcrLayout, alpha: float, draws: int):
+        groups = layout.num_groups
+        size = max(1, min(draws, STUDENTIZED_BLOCK_VALUES // groups))
+        self.stack = np.empty((size, groups))
+        self.filled = 0
+        self.n, self.alpha, self.c = layout.n, alpha, _grouped_scale(layout)
+
+    @property
+    def full(self) -> bool:
+        return self.filled == self.stack.shape[0]
+
+    def add(self, data: ObservedData) -> None:
+        self.stack[self.filled] = groupwise_sums(data)
+        self.filled += 1
+
+    def evaluate(self) -> list[tuple[float, float]]:
+        """The ``(lower, upper)`` endpoints of the draws added since the last
+        call, in order; the block is then empty."""
+        n, alpha, c = self.n, self.alpha, self.c
+        anchors = _row_anchors(self.stack[: self.filled], n, alpha, c)
+        self.filled = 0
+        return [_stud_bounds(a, a, n, alpha, c)[:2] for a in anchors]
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +582,9 @@ class MethodSpec:
     ``data.assignment``; a bare point estimator has neither.
     ``half(alpha, tuning)`` (for intervals ``psi_hat +/- half``) or
     ``endpoints(alpha, tuning)`` is the arithmetic ``reevaluate`` replays.
+    ``block(layout, alpha, draws)``, if set, is what a coverage chunk
+    evaluates the interval through, a block of draws at a time, in place of
+    ``adaptive``.
     ``miscoverage_factor`` is k in the guarantee ``coverage >= 1 - k alpha``.
     ``min_groups`` is the fewest groups (units, under Bernoulli draws) the
     interval can use.  ``cli_schemes`` lists the data schemes ``tightci ci``
@@ -517,6 +596,7 @@ class MethodSpec:
     adaptive: Callable[[ObservedData, float], Interval] | None = None
     half: Callable[[float, dict[str, Any]], float] | None = None
     endpoints: Callable[[float, dict[str, Any]], tuple[float, float]] | None = None
+    block: Callable[[MbcrLayout, float, int], StudentizedBlock] | None = None
     miscoverage_factor: int = 1
     min_groups: int = 0
     cli_schemes: tuple[str, ...] = ()
@@ -565,7 +645,10 @@ METHOD_TABLE: dict[str, MethodSpec] = {
         cli_schemes=(SCHEME_MBCR,),
     ),
     METHOD_STUDENTIZED: MethodSpec(
-        SCHEME_MBCR, cli_schemes=(SCHEME_MBCR, SCHEME_BERNOULLI), **_STUDENTIZED
+        SCHEME_MBCR,
+        block=StudentizedBlock,
+        cli_schemes=(SCHEME_MBCR, SCHEME_BERNOULLI),
+        **_STUDENTIZED,
     ),
     METHOD_NAIVE_HOEFFDING: MethodSpec(
         SCHEME_BERNOULLI,

@@ -738,6 +738,39 @@ def test_equivalence_budget_refusal_is_prompt_and_short(capsys, tmp_path, n, n1)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("digits", [32, 4300], ids=["1e31", "4300-digits"])
+def test_equivalence_budget_over_the_cap_is_refused_at_once(capsys, tmp_path, digits):
+    # a config budget of 10**31 at (20, 10) would start on some 2.5e21 tuples;
+    # the refusal stays short at the longest integer JSON reads
+    import time
+
+    out = tmp_path / "x"
+    config = tmp_path / "equivalence.json"
+    budget = 10 ** (digits - 1)
+    raw = {"experiment": "equivalence", "n": 20, "n1": 10, "seed": 0, "budget": budget}
+    config.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert elapsed < 2.0
+    assert len(err) < 200
+    assert "config.budget" in err and "10000000000" in err
+    assert not out.exists()
+
+
+def test_equivalence_budget_at_the_cap_runs(tmp_path):
+    from tightci.design import MAX_ENUMERATION_BUDGET
+
+    out = tmp_path / "x"
+    config = tmp_path / "equivalence.json"
+    raw = {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0}
+    config.write_text(json.dumps({**raw, "budget": MAX_ENUMERATION_BUDGET}))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "equivalence.csv").exists()
+
+
 def test_readme_cli_examples_parse(capsys):
     # every command the README's CLI block shows parses, so the docs cannot
     # advertise a deleted subcommand or flag

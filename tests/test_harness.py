@@ -197,6 +197,17 @@ def test_equivalence_config():
         parse_config(raw)
 
 
+def test_equivalence_budget_capped():
+    from tightci.design import MAX_ENUMERATION_BUDGET
+
+    raw = {"experiment": "equivalence", "n": 6, "n1": 2, "seed": 0}
+    assert parse_config({**raw, "budget": MAX_ENUMERATION_BUDGET}).budget == (
+        MAX_ENUMERATION_BUDGET
+    )
+    with pytest.raises(ConfigError, match=f"config.budget: .*<= {MAX_ENUMERATION_BUDGET}"):
+        parse_config({**raw, "budget": MAX_ENUMERATION_BUDGET + 1})
+
+
 def test_resolve_workers(monkeypatch):
     # the flag alone sets the count; the environment does not override it
     monkeypatch.setenv("TIGHTCI_THREADS", "3")
@@ -756,12 +767,130 @@ def test_split_divisors_built_once_per_group_count():
     # groups of ten: 20 and 40 group sums; grouped draws split one set of
     # sums per replication
     assert info.misses == 2
-    assert info.hits == 2 * 30 - 2
+    assert info.hits == 0  # each cell's 30 replications are one block
     for tbar in (20, 40):
         for div in intervals._split_divisors(tbar):
             assert not div.flags.writeable
             with pytest.raises(ValueError):
                 div[0] = 1.0
+
+
+def _studentized_by_replication(cfg, cell, method):
+    """Each replication's containment and half-width from its own
+    ``studentized_ci``, drawn from the chunk's substream."""
+    from tightci import harness
+    from tightci.estimator import ObservedData
+    from tightci.intervals import METHOD_TABLE, studentized_ci
+
+    scheme = METHOD_TABLE[method].scheme
+    at = harness.substream(cfg.seed, cell.idx, harness._DRAW_TAGS[scheme])
+    covered, half, midpoints = [], [], 0
+    for rep in range(cfg.replications):
+        if scheme == "mbcr":
+            asg = harness.draw_mbcr(cell.layout, at(rep))
+        else:
+            asg = harness.draw_bernoulli(cell.n, float(cell.pi), at(rep))
+        ci = studentized_ci(ObservedData.realize(cell.table, asg), cell.alpha)
+        covered.append(ci.contains(cell.target))
+        half.append(ci.half_width)
+        midpoints += "degenerate_midpoint" in ci.tuning
+    return np.array(covered, dtype=np.uint8), np.array(half), midpoints
+
+
+@pytest.mark.parametrize("per_block", [0, 1, 3])
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+@pytest.mark.parametrize(
+    "n, pi, method",
+    [
+        # groups that tile, and tails that spill one and two treated units
+        (1000, "1/10", "studentized"),
+        (997, "100/997", "studentized"),
+        (111, "12/111", "studentized"),
+        (500, "1/5", "studentized-bern"),
+        (20_000, "1/100", "studentized-bern"),
+    ],
+)
+def test_chunk_studentized_equals_each_replications_interval(
+    monkeypatch, n, pi, method, alpha, per_block
+):
+    from tightci import harness, intervals
+    from tightci.design import Assignment
+
+    real = harness.draw_bernoulli
+
+    def sometimes_all_treated(n, pi, rng):
+        # an extreme draw now and then, whose Bernoulli anchors cross
+        asg = real(n, pi, rng)
+        if rng.random() < 0.3:
+            asg = Assignment(np.ones(n, dtype=np.int8), asg.scheme, asg.pi)
+        return asg
+
+    monkeypatch.setattr(harness, "draw_bernoulli", sometimes_all_treated)
+    raw = _coverage_raw(
+        grid={"n": [n], "pi": [pi], "alpha": [alpha]}, methods=[method], replications=8
+    )
+    cfg = parse_config(raw)
+    (cell,) = harness._build_cells(cfg)
+    if method == "studentized":
+        # blocks of three draws, so that full blocks and a partial last one
+        # run, and of one, also when a draw's sums alone pass the bound
+        values = per_block * cell.layout.num_groups
+        monkeypatch.setattr(intervals, "STUDENTIZED_BLOCK_VALUES", values)
+    record = harness._coverage_chunk(cfg, cell, 0, 8)
+    covered, half, midpoints = _studentized_by_replication(cfg, cell, method)
+    assert record["covered", method].tobytes() == covered.tobytes()
+    assert record["half", method].tobytes() == half.tobytes()
+    if method == "studentized-bern":
+        assert 0 < midpoints < 8
+
+
+def test_split_statistics_runs_once_per_block(monkeypatch):
+    from tightci import harness, intervals
+
+    calls = []
+    real = intervals._split_statistics
+    monkeypatch.setattr(
+        intervals, "_split_statistics", lambda rows: calls.append(rows.shape) or real(rows)
+    )
+    grouped = intervals.STUDENTIZED_BLOCK_VALUES // 100  # 100 group sums a draw
+    reps = grouped + 3
+    raw = _coverage_raw(
+        grid={"n": [1000], "pi": ["1/10"], "alpha": [0.05]},
+        methods=["studentized"],
+        replications=reps,
+    )
+    cfg = parse_config(raw)
+    (cell,) = harness._build_cells(cfg)
+    harness._coverage_chunk(cfg, cell, 0, reps)
+    assert calls == [(grouped, 100), (3, 100)]
+
+
+def test_grouped_chunk_memory_does_not_grow_with_replications():
+    # the stacked group sums are evaluated a block at a time, so ten times
+    # the replications raise the traced peak by less than one block of
+    # values and the half-block buffer its split statistics take; without
+    # the bound, 2,000 replications' sums alone would be 2.7 blocks more
+    import tracemalloc
+
+    from tightci import harness
+    from tightci.intervals import STUDENTIZED_BLOCK_VALUES
+
+    peaks = []
+    for reps in (200, 2000):
+        raw = _coverage_raw(
+            grid={"n": [1000], "pi": ["1/10"], "alpha": [0.05]},
+            methods=["hoeff-mbcr", "studentized"],
+            replications=reps,
+        )
+        cfg = parse_config(raw)
+        (cell,) = harness._build_cells(cfg)
+        tracemalloc.start()
+        try:
+            harness._coverage_chunk(cfg, cell, 0, reps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1.5 * 8 * STUDENTIZED_BLOCK_VALUES
 
 
 def test_clt_reevaluates_bit_for_bit_with_the_shared_quantile():

@@ -18,8 +18,10 @@ from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
+    STUDENTIZED_BLOCK_VALUES,
     EmptyArmError,
     IntervalError,
+    StudentizedBlock,
     _sb_bern_half,
     _split_statistics,
     _stud_lambda,
@@ -582,6 +584,34 @@ def test_studentized_anchors_unchanged_on_bernoulli_data(n, pi):
         t, (lower, upper) = _studentized_reference(data, 0.05)
         assert {k: ci.tuning[k] for k in t} == t
         assert (ci.lower, ci.upper) == (lower, upper)
+
+
+@pytest.mark.parametrize("tbar", [4, 5, 7, 10, 11, 100, 101, 500, 501, 1001, 20_001])
+def test_split_statistics_row_wise_bit_identical_to_each_row(tbar):
+    # a stack of rows, and a stack of draws' anchor rows, gives each row the
+    # statistics of its own one-row call (which the reference pins)
+    rng = np.random.default_rng(tbar)
+    for magnitude in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        for shape in ((6, tbar), (3, 2, tbar)):
+            rows = magnitude * rng.standard_normal(shape)
+            m1, m2, v1, v2 = _split_statistics(rows)
+            assert v1.shape == v2.shape == shape[:-1]
+            for idx in np.ndindex(shape[:-1]):
+                row = np.ascontiguousarray(rows[idx])
+                assert (m1, m2, v1[idx], v2[idx]) == _split_statistics(row)
+
+
+def test_studentized_block_stacks_at_most_its_values():
+    # one draw's sums are stacked even when they alone pass the bound
+    for (n, n1), draws, rows in [
+        ((5000, 500), 10**6, STUDENTIZED_BLOCK_VALUES // 500),
+        ((5000, 500), 3, 3),
+        ((5000, 500), 1, 1),
+        ((140_000, 70_000), 10**6, 1),
+    ]:
+        layout = compute_layout(n, n1)
+        block = StudentizedBlock(layout, 0.05, draws)
+        assert block.stack.shape == (rows, layout.num_groups)
 
 
 # ---------------------------------------------------------------------------
