@@ -103,7 +103,9 @@ class PotentialTable:
         object.__setattr__(self, "y1", y1)
         if y0.ndim != 1 or y0.shape != y1.shape:
             raise EstimatorError("y0 and y1 must be equal-length vectors")
-        for name, arr in (("y0", y0), ("y1", y1)):
+        # A null table's y1 is its y0, whose range is checked once.
+        named = (("y0", y0),) if y1 is y0 else (("y0", y0), ("y1", y1))
+        for name, arr in named:
             # NaN fails both comparisons, and +-inf fails the range.
             if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise EstimatorError(

@@ -32,8 +32,9 @@ import json
 import logging
 import math
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -525,6 +526,7 @@ def _coverage_chunk(
     used = [scheme for scheme in _DRAW_TAGS if scheme in schemes]
     streams = {s: substream(config.seed, cell.idx, _DRAW_TAGS[s]) for s in used}
     if cell.table is None:
+        dgp = config.dgp.with_n(cell.n)
         tables, dense = substream(config.seed, cell.idx, _TAG_REP_TABLE), schemes
     else:
         y0_total, dense = cell.table.y0.sum(), {s.scheme for s in adaptive.values()}
@@ -543,7 +545,7 @@ def _coverage_chunk(
     for k, rep in enumerate(range(start, stop)):
         table = cell.table
         if table is None:
-            table = sample_population(config.dgp.with_n(cell.n), tables(rep))
+            table = sample_population(dgp, tables(rep))
         data = {}
         for scheme in used:
             rng = streams[scheme](rep)
@@ -582,20 +584,58 @@ def _coverage_chunk(
     return out
 
 
-# A pool worker's (config, cells), stored once by its initializer.
-_worker_run: tuple = ()
-
-
-def _init_worker(*run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _run_slice(task, config=None, cells=None):
-    """One process's records; a pool worker runs on its initializer's run."""
-    if cells is None:
-        config, cells = _worker_run
+def _run_slice(task, config, cells):
+    """One process's records: a chunk per ``(cell index, start, stop)``."""
     return [_coverage_chunk(config, cells[i], start, stop) for i, start, stop in task]
+
+
+def _fork_slice(task, config, cells):
+    """Fork a child that runs ``task`` on the config and cells it inherits,
+    so nothing is pickled toward it; the child's pid and the read end of its
+    pipe.  The child pickles ``(True, records)``, or ``(False, exception)``,
+    into the pipe and always leaves through ``os._exit``."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            outcome = True, _run_slice(task, config, cells)
+        except BaseException as exc:
+            outcome = False, exc
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _slice_outcome(status: int, data: bytes) -> list:
+    """A reaped child's records; its exception is raised as it is, and a
+    child that ended without a record raises an error naming its status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise ChildProcessError(
+            f"a replication slice's process was killed by signal {-code} "
+            f"({signal.strsignal(-code)}) before it sent its record"
+        )
+    if code:
+        raise ChildProcessError(
+            f"a replication slice's process exited with status {code} "
+            "before it sent its record"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _run_cells(config, cells, workers: int):
@@ -605,22 +645,23 @@ def _run_cells(config, cells, workers: int):
     Ranges never influence the results: every replication owns its stream
     segments and lands at its absolute index during the merge, so any worker
     count produces identical reports.  ``used`` processes, at most the CPUs
-    and the cell-replications, each run one slice of every cell: the parent
-    runs slice 0, and a pool of ``used - 1``, given the config and cells once
-    by its initializer, runs one task of ``(cell index, start, stop)`` each.
+    and the cell-replications, each run one slice of every cell, a list of
+    ``(cell index, start, stop)``; a platform without ``os.fork`` runs one.
+    The parent forks a child for every slice after slice 0
+    (:func:`_fork_slice`) before it runs slice 0 itself, then reads each
+    child's pipe to EOF and reaps it.  A child's exception is raised as it
+    is once every child is reaped; a failure of the parent's own kills and
+    reaps every child before it is raised.
     """
     reps = config.replications
     cpus = os.cpu_count() or 1
     active = [i for i, cell in enumerate(cells) if cell.methods]
     used = max(1, min(workers, cpus, reps * len(active)))
+    reason = f"{cpus} CPUs, {reps * len(active)} cell-replications"
+    if not hasattr(os, "fork"):
+        used, reason = 1, "no os.fork on this platform"
     if used < workers:
-        log.warning(
-            "using %d of the %d requested workers (%d CPUs, %d cell-replications)",
-            used,
-            workers,
-            cpus,
-            reps * len(active),
-        )
+        log.warning("using %d of the %d requested workers (%s)", used, workers, reason)
     # Process w's range of active cell k is cuts[k + w : k + w + 2] less cuts[k]:
     # a cell's ranges differ by at most one, and so (telescoping) do the totals.
     cuts = [j * reps // used for j in range(len(active) + used)]
@@ -629,13 +670,22 @@ def _run_cells(config, cells, workers: int):
         for w, task in enumerate(slices):
             if cuts[k + w + 1] > cuts[k + w]:
                 task.append((i, cuts[k + w] - cuts[k], cuts[k + w + 1] - cuts[k]))
-    if used == 1:
+    children = []  # (pid, read end) per forked slice, none reaped until the end
+    try:
+        for task in slices[1:]:
+            children.append(_fork_slice(task, config, cells))
         outs = [_run_slice(slices[0], config, cells)]
-    else:
-        init = {"initializer": _init_worker, "initargs": (config, cells)}
-        with ProcessPoolExecutor(used - 1, **init) as pool:
-            rest = pool.map(_run_slice, slices[1:])
-            outs = [_run_slice(slices[0], config, cells), *rest]
+        records = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # Every child has closed its pipe or been killed, so none blocks long.
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for _, pipe in children:
+            pipe.close()
+    outs += map(_slice_outcome, statuses, records)
     merged: dict[int, dict[tuple[str, str], np.ndarray]] = {}
     for (i, start, stop), out in zip(itertools.chain(*slices), itertools.chain(*outs)):
         dest = merged.setdefault(cells[i].idx, {})

@@ -83,6 +83,11 @@ def test_table_validation():
             PotentialTable(np.array([0.5, bad]), np.array([0.1, 0.2]))
         with pytest.raises(EstimatorError, match="outside"):
             PotentialTable(np.array([0.5, 0.1]), np.array([bad, 0.2]))
+    # a null table's one shared array is checked as strictly
+    for bad in (np.nan, np.inf, -0.5, 1.5):
+        shared = np.array([0.5, bad])
+        with pytest.raises(EstimatorError, match="^y0 .*outside"):
+            PotentialTable(shared, shared)
 
 
 def test_table_csv_roundtrip(tmp_path):

@@ -1,9 +1,13 @@
 """Config validation, runner determinism, and report serialization."""
 
+import itertools
 import json
 import math
+import os
+import pickle
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,77 +222,104 @@ def test_resolve_workers(monkeypatch):
         resolve_workers(0)
 
 
-class SerialPool:
-    """Stands in for ``ProcessPoolExecutor`` and starts no process: it runs
-    its initializer and maps in this process, and keeps its size, its
-    initializer's arguments and every mapped argument."""
+class SerialChild:
+    """Stands in for a forked slice's pipe and starts no work of its own:
+    reading it runs the slice in this process, as the child would, and gives
+    the child's pickled record.  It keeps the task and the config and cells
+    it was started with."""
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.initargs = initargs
-        self.tasks = []
-        initializer(*initargs)
+    def __init__(self, task, config, cells):
+        self.task, self.config, self.cells = task, config, cells
 
-    def __enter__(self):
-        return self
+    def read(self):
+        from tightci import harness
 
-    def __exit__(self, *exc):
-        return False
+        records = harness._run_slice(self.task, self.config, self.cells)
+        return pickle.dumps((True, records))
 
-    def map(self, fn, *iterables):
-        columns = [list(it) for it in iterables]
-        self.tasks.extend(zip(*columns))
-        return map(fn, *columns)
+    def close(self):
+        pass
 
 
 @pytest.fixture
-def serial_pools(monkeypatch):
-    """Run the harness's pools as :class:`SerialPool`; the pools made."""
+def serial_children(monkeypatch):
+    """Run the harness's forked slices as :class:`SerialChild` pipes, read
+    after the parent's own slice; the children started, in order.  Each
+    start also forks a placeholder that exits at once, so the parent reaps a
+    real process."""
     from tightci import harness
 
-    pools = []
+    children = []
 
-    def make(max_workers, **kwargs):
-        pools.append(SerialPool(max_workers, **kwargs))
-        return pools[-1]
+    def start(task, config, cells):
+        children.append(SerialChild(task, config, cells))
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        return pid, children[-1]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
-    # the initializer runs here; put the worker's run back afterwards
-    monkeypatch.setattr(harness, "_worker_run", harness._worker_run)
-    return pools
+    monkeypatch.setattr(harness, "_fork_slice", start)
+    return children
 
 
-def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_pools):
+def _children_per_run(children):
+    """How many children each run started; a run's children share its cells."""
+    runs = itertools.groupby(children, lambda child: id(child.cells))
+    return [len(list(run)) for _, run in runs]
+
+
+def _assert_no_child_left():
+    # multiprocessing.active_children() cannot see bare forks; waitpid can
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_children):
     from tightci import harness
 
     cfg = parse_config(_coverage_raw(replications=40))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
-    assert serial_pools == []
+    assert serial_children == []
     # 40 cell-replications are more than the 4 CPUs; the parent is one of 4
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=10_000).to_csv_bytes() == serial
-    assert [pool.max_workers for pool in serial_pools] == [3]
+    assert _children_per_run(serial_children) == [3]
     clamps = [r for r in caplog.records if "requested workers" in r.getMessage()]
     assert len(clamps) == 1
     assert "using 4 of the 10000 requested workers" in clamps[0].getMessage()
     # three replications make three cell-replications, fewer than the CPUs
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     assert run_monte_carlo(parse_config(_coverage_raw(replications=3)), workers=10_000)
-    assert [pool.max_workers for pool in serial_pools] == [3, 2]
+    assert _children_per_run(serial_children) == [3, 2]
     # two workers on two CPUs with many tasks run as asked, with no clamp
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     caplog.clear()
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
-    assert [pool.max_workers for pool in serial_pools] == [3, 2, 1]
+    assert _children_per_run(serial_children) == [3, 2, 1]
     assert not [r for r in caplog.records if "requested workers" in r.getMessage()]
+    _assert_no_child_left()
+
+
+def test_no_fork_runs_one_process_and_says_why(monkeypatch, caplog):
+    from tightci import harness
+
+    cfg = parse_config(_coverage_raw(replications=40))
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(harness.os, "fork")
+    with caplog.at_level("WARNING", logger="tightci.harness"):
+        assert run_monte_carlo(cfg, workers=3).to_csv_bytes() == serial
+    clamps = [r.getMessage() for r in caplog.records]
+    assert clamps == ["using 1 of the 3 requested workers (no os.fork on this platform)"]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
     "ns,reps,workers,cpus",
     [
-        ([100], 1, 4, 4),  # one cell-replication: no pool
+        ([100], 1, 4, 4),  # one cell-replication: no child
         ([101], 5, 2, 2),  # every method skipped: nothing to run
         ([100, 101, 200], 3, 4, 8),  # fewer replications than processes
         ([100, 200, 300], 2, 8, 5),
@@ -298,16 +329,16 @@ def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_pool
     ],
 )
 def test_schedule_runs_each_replication_once_in_balanced_slices(
-    monkeypatch, caplog, serial_pools, ns, reps, workers, cpus
+    monkeypatch, caplog, serial_children, ns, reps, workers, cpus
 ):
     from tightci import harness
 
-    calls, submitted = [], []
+    calls, started = [], []
     real = harness._coverage_chunk
 
     def recording(config, cell, start, stop):
         calls.append((cell.idx, start, stop))
-        submitted.append(sum(len(pool.tasks) for pool in serial_pools))
+        started.append(len(serial_children))
         return real(config, cell, start, stop)
 
     raw = _coverage_raw(
@@ -323,7 +354,7 @@ def test_schedule_runs_each_replication_once_in_balanced_slices(
         assert run_monte_carlo(cfg, workers=workers).to_csv_bytes() == serial
     active = [idx for idx, n in enumerate(ns) if n % 10 == 0]
     used = max(1, min(workers, cpus, reps * len(active)))
-    assert [pool.max_workers for pool in serial_pools] == ([used - 1] if used > 1 else [])
+    assert _children_per_run(serial_children) == ([used - 1] if used > 1 else [])
     clamps = [r.getMessage() for r in caplog.records if "requested workers" in r.getMessage()]
     if used < workers:
         assert clamps == [
@@ -332,14 +363,14 @@ def test_schedule_runs_each_replication_once_in_balanced_slices(
         ]
     else:
         assert clamps == []
-    # the pool's tasks are slices 1 .. used - 1; the parent ran the rest
-    tasks = [task for pool in serial_pools for (task,) in pool.tasks]
+    # the children's tasks are slices 1 .. used - 1; the parent ran the rest
+    tasks = [child.task for child in serial_children]
     assert len(tasks) == max(0, used - 1)
-    # the pool has its tasks before any range runs, so the parent's overlap them
-    assert set(submitted) <= {len(tasks)}
-    pooled = [rng for task in tasks for rng in task]
-    parent = [rng for rng in calls if rng not in pooled]
-    assert sorted(parent + pooled) == sorted(calls)
+    # every child is started before any range runs, so the parent's overlap them
+    assert set(started) <= {len(tasks)}
+    forked = [rng for task in tasks for rng in task]
+    parent = [rng for rng in calls if rng not in forked]
+    assert sorted(parent + forked) == sorted(calls)
     processes = [parent, *tasks]
     for cell in active:
         sizes = []
@@ -355,61 +386,206 @@ def test_schedule_runs_each_replication_once_in_balanced_slices(
     assert {idx for idx, _, _ in calls} == set(active)
     totals = [sum(stop - start for _, start, stop in ranges) for ranges in processes]
     assert max(totals) - min(totals) <= 1
+    _assert_no_child_left()
 
 
-def _pool_payload(serial_pools, monkeypatch, n):
-    """The pickled size of every task mapped at ``n`` on two workers."""
-    import pickle
-
-    from tightci import harness
-
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    raw = _coverage_raw(
+def _two_cell_raw(n):
+    return _coverage_raw(
         grid={"n": [n, 2 * n], "pi": ["1/100"], "alpha": [0.05]},
         methods=["hoeff-mbcr", "sub-bernoulli-bern"],
         replications=4,
     )
-    serial_pools.clear()
-    run_monte_carlo(parse_config(raw), workers=2)
-    (pool,) = serial_pools
-    # the cells, tables included, reach the pool once, through its initializer
-    config, cells = pool.initargs
-    assert [cell.table.n for cell in cells] == [n, 2 * n]
-    return [len(pickle.dumps(task)) for task in pool.tasks]
 
 
-def test_pool_tasks_carry_only_their_ranges(monkeypatch, serial_pools):
-    small = _pool_payload(serial_pools, monkeypatch, 1_000)
-    large = _pool_payload(serial_pools, monkeypatch, 100_000)
+def _child_payload(serial_children, monkeypatch, n):
+    """The pickled size of every task started at ``n`` on two workers."""
+    from tightci import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial_children.clear()
+    run_monte_carlo(parse_config(_two_cell_raw(n)), workers=2)
+    (child,) = serial_children
+    # the cells, tables included, reach the child once, as the parent's own
+    assert [cell.table.n for cell in child.cells] == [n, 2 * n]
+    return [len(pickle.dumps(child.task))]
+
+
+def test_child_tasks_carry_only_their_ranges(monkeypatch, serial_children):
+    small = _child_payload(serial_children, monkeypatch, 1_000)
+    large = _child_payload(serial_children, monkeypatch, 100_000)
     assert len(large) == 1
     assert max(large) < 1024
     assert large == small
 
 
-@pytest.mark.parametrize("where", ["parent", "child"])
-def test_pool_error_reaches_the_caller_and_leaves_no_process(monkeypatch, where):
-    import multiprocessing
-    import os
-
+def test_forked_child_is_sent_nothing_pickled(monkeypatch):
     from tightci import harness
 
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("a two-process pool needs two CPUs")
-    if where == "child" and multiprocessing.get_start_method() != "fork":
-        pytest.skip("only a forked worker sees the patched chunk")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = parse_config(_two_cell_raw(100_000))
+    serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
+    pickled = []
+    for name in ("dump", "dumps"):
+        real = getattr(pickle, name)
+
+        def counting(*args, real=real, **kwargs):
+            pickled.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, name, counting)
+    # the child pickles its record, in its own process; the parent pickles
+    # nothing, so the config and cells, tables included, are inherited
+    assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
+    assert os.getpid() not in pickled
+    _assert_no_child_left()
+
+
+def _failing_chunk(monkeypatch, where, fail):
+    """Patch the chunk so that ``fail()`` runs in the parent or the child."""
+    from tightci import harness
+
     parent = os.getpid()
     real = harness._coverage_chunk
 
     def failing(config, cell, start, stop):
         if (os.getpid() == parent) == (where == "parent"):
-            raise ValueError(f"chunk failed in the {where}")
+            fail()
         return real(config, cell, start, stop)
 
     monkeypatch.setattr(harness, "_coverage_chunk", failing)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_slice_error_reaches_the_caller_and_leaves_no_process(monkeypatch, where):
+    def fail():
+        raise ValueError(f"chunk failed in the {where}")
+
+    _failing_chunk(monkeypatch, where, fail)
     cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=4))
-    with pytest.raises(ValueError, match=f"chunk failed in the {where}"):
+    with pytest.raises(ValueError, match=f"^chunk failed in the {where}$") as caught:
         run_monte_carlo(cfg, workers=2)
-    assert multiprocessing.active_children() == []
+    assert type(caught.value) is ValueError
+    _assert_no_child_left()
+
+
+def test_validation_error_in_a_child_exits_simulate_with_1(
+    monkeypatch, tmp_path, capsys
+):
+    from tightci import cli
+
+    def fail():
+        raise ConfigError("config.grid.n[0]: refused in the child")
+
+    _failing_chunk(monkeypatch, "child", fail)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_coverage_raw(methods=["hoeff-mbcr"], replications=4)))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--workers", "2"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: config.grid.n[0]: refused in the child\n"
+    _assert_no_child_left()
+
+
+def test_killed_child_gives_a_prompt_error_naming_the_signal(monkeypatch):
+    import signal
+    import time
+
+    _failing_chunk(monkeypatch, "child", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=4))
+    begun = time.monotonic()
+    with pytest.raises(ChildProcessError, match=r"killed by signal 9 \(Killed\)"):
+        run_monte_carlo(cfg, workers=2)
+    assert time.monotonic() - begun < 10
+    _assert_no_child_left()
+
+
+def test_failing_parent_slice_kills_its_children(monkeypatch):
+    import time
+
+    from tightci import harness
+
+    begun = time.monotonic()
+    parent = os.getpid()
+
+    def stall_or_fail(config, cell, start, stop):
+        if os.getpid() != parent:
+            time.sleep(600)  # only a kill ends the child in time
+        raise ValueError("parent slice failed")
+
+    monkeypatch.setattr(harness, "_coverage_chunk", stall_or_fail)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=6))
+    with pytest.raises(ValueError, match="parent slice failed"):
+        run_monte_carlo(cfg, workers=3)
+    assert time.monotonic() - begun < 30
+    _assert_no_child_left()
+
+
+def test_child_record_larger_than_a_pipe_buffer_arrives_whole(monkeypatch):
+    from tightci import harness
+
+    reps = 20_000
+    raw = _coverage_raw(
+        grid={"n": [100], "pi": ["1/10"], "alpha": [0.05]},
+        methods=["hoeff-mbcr"],
+        replications=reps,
+    )
+    cfg = parse_config(raw)
+    cells = harness._build_cells(cfg)
+    # the child's half of the cell, as it pickles it into its pipe
+    record = harness._run_slice([(0, reps // 2, reps)], cfg, cells)
+    assert len(pickle.dumps((True, record), pickle.HIGHEST_PROTOCOL)) > 2**16
+    serial = harness._run_cells(cfg, cells, 1)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    forked = harness._run_cells(cfg, cells, 2)
+    assert serial.keys() == forked.keys()
+    for idx, keys in serial.items():
+        assert keys.keys() == forked[idx].keys()
+        for key, arr in keys.items():
+            assert arr.tobytes() == forked[idx][key].tobytes()
+    _assert_no_child_left()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MONTE_CARLO_CONFIGS = sorted(
+    path.name
+    for path in CONFIGS.glob("*.json")
+    if json.loads(path.read_text())["experiment"] in ("coverage", "rmse")
+)
+
+
+@pytest.mark.parametrize("name", MONTE_CARLO_CONFIGS)
+def test_bundled_config_bytes_equal_at_one_two_and_three_workers(
+    monkeypatch, tmp_path, name
+):
+    from tightci import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    forks = []
+    real = harness._fork_slice
+
+    def counting(task, config, cells):
+        forks.append(task)
+        return real(task, config, cells)
+
+    monkeypatch.setattr(harness, "_fork_slice", counting)
+    raw = json.loads((CONFIGS / name).read_text())
+    cfg = parse_config({**raw, "replications": 24})
+    outputs, started = [], []
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        write_outputs(out, run_experiment(cfg, workers=workers), cfg)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        started.append(len(forks))
+    assert started == [0, 1, 3]  # three workers really run three processes
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert set(outputs[0]) == {f"{raw['experiment']}.csv", "manifest.json"}
+    _assert_no_child_left()
+
+
+def test_bundled_monte_carlo_configs_found():
+    assert MONTE_CARLO_CONFIGS == ["fig2a.json", "fig2b.json", "fig2c.json", "rmse.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +744,25 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
     assert calls == {m: 2 for m in closed}  # two cells, not 2 x 40 replications
 
 
+def test_superpopulation_chunk_builds_its_dgp_spec_once(monkeypatch):
+    from tightci.dgp import DgpSpec
+    from tightci.harness import _build_cells, _coverage_chunk
+
+    built = []
+    real = DgpSpec.with_n
+
+    def counting(self, n):
+        built.append(n)
+        return real(self, n)
+
+    cfg = parse_config(_coverage_raw(setting="superpopulation", replications=7))
+    (cell,) = _build_cells(cfg)
+    monkeypatch.setattr(DgpSpec, "with_n", counting)
+    # every replication samples a table of the one spec the chunk built
+    _coverage_chunk(cfg, cell, 0, 7)
+    assert built == [cell.n]
+
+
 @pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
 def test_chunk_equals_its_one_replication_chunks(setting):
     from tightci.harness import _build_cells, _coverage_chunk
@@ -673,7 +868,7 @@ def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
     assert max(grown) < 8 * n
 
 
-def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_pools):
+def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_children):
     from tightci import harness
 
     calls = []
@@ -689,7 +884,7 @@ def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_pools):
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert calls == [(100, 0, 40), (200, 0, 40)]
     # two processes take one half of each cell: the parent the first halves,
-    # then the pool's one worker the second
+    # then the one child the second
     calls.clear()
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
