@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``ci`` computes one interval from an observed-data CSV (a
-grouped draw's ``beta,eta`` permutations ride in the same file);
+Subcommands: ``ci`` computes one interval from an observed-data CSV, which
+holds the whole draw (``z`` and, for a grouped draw, ``beta,eta``);
 ``simulate`` runs any experiment config (coverage, width scaling, RMSE or
 the exact equivalence check), writes its CSV and manifest, and prints the
 report summary.  Exit codes: 0 success, 1 validation error (bad flags,
@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .design import (
     SCHEME_COMPLETE,
     SCHEME_MBCR,
     compute_layout,
-    draw_mbcr,
     grouped_assignment,
     validate_propensity,
 )
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ci = sub.add_parser("ci", help="compute one confidence interval from a data file")
-    p_ci.add_argument("--data", required=True, help="CSV with columns y,z (mbcr data may add beta,eta)")
+    p_ci.add_argument("--data", required=True, help="CSV with columns y,z (mbcr data adds beta,eta)")
     p_ci.add_argument(
         "--scheme",
         required=True,
@@ -91,12 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ci.add_argument("--method", required=True, choices=list(METHODS))
     p_ci.add_argument("--pi", type=float, help="propensity (bernoulli scheme)")
-    p_ci.add_argument("--n1", type=int, help="treated count (complete/mbcr schemes)")
     p_ci.add_argument("--alpha", type=float, default=0.05, help="total miscoverage")
     p_ci.add_argument("--clip", action="store_true", help="clip endpoints to [-1, 1]")
-    p_ci.add_argument(
-        "--seed", type=int, help="regenerate the mbcr permutations from this seed"
-    )
     p_ci.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_sim = sub.add_parser("simulate", help="run an experiment config")
@@ -120,43 +116,31 @@ def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _mbcr_assignment(args, z: np.ndarray, perm_cols) -> Assignment:
+def _mbcr_assignment(z: np.ndarray, perm_cols) -> Assignment:
     n = z.shape[0]
-    layout = compute_layout(n, args.n1)
-    have_cols = perm_cols is not None
-    if have_cols and args.seed is not None:
+    layout = compute_layout(n, int(z.sum()))
+    if perm_cols is None:
         raise CliError(
-            "ambiguous mbcr input: both permutation columns and --seed given; "
-            "supply exactly one"
+            "mbcr data needs its permutation detail: give beta,eta columns in --data"
         )
-    if not have_cols and args.seed is None:
-        raise CliError(
-            "mbcr data needs its permutation detail: give beta,eta columns "
-            "in --data or a --seed to regenerate the draw"
-        )
-    if have_cols:
-        beta = _validate_perm("beta", perm_cols["beta"], n)
-        eta = _validate_perm("eta", perm_cols["eta"], n)
-        # Each slot's block; the tail block, when present, is the last one.
-        block = np.minimum(np.arange(n) // layout.group_size, layout.num_full_groups)
-        if not np.array_equal(block[beta], block):
-            raise CliError("beta column does not preserve the group blocks")
-        # Unit j gets the pattern at beta[eta[j]], a slot of eta[j]'s block.
-        assignment = grouped_assignment(layout, beta[eta])
-    else:
-        assignment = draw_mbcr(layout, np.random.default_rng(args.seed))
+    beta = _validate_perm("beta", perm_cols["beta"], n)
+    eta = _validate_perm("eta", perm_cols["eta"], n)
+    # Each slot's block; the tail block, when present, is the last one.
+    block = np.minimum(np.arange(n) // layout.group_size, layout.num_full_groups)
+    if not np.array_equal(block[beta], block):
+        raise CliError("beta column does not preserve the group blocks")
+    # Unit j gets the pattern at beta[eta[j]], a slot of eta[j]'s block.
+    assignment = grouped_assignment(layout, beta[eta])
     if not np.array_equal(assignment.z, z):
         raise CliError(
             "assignment detail does not reproduce the data's z column; "
-            "check the permutations or the --seed"
+            "check the permutations"
         )
     return assignment
 
 
 def _compute_ci(args) -> Interval:
     validate_alpha(args.alpha)
-    if args.seed is not None and args.seed < 0:
-        raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
     cols = read_csv_columns(args.data, ("y", "z"), optional=("beta", "eta"))
     y = cols["y"]
     if not np.all(np.isin(cols["z"], (0.0, 1.0))):
@@ -185,35 +169,26 @@ def _compute_ci(args) -> Interval:
     if scheme == SCHEME_BERNOULLI:
         if args.pi is None:
             raise CliError("scheme bernoulli needs --pi")
-        if args.n1 is not None:
-            raise CliError("--n1 applies to complete/mbcr schemes only")
         pi = args.pi
     else:
-        if args.n1 is None:
-            raise CliError(f"scheme {scheme} needs --n1")
         if args.pi is not None:
             raise CliError("--pi applies to the bernoulli scheme only")
-        if int(z.sum()) != args.n1:
-            raise CliError(
-                f"data has {int(z.sum())} treated units but --n1 is {args.n1}"
-            )
-        pi = args.n1 / n
+        n1 = int(z.sum())
+        pi = n1 / n
     validate_propensity(pi)
 
     layout = None
     if scheme == SCHEME_MBCR:
-        assignment = _mbcr_assignment(args, z, perm_cols)
+        assignment = _mbcr_assignment(z, perm_cols)
         layout = assignment.mbcr.layout
     else:
         if perm_cols is not None:
             raise CliError("beta/eta permutation detail only applies to scheme mbcr")
-        if args.seed is not None:
-            raise CliError("--seed only applies to scheme mbcr")
         assignment = Assignment(z=z, scheme=scheme, pi=pi)
         if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
             # Complete randomization is the grouped design when the groups
             # tile the sample, and then the standard estimate is the grouped one.
-            layout = compute_layout(n, args.n1)
+            layout = compute_layout(n, n1)
             if layout.tail_treated != 0:
                 raise CliError(
                     f"{method} on plain complete data needs groups that tile the "
@@ -259,6 +234,11 @@ def cmd_ci(args) -> int:
 def cmd_simulate(args) -> int:
     """Run a config, write its CSV and manifest, and print the summary."""
     config = load_config(args.config)
+    ancestor = Path(args.out).absolute()
+    while not (ancestor.exists() or ancestor.is_symlink()):  # write_outputs makes the rest
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise CliError(f"--out {args.out}: {ancestor} is not a directory")
     report = run_experiment(config, workers=resolve_workers(args.workers))
     paths = write_outputs(args.out, report, config)
     print(f"wrote {paths['csv']}")

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, validation, and output contracts."""
 
+import argparse
 import csv
 import itertools
 import json
@@ -83,7 +84,7 @@ def test_ci_hoeff_mbcr_prints_halfwidth(tmp_path, capsys):
     path = tmp_path / "data.csv"
     _write_mbcr_data(path)
     code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "100",
+        "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "hoeff-mbcr", "--alpha", "0.05",
     ])
     assert code == 0
@@ -102,7 +103,7 @@ def test_ci_json_roundtrip(tmp_path, capsys, method, flags):
     path = tmp_path / "data.csv"
     if METHOD_TABLE[method].scheme == "mbcr":
         _write_mbcr_data(path)
-        scheme_args = ["--scheme", "mbcr", "--n1", "100"]
+        scheme_args = ["--scheme", "mbcr"]
     else:
         _write_bernoulli_data(path)
         scheme_args = ["--scheme", "bernoulli", "--pi", "0.1"]
@@ -116,36 +117,11 @@ def test_ci_json_roundtrip(tmp_path, capsys, method, flags):
     assert lo == payload["lower"] and hi == payload["upper"]
 
 
-def test_ci_seed_regeneration_matches_columns(tmp_path, capsys):
-    with_cols = tmp_path / "cols.csv"
-    _write_mbcr_data(with_cols, draw_seed=7)
-    bare = tmp_path / "bare.csv"
-    _write_mbcr_data(bare, draw_seed=7, with_perms=False)
-    base = ["--scheme", "mbcr", "--n1", "100", "--method", "sub-bernoulli-mbcr", "--json"]
-    assert main(["ci", "--data", str(with_cols), *base]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert main(["ci", "--data", str(bare), *base, "--seed", "7"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert first["lower"] == second["lower"]
-    assert first["upper"] == second["upper"]
-
-
-def test_ci_ambiguous_permutation_sources(tmp_path, capsys):
-    path = tmp_path / "cols.csv"
-    _write_mbcr_data(path, draw_seed=7)
-    code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "100",
-        "--method", "hoeff-mbcr", "--seed", "7",
-    ])
-    assert code == 1
-    assert "ambiguous" in capsys.readouterr().err
-
-
 def test_ci_missing_permutation_detail(tmp_path, capsys):
     path = tmp_path / "bare.csv"
     _write_mbcr_data(path, with_perms=False)
     code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "100",
+        "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "hoeff-mbcr",
     ])
     assert code == 1
@@ -156,13 +132,12 @@ def test_ci_missing_permutation_detail(tmp_path, capsys):
 @pytest.mark.parametrize(
     "scheme_args",
     [
-        ["--scheme", "mbcr", "--n1", "4", "--seed", "5", "--method", "hoeff-mbcr"],
+        ["--scheme", "mbcr", "--method", "hoeff-mbcr"],
         ["--scheme", "bernoulli", "--pi", "0.2", "--method", "sub-bernoulli-bern"],
     ],
     ids=["mbcr", "bernoulli"],
 )
 def test_ci_lone_permutation_column_refused(tmp_path, capsys, column, scheme_args):
-    # z is the draw --seed 5 regenerates, so only the lone column is wrong.
     z = draw_mbcr(compute_layout(8, 4), np.random.default_rng(5)).z
     path = tmp_path / "lone.csv"
     rows = [f"0.5,{int(zz)},{7 * j}" for j, zz in enumerate(z)]
@@ -229,7 +204,7 @@ def test_ci_supplied_permutation_detail_checked(
     path = tmp_path / "data.csv"
     path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
     code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", str(n1),
+        "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "hoeff-mbcr",
     ])
     err = capsys.readouterr().err
@@ -248,8 +223,9 @@ def test_ci_block_shuffled_columns_match_the_seeded_draw(
     tmp_path, capsys, n, n1, method, two_stage_perms
 ):
     # beta,eta columns with a shuffled beta, and eta = beta^-1 . eta_seed, put
-    # every unit at a slot of its --seed block that holds its seeded z: they
-    # compose to the seeded eta, so the interval is the seeded one
+    # every unit at a slot of its seeded block that holds its seeded z: they
+    # compose to the seeded eta, so the interval is the one that the seeded
+    # draw's own columns (identity beta) give
     lay = compute_layout(n, n1)
     seeded = draw_mbcr(lay, np.random.default_rng(5))
     beta, _ = two_stage_perms(lay, np.random.default_rng(6))
@@ -258,64 +234,152 @@ def test_ci_block_shuffled_columns_match_the_seeded_draw(
     y0 = rng.uniform(0.0, 0.5, n)
     y = ObservedData.realize(PotentialTable(y0, y0 + 0.5 * rng.random(n)), seeded).y
     y_z = [f"{yy!r},{z}" for yy, z in zip(y.tolist(), seeded.z.tolist())]
-    cols, bare = tmp_path / "cols.csv", tmp_path / "bare.csv"
+    cols, identity = tmp_path / "cols.csv", tmp_path / "identity.csv"
     rows = (f"{yz},{b},{e}" for yz, b, e in zip(y_z, beta, eta))
     cols.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
-    bare.write_text("\n".join(["y,z", *y_z]) + "\n")
-    base = ["--scheme", "mbcr", "--n1", str(n1), "--method", method, "--json"]
+    rows = (f"{yz},{j},{e}" for j, (yz, e) in enumerate(zip(y_z, seeded.mbcr.eta)))
+    identity.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
+    base = ["--scheme", "mbcr", "--method", method, "--json"]
     assert main(["ci", "--data", str(cols), *base]) == 0
     shuffled = json.loads(capsys.readouterr().out)
-    assert main(["ci", "--data", str(bare), *base, "--seed", "5"]) == 0
+    assert main(["ci", "--data", str(identity), *base]) == 0
     plain = json.loads(capsys.readouterr().out)
     for end in ("lower", "upper"):
         assert shuffled[end] == pytest.approx(plain[end], rel=1e-12, abs=1e-12)
 
 
-def test_ci_wrong_seed_rejected(tmp_path, capsys):
-    path = tmp_path / "bare.csv"
-    _write_mbcr_data(path, draw_seed=7, with_perms=False)
+def test_ci_wrong_permutation_columns_rejected(tmp_path, capsys):
+    # valid, block-preserving columns of another draw seat other units in
+    # the treated slots
+    lay = compute_layout(1000, 100)
+    z = draw_mbcr(lay, np.random.default_rng(7)).z
+    eta = draw_mbcr(lay, np.random.default_rng(8)).mbcr.eta
+    rows = (f"0.5,{zz},{j},{e}" for j, (zz, e) in enumerate(zip(z.tolist(), eta)))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
     code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "100",
-        "--method", "hoeff-mbcr", "--seed", "8",
+        "ci", "--data", str(path), "--scheme", "mbcr", "--method", "hoeff-mbcr",
     ])
     assert code == 1
     assert "does not reproduce" in capsys.readouterr().err
 
 
-def test_ci_negative_seed_rejected(tmp_path, capsys, monkeypatch):
-    from tightci import cli
-
-    def no_draw(*args):
-        raise AssertionError("drew before validating --seed")
-
-    monkeypatch.setattr(cli, "draw_mbcr", no_draw)
-    path = tmp_path / "bare.csv"
-    path.write_text("y,z\n0.5,1\n0.25,0\n0.75,0\n0.5,0\n")
-    code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "1",
-        "--method", "hoeff-mbcr", "--seed", "-1",
-    ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--seed" in err
+def _ci_args(path, scheme) -> list[str]:
+    """``ci`` on data drawn under ``scheme`` (grouped data with its beta,eta
+    columns) with a method that applies to it, before any ``--pi``."""
+    if scheme == "bernoulli":
+        _write_bernoulli_data(path)
+        method = "clt"
+    else:
+        _write_mbcr_data(path, with_perms=scheme == "mbcr")
+        method = "hoeff-mbcr"
+    return ["ci", "--data", str(path), "--scheme", scheme, "--method", method]
 
 
-@pytest.mark.parametrize("scheme", ["bernoulli", "complete"])
-def test_ci_seed_refused_outside_mbcr(tmp_path, capsys, scheme):
-    # only a grouped draw is regenerated from --seed; elsewhere it would be
-    # ignored, so it is refused like the permutation columns
-    path = tmp_path / "data.csv"
-    data = _write_bernoulli_data(path)
-    design = {
-        "bernoulli": ["--pi", "0.1"],
-        "complete": ["--n1", str(int(data.assignment.z.sum()))],
-    }[scheme]
-    base = ["ci", "--data", str(path), "--scheme", scheme, *design, "--method", "clt"]
+@pytest.mark.parametrize("flag", [["--n1", "100"], ["--seed", "3"]], ids=["n1", "seed"])
+@pytest.mark.parametrize("scheme", ["bernoulli", "complete", "mbcr"])
+def test_ci_removed_draw_flags_refused(tmp_path, capsys, scheme, flag):
+    # --data holds the whole draw: the treated count is its z column's and a
+    # grouped draw's permutations are its beta,eta columns
+    base = _ci_args(tmp_path / "data.csv", scheme)
+    if scheme == "bernoulli":
+        base += ["--pi", "0.1"]
     assert main(base) == 0
     capsys.readouterr()
-    assert main([*base, "--seed", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--seed only applies to scheme mbcr" in err
+    assert main([*base, *flag]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "scheme, flags, message",
+    [
+        ("bernoulli", [], "scheme bernoulli needs --pi"),
+        ("complete", ["--pi", "0.1"], "--pi applies to the bernoulli scheme only"),
+        ("mbcr", ["--pi", "0.1"], "--pi applies to the bernoulli scheme only"),
+    ],
+)
+def test_ci_propensity_flag_checked_against_scheme(
+    tmp_path, capsys, scheme, flags, message
+):
+    assert main([*_ci_args(tmp_path / "data.csv", scheme), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("scheme", ["complete", "mbcr"])
+def test_ci_all_control_data_refused(tmp_path, capsys, scheme):
+    # no treated unit is a propensity of 0; the grouped data's identity
+    # columns are a valid permutation, so only z is at fault
+    grouped = scheme == "mbcr"
+    rows = [f"0.5,0,{j},{j}" if grouped else "0.5,0" for j in range(10)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["y,z,beta,eta" if grouped else "y,z", *rows]) + "\n")
+    code = main([
+        "ci", "--data", str(path), "--scheme", scheme, "--method", "hoeff-mbcr",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "propensity 0.0 outside" in captured.err and captured.out == ""
+
+
+def _ci_json_transcript(tmp_path, capsys, method) -> bytes:
+    """The exit code, stdout and stderr of ``ci --json`` with ``method`` on
+    grouped data with beta,eta at (1000, 100) and with a tail at (997, 100),
+    complete data at (1000, 100) and Bernoulli data at (400, 0.1)."""
+    grouped, tailed, complete, bern = (
+        tmp_path / f"{name}.csv" for name in ("grouped", "tailed", "complete", "bern")
+    )
+    _write_mbcr_data(grouped)
+    _write_mbcr_data(tailed, n=997)
+    # groups that tile the sample make a grouped draw a complete one
+    _write_mbcr_data(complete, draw_seed=5, with_perms=False)
+    _write_bernoulli_data(bern)
+    runs = [
+        (grouped, ["--scheme", "mbcr"]),
+        (tailed, ["--scheme", "mbcr"]),
+        (complete, ["--scheme", "complete"]),
+        (bern, ["--scheme", "bernoulli", "--pi", "0.1"]),
+    ]
+    text = ""
+    for path, design in runs:
+        code = main(["ci", "--data", str(path), *design, "--method", method, "--json"])
+        captured = capsys.readouterr()
+        text += f"{code}\n{captured.out}{captured.err}"
+    return text.encode()
+
+
+# sha256 of each method's transcript.  They pin the printed bytes of every
+# interval, refusals included, as the report digests in test_harness.py pin
+# simulate's; a deliberate change to them re-pins these.
+_CI_GOLDEN = {
+    "hoeff-mbcr": (
+        "618a309ec470a758c5729909712443ec0e6725d1692ca44468ca7f2894687ca6"
+    ),
+    "sub-bernoulli-bern": (
+        "178f64edb212d8e2b059491ee6212a7cf2c089eb56168cbc22c8422cfe61f026"
+    ),
+    "sub-bernoulli-mbcr": (
+        "8051acbad5980d13a9cbbd10be3ac4d598ecd12fc6f5c53d472d45e392405f07"
+    ),
+    "studentized": (
+        "1dfc705aa1f2f2cbd459f88b9469227bde403d94b0d8ac93d3234f67a32d2748"
+    ),
+    "naive-hoeffding": (
+        "79bf8fe0b666debe0ef3665fb12693ca21d77b5823e779067ebcd8f2a505a83c"
+    ),
+    "clt": (
+        "7917dbe7263220d8ed4b8d67b7aff2124fa11a49867f9c582cb32c4d8b6fe518"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_golden_ci_json(tmp_path, capsys, method):
+    import hashlib
+
+    transcript = _ci_json_transcript(tmp_path, capsys, method)
+    assert hashlib.sha256(transcript).hexdigest() == _CI_GOLDEN[method]
 
 
 def test_ci_alpha_validation(tmp_path, capsys):
@@ -333,7 +397,7 @@ def test_ci_studentized_insufficient_groups(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     _write_mbcr_data(path, n=9, n1=3, draw_seed=3)
     code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--n1", "3",
+        "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "studentized",
     ])
     assert code == 1
@@ -412,7 +476,7 @@ def test_ci_complete_scheme_with_tiling_groups(tmp_path, capsys):
         for yy, zz in zip(data.y, asg.z):
             w.writerow([repr(float(yy)), int(zz)])
     code = main([
-        "ci", "--data", str(path), "--scheme", "complete", "--n1", str(n1),
+        "ci", "--data", str(path), "--scheme", "complete",
         "--method", "hoeff-mbcr", "--json",
     ])
     assert code == 0
@@ -431,7 +495,7 @@ def test_ci_complete_scheme_refuses_n1_above_half(tmp_path, capsys, method):
     path = tmp_path / "complete.csv"
     path.write_text("y,z\n0.1,1\n0.5,1\n0.7,1\n0.9,0\n")
     code = main([
-        "ci", "--data", str(path), "--scheme", "complete", "--n1", "3",
+        "ci", "--data", str(path), "--scheme", "complete",
         "--method", method,
     ])
     assert code == 1
@@ -638,6 +702,35 @@ def test_simulate_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     assert f"cannot read {absent}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, below",
+    [("file", False), ("file", True), ("dangling-link", False)],
+    ids=["file", "under-a-file", "dangling-link"],
+)
+def test_simulate_out_through_a_file_refused_before_running(
+    tmp_path, capsys, monkeypatch, kind, below
+):
+    from tightci import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    blocker = tmp_path / kind
+    if kind == "file":
+        blocker.write_text("kept\n")
+    else:
+        blocker.symlink_to(tmp_path / "nowhere")
+    out = blocker / "sub" if below else blocker
+    args = ["simulate", "--config", str(CONFIGS / "fig2b.json"), "--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [kind]
+    assert kind != "file" or blocker.read_text() == "kept\n"
+
+
 def test_simulate_rmse_config(tmp_path):
     config = tmp_path / "rmse.json"
     config.write_text(json.dumps({
@@ -692,7 +785,7 @@ def test_ci_assignment_flag_is_gone(tmp_path, capsys):
     _write_mbcr_data(data, with_perms=False)
     perms = tmp_path / "perms.csv"
     perms.write_text("beta,eta\n0,0\n")
-    args = ["ci", "--data", str(data), "--scheme", "mbcr", "--n1", "100",
+    args = ["ci", "--data", str(data), "--scheme", "mbcr",
             "--method", "hoeff-mbcr", "--assignment", str(perms)]
     assert main(args) == 1
     captured = capsys.readouterr()
@@ -790,6 +883,26 @@ def test_readme_cli_examples_parse(capsys):
             assert info.value.code == 0
         else:
             build_parser().parse_args(argv)
+
+
+def test_readme_cli_prose_names_only_live_flags():
+    # the prose of the README's CLI section names no deleted flag either
+    import re
+
+    from tightci.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## CLI\n", 1)[1].split("### Experiment configs", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)
+    spans = " ".join(re.findall(r"`([^`]+)`", prose))
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", spans))
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for sub in commands.choices.values():
+        options |= set(sub._option_string_actions)
+    assert {"--pi", "--out"} <= named
+    assert named <= options, named - options
 
 
 def test_bundled_configs_parse():
