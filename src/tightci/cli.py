@@ -177,24 +177,23 @@ def _compute_ci(args) -> Interval:
         pi = n1 / n
     validate_propensity(pi)
 
-    layout = None
     if scheme == SCHEME_MBCR:
         assignment = _mbcr_assignment(z, perm_cols)
-        layout = assignment.mbcr.layout
+    elif perm_cols is not None:
+        raise CliError("beta/eta permutation detail only applies to scheme mbcr")
     else:
-        if perm_cols is not None:
-            raise CliError("beta/eta permutation detail only applies to scheme mbcr")
         assignment = Assignment(z=z, scheme=scheme, pi=pi)
-        if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
-            # Complete randomization is the grouped design when the groups
-            # tile the sample, and then the standard estimate is the grouped one.
-            layout = compute_layout(n, n1)
-            if layout.tail_treated != 0:
-                raise CliError(
-                    f"{method} on plain complete data needs groups that tile the "
-                    "sample (n1 dividing n); otherwise draw with scheme mbcr and "
-                    "pass the permutation detail"
-                )
+    layout = assignment.layout
+    if scheme == SCHEME_COMPLETE and spec.scheme == SCHEME_MBCR:
+        # Complete randomization is the grouped design when the groups tile
+        # the sample, and then the standard estimate is the grouped one.
+        layout = compute_layout(n, n1)
+        if layout.tail_treated != 0:
+            raise CliError(
+                f"{method} on plain complete data needs groups that tile the "
+                "sample (n1 dividing n); otherwise draw with scheme mbcr and "
+                "pass the permutation detail"
+            )
     data = ObservedData(y=y, assignment=assignment)
     alpha = args.alpha / spec.miscoverage_factor
     if spec.adaptive is not None:

@@ -3,20 +3,20 @@
 Three assignment schemes: independent Bernoulli(pi) coin flips, complete
 randomization of a fixed treated count, and grouped ("mini-batch") complete
 randomization over blocks of size ``ceil(1/pi)``.  The grouped form is
-distributionally identical to complete randomization but keeps explicit
-bookkeeping that downstream estimators need: one uniform unit-wide
-permutation ``eta`` that seats unit ``j`` at slot ``eta[j]``, and so in that
-slot's block.  The paper defines the design in two stages, ``eta`` composed
-with within-block shuffles ``beta``; a uniform ``eta`` composed with a
-block-preserving ``beta`` is again uniform, so one permutation gives ``z``
-and each unit's block the same law.  :func:`enumerate_mbcr_distribution`
-enumerates the two-stage definition.
+distributionally identical to complete randomization, but its assignment
+carries what downstream estimators need: its layout and one uniform
+unit-wide permutation ``eta`` that seats unit ``j`` at slot ``eta[j]``, in
+that slot's block.  The paper defines the design in two stages, ``eta``
+composed with within-block shuffles ``beta``; a uniform ``eta`` composed
+with a block-preserving ``beta`` is again uniform, so one permutation gives
+``z`` and each unit's block the same law.
+:func:`enumerate_mbcr_distribution` enumerates the two-stage definition.
 
 All draws are pure functions of an explicit ``numpy.random.Generator`` and
 return arrays of their own; the same seeded generator always reproduces the
-same assignment.  Exact
-enumeration of the grouped scheme's assignment distribution, used by the
-verification harness, counts permutation tuples with integer arithmetic only.
+same assignment.  Exact enumeration of the grouped scheme's assignment
+distribution, used by the verification harness, counts permutation tuples
+with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -229,23 +229,22 @@ def layout_constants(layout: MbcrLayout) -> LayoutConstants:
 
 
 @dataclass(frozen=True)
-class MbcrDraw:
-    """Permutation bookkeeping for one grouped draw: ``eta`` maps unit ``j``
-    to slot ``eta[j]``, which delivers the allocation pattern's value there.
-    """
-
-    layout: MbcrLayout
-    eta: np.ndarray
-
-
-@dataclass(frozen=True)
 class Assignment:
-    """A realized treatment vector plus how it was drawn."""
+    """A realized treatment vector plus how it was drawn: a grouped draw, and
+    no other, carries its ``layout`` and the permutation ``eta`` that seats
+    unit ``j`` at slot ``eta[j]``, whose pattern value it receives."""
 
     z: np.ndarray
     scheme: str
     pi: float
-    mbcr: MbcrDraw | None = None
+    layout: MbcrLayout | None = None
+    eta: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        grouped = self.scheme == SCHEME_MBCR
+        if (self.layout is not None, self.eta is not None) != (grouped, grouped):
+            need = "needs its layout and eta" if grouped else "takes no layout or eta"
+            raise DesignError(f"a {self.scheme} assignment {need}")
 
     @property
     def n(self) -> int:
@@ -279,12 +278,9 @@ def draw_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Assignment:
 def grouped_assignment(layout: MbcrLayout, eta: np.ndarray) -> Assignment:
     """The grouped assignment that the permutation ``eta`` makes: unit ``j``
     receives the allocation pattern's value at slot ``eta[j]``."""
-    return Assignment(
-        z=layout_constants(layout).allocation[eta],
-        scheme=SCHEME_MBCR,
-        pi=layout.n1 / layout.n,
-        mbcr=MbcrDraw(layout=layout, eta=eta),
-    )
+    z = layout_constants(layout).allocation[eta]
+    pi = layout.n1 / layout.n
+    return Assignment(z=z, scheme=SCHEME_MBCR, pi=pi, layout=layout, eta=eta)
 
 
 def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:

@@ -24,7 +24,13 @@ KIND_FIXED_TABLE = "fixed_table"
 KIND_UNIFORM_SHIFT = "uniform_shift"
 KIND_UNIFORM_NULL = "uniform_null"
 
-KINDS = (KIND_FIXED_TABLE, KIND_UNIFORM_SHIFT, KIND_UNIFORM_NULL)
+# The fields each kind reads, past ``kind`` and ``n``, with their defaults.
+KIND_FIELDS = {
+    KIND_FIXED_TABLE: {"path": None},
+    KIND_UNIFORM_SHIFT: {"lo": 0.0, "hi": 1.0, "shift": 0.0},
+    KIND_UNIFORM_NULL: {"lo": 0.0, "hi": 1.0},
+}
+KINDS = tuple(KIND_FIELDS)
 
 
 class DgpError(ValueError):

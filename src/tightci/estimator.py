@@ -3,17 +3,17 @@
 Both point estimators are the mean of one draw's pseudo-outcomes,
 :attr:`ObservedData.terms`, read by :func:`ht_estimate`; the design alone
 fixes each term's weight.  A grouped draw's terms are in slot order: for slot
-``s``, the observed outcome belongs to the unit at that slot
-(``eta^{-1}(s)``) while the delivered treatment is the allocation pattern at
-``s``, weighted by ``layout_constants(layout).coef`` at ``s``: full blocks
-use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its own
-size-per-treated ratio.  Other draws' terms are in unit order, each unit
+``s``, the observed outcome belongs to the unit that the assignment's ``eta``
+seats there (``eta^{-1}(s)``) while the delivered treatment is the allocation
+pattern at ``s``, weighted by ``layout_constants(layout).coef`` at ``s``: full
+blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its
+own size-per-treated ratio.  Other draws' terms are in unit order, each unit
 weighted at the assignment's propensity (``Assignment.unit_weights``).  An
-:class:`ObservedData` forms its terms once, in a fresh array, so the
-estimator and intervals of one replication share them.  Only the Bernoulli
-Studentized interval forms mirrored terms, with the same weighting step.
-On a fixed table, :func:`treated_set_estimate` gives the same estimate from
-the units a draw treats, without realizing the others.
+:class:`ObservedData` forms its terms once, in a fresh array, so the estimator
+and intervals of one replication share them.  Only the Bernoulli Studentized
+interval forms mirrored terms, with the same weighting step.  On a fixed table,
+:func:`treated_set_estimate` gives the same estimate from the units a draw
+treats, without realizing the others.
 """
 
 from __future__ import annotations
@@ -170,13 +170,9 @@ class ObservedData:
         asg = self.assignment
         if asg.scheme != SCHEME_MBCR:
             return _weigh_units(self.y, asg)
-        if asg.mbcr is None:
-            raise EstimatorError(
-                "grouped estimator needs the draw's permutation detail (eta)"
-            )
         terms = np.empty(self.n)
-        terms[asg.mbcr.eta] = self.y
-        terms *= layout_constants(asg.mbcr.layout).coef
+        terms[asg.eta] = self.y
+        terms *= layout_constants(asg.layout).coef
         return read_only(terms)
 
 
@@ -236,7 +232,7 @@ def groupwise_sums(data: ObservedData) -> np.ndarray:
             f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
     vals = data.terms
-    lay = asg.mbcr.layout
+    lay = asg.layout
     body = lay.num_full_groups * lay.group_size
     sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)
     if lay.tail_size > 0:

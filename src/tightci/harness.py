@@ -59,7 +59,15 @@ from .design import (
     treated_set_mbcr,
     validate_propensity,
 )
-from .dgp import KIND_FIXED_TABLE, DgpSpec, DgpError, sample_population, true_ate_iid
+from .dgp import (
+    KIND_FIELDS,
+    KIND_FIXED_TABLE,
+    KINDS,
+    DgpError,
+    DgpSpec,
+    sample_population,
+    true_ate_iid,
+)
 from .estimator import ObservedData, PotentialTable, ht_estimate, treated_set_estimate
 from .intervals import (
     METHOD_TABLE,
@@ -135,11 +143,6 @@ _DRAW_TAGS = {SCHEME_MBCR: _TAG_MBCR, SCHEME_BERNOULLI: _TAG_BERN}
 
 class ConfigError(ValueError):
     """A malformed experiment configuration; message names the field."""
-
-
-def child_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for the node ``(seed, *path)`` of the seed tree."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
 
 
 def substream(seed: int, cell: int, tag: int):
@@ -251,14 +254,16 @@ def _choice(value: Any, choices, where: str, refusal: str) -> str:
 
 
 def _parse_dgp(obj: Any, n: int, where: str) -> DgpSpec:
-    defaults = {"lo": 0.0, "hi": 1.0, "shift": 0.0, "path": None}
-    fields = _fields(obj, where, ("kind",), defaults)
-    path = fields["path"]
+    kind = _fields(obj, where, ("kind",), obj)["kind"]
+    if kind not in KINDS:
+        raise ConfigError(f"{where}: unknown dgp kind {kind!r}; choose from {KINDS}")
+    fields = _fields(obj, where, ("kind",), KIND_FIELDS[kind])
+    path = fields.pop("path", None)
     if path is not None and not isinstance(path, str):
         raise ConfigError(f"{where}.path: need a string, got {path!r}")
-    bounds = {k: _number(fields[k], f"{where}.{k}") for k in ("lo", "hi", "shift")}
+    bounds = {k: _number(v, f"{where}.{k}") for k, v in fields.items() if k != "kind"}
     try:
-        return DgpSpec(kind=fields["kind"], n=n, path=path, **bounds)
+        return DgpSpec(kind=kind, n=n, path=path, **bounds)
     except DgpError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -453,7 +458,7 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
             config.setting == SETTING_DESIGN_BASED or dgp.kind == KIND_FIXED_TABLE
         ):
             table = sample_population(
-                dgp.with_n(n), child_rng(config.seed, idx, _TAG_CELL_TABLE)
+                dgp.with_n(n), substream(config.seed, idx, _TAG_CELL_TABLE)(0)
             )
         if table is not None:
             target = table.psi_db

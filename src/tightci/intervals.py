@@ -311,12 +311,9 @@ def studentized_scale(data: ObservedData) -> float:
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
         return 1.0 / (1.0 - asg.pi) + 1.0
-    if asg.scheme == SCHEME_MBCR and asg.mbcr is not None:
-        return _grouped_scale(asg.mbcr.layout)
-    raise IntervalError(
-        "Studentized interval needs Bernoulli data or a grouped draw "
-        "with permutation detail"
-    )
+    if asg.scheme == SCHEME_MBCR:
+        return _grouped_scale(asg.layout)
+    raise IntervalError("Studentized interval needs Bernoulli data or a grouped draw")
 
 
 @lru_cache(maxsize=8)

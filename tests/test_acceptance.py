@@ -16,7 +16,6 @@ from tightci.design import compute_layout, draw_mbcr
 from tightci.dgp import DgpSpec, sample_population
 from tightci.estimator import ObservedData, PotentialTable, ht_estimate
 from tightci.harness import (
-    child_rng,
     parse_config,
     run_equivalence,
     run_monte_carlo,
@@ -250,8 +249,8 @@ def test_criterion_08_studentized_sharpness():
     hoeff_half = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
     margins = np.zeros(reps)
     for rep in range(reps):
-        table = sample_population(spec, child_rng(20260810, 0, rep, 1))
-        asg = draw_mbcr(lay, child_rng(20260810, 0, rep, 2))
+        table = sample_population(spec, np.random.default_rng((20260810, 0, rep, 1)))
+        asg = draw_mbcr(lay, np.random.default_rng((20260810, 0, rep, 2)))
         data = ObservedData.realize(table, asg)
         ci = studentized_ci(data, 0.05)
         margins[rep] = ci.upper - ht_estimate(data)

@@ -44,7 +44,7 @@ def _write_mbcr_data(path, n=1000, n1=100, seed=42, draw_seed=99, with_perms=Tru
         w = csv.writer(fh)
         if with_perms:
             w.writerow(["y", "z", "beta", "eta"])
-            rows = zip(data.y, asg.z, np.arange(n), asg.mbcr.eta)
+            rows = zip(data.y, asg.z, np.arange(n), asg.eta)
             for yy, zz, bb, ee in rows:
                 w.writerow([repr(float(yy)), int(zz), int(bb), int(ee)])
         else:
@@ -229,7 +229,7 @@ def test_ci_block_shuffled_columns_match_the_seeded_draw(
     lay = compute_layout(n, n1)
     seeded = draw_mbcr(lay, np.random.default_rng(5))
     beta, _ = two_stage_perms(lay, np.random.default_rng(6))
-    eta = inverse_permutation(beta)[seeded.mbcr.eta]
+    eta = inverse_permutation(beta)[seeded.eta]
     rng = np.random.default_rng(7)
     y0 = rng.uniform(0.0, 0.5, n)
     y = ObservedData.realize(PotentialTable(y0, y0 + 0.5 * rng.random(n)), seeded).y
@@ -237,7 +237,7 @@ def test_ci_block_shuffled_columns_match_the_seeded_draw(
     cols, identity = tmp_path / "cols.csv", tmp_path / "identity.csv"
     rows = (f"{yz},{b},{e}" for yz, b, e in zip(y_z, beta, eta))
     cols.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
-    rows = (f"{yz},{j},{e}" for j, (yz, e) in enumerate(zip(y_z, seeded.mbcr.eta)))
+    rows = (f"{yz},{j},{e}" for j, (yz, e) in enumerate(zip(y_z, seeded.eta)))
     identity.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
     base = ["--scheme", "mbcr", "--method", method, "--json"]
     assert main(["ci", "--data", str(cols), *base]) == 0
@@ -253,7 +253,7 @@ def test_ci_wrong_permutation_columns_rejected(tmp_path, capsys):
     # the treated slots
     lay = compute_layout(1000, 100)
     z = draw_mbcr(lay, np.random.default_rng(7)).z
-    eta = draw_mbcr(lay, np.random.default_rng(8)).mbcr.eta
+    eta = draw_mbcr(lay, np.random.default_rng(8)).eta
     rows = (f"0.5,{zz},{j},{e}" for j, (zz, e) in enumerate(zip(z.tolist(), eta)))
     path = tmp_path / "data.csv"
     path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
@@ -679,6 +679,41 @@ def test_simulate_refuses_a_grid_beyond_the_floor_or_cap(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), err
     assert f"below the floor {MIN_PI!r}" in err
+
+
+@pytest.mark.parametrize(
+    "dgp, stray",
+    [
+        ({"kind": "uniform_null", "lo": 0.0, "hi": 0.1, "shift": 0.7}, ["shift"]),
+        ({"kind": "fixed_table", "path": "table.csv", "lo": 0.3, "hi": 0.2},
+         ["hi", "lo"]),
+    ],
+    ids=["null-shift", "table-lo-hi"],
+)
+def test_simulate_refuses_a_dgp_field_its_kind_does_not_read(
+    tmp_path, capsys, monkeypatch, dgp, stray
+):
+    # a null dgp given a shift would run a null experiment that ignores it
+    from tightci import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a config with a stray dgp field")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "coverage",
+        "grid": {"n": [40], "pi": ["1/10"], "alpha": [0.05]},
+        "methods": ["hoeff-mbcr"],
+        "dgp": dgp,
+        "replications": 2,
+        "seed": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: config.dgp: unknown field(s) {stray}\n"
 
 
 def test_simulate_unreadable_inputs_are_validation_errors(tmp_path, capsys):

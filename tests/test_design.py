@@ -233,7 +233,7 @@ def test_mbcr_one_treated_per_group(n, n1, two_stage_mbcr):
     for _ in range(50):
         for asg in (draw_mbcr(lay, rng), two_stage_mbcr(lay, rng)):
             assert int(asg.z.sum()) == n1
-            inv_eta = inverse_permutation(asg.mbcr.eta)
+            inv_eta = inverse_permutation(asg.eta)
             groups = [inv_eta[block] for block in slot_blocks(lay)]
             assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
             for t in range(lay.num_full_groups):
@@ -247,12 +247,12 @@ def test_mbcr_deterministic_and_consistent():
     d1 = draw_mbcr(lay, np.random.default_rng(99))
     d2 = draw_mbcr(lay, np.random.default_rng(99))
     assert np.array_equal(d1.z, d2.z)
-    assert np.array_equal(d1.mbcr.eta, d2.mbcr.eta)
+    assert np.array_equal(d1.eta, d2.eta)
     # realized vector is the allocation pattern pushed through eta
     a = lay.allocation_vector()
-    assert np.array_equal(d1.z, a[d1.mbcr.eta])
+    assert np.array_equal(d1.z, a[d1.eta])
     # the unit at each slot receives the pattern's value at that slot
-    assert np.array_equal(d1.z[inverse_permutation(d1.mbcr.eta)], a)
+    assert np.array_equal(d1.z[inverse_permutation(d1.eta)], a)
 
 
 def test_grouped_assignment_reads_beta(two_stage_perms):
@@ -296,7 +296,7 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
     lay = compute_layout(n, n1)
     asg = draw_mbcr(lay, np.random.default_rng(seed))
     z, eta = _draw_mbcr_loop_reference(lay, np.random.default_rng(seed))
-    for got, want in ((asg.z, z), (asg.mbcr.eta, eta)):
+    for got, want in ((asg.z, z), (asg.eta, eta)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -564,11 +564,29 @@ def test_enumeration_budget_refused():
         enumerate_mbcr_distribution(compute_layout(6, 2), budget=100)
 
 
+def test_assignment_carries_layout_and_eta_only_when_grouped():
+    lay = compute_layout(10, 3)
+    eta = np.random.default_rng(2).permutation(10)
+    grouped = grouped_assignment(lay, eta)
+    assert grouped.layout is lay and grouped.eta is eta
+    drawn = draw_mbcr(lay, np.random.default_rng(2))
+    assert drawn.layout is lay and np.array_equal(drawn.eta, eta)
+    z, pi = grouped.z, grouped.pi
+    for detail in ({}, {"layout": lay}, {"eta": eta}):
+        with pytest.raises(DesignError, match="^a mbcr assignment needs its layout"):
+            Assignment(z, "mbcr", pi, **detail)
+    for scheme in ("bernoulli", "complete"):
+        Assignment(z, scheme, pi)
+        for detail in ({"layout": lay}, {"eta": eta}, {"layout": lay, "eta": eta}):
+            with pytest.raises(DesignError, match=f"^a {scheme} assignment takes no"):
+                Assignment(z, scheme, pi, **detail)
+
+
 def test_assignment_shape():
     asg = draw_bernoulli(7, 0.3, np.random.default_rng(1))
     assert isinstance(asg, Assignment)
     assert asg.n == 7
-    assert asg.mbcr is None
+    assert asg.layout is None and asg.eta is None
     # the cached treated mask is shared by the replication's readers, so it
     # is read-only under both designs
     grouped = draw_mbcr(compute_layout(10, 3), np.random.default_rng(1))

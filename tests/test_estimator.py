@@ -18,6 +18,7 @@ from reference import (
 )
 from tightci.design import (
     Assignment,
+    DesignError,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -196,14 +197,10 @@ def test_bernoulli_unbiasedness_monte_carlo():
 
 def test_ht_mbcr_requires_detail():
     # a grouped assignment built by hand without its permutation has no
-    # slot order to weigh, and is refused
-    table = _random_table(6, np.random.default_rng(0))
+    # slot order to weigh, and is refused when it is built
     z = draw_complete(6, 2, np.random.default_rng(0)).z
-    data = ObservedData.realize(table, Assignment(z=z, scheme="mbcr", pi=2 / 6))
-    with pytest.raises(EstimatorError, match="detail"):
-        ht_estimate(data)
-    with pytest.raises(EstimatorError, match="detail"):
-        groupwise_sums(data)
+    with pytest.raises(DesignError, match="needs its layout and eta"):
+        Assignment(z=z, scheme="mbcr", pi=2 / 6)
 
 
 def test_ht_mbcr_equals_standard_without_tail():
@@ -233,9 +230,8 @@ def _ht_mbcr_by_hand(data):
     """Slot-by-slot expansion of the grouped estimator, written with plain
     Python loops and explicit permutation inverses, independently of the
     library's vectorized path."""
-    det = data.assignment.mbcr
-    lay = det.layout
-    eta = det.eta.tolist()
+    lay = data.assignment.layout
+    eta = data.assignment.eta.tolist()
     a = lay.allocation_vector().tolist()
     inv_eta = {eta[j]: j for j in range(lay.n)}
     g = lay.group_size
@@ -350,8 +346,7 @@ def test_slot_y_scatter_matches_gather_through_inverse(n, n1, seed, two_stage_mb
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(seed)
     data = ObservedData.realize(_random_table(n, rng), two_stage_mbcr(lay, rng))
-    detail = data.assignment.mbcr
-    gathered = data.y[inverse_permutation(detail.eta)]
+    gathered = data.y[inverse_permutation(data.assignment.eta)]
     expected = gathered * layout_constants(lay).coef
     assert data.terms.dtype == expected.dtype
     # tobytes also compares the sign of every zero
@@ -393,7 +388,7 @@ def test_public_draws_and_data_keep_their_bytes():
         bern = ObservedData.realize(table, draw_bernoulli(n, 0.01, rng))
         arrays = (
             grouped.assignment.z,
-            grouped.assignment.mbcr.eta,
+            grouped.assignment.eta,
             grouped.y,
             grouped.terms,
             bern.assignment.z,
@@ -445,9 +440,8 @@ def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
         for _ in range(10):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, two_stage_mbcr(lay, rng))
-            detail = data.assignment.mbcr
             treated = lay.allocation_vector()
-            slot_y = data.y[inverse_permutation(detail.eta)]
+            slot_y = data.y[inverse_permutation(data.assignment.eta)]
             mirrored = np.array([
                 pseudo_outcome(slot_y[b], treated[b], p, "mirrored").sum()
                 for b, p in zip(slot_blocks(lay), props)

@@ -166,6 +166,33 @@ def test_parse_config_rejections_name_the_field(where, raw):
     assert str(excinfo.value).startswith(where + ":")
 
 
+_NULL_DGP = {"kind": "uniform_null", "lo": 0.0, "hi": 0.1}
+_SHIFT_DGP = {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5}
+_TABLE_DGP = {"kind": "fixed_table", "path": "table.csv"}
+
+
+@pytest.mark.parametrize(
+    "dgp, stray",
+    [
+        (_NULL_DGP, {"shift": 0.7}),
+        (_NULL_DGP, {"path": "table.csv"}),
+        (_SHIFT_DGP, {"path": "table.csv"}),
+        (_TABLE_DGP, {"lo": 0.3}),
+        (_TABLE_DGP, {"hi": 0.2}),
+        (_TABLE_DGP, {"shift": 0.0}),
+        (_TABLE_DGP, {"lo": 0.3, "hi": 0.2}),
+    ],
+    ids=["null-shift", "null-path", "shift-path", "table-lo", "table-hi",
+         "table-shift", "table-lo-above-hi"],
+)
+def test_parse_config_refuses_a_dgp_field_its_kind_does_not_read(dgp, stray):
+    # the kind's own fields parse; one it would ignore is refused by name
+    assert parse_config(_coverage_raw(dgp=dgp)).dgp.kind == dgp["kind"]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_coverage_raw(dgp={**dgp, **stray}))
+    assert str(excinfo.value) == f"config.dgp: unknown field(s) {sorted(stray)}"
+
+
 @pytest.mark.parametrize(
     "overrides, where",
     [
@@ -173,7 +200,7 @@ def test_parse_config_rejections_name_the_field(where, raw):
         ({"dgp": {"kind": "fixed_table", "path": 7}}, "config.dgp.path"),
         ({"dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": True}}, "config.dgp.hi"),
         ({"dgp": {"kind": "uniform_shift", "lo": "0.2", "hi": 0.5}}, "config.dgp.lo"),
-        ({"dgp": {"kind": "uniform_null", "shift": float("nan")}}, "config.dgp.shift"),
+        ({"dgp": {"kind": "uniform_shift", "shift": float("nan")}}, "config.dgp.shift"),
         ({"grid": {**_GRID, "alpha": [0.05, 5e-324]}}, "config.grid.alpha[1]"),
     ],
     ids=["method-list", "path-int", "hi-bool", "lo-string", "shift-nan", "alpha-tiny"],

@@ -815,7 +815,7 @@ def test_adaptive_builders_finite_ordered_and_reevaluable(case, alpha):
             continue
         except IntervalError as err:
             assert m == "studentized"
-            lay = data.assignment.mbcr.layout
+            lay = data.assignment.layout
             assert lay.num_full_groups + (lay.tail_size > 0) < 4
             assert "insufficient groups" in str(err)
             continue

@@ -218,6 +218,20 @@ def test_substream_segment_is_the_advanced_seeded_state():
     assert np.array_equal(at(5).bit_generator.random_raw(4), expected)
 
 
+# 2_096_465_141 is a benchmark config seed, from its range [2**16, 2**31).
+@pytest.mark.parametrize(
+    "seed, cell", [(0, 0), (7, 3), (2**31 - 1, 10**6), (2_096_465_141, 0)]
+)
+def test_cell_table_substream_is_the_seed_tuple_generator(seed, cell):
+    # a cell's fixed table draws from replication 0 of its (seed, cell, 0)
+    # substream, which is the generator default_rng seeds from that tuple
+    at = substream(seed, cell, 0)
+    at(3).random(10)  # an earlier replication's draws do not move it
+    tree = np.random.default_rng((seed, cell, 0))
+    assert at(0).bit_generator.state == tree.bit_generator.state
+    assert np.array_equal(at(0).random(1000), tree.random(1000))
+
+
 # ---------------------------------------------------------------------------
 # (d) Which path a design takes, and worker independence
 
