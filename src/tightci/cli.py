@@ -46,7 +46,6 @@ from .harness import (
     SCHEMA_VERSION,
     ConfigError,
     load_config,
-    resolve_workers,
     run_experiment,
     write_outputs,
 )
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run an experiment config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--workers", type=int, default=None)
+    p_sim.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -238,7 +237,7 @@ def cmd_simulate(args) -> int:
         ancestor = ancestor.parent
     if not ancestor.is_dir():
         raise CliError(f"--out {args.out}: {ancestor} is not a directory")
-    report = run_experiment(config, workers=resolve_workers(args.workers))
+    report = run_experiment(config, workers=args.workers)
     paths = write_outputs(args.out, report, config)
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['manifest']}")

@@ -25,9 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +122,9 @@ class MbcrLayout:
 
     ``num_full_groups`` blocks of ``group_size`` slots each receive exactly
     one treated unit; a final block of ``tail_size`` slots (possibly empty)
-    receives ``tail_treated`` of them.  Slots are laid out as the allocation
-    pattern returned by :meth:`allocation_vector`.
+    receives ``tail_treated`` of them.  Slots are laid out as the read-only
+    pattern :attr:`allocation`, weighed by the read-only :attr:`coef`; both
+    are built on first read and live as long as the layout.
     """
 
     n: int
@@ -143,14 +143,29 @@ class MbcrLayout:
         """Total group count including the tail when present."""
         return self.num_full_groups + (1 if self.tail_size > 0 else 0)
 
-    def allocation_vector(self) -> np.ndarray:
+    @cached_property
+    def allocation(self) -> np.ndarray:
         """Pre-randomization slot pattern: one 1 leading each full block,
         then the tail's treated slots, then the tail's control slots."""
         a = np.zeros(self.n, dtype=np.int8)
         body = self.num_full_groups * self.group_size
         a[0:body:self.group_size] = 1
         a[body:body + self.tail_treated] = 1
-        return a
+        return read_only(a)
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        """Each slot's Horvitz-Thompson coefficient: ``g`` at a full block's
+        treated slot and ``-g/(g-1)`` at its control slots, with the tail
+        block's own size-per-treated ratio in place of ``g``."""
+        g, full, tail = self.group_size, self.num_full_groups, self.tail_size
+        a = self.allocation
+        coef = np.where(a == 1, float(g), -g / (g - 1.0))
+        if tail > 0:
+            treated, body = self.tail_treated, full * g
+            tail_a = a[body:]
+            coef[body:] = np.where(tail_a == 1, tail / treated, -tail / (tail - treated))
+        return read_only(coef)
 
 
 def compute_layout(n: int, n1: int) -> MbcrLayout:
@@ -197,35 +212,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     if a.flags.writeable:
         a.flags.writeable = False
     return a
-
-
-class LayoutConstants(NamedTuple):
-    """Read-only arrays fixed by a grouped layout.
-
-    ``allocation`` is :meth:`MbcrLayout.allocation_vector`; ``coef`` is each
-    of its slots' Horvitz-Thompson coefficient: ``g`` at a full block's
-    treated slot and ``-g/(g-1)`` at its control slots, with the tail block's
-    own size-per-treated ratio in place of ``g``.
-    """
-
-    allocation: np.ndarray
-    coef: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def layout_constants(layout: MbcrLayout) -> LayoutConstants:
-    """The layout's constants, built once per layout.
-
-    The cache sits outside the layout, so a pickled layout never carries the
-    arrays.
-    """
-    g, full, tail = layout.group_size, layout.num_full_groups, layout.tail_size
-    a = layout.allocation_vector()
-    coef = np.where(a == 1, float(g), -g / (g - 1.0))
-    if tail > 0:
-        treated, body = layout.tail_treated, full * g
-        coef[body:] = np.where(a[body:] == 1, tail / treated, -tail / (tail - treated))
-    return LayoutConstants(allocation=read_only(a), coef=read_only(coef))
 
 
 @dataclass(frozen=True)
@@ -278,7 +264,7 @@ def draw_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Assignment:
 def grouped_assignment(layout: MbcrLayout, eta: np.ndarray) -> Assignment:
     """The grouped assignment that the permutation ``eta`` makes: unit ``j``
     receives the allocation pattern's value at slot ``eta[j]``."""
-    z = layout_constants(layout).allocation[eta]
+    z = layout.allocation[eta]
     pi = layout.n1 / layout.n
     return Assignment(z=z, scheme=SCHEME_MBCR, pi=pi, layout=layout, eta=eta)
 
@@ -344,11 +330,6 @@ def _space_factors(layout: MbcrLayout):
     return itertools.chain.from_iterable(range(2, k + 1) for k in sizes)
 
 
-def enumeration_space_size(layout: MbcrLayout) -> int:
-    """Number of permutation tuples the exact enumeration must visit."""
-    return math.prod(_space_factors(layout))
-
-
 def enumerate_mbcr_distribution(
     layout: MbcrLayout, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> MbcrDistribution:
@@ -371,7 +352,7 @@ def enumerate_mbcr_distribution(
                 f"the budget of {budget}; increase the budget or use a smaller n"
             )
     n, g = layout.n, layout.group_size
-    a = layout.allocation_vector()
+    a = layout.allocation
     block_perms = [
         [np.array(p) + t * g for p in itertools.permutations(range(g))]
         for t in range(layout.num_full_groups)

@@ -5,9 +5,9 @@ Both point estimators are the mean of one draw's pseudo-outcomes,
 fixes each term's weight.  A grouped draw's terms are in slot order: for slot
 ``s``, the observed outcome belongs to the unit that the assignment's ``eta``
 seats there (``eta^{-1}(s)``) while the delivered treatment is the allocation
-pattern at ``s``, weighted by ``layout_constants(layout).coef`` at ``s``: full
-blocks use ``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its
-own size-per-treated ratio.  Other draws' terms are in unit order, each unit
+pattern at ``s``, weighted by the layout's ``coef`` at ``s``: full blocks use
+``g`` and ``1/(1 - 1/g)``; the tail block replaces ``g`` with its own
+size-per-treated ratio.  Other draws' terms are in unit order, each unit
 weighted at the assignment's propensity (``Assignment.unit_weights``).  An
 :class:`ObservedData` forms its terms once, in a fresh array, so the estimator
 and intervals of one replication share them.  Only the Bernoulli Studentized
@@ -30,7 +30,6 @@ from .design import (
     SCHEME_MBCR,
     Assignment,
     MbcrLayout,
-    layout_constants,
     read_only,
 )
 
@@ -172,7 +171,7 @@ class ObservedData:
             return _weigh_units(self.y, asg)
         terms = np.empty(self.n)
         terms[asg.eta] = self.y
-        terms *= layout_constants(asg.layout).coef
+        terms *= asg.layout.coef
         return read_only(terms)
 
 

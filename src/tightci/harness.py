@@ -37,6 +37,7 @@ import signal
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -409,8 +410,6 @@ def _grouped_layout(n: int, pi: Fraction) -> tuple[MbcrLayout | None, str | None
     n1 = pi * n
     if n1.denominator != 1:
         return None, f"pi={pi} gives non-integer treated count for n={n}"
-    if n1.numerator < 1:
-        return None, f"pi={pi} gives no treated units for n={n}"
     try:
         return compute_layout(n, int(n1)), None
     except DesignError as exc:
@@ -436,9 +435,10 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
     # Closed-form widths read no outcomes, so width scaling samples no table.
     dgp = None if config.experiment == EXPERIMENT_WIDTH_SCALING else config.dgp
     cells = []
+    layout_of = cache(_grouped_layout)  # cells of one (n, pi) share a layout
     grid = itertools.product(config.ns, config.pis, config.alphas)
     for idx, (n, pi, alpha) in enumerate(grid):
-        layout, layout_reason = _grouped_layout(n, pi) if grouped else (None, None)
+        layout, layout_reason = layout_of(n, pi) if grouped else (None, None)
         methods = []
         for m in config.methods:
             reason = _skip_reason(METHOD_TABLE[m], n, layout, layout_reason)
@@ -699,14 +699,6 @@ def _run_cells(config, cells, workers: int):
     return merged
 
 
-def resolve_workers(requested: int | None) -> int:
-    if requested is None:
-        return 1
-    if requested < 1:
-        raise ConfigError(f"worker count must be >= 1, got {requested}")
-    return requested
-
-
 def rmse_bound(method: str, n: int, pi: float) -> float:
     """Theoretical root-mean-square-error bound for each estimator."""
     if method not in RMSE_METHODS:
@@ -781,8 +773,8 @@ def run_equivalence(n: int, n1: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -
     if not dist.is_uniform():
         raise RuntimeError(
             f"exact enumeration for (n={n}, n1={n1}) is not uniform over "
-            "assignments; the grouped sampler violates its distributional "
-            "contract"
+            "assignments; the two-stage grouped design violates its "
+            "distributional contract"
         )
     rows = []
     for z in sorted(dist.counts):
@@ -810,6 +802,8 @@ def run_equivalence(n: int, n1: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Report:
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
     if config.experiment in (EXPERIMENT_COVERAGE, EXPERIMENT_RMSE):
         return run_monte_carlo(config, workers=workers)
     if config.experiment == EXPERIMENT_WIDTH_SCALING:

@@ -516,8 +516,10 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     effective sample size scales with ``n pi^2``.
     """
     alpha = validate_alpha(alpha)
-    if not (0.0 < pi < 1.0):
-        raise IntervalError(f"propensity {pi} outside (0, 1)")
+    try:
+        validate_propensity(pi)
+    except DesignError as exc:
+        raise IntervalError(str(exc)) from exc
     t = {"n": int(n), "pi": float(pi)}
     return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
 

@@ -2,8 +2,9 @@
 
 Plain per-unit and per-block expressions of what the library computes in
 vectorized form, the exact conditional-expectation oracle for the grouped
-estimator's unbiasedness, and the propensity-only bound on the grouped width
-constant.  No library code path calls them.
+estimator's unbiasedness, the propensity-only bound on the grouped width
+constant, and the exact enumeration's tuple count.  No library code path
+calls them.
 """
 
 import itertools
@@ -40,6 +41,14 @@ def slot_blocks(layout: MbcrLayout) -> list[np.ndarray]:
     if layout.tail_size > 0:
         blocks.append(np.arange(t * g, layout.n))
     return blocks
+
+
+def enumeration_space_size(layout: MbcrLayout) -> int:
+    """Number of permutation tuples the exact enumeration must visit,
+    ``g!**T * s! * n!``: every within-block shuffle of the ``T`` full blocks
+    and the tail, times every unit-wide permutation."""
+    g, t, s, n = layout.group_size, layout.num_full_groups, layout.tail_size, layout.n
+    return math.factorial(g) ** t * math.factorial(s) * math.factorial(n)
 
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):

@@ -198,7 +198,7 @@ def test_ci_supplied_permutation_detail_checked(
     alter, message = _PERM_EDITS[edit]
     lay = compute_layout(n, n1)
     beta, eta = two_stage_perms(lay, np.random.default_rng(3))
-    z = lay.allocation_vector()[beta[eta]]
+    z = lay.allocation[beta[eta]]
     cols = alter(lay, {"z": z, "beta": beta, "eta": eta})
     rows = (f"0.5,{int(z)},{b},{e}" for z, b, e in zip(*cols.values()))
     path = tmp_path / "data.csv"

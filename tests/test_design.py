@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import draw_complete, inverse_permutation, slot_blocks
+from reference import (
+    draw_complete,
+    enumeration_space_size,
+    inverse_permutation,
+    slot_blocks,
+)
 from tightci.design import (
     MAX_N,
     MIN_PI,
@@ -21,9 +26,7 @@ from tightci.design import (
     draw_bernoulli,
     draw_mbcr,
     enumerate_mbcr_distribution,
-    enumeration_space_size,
     grouped_assignment,
-    layout_constants,
     validate_propensity,
 )
 from tightci.estimator import ObservedData, PotentialTable
@@ -38,7 +41,7 @@ def test_layout_9_3():
     assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
         3, 3, 0, 0,
     )
-    assert lay.allocation_vector().tolist() == [1, 0, 0, 1, 0, 0, 1, 0, 0]
+    assert lay.allocation.tolist() == [1, 0, 0, 1, 0, 0, 1, 0, 0]
 
 
 def test_layout_9_4():
@@ -46,7 +49,7 @@ def test_layout_9_4():
     assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
         3, 2, 3, 2,
     )
-    assert lay.allocation_vector().tolist() == [1, 0, 0, 1, 0, 0, 1, 1, 0]
+    assert lay.allocation.tolist() == [1, 0, 0, 1, 0, 0, 1, 1, 0]
 
 
 def test_group_size_two_sevenths():
@@ -59,7 +62,7 @@ def test_layout_half_propensity():
     assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
         2, 5, 0, 0,
     )
-    assert lay.allocation_vector().tolist() == [1, 0] * 5
+    assert lay.allocation.tolist() == [1, 0] * 5
 
 
 def test_layout_rejects_bad_counts():
@@ -124,7 +127,7 @@ def test_layout_matches_oracle_small_n():
                 assert lay.num_full_groups == full[i]
                 assert lay.tail_size == tail[i]
                 assert lay.tail_treated == tail_treated[i]
-                a = lay.allocation_vector()
+                a = lay.allocation
                 assert int(a.sum()) == n1
             else:
                 with pytest.raises(LayoutInfeasibleError):
@@ -146,7 +149,7 @@ def test_layout_invariants_random(n, data):
     if lay.tail_treated:
         assert lay.tail_size > lay.tail_treated >= 1
         # the tail's treated slots are weighed by its size-per-treated ratio
-        coef = layout_constants(lay).coef
+        coef = lay.coef
         tail = lay.tail_size
         assert sorted(set(coef[lay.n - tail:])) == [
             -tail / (tail - lay.tail_treated),
@@ -249,7 +252,7 @@ def test_mbcr_deterministic_and_consistent():
     assert np.array_equal(d1.z, d2.z)
     assert np.array_equal(d1.eta, d2.eta)
     # realized vector is the allocation pattern pushed through eta
-    a = lay.allocation_vector()
+    a = lay.allocation
     assert np.array_equal(d1.z, a[d1.eta])
     # the unit at each slot receives the pattern's value at that slot
     assert np.array_equal(d1.z[inverse_permutation(d1.eta)], a)
@@ -259,7 +262,7 @@ def test_grouped_assignment_reads_beta(two_stage_perms):
     # the two-stage draw is the one permutation beta[eta]
     lay = compute_layout(12, 4)
     beta, eta = two_stage_perms(lay, np.random.default_rng(99))
-    a = lay.allocation_vector()
+    a = lay.allocation
     assert not np.array_equal(a[beta], a)
     asg = grouped_assignment(lay, beta[eta])
     assert np.array_equal(asg.z, a[beta][eta])
@@ -275,7 +278,7 @@ def _draw_mbcr_loop_reference(layout, rng):
     ``rng.permutation(n)`` from the generator and return these arrays.
     """
     eta = rng.permutation(layout.n)
-    z = layout.allocation_vector()[eta]
+    z = layout.allocation[eta]
     return z, eta
 
 
@@ -303,7 +306,7 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
 
 def _slot_coef_reference(layout, beta):
     """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
-    t = layout.allocation_vector()[beta].astype(np.float64)
+    t = layout.allocation[beta].astype(np.float64)
     g = float(layout.group_size)
     w_treat = np.full(layout.n, g)
     w_ctrl = np.full(layout.n, g / (g - 1.0))
@@ -331,7 +334,7 @@ def test_slot_coef_bit_identical_to_weighted_expression(n, n1, seed, two_stage_p
     # beta[s]
     lay = compute_layout(n, n1)
     beta, _ = two_stage_perms(lay, np.random.default_rng(seed))
-    coef = layout_constants(lay).coef
+    coef = lay.coef
     expected = _slot_coef_reference(lay, beta)
     # tobytes also compares the sign of every zero
     assert coef[beta].tobytes() == expected.tobytes()
@@ -412,39 +415,30 @@ def test_unit_coef_refuses_propensity_outside_unit_interval():
         ObservedData(y=np.array([0.5, 0.5]), assignment=asg).terms
 
 
-def test_layout_constants_read_only_and_built_once(monkeypatch):
-    from tightci.design import MbcrLayout
+def test_layout_constants_read_only_and_built_once():
+    from dataclasses import FrozenInstanceError
 
-    layout_constants.cache_clear()
-    calls = []
-    original = MbcrLayout.allocation_vector
-
-    def counting(self):
-        calls.append(self.n)
-        return original(self)
-
-    monkeypatch.setattr(MbcrLayout, "allocation_vector", counting)
     lay = compute_layout(10, 3)
     y0 = np.linspace(0.0, 0.5, lay.n)
     table = PotentialTable(y0, y0 + 0.25)
+    seen = []
     for seed in range(5):
         ObservedData.realize(table, draw_mbcr(lay, np.random.default_rng(seed))).terms
-    # an equal layout shares the constants
-    assert layout_constants(compute_layout(10, 3)) is layout_constants(lay)
-    assert calls == [10]
-    const = layout_constants(lay)
-    for arr in const:
+        seen.append((lay.allocation, lay.coef))
+    # built on the first draw, then the same objects for every later one
+    alloc, coef = seen[0]
+    assert all(a is alloc and c is coef for a, c in seen)
+    for arr in (alloc, coef):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    alloc, coef = const.allocation, const.coef
+    with pytest.raises(FrozenInstanceError):
+        lay.allocation = alloc.copy()
+    with pytest.raises(FrozenInstanceError):
+        del lay.coef
     assert alloc.tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0]
     full_block = [4.0] + [-4.0 / 3.0] * 3
     assert coef.tolist() == full_block * 2 + [2.0, -2.0]
-    fresh = lay.allocation_vector()
-    assert fresh is not lay.allocation_vector()
-    fresh[0] = 0
-    assert lay.allocation_vector()[0] == 1 and alloc[0] == 1
 
 
 def _unit_block_law(layout, betas):
@@ -459,7 +453,7 @@ def _unit_block_law(layout, betas):
     block_of = np.empty(n, dtype=np.int64)
     for b, slots in enumerate(blocks):
         block_of[slots] = b
-    a = layout.allocation_vector().astype(np.int64)
+    a = layout.allocation.astype(np.int64)
     eta_mat = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     # key = (z as n bits) * len(blocks)**n + (unit blocks in base len(blocks))
     block_code = block_of[eta_mat] @ (len(blocks) ** np.arange(n))

@@ -18,7 +18,6 @@ from tightci.harness import (
     load_config,
     parse_config,
     parse_propensity,
-    resolve_workers,
     rmse_bound,
     run_equivalence,
     run_experiment,
@@ -239,16 +238,6 @@ def test_equivalence_budget_capped():
         parse_config({**raw, "budget": MAX_ENUMERATION_BUDGET + 1})
 
 
-def test_resolve_workers(monkeypatch):
-    # the flag alone sets the count; the environment does not override it
-    monkeypatch.setenv("TIGHTCI_THREADS", "3")
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(8) == 8
-    with pytest.raises(ConfigError):
-        resolve_workers(0)
-
-
 class SerialChild:
     """Stands in for a forked slice's pipe and starts no work of its own:
     reading it runs the slice in this process, as the child would, and gives
@@ -299,6 +288,34 @@ def _assert_no_child_left():
     # multiprocessing.active_children() cannot see bare forks; waitpid can
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_set_by_the_flag_alone(
+    monkeypatch, tmp_path, capsys, serial_children
+):
+    from tightci import cli, harness
+
+    # the flag alone sets the count; the environment does not override it
+    monkeypatch.setenv("TIGHTCI_THREADS", "3")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_coverage_raw(methods=["hoeff-mbcr"], replications=8)))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert serial_children == []  # no flag: one worker, no child
+    assert cli.main([*argv, "--workers", "4"]) == 0
+    assert cli.main([*argv, "--workers", "8"]) == 0
+    assert _children_per_run(serial_children) == [3, 7]
+    capsys.readouterr()
+    # a count below 1 is refused before anything runs
+    refused = ["simulate", "--config", str(config), "--out", str(tmp_path / "none")]
+    assert cli.main([*refused, "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: worker count must be >= 1, got 0\n"
+    assert not (tmp_path / "none").exists()
+    with pytest.raises(ConfigError, match="worker count must be >= 1, got 0"):
+        run_experiment(parse_config(_coverage_raw()), workers=0)
+    assert len(serial_children) == 10
+    _assert_no_child_left()
 
 
 def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_children):
@@ -1136,23 +1153,20 @@ def test_clt_reevaluates_bit_for_bit_with_the_shared_quantile():
         assert ci.tuning["half_width"] == zq * math.sqrt(ci.tuning["vhat"] / 20000)
 
 
-def test_cell_pickles_to_the_same_size_after_a_draw():
-    import pickle
-
-    from tightci.harness import _build_cells, _coverage_chunk
+def test_cells_of_one_n_and_pi_share_a_layout():
+    from tightci.harness import _build_cells
 
     config = parse_config(
         _coverage_raw(
-            grid={"n": [1000, 5000], "pi": ["1/10"], "alpha": [0.05]},
-            methods=["hoeff-mbcr", "sub-bernoulli-mbcr", "studentized"],
-            replications=2,
+            grid={"n": [1000, 5000], "pi": ["1/10"], "alpha": [0.05, 0.1]},
+            methods=["hoeff-mbcr", "studentized"],
         )
     )
-    for cell in _build_cells(config):
-        before = len(pickle.dumps(cell))
-        _coverage_chunk(config, cell, 0, 2)
-        # the layout's cached constants stay out of the pickled task
-        assert len(pickle.dumps(cell)) == before
+    layouts = [cell.layout for cell in _build_cells(config)]
+    # cells in (n, pi, alpha) order: the two alphas of each (n, pi) share one
+    assert [lay.n for lay in layouts] == [1000, 1000, 5000, 5000]
+    assert layouts[0] is layouts[1] and layouts[2] is layouts[3]
+    assert layouts[0] is not layouts[2]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import cn_mbcr_bounds, pseudo_outcome, two_point_cgf
-from tightci.design import compute_layout, draw_bernoulli, draw_mbcr
+from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
@@ -293,6 +293,24 @@ def test_naive_halfwidth_frozen():
 def test_naive_half_propensity():
     ci = naive_hoeffding_ci(0.0, 500, 0.5, 0.05)
     assert ci.half_width == pytest.approx(4.0 * math.sqrt(LN40 / 1000.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda pi: naive_hoeffding_ci(0.0, 100, pi, 0.05),
+        lambda pi: sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=pi),
+    ],
+    ids=["naive-hoeffding", "sub-bernoulli-bern"],
+)
+def test_bernoulli_closed_forms_take_propensities_in_min_pi_to_half(form):
+    # finite endpoints from the floor up; below it, or over 1/2, a refusal
+    ci = form(MIN_PI)
+    assert all(math.isfinite(v) for v in (ci.lower, ci.upper, ci.half_width))
+    with pytest.raises(IntervalError, match="below the floor"):
+        form(MIN_PI / 2)
+    with pytest.raises(IntervalError, match="relabel the arms"):
+        form(0.7)
 
 
 def test_hoeff_vs_naive_ratio_small_pi():
