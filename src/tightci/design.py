@@ -231,6 +231,7 @@ class Assignment:
         if (self.layout is not None, self.eta is not None) != (grouped, grouped):
             need = "needs its layout and eta" if grouped else "takes no layout or eta"
             raise DesignError(f"a {self.scheme} assignment {need}")
+        validate_propensity(self.pi)
 
     @property
     def n(self) -> int:
@@ -244,8 +245,6 @@ class Assignment:
     def unit_weights(self) -> tuple[float, float]:
         """The Horvitz-Thompson coefficients at propensity ``pi``: ``1/pi``
         for a treated unit and ``-1/(1-pi)`` for a control."""
-        if not 0.0 < self.pi < 1.0:
-            raise DesignError(f"propensity {self.pi} outside (0, 1)")
         pi = float(self.pi)
         return 1.0 / pi, -1.0 / (1.0 - pi)
 

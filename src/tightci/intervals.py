@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .design import (
     SCHEME_BERNOULLI,
@@ -536,7 +535,13 @@ def _z_quantile(alpha: float) -> float:
     all of them below alpha of about 1.1e-16), so below ``_ISF_BELOW`` the
     upper-tail form ``-ndtri(alpha/2)`` gives the quantile.  Both forms are
     bit for bit scipy.stats' ``norm.isf(alpha/2)`` and ``norm.ppf(1 - alpha/2)``.
+
+    ``scipy.special`` is imported here, not with the module: it is most of
+    the package's start-up time and memory, and only ``clt`` needs it, so a
+    run that builds no CLT interval never loads scipy.
     """
+    from scipy.special import ndtri
+
     if alpha < _ISF_BELOW:
         return float(-ndtri(alpha / 2.0))
     return float(ndtri(1.0 - alpha / 2.0))

@@ -993,3 +993,105 @@ def test_runtime_does_not_import_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# A fresh interpreter's last line of output: main's exit code (0 when no
+# arguments are given and main is not called), the scipy modules loaded,
+# and, at each os.fork, whether scipy.special was loaded and how many
+# normal quantiles were cached.  Two CPUs are reported, so that two
+# workers fork on any machine.
+_FRESH_MAIN = """
+import json, os, sys
+from tightci.cli import main
+from tightci.intervals import _z_quantile
+
+forks = []
+fork = os.fork
+
+def watched_fork():
+    forks.append(["scipy.special" in sys.modules, _z_quantile.cache_info().currsize])
+    return fork()
+
+os.fork = watched_fork
+os.cpu_count = lambda: 2
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps([code, scipy, forks]))
+"""
+
+
+def _fresh_main(argv: list[str]) -> tuple[str, int, list[str], list]:
+    """``main(argv)`` in a fresh interpreter: the output before the probe's
+    line, the exit code, the scipy modules loaded and the state at each
+    fork (see ``_FRESH_MAIN``)."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, _, probe = proc.stdout.rstrip("\n").rpartition("\n")
+    return (out + "\n" if out else ""), *json.loads(probe)
+
+
+@pytest.mark.parametrize("command", ["import", "simulate", "ci"])
+def test_runtime_without_clt_loads_no_scipy(tmp_path, command):
+    # only clt's normal quantile needs scipy, and it imports it itself
+    data = tmp_path / "data.csv"
+    _write_mbcr_data(data)
+    argv = {
+        "import": [],
+        "simulate": [
+            "simulate", "--config", str(CONFIGS / "fig2a.json"),
+            "--out", str(tmp_path / "out"),
+        ],
+        "ci": ["ci", "--data", str(data), "--scheme", "mbcr", "--method", "hoeff-mbcr"],
+    }[command]
+    _, code, scipy, _ = _fresh_main(argv)
+    assert code == 0
+    assert scipy == []
+
+
+def test_clt_loads_scipy_on_its_first_quantile(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_bernoulli_data(data)
+    argv = [
+        "ci", "--data", str(data), "--scheme", "bernoulli", "--pi", "0.1",
+        "--method", "clt", "--json",
+    ]
+    out, code, scipy, _ = _fresh_main(argv)
+    assert code == 0
+    assert "scipy.special" in scipy
+    # the same bytes as in this process, where the quantile may be cached
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_clt_quantiles_computed_before_the_fork(tmp_path):
+    # children inherit scipy.special and the cached quantile of each alpha
+    config = tmp_path / "clt.json"
+    config.write_text(json.dumps({
+        "experiment": "coverage",
+        "grid": {"n": [200], "pi": ["1/10"], "alpha": [0.05, 0.1]},
+        "methods": ["clt", "sub-bernoulli-bern"],
+        "dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5},
+        "replications": 20,
+        "seed": 3,
+        "setting": "design_based",
+    }))
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        _, code, scipy, forks = _fresh_main([*argv, "--workers", workers])
+        assert code == 0
+        assert "scipy.special" in scipy
+        runs[workers] = forks, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["1"][0] == []
+    assert runs["2"][0] == [[True, 2]]
+    assert runs["2"][1] == runs["1"][1]
+    assert sorted(runs["1"][1]) == ["coverage.csv", "manifest.json"]

@@ -410,9 +410,23 @@ def test_refused_fraction_is_shown_in_time_linear_in_its_digits():
 
 
 def test_unit_coef_refuses_propensity_outside_unit_interval():
-    asg = Assignment(z=np.array([0, 1], dtype=np.int8), scheme="bernoulli", pi=1.0)
+    # refused when the assignment is built, before any term is weighed
     with pytest.raises(DesignError, match="outside"):
-        ObservedData(y=np.array([0.5, 0.5]), assignment=asg).terms
+        Assignment(z=np.array([0, 1], dtype=np.int8), scheme="bernoulli", pi=1.0)
+
+
+@pytest.mark.parametrize("scheme", ["bernoulli", "complete"])
+def test_assignment_takes_propensities_in_min_pi_to_half(scheme):
+    z = np.array([0, 1], dtype=np.int8)
+    for pi, refusal in [
+        (0.7, "outside"),
+        (MIN_PI / 2, "below the floor"),
+        (1e-320, "below the floor"),
+    ]:
+        with pytest.raises(DesignError, match=refusal):
+            Assignment(z, scheme, pi)
+    for pi in (MIN_PI, 0.5):
+        assert Assignment(z, scheme, pi).pi == pi
 
 
 def test_layout_constants_read_only_and_built_once():
