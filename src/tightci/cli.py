@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``ci`` computes one interval from an observed-data CSV, which
-holds the whole draw (``z`` and, for a grouped draw, ``beta,eta``);
+holds the whole draw (``z`` and, for a grouped draw, each unit's ``block``);
 ``simulate`` runs any experiment config (coverage, width scaling, RMSE or
 the exact equivalence check), writes its CSV and manifest, and prints the
 report summary.  Exit codes: 0 success, 1 validation error (bad flags,
@@ -11,7 +11,8 @@ The ``--alpha`` flag is always the total miscoverage of the printed
 interval.  Closed-form methods use it directly; the Studentized interval's
 underlying construction is two one-sided bounds, so the CLI halves the
 requested miscoverage before building it (it divides by the method's
-``miscoverage_factor``, which is two for that interval and one otherwise).
+``miscoverage_factor``, which is two for that interval and one otherwise),
+so its ``--alpha`` floor is ``2 * MIN_ALPHA``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .harness import (
     run_experiment,
     write_outputs,
 )
-from .intervals import METHOD_TABLE, METHODS, Interval, IntervalError, validate_alpha
+from .intervals import METHOD_TABLE, METHODS, MIN_ALPHA, Interval, IntervalError
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ci = sub.add_parser("ci", help="compute one confidence interval from a data file")
-    p_ci.add_argument("--data", required=True, help="CSV with columns y,z (mbcr data adds beta,eta)")
+    p_ci.add_argument("--data", required=True, help="CSV with columns y,z (mbcr data adds block)")
     p_ci.add_argument(
         "--scheme",
         required=True,
@@ -105,42 +106,48 @@ def build_parser() -> argparse.ArgumentParser:
 # ci subcommand
 
 
-def _validate_perm(name: str, values: np.ndarray, n: int) -> np.ndarray:
-    """The float column ``values`` as an integer permutation of ``0..n-1``,
-    checked before the cast, which would mangle a value outside int64."""
-    if not np.array_equal(values, np.trunc(values)):
-        raise CliError(f"{name} column must contain integers")
-    if not np.array_equal(np.sort(values), np.arange(n)):
-        raise CliError(f"{name} column is not a permutation of 0..{n - 1}")
-    return values.astype(np.int64)
-
-
-def _mbcr_assignment(z: np.ndarray, perm_cols) -> Assignment:
-    n = z.shape[0]
-    layout = compute_layout(n, int(z.sum()))
-    if perm_cols is None:
-        raise CliError(
-            "mbcr data needs its permutation detail: give beta,eta columns in --data"
+def _mbcr_assignment(z: np.ndarray, block) -> Assignment:
+    """The grouped assignment of data whose units carry the integer labels
+    ``block``: full blocks in increasing label order, then the tail, each
+    with its treated units first and otherwise in row order."""
+    if block is None:
+        raise CliError("mbcr data needs each unit's block: give a block column in --data")
+    if not np.array_equal(block, np.trunc(block)):
+        raise CliError("block column must contain integers")
+    layout = compute_layout(z.shape[0], int(z.sum()))
+    g, s, k = layout.group_size, layout.tail_size, layout.tail_treated
+    labels, unit_block, sizes = np.unique(block, return_inverse=True, return_counts=True)
+    treated = np.bincount(unit_block[z == 1], minlength=labels.size)
+    # A tail is never a full block's (g, 1): with one treated unit it is
+    # shorter than g, and otherwise it has two.
+    odd = np.flatnonzero((sizes != g) | (treated != 1))
+    if [(sizes[b], treated[b]) for b in odd] != ([(s, k)] if s else []):
+        tail = f", and one of {s} units with {k} treated" if s else ""
+        found = "; ".join(
+            f"block {int(labels[b])} has {sizes[b]} units, {treated[b]} treated"
+            for b in odd[:3]
         )
-    beta = _validate_perm("beta", perm_cols["beta"], n)
-    eta = _validate_perm("eta", perm_cols["eta"], n)
-    # Each slot's block; the tail block, when present, is the last one.
-    block = np.minimum(np.arange(n) // layout.group_size, layout.num_full_groups)
-    if not np.array_equal(block[beta], block):
-        raise CliError("beta column does not preserve the group blocks")
-    # Unit j gets the pattern at beta[eta[j]], a slot of eta[j]'s block.
-    assignment = grouped_assignment(layout, beta[eta])
-    if not np.array_equal(assignment.z, z):
         raise CliError(
-            "assignment detail does not reproduce the data's z column; "
-            "check the permutations"
+            f"block column does not match the grouped layout of {layout.n} units, "
+            f"{layout.n1} treated: {layout.num_full_groups} blocks of {g} units "
+            f"with one treated each{tail}; {found}"
         )
-    return assignment
+    slot_order = np.lexsort((1 - z, unit_block, np.isin(unit_block, odd)))
+    eta = np.empty_like(slot_order)
+    eta[slot_order] = np.arange(layout.n)
+    return grouped_assignment(layout, eta)
 
 
 def _compute_ci(args) -> Interval:
-    validate_alpha(args.alpha)
-    cols = read_csv_columns(args.data, ("y", "z"), optional=("beta", "eta"))
+    scheme, method = args.scheme, args.method
+    spec = METHOD_TABLE[method]
+    alpha = args.alpha / spec.miscoverage_factor
+    if not (MIN_ALPHA <= alpha and args.alpha < 1.0):
+        raise CliError(
+            f"--alpha must lie in (0, 1) and be at least "
+            f"{MIN_ALPHA * spec.miscoverage_factor!r} for {method}, got {args.alpha!r}"
+        )
+    cols = read_csv_columns(args.data, ("y", "z"), optional=("block",))
     y = cols["y"]
     if not np.all(np.isin(cols["z"], (0.0, 1.0))):
         raise CliError("z column must be 0/1")
@@ -148,17 +155,8 @@ def _compute_ci(args) -> Interval:
     if y.min() < 0.0 or y.max() > 1.0:
         raise CliError("y values must lie in [0, 1]; rescale the outcomes first")
     n = y.shape[0]
+    block = cols.get("block")
 
-    perm_names = [name for name in ("beta", "eta") if name in cols]
-    if len(perm_names) == 1:
-        raise CliError(
-            f"{args.data} has a {perm_names[0]} column but not its partner; "
-            "permutation detail needs both beta and eta"
-        )
-    perm_cols = cols if perm_names else None
-
-    scheme, method = args.scheme, args.method
-    spec = METHOD_TABLE[method]
     if scheme not in spec.cli_schemes:
         usable = [m for m in METHODS if scheme in METHOD_TABLE[m].cli_schemes]
         raise CliError(
@@ -177,9 +175,9 @@ def _compute_ci(args) -> Interval:
     validate_propensity(pi)
 
     if scheme == SCHEME_MBCR:
-        assignment = _mbcr_assignment(z, perm_cols)
-    elif perm_cols is not None:
-        raise CliError("beta/eta permutation detail only applies to scheme mbcr")
+        assignment = _mbcr_assignment(z, block)
+    elif block is not None:
+        raise CliError("the block column only applies to scheme mbcr")
     else:
         assignment = Assignment(z=z, scheme=scheme, pi=pi)
     layout = assignment.layout
@@ -190,11 +188,10 @@ def _compute_ci(args) -> Interval:
         if layout.tail_treated != 0:
             raise CliError(
                 f"{method} on plain complete data needs groups that tile the "
-                "sample (n1 dividing n); otherwise draw with scheme mbcr and "
-                "pass the permutation detail"
+                "sample (n1 dividing n); otherwise give each unit's block in "
+                "--data and use scheme mbcr"
             )
     data = ObservedData(y=y, assignment=assignment)
-    alpha = args.alpha / spec.miscoverage_factor
     if spec.adaptive is not None:
         return spec.adaptive(data, alpha)
     return spec.closed(ht_estimate(data), layout, n, pi, alpha)

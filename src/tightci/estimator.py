@@ -43,13 +43,14 @@ def read_csv_columns(
 ) -> dict[str, np.ndarray]:
     """The numeric columns of a UTF-8 CSV file, keyed by their header names.
 
-    Spaces around the header names are ignored.  The header names every
+    A leading byte-order mark, as spreadsheet exports write, and spaces
+    around the header names are ignored.  The header names every
     ``required`` column, and nothing outside ``required + optional`` or
     twice.  Every row holds one finite number per header name; blank lines
     are skipped, and a file without data rows is refused.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = [name.strip() for name in next(reader, [])]
             missing = [c for c in required if c not in names]
@@ -125,13 +126,6 @@ class PotentialTable:
         """Load a table from a CSV file with header ``y0,y1``."""
         cols = read_csv_columns(path, ("y0", "y1"))
         return cls(cols["y0"], cols["y1"])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y0", "y1"])
-            for a, b in zip(self.y0, self.y1):
-                writer.writerow([repr(float(a)), repr(float(b))])
 
 
 @dataclass(frozen=True)

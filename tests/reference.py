@@ -3,17 +3,18 @@
 Plain per-unit and per-block expressions of what the library computes in
 vectorized form, the exact conditional-expectation oracle for the grouped
 estimator's unbiasedness, the propensity-only bound on the grouped width
-constant, and the exact enumeration's tuple count.  No library code path
-calls them.
+constant, the exact enumeration's tuple count, and the writers of the CSV
+files that the library reads.  No library code path calls them.
 """
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
 from tightci.design import SCHEME_COMPLETE, Assignment, MbcrLayout, _check_counts
-from tightci.estimator import EstimatorError, PotentialTable
+from tightci.estimator import EstimatorError, ObservedData, PotentialTable
 
 VARIANT_STANDARD = "standard"
 VARIANT_MIRRORED = "mirrored"
@@ -41,6 +42,33 @@ def slot_blocks(layout: MbcrLayout) -> list[np.ndarray]:
     if layout.tail_size > 0:
         blocks.append(np.arange(t * g, layout.n))
     return blocks
+
+
+def write_table_csv(path, table: PotentialTable) -> None:
+    """Write ``table`` as a ``y0,y1`` CSV, each value by its ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y0", "y1"])
+        for a, b in zip(table.y0, table.y1):
+            writer.writerow([repr(float(a)), repr(float(b))])
+
+
+def unit_blocks(asg: Assignment) -> np.ndarray:
+    """Each unit's block in a grouped draw, its slot's: ``min(eta[j] // g,
+    T)``, so the full blocks are ``0..T-1`` in slot order and the tail ``T``."""
+    lay = asg.layout
+    return np.minimum(asg.eta // lay.group_size, lay.num_full_groups)
+
+
+def write_grouped_csv(path, data: ObservedData) -> None:
+    """Write a grouped draw as ``tightci ci`` reads it, a ``y,z,block`` CSV
+    with each unit's :func:`unit_blocks` label."""
+    block = unit_blocks(data.assignment)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "z", "block"])
+        for y, z, b in zip(data.y, data.assignment.z, block):
+            writer.writerow([repr(float(y)), int(z), int(b)])
 
 
 def enumeration_space_size(layout: MbcrLayout) -> int:

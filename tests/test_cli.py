@@ -10,11 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import draw_complete, inverse_permutation
-from tightci.cli import main
-from tightci.design import MAX_N, MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
-from tightci.estimator import ObservedData, PotentialTable
-from tightci.intervals import METHOD_TABLE, METHODS, reevaluate
+from reference import draw_complete, unit_blocks, write_grouped_csv
+from tightci.cli import _mbcr_assignment, main
+from tightci.design import (
+    MAX_N,
+    MIN_PI,
+    compute_layout,
+    draw_bernoulli,
+    draw_mbcr,
+    grouped_assignment,
+)
+from tightci.estimator import ObservedData, PotentialTable, ht_estimate
+from tightci.intervals import METHOD_TABLE, METHODS, MIN_ALPHA, reevaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,24 +40,21 @@ def _write_bernoulli_data(path, n=400, pi=0.1, seed=5):
     return data
 
 
-def _write_mbcr_data(path, n=1000, n1=100, seed=42, draw_seed=99, with_perms=True):
+def _write_mbcr_data(path, n=1000, n1=100, seed=42, draw_seed=99, with_block=True):
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(seed)
     y0 = rng.uniform(0.1, 0.5, n)
     table = PotentialTable(y0, y0 + 0.5)
     asg = draw_mbcr(lay, np.random.default_rng(draw_seed))
     data = ObservedData.realize(table, asg)
+    if with_block:
+        write_grouped_csv(path, data)
+        return data
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if with_perms:
-            w.writerow(["y", "z", "beta", "eta"])
-            rows = zip(data.y, asg.z, np.arange(n), asg.eta)
-            for yy, zz, bb, ee in rows:
-                w.writerow([repr(float(yy)), int(zz), int(bb), int(ee)])
-        else:
-            w.writerow(["y", "z"])
-            for yy, zz in zip(data.y, asg.z):
-                w.writerow([repr(float(yy)), int(zz)])
+        w.writerow(["y", "z"])
+        for yy, zz in zip(data.y, asg.z):
+            w.writerow([repr(float(yy)), int(zz)])
     return data
 
 
@@ -117,92 +121,99 @@ def test_ci_json_roundtrip(tmp_path, capsys, method, flags):
     assert lo == payload["lower"] and hi == payload["upper"]
 
 
-def test_ci_missing_permutation_detail(tmp_path, capsys):
+def test_ci_missing_block_column(tmp_path, capsys):
     path = tmp_path / "bare.csv"
-    _write_mbcr_data(path, with_perms=False)
+    _write_mbcr_data(path, with_block=False)
     code = main([
         "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "hoeff-mbcr",
     ])
     assert code == 1
-    assert "beta,eta" in capsys.readouterr().err
+    assert "give a block column in --data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column", ["beta", "eta"])
 @pytest.mark.parametrize(
     "scheme_args",
     [
-        ["--scheme", "mbcr", "--method", "hoeff-mbcr"],
-        ["--scheme", "bernoulli", "--pi", "0.2", "--method", "sub-bernoulli-bern"],
+        ["--scheme", "complete", "--method", "hoeff-mbcr"],
+        ["--scheme", "bernoulli", "--pi", "0.1", "--method", "sub-bernoulli-bern"],
     ],
-    ids=["mbcr", "bernoulli"],
+    ids=["complete", "bernoulli"],
 )
-def test_ci_lone_permutation_column_refused(tmp_path, capsys, column, scheme_args):
-    z = draw_mbcr(compute_layout(8, 4), np.random.default_rng(5)).z
-    path = tmp_path / "lone.csv"
-    rows = [f"0.5,{int(zz)},{7 * j}" for j, zz in enumerate(z)]
-    path.write_text("\n".join([f"y,z,{column}", *rows]) + "\n")
+def test_ci_block_column_refused_outside_mbcr(tmp_path, capsys, scheme_args):
+    path = tmp_path / "data.csv"
+    _write_mbcr_data(path)
     assert main(["ci", "--data", str(path), *scheme_args]) == 1
-    err = capsys.readouterr().err
-    assert f"{column} column" in err and "both beta and eta" in err
+    captured = capsys.readouterr()
+    assert captured.err == "error: the block column only applies to scheme mbcr\n"
+    assert captured.out == ""
 
 
-def _swap_beta(cols, s, t):
-    """The columns with slots s and t trading their beta entries."""
-    beta = cols["beta"].copy()
-    beta[[s, t]] = beta[[t, s]]
-    return {**cols, "beta": beta}
+def test_ci_permutation_columns_refused(tmp_path, capsys):
+    # a grouped draw is read from its block labels; beta,eta columns, the
+    # earlier format, are unknown columns
+    lay = compute_layout(8, 4)
+    asg = draw_mbcr(lay, np.random.default_rng(5))
+    rows = (f"0.5,{z},{j},{e}" for j, (z, e) in enumerate(zip(asg.z.tolist(), asg.eta)))
+    path = tmp_path / "old.csv"
+    path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
+    args = ["ci", "--data", str(path), "--scheme", "mbcr", "--method", "hoeff-mbcr"]
+    assert main(args) == 1
+    assert "unexpected or repeated column(s) ['beta', 'eta']" in capsys.readouterr().err
 
 
-_NOT_IN_BLOCKS = "beta column does not preserve the group blocks"
+def _move(block, units, label):
+    """``block`` with ``units`` relabelled ``label``."""
+    block = block.copy()
+    block[units] = label
+    return block
 
-# Each edit of a grouped draw's columns, and the refusal it must meet.
-_PERM_EDITS = {
-    "unaltered": (lambda lay, cols: cols, None),
-    "non-integer-beta": (
-        lambda lay, cols: {**cols, "beta": [0.5, *cols["beta"][1:]]},
-        "beta column must contain integers",
+
+def _first(z, block, label, treated):
+    """The first unit of block ``label`` that is treated (or a control)."""
+    return np.flatnonzero((block == label) & (z == int(treated)))[0]
+
+
+_MISMATCH = "block column does not match the grouped layout of "
+
+# Each edit of a grouped draw's block labels (full blocks 0..T-1, tail T),
+# and the refusal it must meet.
+_BLOCK_EDITS = {
+    "unaltered": (lambda lay, z, b: b, None),
+    "non-integer": (lambda lay, z, b: _move(b, 0, 0.5), "block column must contain integers"),
+    # a control of block 0 moved to block 1
+    "full-block-size": (
+        lambda lay, z, b: _move(b, _first(z, b, 0, False), 1),
+        "block 0 has {g1} units, 1 treated; block 1 has {g2} units, 1 treated",
     ),
-    # refused on the float column, before a cast to int64 could mangle it
-    "beta-beyond-int64": (
-        lambda lay, cols: {**cols, "beta": [1e20, *cols["beta"][1:]]},
-        "beta column is not a permutation",
-    ),
-    "repeated-eta": (
-        lambda lay, cols: {**cols, "eta": [cols["eta"][1], *cols["eta"][1:]]},
-        "eta column is not a permutation",
-    ),
-    "full-block": (
-        lambda lay, cols: _swap_beta(cols, lay.group_size - 1, lay.group_size),
-        _NOT_IN_BLOCKS,
-    ),
-    # the last full block's final slot and the tail's first slot
-    "tail-block": (
-        lambda lay, cols: _swap_beta(
-            cols,
-            lay.num_full_groups * lay.group_size - 1,
-            lay.num_full_groups * lay.group_size,
+    # block 0's treated unit trades blocks with a control of block 1
+    "full-block-treated": (
+        lambda lay, z, b: _move(
+            _move(b, _first(z, b, 0, True), 1), _first(z, b, 1, False), 0
         ),
-        _NOT_IN_BLOCKS,
+        "block 0 has {g} units, 0 treated; block 1 has {g} units, 2 treated",
+    ),
+    # the tail merged into the last full block
+    "tail": (
+        lambda lay, z, b: np.minimum(b, lay.num_full_groups - 1),
+        "block {last} has {merged} units, {k1} treated",
     ),
 }
 
 
-@pytest.mark.parametrize("edit", list(_PERM_EDITS))
+@pytest.mark.parametrize("edit", list(_BLOCK_EDITS))
 # (47, 5) spills one treated unit into a tail of 7 slots against blocks of 10;
 # (26, 6) spills two into a tail of 6 slots against blocks of 5.
 @pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
-def test_ci_supplied_permutation_detail_checked(
-    tmp_path, capsys, n, n1, edit, two_stage_perms
-):
-    alter, message = _PERM_EDITS[edit]
+def test_ci_block_labels_checked(tmp_path, capsys, n, n1, edit):
+    alter, message = _BLOCK_EDITS[edit]
     lay = compute_layout(n, n1)
-    beta, eta = two_stage_perms(lay, np.random.default_rng(3))
-    z = lay.allocation[beta[eta]]
-    cols = alter(lay, {"z": z, "beta": beta, "eta": eta})
-    rows = (f"0.5,{int(z)},{b},{e}" for z, b, e in zip(*cols.values()))
+    asg = draw_mbcr(lay, np.random.default_rng(3))
+    z = asg.z
+    block = alter(lay, z, unit_blocks(asg).astype(np.float64))
+    rows = (f"0.5,{zz},{bb!r}" for zz, bb in zip(z.tolist(), block.tolist()))
     path = tmp_path / "data.csv"
-    path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
+    path.write_text("\n".join(["y,z,block", *rows]) + "\n")
     code = main([
         "ci", "--data", str(path), "--scheme", "mbcr",
         "--method", "hoeff-mbcr",
@@ -210,68 +221,144 @@ def test_ci_supplied_permutation_detail_checked(
     err = capsys.readouterr().err
     if message is None:
         assert code == 0 and err == ""
-    else:
-        assert code == 1 and message in err
+        return
+    g, s, k = lay.group_size, lay.tail_size, lay.tail_treated
+    message = message.format(
+        g=g, g1=g - 1, g2=g + 1, last=lay.num_full_groups - 1, merged=g + s, k1=k + 1
+    )
+    assert code == 1 and message in err
+    if edit != "non-integer":
+        layout = (
+            f"{n} units, {n1} treated: {lay.num_full_groups} blocks of {g} units "
+            f"with one treated each, and one of {s} units with {k} treated; "
+        )
+        assert f"error: {_MISMATCH}{layout}" in err
+
+
+def test_ci_checks_the_blocks_of_a_tiling_draw(tmp_path, capsys):
+    # with no tail every block is a full one: one of 11 units is refused
+    path = tmp_path / "data.csv"
+    args = ["ci", "--data", str(path), "--scheme", "mbcr", "--method", "hoeff-mbcr"]
+    rows = [f"0.5,{int(j % 10 == 0)},{min(j // 10, 3)}" for j in range(40)]
+    path.write_text("\n".join(["y,z,block", *rows]) + "\n")
+    assert main(args) == 0
+    capsys.readouterr()
+    rows[10] = "0.5,1,0"
+    path.write_text("\n".join(["y,z,block", *rows]) + "\n")
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {_MISMATCH}40 units, 4 treated: 4 blocks of 10 units with one "
+        "treated each; block 0 has 11 units, 2 treated; block 1 has 9 units, 0 treated\n"
+    )
 
 
 _GROUPED_METHODS = [m for m in METHODS if "mbcr" in METHOD_TABLE[m].cli_schemes]
+# (50, 5) tiles the sample with blocks of 10; (47, 5) and (26, 6) spill one
+# and two treated units into a tail.
+_SHAPES = pytest.mark.parametrize(
+    "n, n1", [(50, 5), (47, 5), (26, 6)], ids=["tiling", "spill-1", "spill-2"]
+)
+
+
+def _grouped_draw(n, n1, seed=5) -> ObservedData:
+    lay = compute_layout(n, n1)
+    rng = np.random.default_rng(seed)
+    y0 = rng.uniform(0.0, 0.5, n)
+    table = PotentialTable(y0, y0 + 0.5 * rng.random(n))
+    return ObservedData.realize(table, draw_mbcr(lay, rng))
+
+
+def _library_interval(method, data, alpha=0.05):
+    """The interval the library builds for ``method`` on a grouped draw, at
+    total miscoverage ``alpha`` as ``ci --alpha`` gives it."""
+    spec = METHOD_TABLE[method]
+    if spec.adaptive is not None:
+        return spec.adaptive(data, alpha / spec.miscoverage_factor)
+    lay = data.assignment.layout
+    return spec.closed(ht_estimate(data), lay, lay.n, lay.n1 / lay.n, alpha)
+
+
+def _ci_json(capsys, path, method) -> dict:
+    assert main(["ci", "--data", str(path), "--scheme", "mbcr", "--method", method, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("method", _GROUPED_METHODS)
-@pytest.mark.parametrize("n, n1", [(47, 5), (26, 6)], ids=["spill-1", "spill-2"])
-def test_ci_block_shuffled_columns_match_the_seeded_draw(
-    tmp_path, capsys, n, n1, method, two_stage_perms
-):
-    # beta,eta columns with a shuffled beta, and eta = beta^-1 . eta_seed, put
-    # every unit at a slot of its seeded block that holds its seeded z: they
-    # compose to the seeded eta, so the interval is the one that the seeded
-    # draw's own columns (identity beta) give
-    lay = compute_layout(n, n1)
-    seeded = draw_mbcr(lay, np.random.default_rng(5))
-    beta, _ = two_stage_perms(lay, np.random.default_rng(6))
-    eta = inverse_permutation(beta)[seeded.eta]
-    rng = np.random.default_rng(7)
-    y0 = rng.uniform(0.0, 0.5, n)
-    y = ObservedData.realize(PotentialTable(y0, y0 + 0.5 * rng.random(n)), seeded).y
-    y_z = [f"{yy!r},{z}" for yy, z in zip(y.tolist(), seeded.z.tolist())]
-    cols, identity = tmp_path / "cols.csv", tmp_path / "identity.csv"
-    rows = (f"{yz},{b},{e}" for yz, b, e in zip(y_z, beta, eta))
-    cols.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
-    rows = (f"{yz},{j},{e}" for j, (yz, e) in enumerate(zip(y_z, seeded.eta)))
-    identity.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
-    base = ["--scheme", "mbcr", "--method", method, "--json"]
-    assert main(["ci", "--data", str(cols), *base]) == 0
-    shuffled = json.loads(capsys.readouterr().out)
-    assert main(["ci", "--data", str(identity), *base]) == 0
-    plain = json.loads(capsys.readouterr().out)
-    for end in ("lower", "upper"):
-        assert shuffled[end] == pytest.approx(plain[end], rel=1e-12, abs=1e-12)
-
-
-def test_ci_wrong_permutation_columns_rejected(tmp_path, capsys):
-    # valid, block-preserving columns of another draw seat other units in
-    # the treated slots
-    lay = compute_layout(1000, 100)
-    z = draw_mbcr(lay, np.random.default_rng(7)).z
-    eta = draw_mbcr(lay, np.random.default_rng(8)).eta
-    rows = (f"0.5,{zz},{j},{e}" for j, (zz, e) in enumerate(zip(z.tolist(), eta)))
+@_SHAPES
+def test_ci_block_file_gives_the_library_interval(tmp_path, capsys, n, n1, method):
+    # the block labels fix every unit's block, not its slot inside it, so
+    # the sums inside a block may run in another order
+    data = _grouped_draw(n, n1)
+    want = _library_interval(method, data)
     path = tmp_path / "data.csv"
-    path.write_text("\n".join(["y,z,beta,eta", *rows]) + "\n")
-    code = main([
-        "ci", "--data", str(path), "--scheme", "mbcr", "--method", "hoeff-mbcr",
-    ])
-    assert code == 1
-    assert "does not reproduce" in capsys.readouterr().err
+    write_grouped_csv(path, data)
+    got = _ci_json(capsys, path, method)
+    for end in ("lower", "upper"):
+        assert math.isclose(got[end], getattr(want, end), rel_tol=2e-15, abs_tol=1e-15)
+
+    # rows whose slots inside each block already run treated first, then in
+    # row order, give the draw's own slots: here the rows go by slot within
+    # the block, then by block
+    lay = data.assignment.layout
+    slot, block = data.assignment.eta, unit_blocks(data.assignment)
+    rows = np.lexsort((block, slot - block * lay.group_size))
+    reordered = ObservedData(
+        y=data.y[rows], assignment=grouped_assignment(lay, slot[rows])
+    )
+    assert _library_interval(method, reordered) == want
+    write_grouped_csv(path, reordered)
+    got = _ci_json(capsys, path, method)
+    assert (got["lower"], got["upper"]) == (want.lower, want.upper)
+    assert got["half_width"] == want.half_width
+
+
+@_SHAPES
+def test_block_labels_imply_z_and_keep_every_unit_in_its_block(n, n1):
+    # labels in any order, as many distinct values as blocks
+    data = _grouped_draw(n, n1, seed=9)
+    lay, z = data.assignment.layout, data.assignment.z
+    block = unit_blocks(data.assignment)
+    relabel = np.random.default_rng(1).permutation(lay.num_groups) * 3 - 4
+    asg = _mbcr_assignment(z, relabel[block].astype(np.float64))
+    assert np.array_equal(asg.z, z)
+    built = unit_blocks(asg)
+    pairs = set(zip(block.tolist(), built.tolist()))
+    assert len(pairs) == lay.num_groups
+    assert {b for b, _ in pairs} == {b for _, b in pairs} == set(range(lay.num_groups))
+
+
+@pytest.mark.parametrize("method", _GROUPED_METHODS)
+@_SHAPES
+def test_ci_labels_under_an_increasing_map_print_the_same_bytes(
+    tmp_path, capsys, n, n1, method
+):
+    # only the labels' order is read, and the tail goes last whatever its label
+    data = _grouped_draw(n, n1, seed=11)
+    plain = tmp_path / "plain.csv"
+    write_grouped_csv(plain, data)
+    header, *rows = plain.read_text().splitlines()
+    cells = [row.rpartition(",") for row in rows]
+    tail = data.assignment.layout.num_full_groups
+    path = tmp_path / "relabelled.csv"
+    args = ["ci", "--data", str(path), "--scheme", "mbcr", "--method", method]
+    outputs = []
+    for relabel in (lambda b: b, lambda b: 7 * b + 3, lambda b: -1 if b == tail else b):
+        moved = (f"{y_z},{relabel(int(b))}" for y_z, _, b in cells)
+        path.write_text("\n".join([header, *moved]) + "\n")
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def _ci_args(path, scheme) -> list[str]:
-    """``ci`` on data drawn under ``scheme`` (grouped data with its beta,eta
-    columns) with a method that applies to it, before any ``--pi``."""
+    """``ci`` on data drawn under ``scheme`` (grouped data with its block
+    column) with a method that applies to it, before any ``--pi``."""
     if scheme == "bernoulli":
         _write_bernoulli_data(path)
         method = "clt"
     else:
-        _write_mbcr_data(path, with_perms=scheme == "mbcr")
+        _write_mbcr_data(path, with_block=scheme == "mbcr")
         method = "hoeff-mbcr"
     return ["ci", "--data", str(path), "--scheme", scheme, "--method", method]
 
@@ -280,7 +367,7 @@ def _ci_args(path, scheme) -> list[str]:
 @pytest.mark.parametrize("scheme", ["bernoulli", "complete", "mbcr"])
 def test_ci_removed_draw_flags_refused(tmp_path, capsys, scheme, flag):
     # --data holds the whole draw: the treated count is its z column's and a
-    # grouped draw's permutations are its beta,eta columns
+    # grouped draw's blocks are its block column
     base = _ci_args(tmp_path / "data.csv", scheme)
     if scheme == "bernoulli":
         base += ["--pi", "0.1"]
@@ -309,12 +396,12 @@ def test_ci_propensity_flag_checked_against_scheme(
 
 @pytest.mark.parametrize("scheme", ["complete", "mbcr"])
 def test_ci_all_control_data_refused(tmp_path, capsys, scheme):
-    # no treated unit is a propensity of 0; the grouped data's identity
-    # columns are a valid permutation, so only z is at fault
+    # no treated unit is a propensity of 0; the grouped data's blocks are
+    # integer labels, so only z is at fault
     grouped = scheme == "mbcr"
-    rows = [f"0.5,0,{j},{j}" if grouped else "0.5,0" for j in range(10)]
+    rows = [f"0.5,0,{j // 2}" if grouped else "0.5,0" for j in range(10)]
     path = tmp_path / "data.csv"
-    path.write_text("\n".join(["y,z,beta,eta" if grouped else "y,z", *rows]) + "\n")
+    path.write_text("\n".join(["y,z,block" if grouped else "y,z", *rows]) + "\n")
     code = main([
         "ci", "--data", str(path), "--scheme", scheme, "--method", "hoeff-mbcr",
     ])
@@ -325,7 +412,7 @@ def test_ci_all_control_data_refused(tmp_path, capsys, scheme):
 
 def _ci_json_transcript(tmp_path, capsys, method) -> bytes:
     """The exit code, stdout and stderr of ``ci --json`` with ``method`` on
-    grouped data with beta,eta at (1000, 100) and with a tail at (997, 100),
+    grouped data with its blocks at (1000, 100) and with a tail at (997, 100),
     complete data at (1000, 100) and Bernoulli data at (400, 0.1)."""
     grouped, tailed, complete, bern = (
         tmp_path / f"{name}.csv" for name in ("grouped", "tailed", "complete", "bern")
@@ -333,7 +420,7 @@ def _ci_json_transcript(tmp_path, capsys, method) -> bytes:
     _write_mbcr_data(grouped)
     _write_mbcr_data(tailed, n=997)
     # groups that tile the sample make a grouped draw a complete one
-    _write_mbcr_data(complete, draw_seed=5, with_perms=False)
+    _write_mbcr_data(complete, draw_seed=5, with_block=False)
     _write_bernoulli_data(bern)
     runs = [
         (grouped, ["--scheme", "mbcr"]),
@@ -363,7 +450,7 @@ _CI_GOLDEN = {
         "8051acbad5980d13a9cbbd10be3ac4d598ecd12fc6f5c53d472d45e392405f07"
     ),
     "studentized": (
-        "1dfc705aa1f2f2cbd459f88b9469227bde403d94b0d8ac93d3234f67a32d2748"
+        "0d16bc861a547d17de53dfa1bc50b5bb4e4325ba413a12a19fc048f534ccdec5"
     ),
     "naive-hoeffding": (
         "79bf8fe0b666debe0ef3665fb12693ca21d77b5823e779067ebcd8f2a505a83c"
@@ -391,6 +478,30 @@ def test_ci_alpha_validation(tmp_path, capsys):
     ])
     assert code == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, floor", [("hoeff-mbcr", MIN_ALPHA), ("studentized", 2 * MIN_ALPHA)]
+)
+def test_ci_alpha_floor_is_the_methods(tmp_path, capsys, method, floor):
+    # the Studentized interval is built at half the --alpha given, so its
+    # floor is twice MIN_ALPHA, and a refusal names the value given
+    path = tmp_path / "data.csv"
+    _write_mbcr_data(path)
+    base = ["ci", "--data", str(path), "--scheme", "mbcr", "--method", method]
+    assert main([*base, "--alpha", repr(floor), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == MIN_ALPHA
+    for alpha in (math.nextafter(floor, 0.0), 1.5e-308, 0.0, 1.0, 1.5):
+        code = main([*base, "--alpha", repr(alpha)])
+        captured = capsys.readouterr()
+        if floor <= alpha < 1.0:
+            assert code == 0 and captured.err == ""
+            continue
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: --alpha must lie in (0, 1) and be at least {floor!r} "
+            f"for {method}, got {alpha!r}\n"
+        )
 
 
 def test_ci_studentized_insufficient_groups(tmp_path, capsys):
@@ -484,6 +595,15 @@ def test_ci_complete_scheme_with_tiling_groups(tmp_path, capsys):
     assert payload["half_width"] == pytest.approx(
         math.sqrt(10) * math.sqrt(2 * math.log(40) / n)
     )
+    # 5 treated of 47 leave a tail, which only each unit's block can place
+    path.write_text("y,z\n" + "".join(f"0.5,{int(j < 5)}\n" for j in range(47)))
+    code = main([
+        "ci", "--data", str(path), "--scheme", "complete", "--method", "hoeff-mbcr",
+    ])
+    assert code == 1
+    assert "otherwise give each unit's block in --data and use scheme mbcr" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -560,6 +680,44 @@ def test_ci_malformed_rows_refused(tmp_path, capsys, text, message):
     ])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_read_past(tmp_path, capsys):
+    # spreadsheet exports may open a UTF-8 file with a byte-order mark
+    from reference import write_table_csv
+
+    bom = b"\xef\xbb\xbf"
+    data, data_bom = tmp_path / "data.csv", tmp_path / "data_bom.csv"
+    _write_bernoulli_data(data, n=60)
+    data_bom.write_bytes(bom + data.read_bytes())
+    flags = ["--scheme", "bernoulli", "--pi", "0.1", "--method", "clt", "--json"]
+    outputs = []
+    for path in (data, data_bom):
+        assert main(["ci", "--data", str(path), *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+    table, table_bom = tmp_path / "table.csv", tmp_path / "table_bom.csv"
+    y0 = np.random.default_rng(4).uniform(0.0, 0.5, 40)
+    write_table_csv(table, PotentialTable(y0, y0 + 0.25))
+    table_bom.write_bytes(bom + table.read_bytes())
+    reports = []
+    for path in (table, table_bom):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "experiment": "coverage",
+            "grid": {"n": [40], "pi": ["1/10"], "alpha": [0.05]},
+            "methods": ["hoeff-mbcr", "sub-bernoulli-bern"],
+            "dgp": {"kind": "fixed_table", "path": str(path)},
+            "replications": 20,
+            "seed": 2,
+            "setting": "design_based",
+        }))
+        out = tmp_path / path.stem
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        reports.append((out / "coverage.csv").read_bytes())
+    capsys.readouterr()
+    assert reports[1] == reports[0]
 
 
 def test_ci_trailing_blank_line_loads(tmp_path, capsys):
@@ -815,9 +973,9 @@ def test_removed_run_subcommands_are_validation_errors(tmp_path, capsys):
 
 
 def test_ci_assignment_flag_is_gone(tmp_path, capsys):
-    # a grouped draw's beta,eta columns ride in --data, the one input file
+    # a grouped draw's block column rides in --data, the one input file
     data = tmp_path / "obs.csv"
-    _write_mbcr_data(data, with_perms=False)
+    _write_mbcr_data(data, with_block=False)
     perms = tmp_path / "perms.csv"
     perms.write_text("beta,eta\n0,0\n")
     args = ["ci", "--data", str(data), "--scheme", "mbcr",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import write_table_csv
 from tightci.dgp import (
     DgpError,
     DgpSpec,
@@ -83,7 +84,7 @@ def test_sampling_deterministic():
 
 def test_fixed_table_loading(tmp_path):
     path = tmp_path / "table.csv"
-    PotentialTable(np.array([0.2, 0.4]), np.array([0.7, 0.9])).to_csv(path)
+    write_table_csv(path, PotentialTable(np.array([0.2, 0.4]), np.array([0.7, 0.9])))
     spec = DgpSpec("fixed_table", n=2, path=str(path))
     sample_population(spec, np.random.default_rng(0))
     assert true_ate_iid(spec) == pytest.approx(0.5)

@@ -15,6 +15,7 @@ from reference import (
     inverse_permutation,
     pseudo_outcome,
     slot_blocks,
+    write_table_csv,
 )
 from tightci.design import (
     Assignment,
@@ -93,7 +94,7 @@ def test_table_validation():
 def test_table_csv_roundtrip(tmp_path):
     table = PotentialTable(np.array([0.25, 0.0, 1.0]), np.array([0.5, 0.125, 0.75]))
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    write_table_csv(path, table)
     loaded = PotentialTable.from_csv(path)
     assert np.array_equal(loaded.y0, table.y0)
     assert np.array_equal(loaded.y1, table.y1)

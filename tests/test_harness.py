@@ -729,12 +729,13 @@ def test_coverage_skips_studentized_cells_with_too_few_groups(caplog):
 def test_fixed_table_read_once_per_cell(tmp_path, monkeypatch, setting):
     import numpy as np
 
+    from reference import write_table_csv
     from tightci.estimator import PotentialTable
 
     path = tmp_path / "table.csv"
     rng = np.random.default_rng(8)
     y0 = rng.uniform(0.0, 0.5, 40)
-    PotentialTable(y0, y0 + 0.25).to_csv(path)
+    write_table_csv(path, PotentialTable(y0, y0 + 0.25))
     reads = []
     original = PotentialTable.from_csv.__func__
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+from reference import write_table_csv
 from tightci.estimator import PotentialTable
 from tightci.harness import parse_config, run_monte_carlo
 from tightci.intervals import METHOD_CLT, METHOD_TABLE
@@ -58,7 +59,7 @@ def test_every_interval_covers_sparse_binary_tables(n, pi_den, tmp_path):
         k = int(expected * pi_den)
         for pattern in PATTERNS:
             path = tmp_path / f"k{k}_{pattern}.csv"
-            _sparse_table(n, k, pattern).to_csv(path)
+            write_table_csv(path, _sparse_table(n, k, pattern))
             raw = {
                 "experiment": "coverage",
                 "grid": {"n": [n], "pi": [f"1/{pi_den}"], "alpha": [ALPHA]},

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import write_table_csv
 from tightci import harness
 from tightci.design import (
     SCHEME_BERNOULLI,
@@ -268,7 +269,7 @@ def test_a_design_draws_every_unit_only_when_it_must(
         raw["setting"] = "superpopulation"
     if dgp == "fixed":
         rng = np.random.default_rng(5)
-        PotentialTable(rng.random(200), rng.random(200)).to_csv(tmp_path / "t.csv")
+        write_table_csv(tmp_path / "t.csv", PotentialTable(rng.random(200), rng.random(200)))
         raw["dgp"] = {"kind": "fixed_table", "path": str(tmp_path / "t.csv")}
     run_monte_carlo(parse_config(raw))
     assert seen == called
