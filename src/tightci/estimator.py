@@ -143,9 +143,12 @@ class ObservedData:
 
     @classmethod
     def realize(cls, table: PotentialTable, assignment: Assignment) -> "ObservedData":
-        """Observe the potential outcome selected by each unit's arm."""
+        """Observe the potential outcome selected by each unit's arm.  A null
+        table's outcomes are its ``y0`` under any draw, read-only."""
         if table.n != assignment.n:
             raise EstimatorError("table and assignment sizes differ")
+        if table.y1 is table.y0:
+            return cls(y=read_only(table.y0.view()), assignment=assignment)
         y = table.y0.copy()
         np.copyto(y, table.y1, where=assignment.treated)
         return cls(y=y, assignment=assignment)

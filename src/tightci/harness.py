@@ -71,12 +71,10 @@ from .dgp import (
 )
 from .estimator import ObservedData, PotentialTable, ht_estimate, treated_set_estimate
 from .intervals import (
-    METHOD_CLT,
     METHOD_TABLE,
     EmptyArmError,
     IntervalError,
     MethodSpec,
-    _z_quantile,
     validate_alpha,
 )
 
@@ -654,11 +652,13 @@ def _run_cells(config, cells, workers: int):
     count produces identical reports.  ``used`` processes, at most the CPUs
     and the cell-replications, each run one slice of every cell, a list of
     ``(cell index, start, stop)``; a platform without ``os.fork`` runs one.
-    The parent computes the ``clt`` quantiles, forks a child for every slice
-    after slice 0 (:func:`_fork_slice`), runs slice 0 itself, then reads
-    each child's pipe to EOF and reaps it.  A child's exception is raised as
-    it is once every child is reaped; a failure of the parent's own kills
-    and reaps every child before it is raised.
+    The parent forks a child for every slice after slice 0
+    (:func:`_fork_slice`), runs slice 0 itself, then reads each child's pipe
+    to EOF and reaps it.  Nothing is computed before the fork for the
+    children's sake: a ``clt`` quantile costs each process microseconds.  A
+    child's exception is raised as it is once every child is reaped; a
+    failure of the parent's own kills and reaps every child before it is
+    raised.
     """
     reps = config.replications
     cpus = os.cpu_count() or 1
@@ -677,10 +677,6 @@ def _run_cells(config, cells, workers: int):
         for w, task in enumerate(slices):
             if cuts[k + w + 1] > cuts[k + w]:
                 task.append((i, cuts[k + w] - cuts[k], cuts[k + w + 1] - cuts[k]))
-    # The CLT quantiles, and the scipy import behind them, are computed here
-    # once, so that every child inherits them rather than repeating them.
-    for alpha in {cells[i].alpha for i in active if METHOD_CLT in cells[i].methods}:
-        _z_quantile(alpha)
     children = []  # (pid, read end) per forked slice, none reaped until the end
     try:
         for task in slices[1:]:

@@ -14,7 +14,9 @@ Constructions provided:
   whose effective sample size degrades with the squared propensity, kept as
   the comparison baseline.
 * ``clt_ci``: a plug-in normal interval, asymptotic only, excluded from all
-  coverage guarantees.
+  coverage guarantees.  Its normal quantile comes from ``_ndtri``, a port of
+  Cephes' ``ndtri`` with scipy.special's bits, so the package runs on numpy
+  alone.
 
 Every builder records the constants it used in a ``tuning`` mapping, and
 ``reevaluate`` reproduces the endpoints from that record alone.  A coverage
@@ -45,7 +47,7 @@ from .design import (
     read_only,
     validate_propensity,
 )
-from .estimator import ObservedData, _weigh_units, groupwise_sums
+from .estimator import ObservedData, _weigh_units, groupwise_sums, ht_estimate
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
 METHOD_SUB_BERNOULLI_BERN = "sub-bernoulli-bern"
@@ -523,6 +525,79 @@ def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Inter
     return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
 
 
+# Cephes' ndtri (S. L. Moshier), the normal quantile scipy.special.ndtri
+# evaluates: a rational function of p - 1/2 on the centre, exp(-2) < p <
+# 1 - exp(-2), and of 1/x, x = sqrt(-2 log p), on each tail, with one pair of
+# coefficient sets below x = 8 (p = exp(-32)) and another from 8 up.
+# Coefficients run from the highest degree down; each denominator's leading
+# 1 is written out, which Horner's first step multiplies exactly.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1,
+    -5.66762857469070293439e1, 1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+    8.63602421390890590575e1, -2.25462687854119370527e2,
+    2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1,
+    5.71628192246421288162e1, 4.40805073893200834700e1,
+    1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+    4.13172038254672030440e1, 1.50425385692907503408e1,
+    2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0,
+    3.93881025292474443415e0, 1.33303460815807542389e0,
+    2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+    1.37702099489081330271e0, 2.16236993594496635890e-1,
+    1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule over ``coef``, highest degree first, as Cephes runs it."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile at ``0 < p < 1``, bit for bit
+    scipy.special.ndtri: Cephes' ``ndtri`` in its own order of operations,
+    with ``math.log`` and ``math.sqrt``."""
+    lower = p <= 1.0 - _EXP_M2
+    y = p if lower else 1.0 - p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    num, den = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _polevl(z, num) / _polevl(z, den)
+    return -x if lower else x
+
+
 # Below this alpha the normal quantile is read from the upper tail.
 _ISF_BELOW = 1e-3
 
@@ -533,18 +608,13 @@ def _z_quantile(alpha: float) -> float:
 
     Forming ``1 - alpha/2`` rounds away the low digits of small tails (and
     all of them below alpha of about 1.1e-16), so below ``_ISF_BELOW`` the
-    upper-tail form ``-ndtri(alpha/2)`` gives the quantile.  Both forms are
-    bit for bit scipy.stats' ``norm.isf(alpha/2)`` and ``norm.ppf(1 - alpha/2)``.
-
-    ``scipy.special`` is imported here, not with the module: it is most of
-    the package's start-up time and memory, and only ``clt`` needs it, so a
-    run that builds no CLT interval never loads scipy.
+    upper-tail form ``-_ndtri(alpha/2)`` gives the quantile.  Both forms are
+    bit for bit scipy.stats' ``norm.isf(alpha/2)`` and ``norm.ppf(1 - alpha/2)``:
+    :func:`_ndtri` runs the Cephes code behind both, so no scipy is needed.
     """
-    from scipy.special import ndtri
-
     if alpha < _ISF_BELOW:
-        return float(-ndtri(alpha / 2.0))
-    return float(ndtri(1.0 - alpha / 2.0))
+        return -_ndtri(alpha / 2.0)
+    return _ndtri(1.0 - alpha / 2.0)
 
 
 def _clt_half(alpha: float, t: dict[str, Any]) -> float:
@@ -562,11 +632,14 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     n_treat = np.count_nonzero(asg.z)
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
-    vals = data.terms
-    vhat = float(np.var(vals, ddof=1))
+    est = ht_estimate(data)
+    # np.var(ddof=1)'s own arithmetic, about the mean already read
+    x = data.terms - est
+    x *= x
+    vhat = float(x.sum() / (data.n - 1))
     zq = _z_quantile(alpha)
     t = {"n": data.n, "pi": float(asg.pi), "vhat": vhat, "z_quantile": zq}
-    return _centered(METHOD_CLT, float(np.mean(vals)), alpha, _clt_half(alpha, t), t)
+    return _centered(METHOD_CLT, est, alpha, _clt_half(alpha, t), t)
 
 
 # ---------------------------------------------------------------------------

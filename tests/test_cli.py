@@ -1141,8 +1141,8 @@ def test_module_entry_point_subprocess():
 
 
 def test_runtime_does_not_import_scipy_stats():
-    # the normal quantile comes from scipy.special; a fresh
-    # process that imports the command line never loads scipy.stats
+    # the normal quantile is the package's own; a fresh process that
+    # imports the command line never loads scipy.stats
     import subprocess
     import sys
 
@@ -1154,34 +1154,32 @@ def test_runtime_does_not_import_scipy_stats():
 
 
 # A fresh interpreter's last line of output: main's exit code (0 when no
-# arguments are given and main is not called), the scipy modules loaded,
-# and, at each os.fork, whether scipy.special was loaded and how many
-# normal quantiles were cached.  Two CPUs are reported, so that two
-# workers fork on any machine.
+# arguments are given and main is not called), the scipy modules loaded and
+# the number of os.fork calls.  Two CPUs are reported, so that two workers
+# fork on any machine.
 _FRESH_MAIN = """
 import json, os, sys
 from tightci.cli import main
-from tightci.intervals import _z_quantile
 
 forks = []
 fork = os.fork
 
-def watched_fork():
-    forks.append(["scipy.special" in sys.modules, _z_quantile.cache_info().currsize])
+def counted_fork():
+    forks.append(1)
     return fork()
 
-os.fork = watched_fork
+os.fork = counted_fork
 os.cpu_count = lambda: 2
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps([code, scipy, forks]))
+print(json.dumps([code, scipy, len(forks)]))
 """
 
 
-def _fresh_main(argv: list[str]) -> tuple[str, int, list[str], list]:
+def _fresh_main(argv: list[str]) -> tuple[str, int, list[str], int]:
     """``main(argv)`` in a fresh interpreter: the output before the probe's
-    line, the exit code, the scipy modules loaded and the state at each
-    fork (see ``_FRESH_MAIN``)."""
+    line, the exit code, the scipy modules loaded and the number of forks
+    (see ``_FRESH_MAIN``)."""
     import subprocess
     import sys
 
@@ -1196,43 +1194,8 @@ def _fresh_main(argv: list[str]) -> tuple[str, int, list[str], list]:
     return (out + "\n" if out else ""), *json.loads(probe)
 
 
-@pytest.mark.parametrize("command", ["import", "simulate", "ci"])
-def test_runtime_without_clt_loads_no_scipy(tmp_path, command):
-    # only clt's normal quantile needs scipy, and it imports it itself
-    data = tmp_path / "data.csv"
-    _write_mbcr_data(data)
-    argv = {
-        "import": [],
-        "simulate": [
-            "simulate", "--config", str(CONFIGS / "fig2a.json"),
-            "--out", str(tmp_path / "out"),
-        ],
-        "ci": ["ci", "--data", str(data), "--scheme", "mbcr", "--method", "hoeff-mbcr"],
-    }[command]
-    _, code, scipy, _ = _fresh_main(argv)
-    assert code == 0
-    assert scipy == []
-
-
-def test_clt_loads_scipy_on_its_first_quantile(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    _write_bernoulli_data(data)
-    argv = [
-        "ci", "--data", str(data), "--scheme", "bernoulli", "--pi", "0.1",
-        "--method", "clt", "--json",
-    ]
-    out, code, scipy, _ = _fresh_main(argv)
-    assert code == 0
-    assert "scipy.special" in scipy
-    # the same bytes as in this process, where the quantile may be cached
-    assert main(argv) == 0
-    assert out == capsys.readouterr().out
-
-
-def test_clt_quantiles_computed_before_the_fork(tmp_path):
-    # children inherit scipy.special and the cached quantile of each alpha
-    config = tmp_path / "clt.json"
-    config.write_text(json.dumps({
+def _write_clt_config(path) -> None:
+    path.write_text(json.dumps({
         "experiment": "coverage",
         "grid": {"n": [200], "pi": ["1/10"], "alpha": [0.05, 0.1]},
         "methods": ["clt", "sub-bernoulli-bern"],
@@ -1241,15 +1204,68 @@ def test_clt_quantiles_computed_before_the_fork(tmp_path):
         "seed": 3,
         "setting": "design_based",
     }))
+
+
+@pytest.mark.parametrize(
+    "command", ["import", "simulate", "ci", "ci-clt", "simulate-clt-2w"]
+)
+def test_runtime_loads_no_scipy(tmp_path, command):
+    # no run loads scipy, clt's included: its normal quantile is _ndtri
+    data, bern = tmp_path / "data.csv", tmp_path / "bern.csv"
+    config = tmp_path / "clt.json"
+    _write_mbcr_data(data)
+    _write_bernoulli_data(bern)
+    _write_clt_config(config)
+    argv = {
+        "import": [],
+        "simulate": [
+            "simulate", "--config", str(CONFIGS / "fig2a.json"),
+            "--out", str(tmp_path / "out"),
+        ],
+        "ci": ["ci", "--data", str(data), "--scheme", "mbcr", "--method", "hoeff-mbcr"],
+        "ci-clt": [
+            "ci", "--data", str(bern), "--scheme", "bernoulli", "--pi", "0.1",
+            "--method", "clt",
+        ],
+        "simulate-clt-2w": [
+            "simulate", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--workers", "2",
+        ],
+    }[command]
+    _, code, scipy, _ = _fresh_main(argv)
+    assert code == 0
+    assert scipy == []
+
+
+def test_clt_ci_in_a_fresh_process_loads_no_scipy(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_bernoulli_data(data)
+    argv = [
+        "ci", "--data", str(data), "--scheme", "bernoulli", "--pi", "0.1",
+        "--method", "clt", "--json",
+    ]
+    out, code, scipy, _ = _fresh_main(argv)
+    assert code == 0
+    assert scipy == []
+    # the same bytes as in this process, where the quantile may be cached
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_clt_bytes_equal_across_workers(tmp_path):
+    # each forked child computes its own quantiles, and every worker count
+    # gives the same bytes with no scipy module loaded
+    config = tmp_path / "clt.json"
+    _write_clt_config(config)
     runs = {}
     for workers in ("1", "2"):
         out = tmp_path / workers
         argv = ["simulate", "--config", str(config), "--out", str(out)]
         _, code, scipy, forks = _fresh_main([*argv, "--workers", workers])
         assert code == 0
-        assert "scipy.special" in scipy
+        assert scipy == []
         runs[workers] = forks, {p.name: p.read_bytes() for p in out.iterdir()}
-    assert runs["1"][0] == []
-    assert runs["2"][0] == [[True, 2]]
+    assert runs["1"][0] == 0
+    assert runs["2"][0] == 1
     assert runs["2"][1] == runs["1"][1]
     assert sorted(runs["1"][1]) == ["coverage.csv", "manifest.json"]

@@ -151,6 +151,22 @@ def test_realize_selects_assigned_outcome():
         assert data.y[j] == expected
 
 
+
+def test_realize_null_table_is_a_read_only_view_of_y0():
+    rng = np.random.default_rng(3)
+    y0 = rng.uniform(0, 1, 50)
+    null = PotentialTable(y0=y0, y1=y0)
+    twin = PotentialTable(y0=y0, y1=y0.copy())
+    for asg in (draw_bernoulli(50, 0.2, rng), draw_mbcr(compute_layout(50, 10), rng)):
+        data = ObservedData.realize(null, asg)
+        assert np.shares_memory(data.y, y0) and not data.y.flags.writeable
+        # the same outcomes, and so the same terms, as a table whose y1 is a copy
+        full = ObservedData.realize(twin, asg)
+        assert np.array_equal(data.y, full.y)
+        assert np.array_equal(data.terms, full.terms)
+    assert y0.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Standard estimator
 

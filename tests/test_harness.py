@@ -971,19 +971,17 @@ def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
 
 
 def test_normal_quantile_computed_once_per_alpha(monkeypatch):
-    import scipy.special
-
     from tightci import intervals
 
     calls = []
-    real = scipy.special.ndtri
+    real = intervals._ndtri
 
     def counting_ndtri(q):
         calls.append(q)
         return real(q)
 
     intervals._z_quantile.cache_clear()
-    monkeypatch.setattr(scipy.special, "ndtri", counting_ndtri)
+    monkeypatch.setattr(intervals, "_ndtri", counting_ndtri)
     raw = _coverage_raw(
         grid={"n": [200, 400], "pi": ["1/10"], "alpha": [0.05, 0.1]},
         methods=["clt"],

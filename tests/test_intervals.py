@@ -687,6 +687,44 @@ def test_clt_quantile_reads_the_upper_tail_below_1e_3():
         assert _z_quantile(alpha) == float(norm.ppf(1.0 - alpha / 2.0))
 
 
+def test_ndtri_is_scipy_ndtri_bit_for_bit():
+    # the port runs Cephes' operations in Cephes' order, so every branch
+    # and every edge between branches gives scipy.special.ndtri's bits
+    from scipy.special import ndtri
+
+    from tightci.intervals import _EXP_M2, _ndtri
+
+    rng = np.random.default_rng(33)
+    k = 200_000
+    central = rng.uniform(_EXP_M2, 1.0 - _EXP_M2, k)
+    # x = sqrt(-2 log p) below 8 and from 8 up, on both tails; the second
+    # reaches the subnormals
+    near = np.exp(-rng.uniform(2.0, 32.0, k))
+    far = 10.0 ** -rng.uniform(32.0 / math.log(10.0), 323.0, k)
+    near[: k // 2] = 1.0 - near[: k // 2]
+    edges = [5e-324, 1e-310]
+    for edge in (_EXP_M2, 1.0 - _EXP_M2, math.exp(-2.0), math.exp(-32.0)):
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    for p in (central, near, far, np.array(edges)):
+        mine = np.array([_ndtri(float(q)) for q in p])
+        assert np.array_equal(mine.view(np.int64), ndtri(p).view(np.int64))
+
+
+def test_clt_variance_is_np_var_bit_for_bit():
+    # clt_ci centres on the estimate it reads once, with np.var's arithmetic
+    rng = np.random.default_rng(34)
+    for n in (2, 3, 50, 2_000, 20_000):
+        for _ in range(20):
+            table = PotentialTable(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+            asg = draw_bernoulli(n, 0.5 if n < 50 else 0.1, rng)
+            if asg.treated.all() or not asg.treated.any():
+                continue
+            data = ObservedData.realize(table, asg)
+            ci = clt_ci(data, 0.05)
+            assert ci.tuning["vhat"] == float(np.var(data.terms, ddof=1))
+            assert ci.tuning["psi_hat"] == float(np.mean(data.terms))
+
+
 def test_clt_empty_arm_rejected():
     from tightci.design import Assignment
 
