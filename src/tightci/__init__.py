@@ -30,14 +30,12 @@ from .estimator import (  # noqa: E402,F401
 from .intervals import (  # noqa: E402,F401
     Interval,
     IntervalError,
+    closed_ci,
     clt_ci,
     gamma_b,
     gamma_e,
-    hoeff_mbcr_ci,
-    naive_hoeffding_ci,
     reevaluate,
     studentized_ci,
-    sub_bernoulli_ci,
 )
 from .dgp import DgpError, DgpSpec, sample_population, true_ate_iid  # noqa: E402,F401
 from .harness import (  # noqa: E402,F401

@@ -50,7 +50,14 @@ from .harness import (
     run_experiment,
     write_outputs,
 )
-from .intervals import METHOD_TABLE, METHODS, MIN_ALPHA, Interval, IntervalError
+from .intervals import (
+    METHOD_TABLE,
+    METHODS,
+    MIN_ALPHA,
+    Interval,
+    IntervalError,
+    closed_ci,
+)
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -194,7 +201,7 @@ def _compute_ci(args) -> Interval:
     data = ObservedData(y=y, assignment=assignment)
     if spec.adaptive is not None:
         return spec.adaptive(data, alpha)
-    return spec.closed(ht_estimate(data), layout, n, pi, alpha)
+    return closed_ci(method, ht_estimate(data), alpha, layout=layout, n=n, pi=pi)
 
 
 def cmd_ci(args) -> int:

@@ -103,7 +103,7 @@ EXPERIMENTS = (
 SETTING_DESIGN_BASED = "design_based"
 SETTING_SUPERPOPULATION = "superpopulation"
 
-CLOSED_WIDTH_METHODS = {m for m, s in METHOD_TABLE.items() if s.closed is not None}
+CLOSED_WIDTH_METHODS = {m for m, s in METHOD_TABLE.items() if s.tuning is not None}
 COVERAGE_METHODS = {m for m, s in METHOD_TABLE.items() if s.has_interval}
 RMSE_METHODS = {m for m, s in METHOD_TABLE.items() if not s.has_interval}
 
@@ -728,7 +728,7 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> Report:
             fill = {"rmse": float(np.sqrt(np.mean((est - cell.target) ** 2)))}
             if not spec.has_interval:
                 fill["bound"] = rmse_bound(m, cell.n, float(cell.pi))
-            elif spec.closed is None:
+            elif spec.tuning is None:
                 covered, halves = record["covered", m], record["half", m]
             else:
                 # Interval arithmetic, element-wise: lo <= target <= hi and

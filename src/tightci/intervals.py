@@ -2,15 +2,15 @@
 
 Constructions provided:
 
-* ``hoeff_mbcr_ci``: Hoeffding-style interval around the grouped estimator,
+* ``hoeff-mbcr``: Hoeffding-style interval around the grouped estimator,
   whose width constant depends only on the batching arithmetic and collapses
   to ``1/sqrt(pi)`` when the groups tile the sample exactly.
-* ``sub_bernoulli_ci``: intervals built from the two-point (sub-Bernoulli)
-  cumulant generating function, under either Bernoulli randomization or the
-  grouped design.
+* ``sub-bernoulli-bern`` and ``sub-bernoulli-mbcr``: intervals built from
+  the two-point (sub-Bernoulli) cumulant generating function, under
+  Bernoulli randomization or the grouped design.
 * ``studentized_ci``: a cross-fit variance-adaptive interval; each half of
   the groups tunes the exponential-bound parameter used on the other half.
-* ``naive_hoeffding_ci``: the classical bounded-range Hoeffding interval
+* ``naive-hoeffding``: the classical bounded-range Hoeffding interval
   whose effective sample size degrades with the squared propensity, kept as
   the comparison baseline.
 * ``clt_ci``: a plug-in normal interval, asymptotic only, excluded from all
@@ -18,14 +18,15 @@ Constructions provided:
   Cephes' ``ndtri`` with scipy.special's bits, so the package runs on numpy
   alone.
 
-Every builder records the constants it used in a ``tuning`` mapping, and
-``reevaluate`` reproduces the endpoints from that record alone.  A coverage
-chunk, which needs only endpoints, evaluates grouped Studentized intervals
-a block of draws at a time with :class:`StudentizedBlock`, through the same
-split statistics and scalar tail as ``studentized_ci``, bit for bit.
-``METHOD_TABLE`` maps every method tag the package knows to its
-:class:`MethodSpec`, the one place that says how a tag draws, estimates and
-builds its interval.
+One builder, :func:`closed_ci`, serves the four closed forms, whose width
+depends on the design alone.  Every builder records the constants it used in
+a ``tuning`` mapping, and ``reevaluate`` reproduces the endpoints from that
+record alone.  A coverage chunk, which needs only endpoints, evaluates
+grouped Studentized intervals a block of draws at a time with
+:class:`StudentizedBlock`, through the same split statistics and scalar tail
+as ``studentized_ci``, bit for bit.  ``METHOD_TABLE`` maps every method tag
+the package knows to its :class:`MethodSpec`, the one place that says how a
+tag draws, estimates and builds its interval.
 """
 
 from __future__ import annotations
@@ -106,15 +107,13 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    def clipped(self, lo: float = -1.0, hi: float = 1.0) -> "Interval":
+    def clipped(self) -> "Interval":
         """Intersect with the estimand's natural range [-1, 1]."""
-        tuning = dict(self.tuning)
-        tuning["clipped"] = (lo, hi)
         return replace(
             self,
-            lower=min(max(self.lower, lo), hi),
-            upper=min(max(self.upper, lo), hi),
-            tuning=tuning,
+            lower=min(max(self.lower, -1.0), 1.0),
+            upper=min(max(self.upper, -1.0), 1.0),
+            tuning={**self.tuning, "clipped": (-1.0, 1.0)},
         )
 
 
@@ -171,7 +170,15 @@ def _centered(
     )
 
 
-def _grouped_shape(layout: MbcrLayout) -> dict[str, int]:
+# ---------------------------------------------------------------------------
+# The closed forms: each tag's ``tuning(layout, n, pi, alpha)`` writes the
+# record its ``half(alpha, tuning)`` reads, so :func:`closed_ci` and
+# ``reevaluate`` run the same arithmetic.
+
+
+def _grouped_shape(layout: MbcrLayout | None) -> dict[str, int]:
+    if layout is None:
+        raise IntervalError("a grouped form needs the layout")
     return {
         "n": layout.n,
         "num_full_groups": layout.num_full_groups,
@@ -180,11 +187,17 @@ def _grouped_shape(layout: MbcrLayout) -> dict[str, int]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Hoeffding-style interval under the grouped design
-#
-# Each closed form's half-width is a function of alpha and the tuning record
-# it writes, so the builder and ``reevaluate`` run the same arithmetic.
+def _bernoulli_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
+    """A Bernoulli form's ``n``, an integer of at least 1, and ``pi``."""
+    if n is None or pi is None:
+        raise IntervalError("a Bernoulli form needs n and pi")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise IntervalError(f"n must be an integer of at least 1, got {n!r}")
+    try:
+        validate_propensity(pi)
+    except DesignError as exc:
+        raise IntervalError(str(exc)) from exc
+    return {"n": int(n), "pi": float(pi)}
 
 
 def _hoeff_mbcr_constant(t: dict[str, Any]) -> float:
@@ -192,35 +205,57 @@ def _hoeff_mbcr_constant(t: dict[str, Any]) -> float:
     return math.sqrt((t["num_full_groups"] * g * g + tail * tail) / t["n"])
 
 
-def _hoeff_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
-    return _hoeff_mbcr_constant(t) * math.sqrt(2.0 * math.log(2.0 / alpha) / t["n"])
-
-
-def hoeff_mbcr_ci(psi_hat: float, layout: MbcrLayout, alpha: float) -> Interval:
+def _hoeff_mbcr_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
     """Hoeffding-style interval around the grouped estimator.
 
     Half-width is ``c_n * sqrt(2 log(2/alpha) / n)`` with
     ``c_n = sqrt((T g^2 + tail^2) / n)``; with no tail group this is exactly
     ``sqrt(2 log(2/alpha) / (n pi))``.
     """
-    alpha = validate_alpha(alpha)
     t = _grouped_shape(layout)
     t["cn"] = _hoeff_mbcr_constant(t)
-    return _centered(METHOD_HOEFF_MBCR, psi_hat, alpha, _hoeff_mbcr_half(alpha, t), t)
+    return t
 
 
-# ---------------------------------------------------------------------------
-# Sub-Bernoulli intervals
+def _hoeff_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
+    return _hoeff_mbcr_constant(t) * math.sqrt(2.0 * math.log(2.0 / alpha) / t["n"])
 
 
 def _sb_bern_range(pi: float) -> tuple[float, float]:
     return -1.0 / (1.0 - pi) - 1.0, 1.0 / pi + 1.0
 
 
+def _sb_bern_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
+    """Sub-Bernoulli interval ``psi_hat +/- (log(2/alpha) + kappa)/(n lam)``
+    under Bernoulli randomization: the centered pseudo-outcome range is
+    ``[-1/(1-pi) - 1, 1/pi + 1]``, ``kappa = n * gamma_b(lam)``, and ``lam``
+    matches the CGF's quadratic coefficient."""
+    t = _bernoulli_tuning(layout, n, pi, alpha)
+    a, b = _sb_bern_range(t["pi"])
+    lam = math.sqrt(2.0 * math.log(2.0 / alpha) / (t["n"] * -a * b))
+    t.update(lam=lam, range_lo=a, range_hi=b, kappa=t["n"] * gamma_b(lam, a, b))
+    return t
+
+
 def _sb_bern_half(alpha: float, t: dict[str, Any]) -> float:
     a, b = _sb_bern_range(t["pi"])
     kappa = t["n"] * gamma_b(t["lam"], a, b)
     return (math.log(2.0 / alpha) + kappa) / (t["n"] * t["lam"])
+
+
+def _sb_mbcr_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
+    """The sub-Bernoulli interval under the grouped design: the centered
+    group sums have range ``+/- 2g`` (``+/- 2 tail`` for the tail group),
+    ``kappa`` is the per-group log-cosh total, and ``lam`` matches that
+    CGF's quadratic coefficient ``4 T g^2 + 4 tail^2``, which attains the
+    sharp small-propensity width scaling."""
+    t = _grouped_shape(layout)
+    g, tail = t["group_size"], t["tail_size"]
+    t["lam"] = math.sqrt(
+        2.0 * math.log(2.0 / alpha)
+        / (4.0 * t["num_full_groups"] * g * g + 4.0 * tail * tail)
+    )
+    return t
 
 
 def _sb_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
@@ -231,53 +266,17 @@ def _sb_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
     return (math.log(2.0 / alpha) + kappa) / (t["n"] * lam)
 
 
-def sub_bernoulli_ci(
-    psi_hat: float,
-    alpha: float,
-    *,
-    scheme: str,
-    n: int | None = None,
-    pi: float | None = None,
-    layout: MbcrLayout | None = None,
-) -> Interval:
-    """Sub-Bernoulli interval ``psi_hat +/- (log(2/alpha) + kappa)/(n lam)``.
+def _naive_half(alpha: float, t: dict[str, Any]) -> float:
+    """Classical Hoeffding interval with the full pseudo-outcome range.
 
-    Under Bernoulli randomization the centered pseudo-outcome range is
-    ``[-1/(1-pi) - 1, 1/pi + 1]``, ``kappa = n * gamma_b(lam)``, and ``lam``
-    matches the CGF's quadratic coefficient.  Under the grouped design the
-    centered group sums have range ``+/- 2g`` (``+/- 2 tail`` for the tail
-    group), ``kappa`` is the per-group log-cosh total, and ``lam`` matches
-    that CGF's quadratic coefficient ``4 T g^2 + 4 tail^2``, which attains
-    the sharp small-propensity width scaling.
+    Half-width ``(1/(1-pi) + 1/pi) * sqrt(log(2/alpha) / (2n))``, the
+    two-sided union of the textbook one-sided bound.  Valid but loose: its
+    effective sample size scales with ``n pi^2``.
     """
-    alpha = validate_alpha(alpha)
-    log2a = 2.0 * math.log(2.0 / alpha)
-    if scheme == SCHEME_BERNOULLI:
-        if n is None or pi is None:
-            raise IntervalError("Bernoulli form needs n and pi")
-        try:
-            validate_propensity(pi)
-        except DesignError as exc:
-            raise IntervalError(str(exc)) from exc
-        a, b = _sb_bern_range(pi)
-        lam = math.sqrt(log2a / (n * -a * b))
-        t = {"n": int(n), "pi": float(pi), "lam": lam, "range_lo": a, "range_hi": b}
-        t["kappa"] = n * gamma_b(lam, a, b)
-        return _centered(
-            METHOD_SUB_BERNOULLI_BERN, psi_hat, alpha, _sb_bern_half(alpha, t), t
-        )
-    if scheme == SCHEME_MBCR:
-        if layout is None:
-            raise IntervalError("grouped form needs the layout")
-        t = _grouped_shape(layout)
-        g, tail = layout.group_size, layout.tail_size
-        t["lam"] = math.sqrt(
-            log2a / (4.0 * layout.num_full_groups * g * g + 4.0 * tail * tail)
-        )
-        return _centered(
-            METHOD_SUB_BERNOULLI_MBCR, psi_hat, alpha, _sb_mbcr_half(alpha, t), t
-        )
-    raise IntervalError(f"no sub-Bernoulli form for scheme {scheme!r}")
+    pi = t["pi"]
+    return (1.0 / (1.0 - pi) + 1.0 / pi) * math.sqrt(
+        math.log(2.0 / alpha) / (2.0 * t["n"])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +347,24 @@ def _split_sum_of_squares(s: np.ndarray, opposite_total, div: np.ndarray):
     return buf.sum(axis=-1)
 
 
-def _split_statistics(theta: np.ndarray) -> tuple[int, int, Any, Any]:
+def _split_statistics(theta: np.ndarray) -> tuple[Any, Any]:
     """Cross-seeded running-mean sums of squares for the two group splits.
 
     Split one holds the first ``floor(T/2)`` group sums.  Its running mean
     at step t starts from the full total of the opposite split and then
-    folds in this split's first ``t - 1`` values; the returned V is the sum
-    of squared deviations of each value from its running mean.  Works along
-    the last axis: one row of sums gives scalar V's, a stack of rows one V
-    per row, each bit for bit the row's own.
+    folds in this split's first ``t - 1`` values; each split's V, returned
+    as ``(v1, v2)``, is the sum of squared deviations of each value from its
+    running mean.  Works along the last axis: one row of sums gives scalar
+    V's, a stack of rows one V per row, each bit for bit the row's own.
     """
     tbar = theta.shape[-1]
     m1 = tbar // 2
-    m2 = tbar - m1
     s1, s2 = theta[..., :m1], theta[..., m1:]
     tot1, tot2 = s1.sum(axis=-1), s2.sum(axis=-1)
     div1, div2 = _split_divisors(tbar)
     v1 = _split_sum_of_squares(s1, tot2, div1)
     v2 = _split_sum_of_squares(s2, tot1, div2)
-    return m1, m2, v1, v2
+    return v1, v2
 
 
 def _stud_lambda(v: float, alpha: float, c: float) -> float:
@@ -390,7 +388,7 @@ def _row_anchors(rows: np.ndarray, n: int, alpha: float, c: float) -> list:
     """The anchor ``(mean, v1, v2, lam1, lam2)`` of every row of ``rows``, in
     order: the split statistics of the whole stack in one call, then the
     scalar tail row by row."""
-    _, _, v1, v2 = _split_statistics(rows)
+    v1, v2 = _split_statistics(rows)
     stats = zip(*(arr.ravel().tolist() for arr in (rows.sum(axis=-1), v1, v2)))
     return [
         (total / n, a, b, _stud_lambda(a, alpha, c), _stud_lambda(b, alpha, c))
@@ -496,33 +494,6 @@ class StudentizedBlock:
         anchors = _row_anchors(self.stack[: self.filled], n, alpha, c)
         self.filled = 0
         return [_stud_bounds(a, a, n, alpha, c)[:2] for a in anchors]
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-
-
-def _naive_half(alpha: float, t: dict[str, Any]) -> float:
-    pi = t["pi"]
-    return (1.0 / (1.0 - pi) + 1.0 / pi) * math.sqrt(
-        math.log(2.0 / alpha) / (2.0 * t["n"])
-    )
-
-
-def naive_hoeffding_ci(psi_hat: float, n: int, pi: float, alpha: float) -> Interval:
-    """Classical Hoeffding interval with the full pseudo-outcome range.
-
-    Half-width ``(1/(1-pi) + 1/pi) * sqrt(log(2/alpha) / (2n))``, the
-    two-sided union of the textbook one-sided bound.  Valid but loose: its
-    effective sample size scales with ``n pi^2``.
-    """
-    alpha = validate_alpha(alpha)
-    try:
-        validate_propensity(pi)
-    except DesignError as exc:
-        raise IntervalError(str(exc)) from exc
-    t = {"n": int(n), "pi": float(pi)}
-    return _centered(METHOD_NAIVE_HOEFFDING, psi_hat, alpha, _naive_half(alpha, t), t)
 
 
 # Cephes' ndtri (S. L. Moshier), the normal quantile scipy.special.ndtri
@@ -653,9 +624,9 @@ class MethodSpec:
     ``scheme`` is the design the method draws under, which makes its point
     estimate, :func:`~tightci.estimator.ht_estimate`, the grouped (under
     ``SCHEME_MBCR``) or the standard Horvitz-Thompson estimator.  A closed
-    form has ``closed(psi_hat, layout, n, pi, alpha)``, whose half-width
-    depends on the design alone; a data-adaptive interval has
-    ``adaptive(data, alpha)``, which reads the design from
+    form, whose half-width depends on the design alone, has ``tuning(layout,
+    n, pi, alpha)``, the record :func:`closed_ci` writes; a data-adaptive
+    interval has ``adaptive(data, alpha)``, which reads the design from
     ``data.assignment``; a bare point estimator has neither.
     ``half(alpha, tuning)`` (for intervals ``psi_hat +/- half``) or
     ``endpoints(alpha, tuning)`` is the arithmetic ``reevaluate`` replays.
@@ -669,7 +640,7 @@ class MethodSpec:
     """
 
     scheme: str
-    closed: Callable[..., Interval] | None = None
+    tuning: Callable[..., dict[str, Any]] | None = None
     adaptive: Callable[[ObservedData, float], Interval] | None = None
     half: Callable[[float, dict[str, Any]], float] | None = None
     endpoints: Callable[[float, dict[str, Any]], tuple[float, float]] | None = None
@@ -680,13 +651,14 @@ class MethodSpec:
 
     @property
     def has_interval(self) -> bool:
-        return self.closed is not None or self.adaptive is not None
+        return self.tuning is not None or self.adaptive is not None
 
     def half_width(
         self, layout: MbcrLayout | None, n: int, pi: float, alpha: float
     ) -> float:
         """Closed-form half-width for a design; the same for every draw."""
-        return self.closed(0.0, layout, n, pi, alpha).half_width
+        alpha = validate_alpha(alpha)
+        return self.half(alpha, self.tuning(layout, n, pi, alpha))
 
 
 _STUDENTIZED = dict(
@@ -700,24 +672,20 @@ _BERNOULLI_DATA = (SCHEME_BERNOULLI, SCHEME_COMPLETE)
 METHOD_TABLE: dict[str, MethodSpec] = {
     METHOD_HOEFF_MBCR: MethodSpec(
         SCHEME_MBCR,
-        closed=lambda est, layout, n, pi, alpha: hoeff_mbcr_ci(est, layout, alpha),
+        tuning=_hoeff_mbcr_tuning,
         half=_hoeff_mbcr_half,
         # Complete data whose groups tile the sample needs no draw detail.
         cli_schemes=(SCHEME_MBCR, SCHEME_COMPLETE),
     ),
     METHOD_SUB_BERNOULLI_BERN: MethodSpec(
         SCHEME_BERNOULLI,
-        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
-            est, alpha, scheme=SCHEME_BERNOULLI, n=n, pi=pi
-        ),
+        tuning=_sb_bern_tuning,
         half=_sb_bern_half,
         cli_schemes=_BERNOULLI_DATA,
     ),
     METHOD_SUB_BERNOULLI_MBCR: MethodSpec(
         SCHEME_MBCR,
-        closed=lambda est, layout, n, pi, alpha: sub_bernoulli_ci(
-            est, alpha, scheme=SCHEME_MBCR, layout=layout
-        ),
+        tuning=_sb_mbcr_tuning,
         half=_sb_mbcr_half,
         cli_schemes=(SCHEME_MBCR,),
     ),
@@ -729,7 +697,7 @@ METHOD_TABLE: dict[str, MethodSpec] = {
     ),
     METHOD_NAIVE_HOEFFDING: MethodSpec(
         SCHEME_BERNOULLI,
-        closed=lambda est, layout, n, pi, alpha: naive_hoeffding_ci(est, n, pi, alpha),
+        tuning=_bernoulli_tuning,
         half=_naive_half,
         cli_schemes=_BERNOULLI_DATA,
     ),
@@ -743,6 +711,31 @@ METHOD_TABLE: dict[str, MethodSpec] = {
 
 # The interval methods the command line offers, in the table's order.
 METHODS = tuple(m for m, s in METHOD_TABLE.items() if s.cli_schemes)
+
+
+def closed_ci(
+    method: str,
+    psi_hat: float,
+    alpha: float,
+    *,
+    layout: MbcrLayout | None = None,
+    n: int | None = None,
+    pi: float | None = None,
+) -> Interval:
+    """The closed-form interval ``psi_hat +/- half`` of ``method``.
+
+    A grouped form (``hoeff-mbcr``, ``sub-bernoulli-mbcr``) reads
+    ``layout``; a Bernoulli form (``sub-bernoulli-bern``,
+    ``naive-hoeffding``) reads ``n``, an integer of at least 1, and ``pi``.
+    The interval records the tag's tuning, from which ``reevaluate``
+    replays its endpoints.
+    """
+    spec = METHOD_TABLE.get(method)
+    if spec is None or spec.tuning is None:
+        raise IntervalError(f"{method!r} is not a closed-form interval")
+    alpha = validate_alpha(alpha)
+    t = spec.tuning(layout, n, pi, alpha)
+    return _centered(method, psi_hat, alpha, spec.half(alpha, t), t)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,7 @@ from tightci.harness import (
     run_equivalence,
     run_monte_carlo,
 )
-from tightci.intervals import (
-    gamma_b,
-    gamma_e,
-    hoeff_mbcr_ci,
-    naive_hoeffding_ci,
-    studentized_ci,
-    sub_bernoulli_ci,
-)
+from tightci.intervals import closed_ci, gamma_b, gamma_e, studentized_ci
 
 LN40 = math.log(2.0 / 0.05)
 
@@ -82,7 +75,7 @@ def test_criterion_03_exact_width_identity():
     worst = 0.0
     for K in range(2, 1001):
         lay = compute_layout(1000 * K, 1000)
-        half = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
+        half = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
         worst = max(worst, abs(half * math.sqrt(lay.n / K) - target))
     _criterion(3, "half-width x sqrt(n pi) = sqrt(2 log 40) on the 1/K grid",
                worst <= 1e-10, f"worst deviation {worst:.2e}")
@@ -175,9 +168,9 @@ def test_criterion_06_asymptotic_constants():
     sqrt(8 log 40) for the grouped one with the CGF-matched lambda."""
     n, pi = 10**7, 1e-3
     scale = math.sqrt(n * pi)
-    bern = sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=n, pi=pi).half_width
+    bern = closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=n, pi=pi).half_width
     lay = compute_layout(n, 10**4)
-    grouped = sub_bernoulli_ci(0.0, 0.05, scheme="mbcr", layout=lay).half_width
+    grouped = closed_ci("sub-bernoulli-mbcr", 0.0, 0.05, layout=lay).half_width
     r_bern = bern * scale / math.sqrt(4.0 * LN40)
     r_grp = grouped * scale / math.sqrt(8.0 * LN40)
     ok = abs(r_bern - 1.0) <= 0.05 and abs(r_grp - 1.0) <= 0.05
@@ -224,8 +217,8 @@ def test_criterion_07_naive_to_grouped_width_ratios():
     ratios, ok = {}, True
     for pi in (0.1, 0.01, 0.001):
         lay = compute_layout(n, round(n * pi))
-        naive = naive_hoeffding_ci(0.0, n, pi, alpha).half_width
-        grouped = hoeff_mbcr_ci(0.0, lay, alpha).half_width
+        naive = closed_ci("naive-hoeffding", 0.0, alpha, n=n, pi=pi).half_width
+        grouped = closed_ci("hoeff-mbcr", 0.0, alpha, layout=lay).half_width
         ratio = naive / grouped
         floor = 1.0 / (2.0 * math.sqrt(pi))
         ceiling = 1.0 / (2.0 * (1.0 - pi) * math.sqrt(pi))
@@ -246,7 +239,7 @@ def test_criterion_08_studentized_sharpness():
     n, n1, reps = 5000, 500, 500
     lay = compute_layout(n, n1)
     spec = DgpSpec("uniform_null", n=n, lo=0.0, hi=0.1)
-    hoeff_half = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
+    hoeff_half = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
     margins = np.zeros(reps)
     for rep in range(reps):
         table = sample_population(spec, np.random.default_rng((20260810, 0, rep, 1)))

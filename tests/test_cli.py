@@ -21,7 +21,7 @@ from tightci.design import (
     grouped_assignment,
 )
 from tightci.estimator import ObservedData, PotentialTable, ht_estimate
-from tightci.intervals import METHOD_TABLE, METHODS, MIN_ALPHA, reevaluate
+from tightci.intervals import METHOD_TABLE, METHODS, MIN_ALPHA, closed_ci, reevaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -275,7 +275,9 @@ def _library_interval(method, data, alpha=0.05):
     if spec.adaptive is not None:
         return spec.adaptive(data, alpha / spec.miscoverage_factor)
     lay = data.assignment.layout
-    return spec.closed(ht_estimate(data), lay, lay.n, lay.n1 / lay.n, alpha)
+    return closed_ci(
+        method, ht_estimate(data), alpha, layout=lay, n=lay.n, pi=lay.n1 / lay.n
+    )
 
 
 def _ci_json(capsys, path, method) -> dict:

@@ -763,15 +763,15 @@ def test_closed_form_widths_computed_once_per_cell(monkeypatch):
 
     calls = {}
     for m, spec in list(intervals.METHOD_TABLE.items()):
-        if spec.closed is None:
+        if spec.tuning is None:
             continue
 
-        def counting(*args, _m=m, _closed=spec.closed):
+        def counting(*args, _m=m, _tuning=spec.tuning):
             calls[_m] = calls.get(_m, 0) + 1
-            return _closed(*args)
+            return _tuning(*args)
 
         monkeypatch.setitem(
-            intervals.METHOD_TABLE, m, dataclasses.replace(spec, closed=counting)
+            intervals.METHOD_TABLE, m, dataclasses.replace(spec, tuning=counting)
         )
     closed = [
         "hoeff-mbcr",

@@ -27,16 +27,14 @@ from tightci.intervals import (
     _stud_lambda,
     _stud_penalty,
     _studentized_endpoints,
+    closed_ci,
     clt_ci,
     gamma_b,
     gamma_e,
-    hoeff_mbcr_ci,
     log_half_cosh2,
-    naive_hoeffding_ci,
     reevaluate,
     studentized_ci,
     studentized_scale,
-    sub_bernoulli_ci,
 )
 
 LN40 = 3.6888794541139363  # log(2 / 0.05)
@@ -124,7 +122,7 @@ def test_gamma_e_increasing():
 
 def test_hoeff_halfwidth_exact():
     lay = compute_layout(1000, 100)
-    ci = hoeff_mbcr_ci(0.1, lay, 0.05)
+    ci = closed_ci("hoeff-mbcr", 0.1, 0.05, layout=lay)
     # derived: (1/sqrt(0.1)) * sqrt(2 ln 40 / 1000) = 0.2716203031481239
     assert ci.half_width == pytest.approx(0.2716203031481239, rel=1e-12)
     assert ci.lower == pytest.approx(0.1 - ci.half_width)
@@ -133,20 +131,20 @@ def test_hoeff_halfwidth_exact():
 
 def test_hoeff_constant_with_tail():
     lay = compute_layout(9, 4)
-    ci = hoeff_mbcr_ci(0.0, lay, 0.05)
+    ci = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay)
     assert ci.tuning["cn"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
 def test_hoeff_constant_half_propensity():
     lay = compute_layout(10, 5)
-    ci = hoeff_mbcr_ci(0.0, lay, 0.05)
+    ci = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay)
     assert ci.tuning["cn"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_hoeff_width_identity_spot_checks():
     for K in (2, 7, 50, 333):
         lay = compute_layout(1000 * K, 1000)
-        half = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
+        half = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
         assert half * math.sqrt(lay.n * (1.0 / K)) == pytest.approx(
             SQRT_2LN40, abs=1e-10
         )
@@ -156,7 +154,7 @@ def test_hoeff_rejects_bad_alpha():
     lay = compute_layout(10, 2)
     for alpha in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(IntervalError):
-            hoeff_mbcr_ci(0.0, lay, alpha)
+            closed_ci("hoeff-mbcr", 0.0, alpha, layout=lay)
 
 
 def test_cn_bounds_cases():
@@ -209,7 +207,7 @@ def test_cn_bound_dominates_exact_sweep():
 
 
 def test_sub_bernoulli_bern_frozen_values():
-    ci = sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=1000, pi=0.1)
+    ci = closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=1000, pi=0.1)
     # derived: lambda = 0.017824212092486632, kappa = 3.8865219565548527,
     # half-width = 0.42500624270859173
     assert ci.tuning["lam"] == pytest.approx(0.017824212092486632, rel=1e-12)
@@ -224,7 +222,7 @@ def test_sub_bernoulli_bern_half_width_matches_the_expm1_cgf():
     for n in (10, 100, 1000, 10**5, 10**7):
         for pi in (0.5, 1 / 3, 0.1, 0.01, 1e-3, 1e-4, 1e-5):
             for alpha in (0.05, 1e-3):
-                t = sub_bernoulli_ci(0.0, alpha, scheme="bernoulli", n=n, pi=pi).tuning
+                t = closed_ci("sub-bernoulli-bern", 0.0, alpha, n=n, pi=pi).tuning
                 lam, a, b = t["lam"], t["range_lo"], t["range_hi"]
                 kappa = n * two_point_cgf(lam, a, b)
                 expected = (math.log(2.0 / alpha) + kappa) / (n * lam)
@@ -236,7 +234,7 @@ def test_sub_bernoulli_bern_asymptotic_ratio():
     ratios = []
     for K, n in ((10, 10**5), (100, 10**6), (1000, 10**7)):
         pi = 1.0 / K
-        half = sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=n, pi=pi).half_width
+        half = closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=n, pi=pi).half_width
         ratios.append(half * math.sqrt(n * pi) / SQRT_4LN40)
     assert all(r >= 1.0 for r in ratios)
     assert ratios[0] > ratios[1] > ratios[2]
@@ -247,14 +245,14 @@ def test_sub_bernoulli_mbcr_asymptotic_ratio():
     ratios = []
     for K, n in ((10, 10**5), (100, 10**6), (1000, 10**7)):
         lay = compute_layout(n, n // K)
-        half = sub_bernoulli_ci(0.0, 0.05, scheme="mbcr", layout=lay).half_width
+        half = closed_ci("sub-bernoulli-mbcr", 0.0, 0.05, layout=lay).half_width
         ratios.append(half * math.sqrt(n / K) / SQRT_8LN40)
     assert abs(ratios[-1] - 1.0) < 0.05
 
 
 def test_sub_bernoulli_mbcr_lambda_rules():
     lay = compute_layout(10**5, 10**4)
-    default = sub_bernoulli_ci(0.0, 0.05, scheme="mbcr", layout=lay)
+    default = closed_ci("sub-bernoulli-mbcr", 0.0, 0.05, layout=lay)
     lam_cgf = math.sqrt(2 * LN40 / (4 * 10**4 * 100))
     assert default.tuning["lam"] == pytest.approx(lam_cgf, rel=1e-12)
 
@@ -262,7 +260,7 @@ def test_sub_bernoulli_mbcr_lambda_rules():
 def test_sub_bernoulli_mbcr_tail_term():
     lay = compute_layout(10, 3)
     assert lay.tail_size == 2
-    ci = sub_bernoulli_ci(0.0, 0.05, scheme="mbcr", layout=lay)
+    ci = closed_ci("sub-bernoulli-mbcr", 0.0, 0.05, layout=lay)
     lam = ci.tuning["lam"]
     kappa = 2 * log_half_cosh2(2 * 4 * lam) + log_half_cosh2(2 * 2 * lam)
     expected = (LN40 + kappa) / (10 * lam)
@@ -271,13 +269,43 @@ def test_sub_bernoulli_mbcr_tail_term():
 
 def test_sub_bernoulli_validation():
     with pytest.raises(IntervalError):
-        sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=0.7)
+        closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=100, pi=0.7)
     with pytest.raises(IntervalError, match="below the floor"):
-        sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=1e-309)
-    with pytest.raises(IntervalError):
-        sub_bernoulli_ci(0.0, 0.05, scheme="complete", n=100, pi=0.1)
-    with pytest.raises(IntervalError):
-        sub_bernoulli_ci(0.0, 0.05, scheme="mbcr")
+        closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=100, pi=1e-309)
+
+
+@pytest.mark.parametrize("method", ["studentized", "clt", "ht-mbcr", "sub-bernoulli"])
+def test_closed_ci_refuses_a_tag_without_a_closed_form(method):
+    lay = compute_layout(100, 10)
+    with pytest.raises(IntervalError, match="not a closed-form interval"):
+        closed_ci(method, 0.0, 0.05, layout=lay, n=100, pi=0.1)
+
+
+@pytest.mark.parametrize("method", ["hoeff-mbcr", "sub-bernoulli-mbcr"])
+def test_closed_ci_grouped_form_needs_the_layout(method):
+    with pytest.raises(IntervalError, match="needs the layout"):
+        closed_ci(method, 0.0, 0.05, n=100, pi=0.1)
+
+
+@pytest.mark.parametrize("method", ["sub-bernoulli-bern", "naive-hoeffding"])
+@pytest.mark.parametrize("n, pi", [(None, 0.1), (100, None), (None, None)])
+def test_closed_ci_bernoulli_form_needs_n_and_pi(method, n, pi):
+    lay = compute_layout(100, 10)
+    with pytest.raises(IntervalError, match="needs n and pi"):
+        closed_ci(method, 0.0, 0.05, layout=lay, n=n, pi=pi)
+
+
+@pytest.mark.parametrize("method", ["sub-bernoulli-bern", "naive-hoeffding"])
+@pytest.mark.parametrize("n", [0, -5, 2.5, True], ids=["0", "-5", "2.5", "True"])
+def test_closed_ci_bernoulli_n_is_an_integer_of_at_least_one(method, n):
+    # no division by zero, math domain error or silent truncation to int
+    with pytest.raises(IntervalError, match="integer of at least 1"):
+        closed_ci(method, 0.0, 0.05, n=n, pi=0.1)
+    with pytest.raises(IntervalError, match="integer of at least 1"):
+        METHOD_TABLE[method].half_width(None, n, 0.1, 0.05)
+    # a numpy integer is an integer, with the same bytes
+    want = closed_ci(method, 0.0, 0.05, n=1, pi=0.1)
+    assert closed_ci(method, 0.0, 0.05, n=np.int64(1), pi=0.1) == want
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +313,21 @@ def test_sub_bernoulli_validation():
 
 
 def test_naive_halfwidth_frozen():
-    ci = naive_hoeffding_ci(0.0, 1000, 0.1, 0.05)
+    ci = closed_ci("naive-hoeffding", 0.0, 0.05, n=1000, pi=0.1)
     # derived: (1/0.9 + 10) * sqrt(ln 40 / 2000) = 0.47718823149637507
     assert ci.half_width == pytest.approx(0.47718823149637507, rel=1e-12)
 
 
 def test_naive_half_propensity():
-    ci = naive_hoeffding_ci(0.0, 500, 0.5, 0.05)
+    ci = closed_ci("naive-hoeffding", 0.0, 0.05, n=500, pi=0.5)
     assert ci.half_width == pytest.approx(4.0 * math.sqrt(LN40 / 1000.0), rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "form",
     [
-        lambda pi: naive_hoeffding_ci(0.0, 100, pi, 0.05),
-        lambda pi: sub_bernoulli_ci(0.0, 0.05, scheme="bernoulli", n=100, pi=pi),
+        lambda pi: closed_ci("naive-hoeffding", 0.0, 0.05, n=100, pi=pi),
+        lambda pi: closed_ci("sub-bernoulli-bern", 0.0, 0.05, n=100, pi=pi),
     ],
     ids=["naive-hoeffding", "sub-bernoulli-bern"],
 )
@@ -317,8 +345,8 @@ def test_hoeff_vs_naive_ratio_small_pi():
     # grouped/naive width ratio at pi = 0.01 is about 2 sqrt(pi)
     n = 10**4
     lay = compute_layout(n, n // 100)
-    hoeff = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
-    naive = naive_hoeffding_ci(0.0, n, 0.01, 0.05).half_width
+    hoeff = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
+    naive = closed_ci("naive-hoeffding", 0.0, 0.05, n=n, pi=0.01).half_width
     ratio = hoeff / naive
     assert ratio == pytest.approx(0.198, abs=1e-3)
     assert abs(ratio - 2 * math.sqrt(0.01)) / (2 * math.sqrt(0.01)) < 0.10
@@ -337,8 +365,8 @@ def test_naive_over_hoeff_ratio_closed_forms():
     n = 10**5
     for pi, want in expected.items():
         lay = compute_layout(n, round(n * pi))
-        naive = naive_hoeffding_ci(0.0, n, pi, 0.05).half_width
-        hoeff = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
+        naive = closed_ci("naive-hoeffding", 0.0, 0.05, n=n, pi=pi).half_width
+        hoeff = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
         assert naive / hoeff == pytest.approx(want, rel=1e-9)
 
 
@@ -346,8 +374,8 @@ def test_hoeff_narrower_than_naive_sweep():
     for K in range(4, 101):
         n = 1000 * K
         lay = compute_layout(n, 1000)
-        hoeff = hoeff_mbcr_ci(0.0, lay, 0.05).half_width
-        naive = naive_hoeffding_ci(0.0, n, 1.0 / K, 0.05).half_width
+        hoeff = closed_ci("hoeff-mbcr", 0.0, 0.05, layout=lay).half_width
+        naive = closed_ci("naive-hoeffding", 0.0, 0.05, n=n, pi=1.0 / K).half_width
         assert hoeff <= naive
 
 
@@ -355,10 +383,10 @@ def test_halfwidths_monotone_in_alpha_and_n():
     def widths(n, pi, alpha):
         lay = compute_layout(n, round(n * pi))
         return [
-            hoeff_mbcr_ci(0.0, lay, alpha).half_width,
-            sub_bernoulli_ci(0.0, alpha, scheme="bernoulli", n=n, pi=pi).half_width,
-            sub_bernoulli_ci(0.0, alpha, scheme="mbcr", layout=lay).half_width,
-            naive_hoeffding_ci(0.0, n, pi, alpha).half_width,
+            closed_ci("hoeff-mbcr", 0.0, alpha, layout=lay).half_width,
+            closed_ci("sub-bernoulli-bern", 0.0, alpha, n=n, pi=pi).half_width,
+            closed_ci("sub-bernoulli-mbcr", 0.0, alpha, layout=lay).half_width,
+            closed_ci("naive-hoeffding", 0.0, alpha, n=n, pi=pi).half_width,
         ]
 
     for lo, hi in [(0.01, 0.05), (0.05, 0.2), (0.2, 0.5)]:
@@ -504,7 +532,7 @@ def _split_statistics_reference(theta):
     prefix2 = np.concatenate(([0.0], np.cumsum(s2[:-1])))
     mu2 = (tot1 + prefix2) / (m1 + np.arange(m2))
     v2 = float(((s2 - mu2) ** 2).sum())
-    return m1, m2, v1, v2
+    return v1, v2
 
 
 @pytest.mark.parametrize("tbar", [4, 5, 7, 100, 101, 500, 20_000, 20_001])
@@ -535,7 +563,7 @@ def _studentized_reference(data, alpha):
         mirrored = pseudo_outcome(data.y, asg.z, asg.pi, "mirrored")
     t = {"n": n, "c": c}
     for side, theta in (("l", standard), ("u", mirrored)):
-        _, _, v1, v2 = _split_statistics_reference(theta)
+        v1, v2 = _split_statistics_reference(theta)
         t[f"mean_{side}"] = float(theta.sum()) / n
         t.update({f"v1_{side}": v1, f"v2_{side}": v2})
         t[f"lam1_{side}"] = _stud_lambda(v1, alpha, c)
@@ -612,11 +640,11 @@ def test_split_statistics_row_wise_bit_identical_to_each_row(tbar):
     for magnitude in (1e-3, 1e-1, 1.0, 1e1, 1e3):
         for shape in ((6, tbar), (3, 2, tbar)):
             rows = magnitude * rng.standard_normal(shape)
-            m1, m2, v1, v2 = _split_statistics(rows)
+            v1, v2 = _split_statistics(rows)
             assert v1.shape == v2.shape == shape[:-1]
             for idx in np.ndindex(shape[:-1]):
                 row = np.ascontiguousarray(rows[idx])
-                assert (m1, m2, v1[idx], v2[idx]) == _split_statistics(row)
+                assert (v1[idx], v2[idx]) == _split_statistics(row)
 
 
 def test_studentized_block_stacks_at_most_its_values():
@@ -758,14 +786,16 @@ def test_extreme_alpha_smoke():
     lay = compute_layout(1000, 100)
     data = _mbcr_data(1000, 100, 12)
     for alpha in (1 - 1e-9, 1e-12):
-        assert math.isfinite(hoeff_mbcr_ci(0.0, lay, alpha).half_width)
+        assert math.isfinite(closed_ci("hoeff-mbcr", 0.0, alpha, layout=lay).half_width)
         assert math.isfinite(
-            sub_bernoulli_ci(0.0, alpha, scheme="bernoulli", n=1000, pi=0.1).half_width
+            closed_ci("sub-bernoulli-bern", 0.0, alpha, n=1000, pi=0.1).half_width
         )
         assert math.isfinite(
-            sub_bernoulli_ci(0.0, alpha, scheme="mbcr", layout=lay).half_width
+            closed_ci("sub-bernoulli-mbcr", 0.0, alpha, layout=lay).half_width
         )
-        assert math.isfinite(naive_hoeffding_ci(0.0, 1000, 0.1, alpha).half_width)
+        assert math.isfinite(
+            closed_ci("naive-hoeffding", 0.0, alpha, n=1000, pi=0.1).half_width
+        )
         ci = studentized_ci(data, alpha)
         assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
 
@@ -777,7 +807,7 @@ def test_alpha_floor_keeps_two_over_alpha_finite():
     assert math.isfinite(2.0 / MIN_ALPHA)
     assert math.isinf(2.0 / math.nextafter(MIN_ALPHA, 0.0))
     lay = compute_layout(1000, 100)
-    closed = [m for m, spec in METHOD_TABLE.items() if spec.closed is not None]
+    closed = [m for m, spec in METHOD_TABLE.items() if spec.tuning is not None]
     for m in closed:
         assert math.isfinite(METHOD_TABLE[m].half_width(lay, 1000, 0.1, MIN_ALPHA))
         for alpha in (math.nextafter(MIN_ALPHA, 0.0), 5e-324):
@@ -819,12 +849,12 @@ def test_closed_forms_finite_monotone_and_reevaluable(layout, a1, a2, psi_hat):
     lo_alpha, hi_alpha = sorted((a1, a2))
     n, pi = layout.n, layout.n1 / layout.n
     for m, spec in METHOD_TABLE.items():
-        if spec.closed is None:
+        if spec.tuning is None:
             continue
         wide = spec.half_width(layout, n, pi, lo_alpha)
         narrow = spec.half_width(layout, n, pi, hi_alpha)
         assert math.isfinite(wide) and 0.0 < narrow <= wide, m
-        ci = spec.closed(psi_hat, layout, n, pi, lo_alpha)
+        ci = closed_ci(m, psi_hat, lo_alpha, layout=layout, n=n, pi=pi)
         packed = json.loads(json.dumps({"alpha": ci.alpha, "tuning": ci.tuning}))
         assert reevaluate(m, packed["alpha"], packed["tuning"]) == (ci.lower, ci.upper), m
 
@@ -882,7 +912,7 @@ def test_adaptive_builders_finite_ordered_and_reevaluable(case, alpha):
 
 
 def test_clip():
-    ci = naive_hoeffding_ci(0.9, 50, 0.1, 0.05)
+    ci = closed_ci("naive-hoeffding", 0.9, 0.05, n=50, pi=0.1)
     clipped = ci.clipped()
     assert clipped.upper == 1.0
     assert clipped.lower == max(ci.lower, -1.0)
@@ -897,10 +927,10 @@ def test_reevaluate_roundtrip_all_methods():
     table = PotentialTable(y0, y0 + 0.5)
     bern = ObservedData.realize(table, draw_bernoulli(400, 0.1, rng))
     built = [
-        hoeff_mbcr_ci(0.37, lay, 0.05),
-        sub_bernoulli_ci(0.37, 0.05, scheme="bernoulli", n=1000, pi=0.1),
-        sub_bernoulli_ci(0.37, 0.05, scheme="mbcr", layout=lay),
-        naive_hoeffding_ci(0.37, 1000, 0.1, 0.05),
+        closed_ci("hoeff-mbcr", 0.37, 0.05, layout=lay),
+        closed_ci("sub-bernoulli-bern", 0.37, 0.05, n=1000, pi=0.1),
+        closed_ci("sub-bernoulli-mbcr", 0.37, 0.05, layout=lay),
+        closed_ci("naive-hoeffding", 0.37, 0.05, n=1000, pi=0.1),
         clt_ci(bern, 0.05),
         studentized_ci(data, 0.05),
     ]
@@ -911,3 +941,40 @@ def test_reevaluate_roundtrip_all_methods():
         packed = json.loads(json.dumps({"alpha": ci.alpha, "tuning": ci.tuning}))
         lo2, hi2 = reevaluate(ci.method, packed["alpha"], packed["tuning"])
         assert lo2 == ci.lower and hi2 == ci.upper
+
+
+# Every closed-form tag's record, key by key in order, as its builder wrote it.
+_GROUPED_RECORD = ["psi_hat", "n", "num_full_groups", "group_size", "tail_size"]
+_CLOSED_RECORDS = {
+    "hoeff-mbcr": [*_GROUPED_RECORD, "cn", "half_width"],
+    "sub-bernoulli-bern": [
+        "psi_hat", "n", "pi", "lam", "range_lo", "range_hi", "kappa", "half_width"
+    ],
+    "sub-bernoulli-mbcr": [*_GROUPED_RECORD, "lam", "half_width"],
+    "naive-hoeffding": ["psi_hat", "n", "pi", "half_width"],
+}
+
+
+def test_closed_records_name_every_closed_form():
+    closed = {m for m, spec in METHOD_TABLE.items() if spec.tuning is not None}
+    assert closed == set(_CLOSED_RECORDS)
+
+
+@pytest.mark.parametrize("method", sorted(_CLOSED_RECORDS))
+def test_closed_ci_half_width_record_and_replay(method):
+    spec = METHOD_TABLE[method]
+    for n, n1 in ((1000, 100), (997, 100), (17, 5)):
+        lay, pi = compute_layout(n, n1), n1 / n
+        for alpha in (0.05, 1e-4, 0.5, SMALLEST_ALPHA):
+            for psi_hat in (0.0, 0.37, -0.9):
+                ci = closed_ci(method, psi_hat, alpha, layout=lay, n=n, pi=pi)
+                assert ci.method == method and ci.alpha == alpha
+                # the recorded half-width; at psi_hat = 0 the endpoints' too
+                half = spec.half_width(lay, n, pi, alpha)
+                assert ci.tuning["half_width"] == half
+                assert psi_hat != 0.0 or ci.half_width == half
+                assert list(ci.tuning) == _CLOSED_RECORDS[method]
+                for built in (ci, ci.clipped()):
+                    packed = json.loads(json.dumps(built.tuning))
+                    got = reevaluate(method, alpha, packed)
+                    assert got == (built.lower, built.upper)
