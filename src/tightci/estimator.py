@@ -10,7 +10,10 @@ pattern at ``s``, weighted by the layout's ``coef`` at ``s``: full blocks use
 size-per-treated ratio.  Other draws' terms are in unit order, each unit
 weighted at the assignment's propensity (``Assignment.unit_weights``).  An
 :class:`ObservedData` forms its terms once, in a fresh array, so the estimator
-and intervals of one replication share them.  Only the Bernoulli Studentized
+and intervals of one replication share them.  A coverage run's dense grouped
+draw needs no :class:`ObservedData`: it goes through the same
+:func:`observe` and :func:`slot_terms` to its terms, and through
+:func:`block_sums` to its group sums.  Only the Bernoulli Studentized
 interval forms mirrored terms, with the same weighting step.  On a fixed table,
 :func:`treated_set_estimate` gives the same estimate from the units a draw
 treats, without realizing the others.
@@ -143,15 +146,11 @@ class ObservedData:
 
     @classmethod
     def realize(cls, table: PotentialTable, assignment: Assignment) -> "ObservedData":
-        """Observe the potential outcome selected by each unit's arm.  A null
-        table's outcomes are its ``y0`` under any draw, read-only."""
+        """Observe the potential outcome selected by each unit's arm
+        (:func:`observe`)."""
         if table.n != assignment.n:
             raise EstimatorError("table and assignment sizes differ")
-        if table.y1 is table.y0:
-            return cls(y=read_only(table.y0.view()), assignment=assignment)
-        y = table.y0.copy()
-        np.copyto(y, table.y1, where=assignment.treated)
-        return cls(y=y, assignment=assignment)
+        return cls(y=observe(table, assignment.treated), assignment=assignment)
 
     @property
     def n(self) -> int:
@@ -166,10 +165,25 @@ class ObservedData:
         asg = self.assignment
         if asg.scheme != SCHEME_MBCR:
             return _weigh_units(self.y, asg)
-        terms = np.empty(self.n)
-        terms[asg.eta] = self.y
-        terms *= asg.layout.coef
-        return read_only(terms)
+        return read_only(slot_terms(self.y, asg.eta, asg.layout))
+
+
+def observe(table: PotentialTable, treated: np.ndarray) -> np.ndarray:
+    """Each unit's observed outcome: ``y1`` where the boolean mask ``treated``
+    is set and ``y0`` elsewhere, in a fresh array.  A null table's outcomes
+    are its ``y0`` under any draw, read-only."""
+    if table.y1 is table.y0:
+        return read_only(table.y0.view())
+    return np.where(treated, table.y1, table.y0)
+
+
+def slot_terms(y: np.ndarray, eta: np.ndarray, layout: MbcrLayout) -> np.ndarray:
+    """A grouped draw's pseudo-outcomes in one fresh array: ``y`` scattered
+    through ``eta``, then weighted in place by ``layout.coef``."""
+    terms = np.empty(layout.n)
+    terms[eta] = y
+    terms *= layout.coef
+    return terms
 
 
 def _weigh_units(values: np.ndarray, asg: Assignment) -> np.ndarray:
@@ -185,7 +199,13 @@ def ht_estimate(data: ObservedData) -> float:
     """Horvitz-Thompson estimate, the mean of the draw's pseudo-outcomes: the
     grouped estimator for a grouped draw, which with no tail equals the
     standard one at ``prop = n1/n``, and the standard estimator otherwise."""
-    return float(np.mean(data.terms))
+    return term_mean(data.terms)
+
+
+def term_mean(terms: np.ndarray) -> float:
+    """The mean of a draw's pseudo-outcomes: ``np.mean``'s own sum and
+    division, without its wrapper, so the same bits."""
+    return float(terms.sum() / terms.shape[0])
 
 
 def treated_set_estimate(
@@ -227,10 +247,17 @@ def groupwise_sums(data: ObservedData) -> np.ndarray:
         raise EstimatorError(
             f"group sums need a grouped or Bernoulli assignment, got {asg.scheme!r}"
         )
-    vals = data.terms
-    lay = asg.layout
-    body = lay.num_full_groups * lay.group_size
-    sums = vals[:body].reshape(lay.num_full_groups, lay.group_size).sum(axis=1)
-    if lay.tail_size > 0:
-        sums = np.append(sums, vals[body:].sum())
-    return sums
+    layout = asg.layout
+    return block_sums(data.terms, layout, np.empty(layout.num_groups))
+
+
+def block_sums(terms: np.ndarray, layout: MbcrLayout, out: np.ndarray) -> np.ndarray:
+    """``out``, filled with the sums of a grouped draw's slot ``terms`` over
+    each block, tail block last: one row-wise reduction of the full blocks,
+    written straight into ``out``, and the tail's sum."""
+    full, g = layout.num_full_groups, layout.group_size
+    body = full * g
+    np.add.reduce(terms[:body].reshape(full, g), axis=1, out=out[:full])
+    if layout.tail_size > 0:
+        out[full] = terms[body:].sum()
+    return out

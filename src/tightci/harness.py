@@ -50,6 +50,7 @@ from .design import (
     MAX_N,
     SCHEME_BERNOULLI,
     SCHEME_MBCR,
+    Assignment,
     DesignError,
     MbcrLayout,
     compute_layout,
@@ -69,7 +70,15 @@ from .dgp import (
     sample_population,
     true_ate_iid,
 )
-from .estimator import ObservedData, PotentialTable, ht_estimate, treated_set_estimate
+from .estimator import (
+    ObservedData,
+    PotentialTable,
+    ht_estimate,
+    observe,
+    slot_terms,
+    term_mean,
+    treated_set_estimate,
+)
 from .intervals import (
     METHOD_TABLE,
     EmptyArmError,
@@ -508,6 +517,21 @@ def _row(
 # Replication chunks and their schedule
 
 
+def _dense_data(
+    table: PotentialTable, asg: Assignment
+) -> tuple[np.ndarray | ObservedData, float]:
+    """A dense draw's data and estimate.  The data is a grouped draw's slot
+    terms, which its blocks read, or a Bernoulli draw's ``ObservedData``,
+    which its per-draw intervals read.  A drawn ``z`` holds only 0s and 1s
+    as int8, so its bytes are the treated mask."""
+    y = observe(table, asg.z.view(np.bool_))
+    if asg.scheme == SCHEME_MBCR:
+        terms = slot_terms(y, asg.eta, asg.layout)
+        return terms, term_mean(terms)
+    data = ObservedData(y, asg)
+    return data, ht_estimate(data)
+
+
 def _coverage_chunk(
     config: ExperimentConfig, cell: _Cell, start: int, stop: int
 ) -> dict[tuple[str, str], np.ndarray]:
@@ -518,10 +542,13 @@ def _coverage_chunk(
     Closed forms need only the estimates: their half-width is fixed per cell,
     so coverage is evaluated over the merged estimate arrays.  A design that
     no adaptive interval reads, on the cell's fixed table, draws only the
-    units its estimate needs.  Every other design (``dense``) draws, realizes
+    units its estimate needs.  Every other design (``dense``) draws, observes
     and weights the whole table in fresh arrays, which each replication frees
-    when it ends.  A method whose spec has a ``block`` (the grouped
-    Studentized interval) keeps only the replication's group sums, in its
+    when it ends (:func:`_dense_data`).  No draw checks the table's size:
+    every table is built at the cell's ``n``, and ``sample_population``
+    checks a fixed table's once per cell.  A method whose spec has a
+    ``block`` (the grouped Studentized interval) reduces the replication's
+    slot terms to group sums in its
     :class:`~tightci.intervals.StudentizedBlock`; each full block, and the
     last, is evaluated at once into the record.
     """
@@ -557,13 +584,12 @@ def _coverage_chunk(
             if scheme in dense:
                 # The draw is bound to no name of the loop, so it is freed
                 # with the replication's data.
-                data[scheme] = ObservedData.realize(
+                data[scheme], est = _dense_data(
                     table,
                     draw_mbcr(cell.layout, rng)
                     if scheme == SCHEME_MBCR
                     else draw_bernoulli(cell.n, pi_f, rng),
                 )
-                est = ht_estimate(data[scheme])
             elif scheme == SCHEME_MBCR:
                 units = treated_set_mbcr(cell.layout, rng)
                 est = treated_set_estimate(table, units, y0_total, cell.layout)

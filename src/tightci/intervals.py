@@ -48,7 +48,13 @@ from .design import (
     read_only,
     validate_propensity,
 )
-from .estimator import ObservedData, _weigh_units, groupwise_sums, ht_estimate
+from .estimator import (
+    ObservedData,
+    _weigh_units,
+    block_sums,
+    groupwise_sums,
+    ht_estimate,
+)
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
 METHOD_SUB_BERNOULLI_BERN = "sub-bernoulli-bern"
@@ -463,9 +469,10 @@ class StudentizedBlock:
     """A grouped design's Studentized intervals over a chunk, a block of
     draws at a time.
 
-    :meth:`add` copies a draw's group sums into a stack of at most
-    ``STUDENTIZED_BLOCK_VALUES`` values (one draw's, if they are more), so
-    memory does not grow with the draws; :meth:`evaluate` returns every
+    :meth:`add` reduces a draw's slot terms to its group sums, as
+    :func:`~tightci.estimator.groupwise_sums` does, straight into a stack of
+    at most ``STUDENTIZED_BLOCK_VALUES`` values (one draw's, if they are
+    more), so memory does not grow with the draws; :meth:`evaluate` returns every
     stacked draw's endpoints from one row-wise split-statistics call and the
     scalar tail per row, exactly as :func:`studentized_ci` gives them.  The
     cell's ``c`` is fixed once; the layout must have the groups
@@ -477,14 +484,16 @@ class StudentizedBlock:
         size = max(1, min(draws, STUDENTIZED_BLOCK_VALUES // groups))
         self.stack = np.empty((size, groups))
         self.filled = 0
+        self.layout = layout
         self.n, self.alpha, self.c = layout.n, alpha, _grouped_scale(layout)
 
     @property
     def full(self) -> bool:
         return self.filled == self.stack.shape[0]
 
-    def add(self, data: ObservedData) -> None:
-        self.stack[self.filled] = groupwise_sums(data)
+    def add(self, terms: np.ndarray) -> None:
+        """Stack the group sums of one draw's slot terms."""
+        block_sums(terms, self.layout, self.stack[self.filled])
         self.filled += 1
 
     def evaluate(self) -> list[tuple[float, float]]:

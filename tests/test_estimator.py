@@ -20,6 +20,7 @@ from reference import (
 from tightci.design import (
     Assignment,
     DesignError,
+    LayoutInfeasibleError,
     compute_layout,
     draw_bernoulli,
     draw_mbcr,
@@ -29,6 +30,7 @@ from tightci.estimator import (
     ObservedData,
     PotentialTable,
     _weigh_units,
+    block_sums,
     groupwise_sums,
     ht_estimate,
 )
@@ -431,6 +433,44 @@ def test_grouped_terms_cached_on_the_data():
     cached = vars(data)
     assert cached["terms"] is terms
     assert set(cached) == {"y", "assignment", "terms"}
+
+
+def test_estimate_is_np_mean_bit_for_bit():
+    # ht_estimate is terms.sum() / n, np.mean's own sum and division
+    for n in [*range(1, 301), 1000, 5000, 20_000, 100_000]:
+        rng = np.random.default_rng(n)
+        table = _random_table(n, rng)
+        draws = [draw_bernoulli(n, 0.3, rng)]
+        # and the largest treated count up to n/10 that has a grouped layout
+        for n1 in range(max(1, n // 10), 0 if n >= 2 else 1, -1):
+            try:
+                draws.append(draw_mbcr(compute_layout(n, n1), rng))
+                break
+            except LayoutInfeasibleError:
+                continue
+        for asg in draws:
+            data = ObservedData.realize(table, asg)
+            want = float(np.mean(data.terms))
+            assert ht_estimate(data).hex() == want.hex(), (n, asg.scheme)
+
+
+@pytest.mark.parametrize("n,n1", [(1000, 100), (997, 100), (991, 100), (5000, 500), (47, 5)])
+def test_block_sums_are_each_blocks_reduction(n, n1):
+    # one row-wise reduction straight into its output, then the tail's sum:
+    # the bits of reducing each block's slice on its own
+    lay = compute_layout(n, n1)
+    rng = np.random.default_rng(n)
+    data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
+    g, body = lay.group_size, lay.num_full_groups * lay.group_size
+    slices = [data.terms[i : i + g] for i in range(0, body, g)]
+    if lay.tail_size:
+        slices.append(data.terms[body:])
+    expected = np.array([np.add.reduce(s) for s in slices])
+    assert groupwise_sums(data).tobytes() == expected.tobytes()
+    row = np.full(lay.num_groups + 3, np.nan)
+    assert block_sums(data.terms, lay, row[1:-2]) is not None
+    assert row[1:-2].tobytes() == expected.tobytes()
+    assert np.isnan(row[[0, -2, -1]]).all()  # nothing written outside ``out``
 
 
 def test_groupwise_total_is_estimate():

@@ -832,6 +832,106 @@ def test_chunk_equals_its_one_replication_chunks(setting):
         assert arr.tobytes() == joined.tobytes()
 
 
+_SHIFT = {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5}
+_NULL = {"kind": "uniform_null", "lo": 0.0, "hi": 0.1}
+
+
+def _assert_chunk_is_its_draws(cfg, cell, scheme, draws, adaptive):
+    """The cell's chunk record equals, byte for byte, the one rebuilt from
+    one ``ObservedData`` per draw by ``ht_estimate`` and each adaptive
+    builder in ``adaptive``."""
+    from tightci.estimator import ht_estimate
+    from tightci.harness import _coverage_chunk
+
+    est, covered, half = [], {m: [] for m in adaptive}, {m: [] for m in adaptive}
+    for data in draws:
+        est.append(ht_estimate(data))
+        for m, build in adaptive.items():
+            ci = build(data, cell.alpha)
+            covered[m].append(ci.contains(cell.target))
+            half[m].append(ci.half_width)
+    expected = {("est", scheme): np.array(est)}
+    for m in adaptive:
+        expected["covered", m] = np.array(covered[m], dtype=np.uint8)
+        expected["half", m] = np.array(half[m])
+    record = _coverage_chunk(cfg, cell, 0, len(est))
+    assert sorted(record) == sorted(expected)
+    for key, arr in expected.items():
+        assert record[key].dtype == arr.dtype
+        assert record[key].tobytes() == arr.tobytes(), key
+
+
+@pytest.mark.parametrize("dgp", [_SHIFT, _NULL], ids=["shift", "null"])
+@pytest.mark.parametrize(
+    "n, pi, spill",
+    [(1000, "1/10", 0), (997, "100/997", 1), (991, "100/991", 2)],
+    ids=["tiling", "one-spill", "two-spill"],
+)
+def test_dense_grouped_chunk_equals_its_draws_realized_one_by_one(
+    monkeypatch, n, pi, spill, dgp
+):
+    from tightci import intervals
+    from tightci.design import draw_mbcr
+    from tightci.estimator import ObservedData
+    from tightci.harness import _DRAW_TAGS, _build_cells, substream
+
+    # the chunk goes from each permutation to slot terms and stacked group
+    # sums; every estimate, containment and half-width must be the bits of
+    # the library path: realize, ht_estimate, studentized_ci.  Blocks of five
+    # draws make the chunk evaluate more than one block.
+    monkeypatch.setattr(intervals, "STUDENTIZED_BLOCK_VALUES", 5 * 100)
+    reps = 12
+    raw = _coverage_raw(
+        grid={"n": [n], "pi": [pi], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "studentized"],
+        dgp=dgp,
+        replications=reps,
+    )
+    cfg = parse_config(raw)
+    (cell,) = _build_cells(cfg)
+    assert cell.layout.tail_treated == spill
+    at = substream(cfg.seed, cell.idx, _DRAW_TAGS["mbcr"])
+    draws = (
+        ObservedData.realize(cell.table, draw_mbcr(cell.layout, at(rep)))
+        for rep in range(reps)
+    )
+    adaptive = {"studentized": intervals.studentized_ci}
+    _assert_chunk_is_its_draws(cfg, cell, "mbcr", draws, adaptive)
+
+
+@pytest.mark.parametrize("dgp", [_SHIFT, _NULL], ids=["shift", "null"])
+def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
+    from tightci import intervals
+    from tightci.design import draw_bernoulli
+    from tightci.dgp import sample_population
+    from tightci.estimator import ObservedData
+    from tightci.harness import _DRAW_TAGS, _TAG_REP_TABLE, _build_cells, substream
+
+    # the Bernoulli draws keep their ObservedData, built without realize
+    reps = 12
+    raw = _coverage_raw(
+        grid={"n": [2000], "pi": ["1/100"], "alpha": [0.05]},
+        methods=["clt", "studentized-bern"],
+        dgp=dgp,
+        replications=reps,
+        setting="superpopulation",
+    )
+    cfg = parse_config(raw)
+    (cell,) = _build_cells(cfg)
+    at = substream(cfg.seed, cell.idx, _DRAW_TAGS["bernoulli"])
+    tables = substream(cfg.seed, cell.idx, _TAG_REP_TABLE)
+    spec = cfg.dgp.with_n(cell.n)
+    draws = (
+        ObservedData.realize(
+            sample_population(spec, tables(rep)),
+            draw_bernoulli(cell.n, float(cell.pi), at(rep)),
+        )
+        for rep in range(reps)
+    )
+    adaptive = {"clt": intervals.clt_ci, "studentized-bern": intervals.studentized_ci}
+    _assert_chunk_is_its_draws(cfg, cell, "bernoulli", draws, adaptive)
+
+
 def _growth_per_replication(
     monkeypatch, methods, marker, n=20000, reps=5, setting="design_based"
 ):
@@ -955,14 +1055,25 @@ def _count_builds(monkeypatch, cls, name, calls):
     "methods,built",
     [
         (["clt", "studentized-bern", "sub-bernoulli-bern"], ["terms"]),
-        (["hoeff-mbcr", "studentized"], ["terms"]),
+        # a dense grouped draw goes to its slot terms with no ObservedData
+        (["hoeff-mbcr", "studentized"], ["slot_terms"]),
     ],
 )
 def test_replication_builds_its_coefficient_once(monkeypatch, methods, built):
+    from tightci import estimator, harness
     from tightci.estimator import ObservedData
 
     calls = []
     _count_builds(monkeypatch, ObservedData, "terms", calls)
+    real = estimator.slot_terms
+
+    def counting(*args):
+        calls.append("slot_terms")
+        return real(*args)
+
+    # every place slot terms are built from: the harness and ObservedData
+    monkeypatch.setattr(harness, "slot_terms", counting)
+    monkeypatch.setattr(estimator, "slot_terms", counting)
     raw = _coverage_raw(methods=methods, replications=1, setting="superpopulation")
     report = run_monte_carlo(parse_config(raw))
     assert len(report.rows) == len(methods)

@@ -45,3 +45,18 @@ def test_cited_name_check_catches_a_removed_name(stale):
     # the pattern reads names the library no longer has
     ((module, name),) = _CITED.findall(stale)
     assert not hasattr(importlib.import_module(f"tightci.{module}"), name)
+
+
+def test_ci_half_width_note_keeps_its_numbers():
+    # the `ci` section's two half-widths of one interval: the endpoints' and
+    # the formula's, which differ in the last bit
+    from tightci.design import compute_layout
+    from tightci.intervals import closed_ci
+
+    note = re.search(
+        r"prints `half_width`\s+(\S+) and `tuning.half_width` (\S+?)\.\s", README
+    )
+    ci = closed_ci("hoeff-mbcr", -0.9, 0.05, layout=compute_layout(1000, 100))
+    assert ci.half_width == (ci.upper - ci.lower) / 2.0
+    assert (repr(ci.half_width), repr(ci.tuning["half_width"])) == note.groups()
+    assert ci.half_width != ci.tuning["half_width"]
