@@ -517,19 +517,11 @@ def _row(
 # Replication chunks and their schedule
 
 
-def _dense_data(
-    table: PotentialTable, asg: Assignment
-) -> tuple[np.ndarray | ObservedData, float]:
-    """A dense draw's data and estimate.  The data is a grouped draw's slot
-    terms, which its blocks read, or a Bernoulli draw's ``ObservedData``,
-    which its per-draw intervals read.  A drawn ``z`` holds only 0s and 1s
-    as int8, so its bytes are the treated mask."""
-    y = observe(table, asg.z.view(np.bool_))
-    if asg.scheme == SCHEME_MBCR:
-        terms = slot_terms(y, asg.eta, asg.layout)
-        return terms, term_mean(terms)
-    data = ObservedData(y, asg)
-    return data, ht_estimate(data)
+def _grouped_terms(table: PotentialTable, asg: Assignment) -> np.ndarray:
+    """A dense grouped draw's slot terms, which its estimate and its blocks
+    read.  A drawn ``z`` holds only 0s and 1s as int8, so its bytes are the
+    treated mask."""
+    return slot_terms(observe(table, asg.z.view(np.bool_)), asg.eta, asg.layout)
 
 
 def _coverage_chunk(
@@ -544,13 +536,14 @@ def _coverage_chunk(
     no adaptive interval reads, on the cell's fixed table, draws only the
     units its estimate needs.  Every other design (``dense``) draws, observes
     and weights the whole table in fresh arrays, which each replication frees
-    when it ends (:func:`_dense_data`).  No draw checks the table's size:
-    every table is built at the cell's ``n``, and ``sample_population``
-    checks a fixed table's once per cell.  A method whose spec has a
-    ``block`` (the grouped Studentized interval) reduces the replication's
-    slot terms to group sums in its
-    :class:`~tightci.intervals.StudentizedBlock`; each full block, and the
-    last, is evaluated at once into the record.
+    when it ends: a grouped draw goes straight to its slot terms
+    (:func:`_grouped_terms`), with no size check, since every table is built
+    at the cell's ``n``; a Bernoulli draw is realized into an
+    ``ObservedData``, which its per-draw intervals read.  A grouped
+    data-adaptive method therefore needs a ``block`` (the grouped
+    Studentized interval has one), which reduces the replication's slot
+    terms to group sums in its :class:`~tightci.intervals.StudentizedBlock`;
+    each full block, and the last, is evaluated at once into the record.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
@@ -581,15 +574,16 @@ def _coverage_chunk(
         data = {}
         for scheme in used:
             rng = streams[scheme](rep)
-            if scheme in dense:
-                # The draw is bound to no name of the loop, so it is freed
-                # with the replication's data.
-                data[scheme], est = _dense_data(
-                    table,
-                    draw_mbcr(cell.layout, rng)
-                    if scheme == SCHEME_MBCR
-                    else draw_bernoulli(cell.n, pi_f, rng),
+            # A dense draw is bound to no name of the loop, so it is freed
+            # with the replication's data.
+            if scheme in dense and scheme == SCHEME_MBCR:
+                data[scheme] = _grouped_terms(table, draw_mbcr(cell.layout, rng))
+                est = term_mean(data[scheme])
+            elif scheme in dense:
+                data[scheme] = ObservedData.realize(
+                    table, draw_bernoulli(cell.n, pi_f, rng)
                 )
+                est = ht_estimate(data[scheme])
             elif scheme == SCHEME_MBCR:
                 units = treated_set_mbcr(cell.layout, rng)
                 est = treated_set_estimate(table, units, y0_total, cell.layout)

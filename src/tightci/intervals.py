@@ -641,7 +641,8 @@ class MethodSpec:
     ``endpoints(alpha, tuning)`` is the arithmetic ``reevaluate`` replays.
     ``block(layout, alpha, draws)``, if set, is what a coverage chunk
     evaluates the interval through, a block of draws at a time, in place of
-    ``adaptive``.
+    ``adaptive``; a data-adaptive interval under ``SCHEME_MBCR`` must have
+    one, since a coverage chunk's grouped draw is only its slot terms.
     ``miscoverage_factor`` is k in the guarantee ``coverage >= 1 - k alpha``.
     ``min_groups`` is the fewest groups (units, under Bernoulli draws) the
     interval can use.  ``cli_schemes`` lists the data schemes ``tightci ci``

@@ -907,7 +907,7 @@ def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     from tightci.estimator import ObservedData
     from tightci.harness import _DRAW_TAGS, _TAG_REP_TABLE, _build_cells, substream
 
-    # the Bernoulli draws keep their ObservedData, built without realize
+    # the Bernoulli draws keep the ObservedData that realize builds
     reps = 12
     raw = _coverage_raw(
         grid={"n": [2000], "pi": ["1/100"], "alpha": [0.05]},
@@ -930,6 +930,21 @@ def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     )
     adaptive = {"clt": intervals.clt_ci, "studentized-bern": intervals.studentized_ci}
     _assert_chunk_is_its_draws(cfg, cell, "bernoulli", draws, adaptive)
+
+
+def test_every_grouped_adaptive_method_has_a_block():
+    # a coverage chunk's dense grouped draw is its slot terms, not an
+    # ObservedData, so a grouped data-adaptive interval must go through a block
+    from tightci.design import SCHEME_MBCR
+    from tightci.intervals import METHOD_TABLE
+
+    grouped = [
+        m
+        for m, spec in METHOD_TABLE.items()
+        if spec.scheme == SCHEME_MBCR and spec.adaptive is not None
+    ]
+    assert grouped
+    assert [m for m in grouped if METHOD_TABLE[m].block is None] == []
 
 
 def _growth_per_replication(
