@@ -122,21 +122,21 @@ def _mbcr_assignment(z: np.ndarray, block) -> Assignment:
     if not np.array_equal(block, np.trunc(block)):
         raise CliError("block column must contain integers")
     layout = compute_layout(z.shape[0], int(z.sum()))
-    g, s, k = layout.group_size, layout.tail_size, layout.tail_treated
+    (g, _, full), *tails = layout.kinds
     labels, unit_block, sizes = np.unique(block, return_inverse=True, return_counts=True)
     treated = np.bincount(unit_block[z == 1], minlength=labels.size)
     # A tail is never a full block's (g, 1): with one treated unit it is
     # shorter than g, and otherwise it has two.
     odd = np.flatnonzero((sizes != g) | (treated != 1))
-    if [(sizes[b], treated[b]) for b in odd] != ([(s, k)] if s else []):
-        tail = f", and one of {s} units with {k} treated" if s else ""
+    if [(sizes[b], treated[b]) for b in odd] != [(s, k) for s, k, _ in tails]:
+        tail = "".join(f", and one of {s} units with {k} treated" for s, k, _ in tails)
         found = "; ".join(
             f"block {int(labels[b])} has {sizes[b]} units, {treated[b]} treated"
             for b in odd[:3]
         )
         raise CliError(
             f"block column does not match the grouped layout of {layout.n} units, "
-            f"{layout.n1} treated: {layout.num_full_groups} blocks of {g} units "
+            f"{layout.n1} treated: {full} blocks of {g} units "
             f"with one treated each{tail}; {found}"
         )
     slot_order = np.lexsort((1 - z, unit_block, np.isin(unit_block, odd)))

@@ -122,9 +122,9 @@ class MbcrLayout:
 
     ``num_full_groups`` blocks of ``group_size`` slots each receive exactly
     one treated unit; a final block of ``tail_size`` slots (possibly empty)
-    receives ``tail_treated`` of them.  Slots are laid out as the read-only
-    pattern :attr:`allocation`, weighed by the read-only :attr:`coef`; both
-    are built on first read and live as long as the layout.
+    receives ``tail_treated`` of them.  The read-only :attr:`kinds`,
+    :attr:`allocation` and :attr:`coef` are built on first read and live as
+    long as the layout.
     """
 
     n: int
@@ -138,33 +138,37 @@ class MbcrLayout:
     def pi(self) -> Fraction:
         return Fraction(self.n1, self.n)
 
+    @cached_property
+    def kinds(self) -> tuple[tuple[int, int, int], ...]:
+        """``(size, treated, count)`` per kind of block, in slot order: the
+        full blocks ``(g, 1, T)``, then the tail ``(s, k, 1)`` if any."""
+        full = (self.group_size, 1, self.num_full_groups)
+        if self.tail_size == 0:
+            return (full,)
+        return full, (self.tail_size, self.tail_treated, 1)
+
     @property
     def num_groups(self) -> int:
         """Total group count including the tail when present."""
-        return self.num_full_groups + (1 if self.tail_size > 0 else 0)
+        return sum(count for _, _, count in self.kinds)
 
     @cached_property
     def allocation(self) -> np.ndarray:
-        """Pre-randomization slot pattern: one 1 leading each full block,
-        then the tail's treated slots, then the tail's control slots."""
-        a = np.zeros(self.n, dtype=np.int8)
-        body = self.num_full_groups * self.group_size
-        a[0:body:self.group_size] = 1
-        a[body:body + self.tail_treated] = 1
-        return read_only(a)
+        """Pre-randomization slot pattern: 1 at a treated slot, where the
+        coefficient is positive, and 0 at a control slot."""
+        return read_only((self.coef > 0).view(np.int8))
 
     @cached_property
     def coef(self) -> np.ndarray:
-        """Each slot's Horvitz-Thompson coefficient: ``g`` at a full block's
-        treated slot and ``-g/(g-1)`` at its control slots, with the tail
-        block's own size-per-treated ratio in place of ``g``."""
-        g, full, tail = self.group_size, self.num_full_groups, self.tail_size
-        a = self.allocation
-        coef = np.where(a == 1, float(g), -g / (g - 1.0))
-        if tail > 0:
-            treated, body = self.tail_treated, full * g
-            tail_a = a[body:]
-            coef[body:] = np.where(tail_a == 1, tail / treated, -tail / (tail - treated))
+        """Each slot's Horvitz-Thompson coefficient: a block of ``s`` slots
+        with ``k`` treated leads with ``k`` slots of ``s/k``, then its control
+        slots of ``-s/(s-k)``, so ``g`` and ``-g/(g-1)`` in a full block."""
+        coef, start = np.empty(self.n), 0
+        for size, treated, count in self.kinds:
+            blocks = coef[start:start + size * count].reshape(count, size)
+            blocks[:, :treated] = size / treated
+            blocks[:, treated:] = -size / (size - treated)
+            start += size * count
         return read_only(coef)
 
 
@@ -322,10 +326,8 @@ class MbcrDistribution:
 
 def _space_factors(layout: MbcrLayout):
     """The factors of ``g!**T * s! * n!``, one at a time, each at least 2."""
-    sizes = itertools.chain(
-        itertools.repeat(layout.group_size, layout.num_full_groups),
-        (layout.tail_size, layout.n),
-    )
+    blocks = (itertools.repeat(size, count) for size, _, count in layout.kinds)
+    sizes = itertools.chain(*blocks, (layout.n,))
     return itertools.chain.from_iterable(range(2, k + 1) for k in sizes)
 
 
@@ -350,20 +352,13 @@ def enumerate_mbcr_distribution(
                 f"exact enumeration needs {bound}{space} permutation tuples, over "
                 f"the budget of {budget}; increase the budget or use a smaller n"
             )
-    n, g = layout.n, layout.group_size
-    a = layout.allocation
-    block_perms = [
-        [np.array(p) + t * g for p in itertools.permutations(range(g))]
-        for t in range(layout.num_full_groups)
-    ]
-    if layout.tail_size >= 2:
-        body = layout.num_full_groups * g
-        block_perms.append(
-            [
-                np.array(p) + body
-                for p in itertools.permutations(range(layout.tail_size))
-            ]
-        )
+    n, a = layout.n, layout.allocation
+    block_perms, start = [], 0
+    for size, _, count in layout.kinds:
+        perms = [np.array(p) for p in itertools.permutations(range(size))]
+        for _ in range(count):
+            block_perms.append([p + start for p in perms])
+            start += size
     patterns = [
         a[np.concatenate(combo)]
         for combo in itertools.product(*block_perms)

@@ -253,11 +253,12 @@ def groupwise_sums(data: ObservedData) -> np.ndarray:
 
 def block_sums(terms: np.ndarray, layout: MbcrLayout, out: np.ndarray) -> np.ndarray:
     """``out``, filled with the sums of a grouped draw's slot ``terms`` over
-    each block, tail block last: one row-wise reduction of the full blocks,
-    written straight into ``out``, and the tail's sum."""
-    full, g = layout.num_full_groups, layout.group_size
-    body = full * g
-    np.add.reduce(terms[:body].reshape(full, g), axis=1, out=out[:full])
-    if layout.tail_size > 0:
-        out[full] = terms[body:].sum()
+    each block, tail block last: one row-wise reduction per kind of block,
+    written straight into ``out``."""
+    start = row = 0
+    for size, _, count in layout.kinds:
+        stop = start + size * count
+        rows = terms[start:stop].reshape(count, size)
+        np.add.reduce(rows, axis=1, out=out[row:row + count])
+        start, row = stop, row + count
     return out

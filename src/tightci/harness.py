@@ -669,8 +669,8 @@ def _run_cells(config, cells, workers: int):
 
     Ranges never influence the results: every replication owns its stream
     segments and lands at its absolute index during the merge, so any worker
-    count produces identical reports.  ``used`` processes, at most the CPUs
-    and the cell-replications, each run one slice of every cell, a list of
+    count produces identical reports.  ``used`` processes, at most the usable
+    CPUs and the cell-replications, each run one slice of every cell, a list of
     ``(cell index, start, stop)``; a platform without ``os.fork`` runs one.
     The parent forks a child for every slice after slice 0
     (:func:`_fork_slice`), runs slice 0 itself, then reads each child's pipe
@@ -681,10 +681,11 @@ def _run_cells(config, cells, workers: int):
     raised.
     """
     reps = config.replications
-    cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     active = [i for i, cell in enumerate(cells) if cell.methods]
     used = max(1, min(workers, cpus, reps * len(active)))
-    reason = f"{cpus} CPUs, {reps * len(active)} cell-replications"
+    reason = f"{cpus} usable CPUs, {reps * len(active)} cell-replications"
     if not hasattr(os, "fork"):
         used, reason = 1, "no os.fork on this platform"
     if used < workers:

@@ -206,9 +206,16 @@ def _bernoulli_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
     return {"n": int(n), "pi": float(pi)}
 
 
+def _record_kinds(t: dict[str, Any]) -> list[tuple[int, int]]:
+    """The ``(size, count)`` of each kind of block a grouped record names:
+    the full blocks, then the tail when there is one."""
+    pairs = ((t["group_size"], t["num_full_groups"]), (t["tail_size"], 1))
+    return [(size, count) for size, count in pairs if size > 0]
+
+
 def _hoeff_mbcr_constant(t: dict[str, Any]) -> float:
-    g, tail = t["group_size"], t["tail_size"]
-    return math.sqrt((t["num_full_groups"] * g * g + tail * tail) / t["n"])
+    squares = sum(count * size * size for size, count in _record_kinds(t))
+    return math.sqrt(squares / t["n"])
 
 
 def _hoeff_mbcr_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
@@ -256,19 +263,14 @@ def _sb_mbcr_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:
     CGF's quadratic coefficient ``4 T g^2 + 4 tail^2``, which attains the
     sharp small-propensity width scaling."""
     t = _grouped_shape(layout)
-    g, tail = t["group_size"], t["tail_size"]
-    t["lam"] = math.sqrt(
-        2.0 * math.log(2.0 / alpha)
-        / (4.0 * t["num_full_groups"] * g * g + 4.0 * tail * tail)
-    )
+    quad = sum(4.0 * count * size * size for size, count in _record_kinds(t))
+    t["lam"] = math.sqrt(2.0 * math.log(2.0 / alpha) / quad)
     return t
 
 
 def _sb_mbcr_half(alpha: float, t: dict[str, Any]) -> float:
     lam = t["lam"]
-    kappa = t["num_full_groups"] * log_half_cosh2(2.0 * t["group_size"] * lam)
-    if t["tail_size"] > 0:
-        kappa += log_half_cosh2(2.0 * t["tail_size"] * lam)
+    kappa = sum(c * log_half_cosh2(2.0 * s * lam) for s, c in _record_kinds(t))
     return (math.log(2.0 / alpha) + kappa) / (t["n"] * lam)
 
 
@@ -299,7 +301,7 @@ STUDENTIZED_BLOCK_VALUES = 2**16
 
 
 def _grouped_scale(layout: MbcrLayout) -> float:
-    return float(max(layout.group_size, layout.tail_size))
+    return float(max(size for size, _, _ in layout.kinds))
 
 
 def studentized_scale(data: ObservedData) -> float:

@@ -3,8 +3,10 @@
 Plain per-unit and per-block expressions of what the library computes in
 vectorized form, the exact conditional-expectation oracle for the grouped
 estimator's unbiasedness, the propensity-only bound on the grouped width
-constant, the exact enumeration's tuple count, and the writers of the CSV
-files that the library reads.  No library code path calls them.
+constant, the exact enumeration's tuple count, the grouped layout's slot
+pattern, coefficients, group sums and closed-form constants written as full
+blocks plus a tail, and the writers of the CSV files that the library reads.
+No library code path calls them.
 """
 
 import csv
@@ -15,6 +17,7 @@ import numpy as np
 
 from tightci.design import SCHEME_COMPLETE, Assignment, MbcrLayout, _check_counts
 from tightci.estimator import EstimatorError, ObservedData, PotentialTable
+from tightci.intervals import _grouped_shape, log_half_cosh2
 
 VARIANT_STANDARD = "standard"
 VARIANT_MIRRORED = "mirrored"
@@ -167,3 +170,69 @@ def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
         (1.0 + pi) ** 2 / pi + 2.0 * (1.0 / pi + 1.0) ** 2 / layout.n
     )
     return bound, 2
+
+
+# ---------------------------------------------------------------------------
+# The grouped layout written as full blocks plus a tail, each formula with the
+# tail's term beside the full blocks'.  ``MbcrLayout.kinds`` gives the same
+# bytes as one loop over the kinds of block.
+
+
+def allocation_reference(layout: MbcrLayout) -> np.ndarray:
+    """One 1 leading each full block, then the tail's treated slots, then
+    the tail's control slots."""
+    a = np.zeros(layout.n, dtype=np.int8)
+    body = layout.num_full_groups * layout.group_size
+    a[0:body:layout.group_size] = 1
+    a[body:body + layout.tail_treated] = 1
+    return a
+
+
+def coef_reference(layout: MbcrLayout) -> np.ndarray:
+    """``g`` at a full block's treated slot and ``-g/(g-1)`` at its control
+    slots, with the tail block's own size-per-treated ratio in place of ``g``."""
+    g, full, tail = layout.group_size, layout.num_full_groups, layout.tail_size
+    a = allocation_reference(layout)
+    coef = np.where(a == 1, float(g), -g / (g - 1.0))
+    if tail > 0:
+        treated, body = layout.tail_treated, full * g
+        tail_a = a[body:]
+        coef[body:] = np.where(tail_a == 1, tail / treated, -tail / (tail - treated))
+    return coef
+
+
+def block_sums_reference(terms: np.ndarray, layout: MbcrLayout) -> np.ndarray:
+    """One row-wise reduction of the full blocks, then the tail's sum."""
+    full, g = layout.num_full_groups, layout.group_size
+    out = np.empty(layout.num_full_groups + (layout.tail_size > 0))
+    body = full * g
+    np.add.reduce(terms[:body].reshape(full, g), axis=1, out=out[:full])
+    if layout.tail_size > 0:
+        out[full] = terms[body:].sum()
+    return out
+
+
+def hoeff_mbcr_constant_reference(t: dict) -> float:
+    """``sqrt((T g^2 + tail^2) / n)`` of a grouped tuning record."""
+    g, tail = t["group_size"], t["tail_size"]
+    return math.sqrt((t["num_full_groups"] * g * g + tail * tail) / t["n"])
+
+
+def sb_mbcr_tuning_reference(layout: MbcrLayout, alpha: float) -> dict:
+    """The ``sub-bernoulli-mbcr`` record: the layout's shape and ``lam``."""
+    t = _grouped_shape(layout)
+    g, tail = t["group_size"], t["tail_size"]
+    t["lam"] = math.sqrt(
+        2.0 * math.log(2.0 / alpha)
+        / (4.0 * t["num_full_groups"] * g * g + 4.0 * tail * tail)
+    )
+    return t
+
+
+def sb_mbcr_half_reference(alpha: float, t: dict) -> float:
+    """The ``sub-bernoulli-mbcr`` half-width of a tuning record."""
+    lam = t["lam"]
+    kappa = t["num_full_groups"] * log_half_cosh2(2.0 * t["group_size"] * lam)
+    if t["tail_size"] > 0:
+        kappa += log_half_cosh2(2.0 * t["tail_size"] * lam)
+    return (math.log(2.0 / alpha) + kappa) / (t["n"] * lam)

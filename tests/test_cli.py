@@ -1157,8 +1157,8 @@ def test_runtime_does_not_import_scipy_stats():
 
 # A fresh interpreter's last line of output: main's exit code (0 when no
 # arguments are given and main is not called), the scipy modules loaded and
-# the number of os.fork calls.  Two CPUs are reported, so that two workers
-# fork on any machine.
+# the number of os.fork calls.  Two usable CPUs are reported, so that two
+# workers fork on any machine.
 _FRESH_MAIN = """
 import json, os, sys
 from tightci.cli import main
@@ -1171,7 +1171,7 @@ def counted_fork():
     return fork()
 
 os.fork = counted_fork
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps([code, scipy, len(forks)]))

@@ -278,6 +278,13 @@ def serial_children(monkeypatch):
     return children
 
 
+def _report_cpus(monkeypatch, count):
+    """Make the harness see ``count`` usable CPUs: an affinity mask of that
+    many, on any platform."""
+    mask = set(range(count))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
 def _children_per_run(children):
     """How many children each run started; a run's children share its cells."""
     runs = itertools.groupby(children, lambda child: id(child.cells))
@@ -293,11 +300,11 @@ def _assert_no_child_left():
 def test_worker_count_set_by_the_flag_alone(
     monkeypatch, tmp_path, capsys, serial_children
 ):
-    from tightci import cli, harness
+    from tightci import cli
 
     # the flag alone sets the count; the environment does not override it
     monkeypatch.setenv("TIGHTCI_THREADS", "3")
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    _report_cpus(monkeypatch, 64)
     config = tmp_path / "c.json"
     config.write_text(json.dumps(_coverage_raw(methods=["hoeff-mbcr"], replications=8)))
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
@@ -319,13 +326,11 @@ def test_worker_count_set_by_the_flag_alone(
 
 
 def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_children):
-    from tightci import harness
-
     cfg = parse_config(_coverage_raw(replications=40))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert serial_children == []
     # 40 cell-replications are more than the 4 CPUs; the parent is one of 4
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    _report_cpus(monkeypatch, 4)
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=10_000).to_csv_bytes() == serial
     assert _children_per_run(serial_children) == [3]
@@ -333,11 +338,11 @@ def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch, caplog, serial_chil
     assert len(clamps) == 1
     assert "using 4 of the 10000 requested workers" in clamps[0].getMessage()
     # three replications make three cell-replications, fewer than the CPUs
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    _report_cpus(monkeypatch, 64)
     assert run_monte_carlo(parse_config(_coverage_raw(replications=3)), workers=10_000)
     assert _children_per_run(serial_children) == [3, 2]
     # two workers on two CPUs with many tasks run as asked, with no clamp
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     caplog.clear()
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
@@ -351,12 +356,42 @@ def test_no_fork_runs_one_process_and_says_why(monkeypatch, caplog):
 
     cfg = parse_config(_coverage_raw(replications=40))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    _report_cpus(monkeypatch, 4)
     monkeypatch.delattr(harness.os, "fork")
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=3).to_csv_bytes() == serial
     clamps = [r.getMessage() for r in caplog.records]
     assert clamps == ["using 1 of the 3 requested workers (no os.fork on this platform)"]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_mask_runs_two_workers_as_one(
+    tmp_path, capsys, caplog, serial_children
+):
+    from tightci import cli
+
+    # a real mask, as taskset or a container cpuset sets it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_coverage_raw(replications=8)))
+    mask = os.sched_getaffinity(0)
+    outputs = []
+    for workers, cpus in ((1, mask), (2, {min(mask)})):
+        out = tmp_path / str(workers)
+        os.sched_setaffinity(0, cpus)
+        try:
+            with caplog.at_level("WARNING", logger="tightci.harness"):
+                code = cli.main(["simulate", "--config", str(config), "--out", str(out),
+                                 "--workers", str(workers)])
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert code == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+    assert serial_children == []  # the mask leaves one process: nothing forks
+    assert outputs[0] == outputs[1]
+    clamps = [r.getMessage() for r in caplog.records if "requested workers" in r.getMessage()]
+    assert clamps == ["using 1 of the 2 requested workers (1 usable CPUs, 8 cell-replications)"]
     _assert_no_child_left()
 
 
@@ -393,7 +428,7 @@ def test_schedule_runs_each_replication_once_in_balanced_slices(
     cfg = parse_config(raw)
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     monkeypatch.setattr(harness, "_coverage_chunk", recording)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    _report_cpus(monkeypatch, cpus)
     with caplog.at_level("WARNING", logger="tightci.harness"):
         assert run_monte_carlo(cfg, workers=workers).to_csv_bytes() == serial
     active = [idx for idx, n in enumerate(ns) if n % 10 == 0]
@@ -403,7 +438,7 @@ def test_schedule_runs_each_replication_once_in_balanced_slices(
     if used < workers:
         assert clamps == [
             f"using {used} of the {workers} requested workers "
-            f"({cpus} CPUs, {reps * len(active)} cell-replications)"
+            f"({cpus} usable CPUs, {reps * len(active)} cell-replications)"
         ]
     else:
         assert clamps == []
@@ -443,9 +478,7 @@ def _two_cell_raw(n):
 
 def _child_payload(serial_children, monkeypatch, n):
     """The pickled size of every task started at ``n`` on two workers."""
-    from tightci import harness
-
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     serial_children.clear()
     run_monte_carlo(parse_config(_two_cell_raw(n)), workers=2)
     (child,) = serial_children
@@ -463,9 +496,7 @@ def test_child_tasks_carry_only_their_ranges(monkeypatch, serial_children):
 
 
 def test_forked_child_is_sent_nothing_pickled(monkeypatch):
-    from tightci import harness
-
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     cfg = parse_config(_two_cell_raw(100_000))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     pickled = []
@@ -497,7 +528,7 @@ def _failing_chunk(monkeypatch, where, fail):
         return real(config, cell, start, stop)
 
     monkeypatch.setattr(harness, "_coverage_chunk", failing)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])
@@ -558,7 +589,7 @@ def test_failing_parent_slice_kills_its_children(monkeypatch):
         raise ValueError("parent slice failed")
 
     monkeypatch.setattr(harness, "_coverage_chunk", stall_or_fail)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    _report_cpus(monkeypatch, 3)
     cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=6))
     with pytest.raises(ValueError, match="parent slice failed"):
         run_monte_carlo(cfg, workers=3)
@@ -581,7 +612,7 @@ def test_child_record_larger_than_a_pipe_buffer_arrives_whole(monkeypatch):
     record = harness._run_slice([(0, reps // 2, reps)], cfg, cells)
     assert len(pickle.dumps((True, record), pickle.HIGHEST_PROTOCOL)) > 2**16
     serial = harness._run_cells(cfg, cells, 1)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     forked = harness._run_cells(cfg, cells, 2)
     assert serial.keys() == forked.keys()
     for idx, keys in serial.items():
@@ -605,7 +636,7 @@ def test_bundled_config_bytes_equal_at_one_two_and_three_workers(
 ):
     from tightci import harness
 
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    _report_cpus(monkeypatch, 4)
     forks = []
     real = harness._fork_slice
 
@@ -1046,7 +1077,7 @@ def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_children):
     # two processes take one half of each cell: the parent the first halves,
     # then the one child the second
     calls.clear()
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
     assert calls == [(100, 0, 20), (200, 0, 20), (100, 20, 40), (200, 20, 40)]
 

@@ -277,7 +277,7 @@ def test_a_design_draws_every_unit_only_when_it_must(
 
 @pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
 def test_mixed_paths_give_the_same_bytes_at_one_and_two_workers(monkeypatch, setting):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = parse_config(_mixed_raw(setting))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
