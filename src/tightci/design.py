@@ -243,8 +243,12 @@ class Assignment:
 
     @cached_property
     def treated(self) -> np.ndarray:
-        """Read-only mask of the treated units, ``z == 1``."""
-        return read_only(self.z == 1)
+        """Read-only mask of the treated units, ``z == 1``; a ``z`` holding a
+        value other than 0 and 1 is refused."""
+        mask = self.z == 1
+        if np.count_nonzero(mask) != np.count_nonzero(self.z):
+            raise DesignError("z must hold only 0s and 1s")
+        return read_only(mask)
 
     def unit_weights(self) -> tuple[float, float]:
         """The Horvitz-Thompson coefficients at propensity ``pi``: ``1/pi``

@@ -527,18 +527,19 @@ def _grouped_terms(table: PotentialTable, asg: Assignment) -> np.ndarray:
 def _coverage_chunk(
     config: ExperimentConfig, cell: _Cell, start: int, stop: int
 ) -> dict[tuple[str, str], np.ndarray]:
-    """One flat record for replications ``start`` to ``stop - 1``: the point
-    estimates under ``("est", scheme)``, and each data-adaptive interval's
-    containment and half-width under ``("covered", m)`` and ``("half", m)``.
+    """One flat record for replications ``start`` to ``stop - 1`` of what
+    each draw produced: the point estimates under ``("est", scheme)``, and
+    each data-adaptive interval's endpoints under ``("lower", m)`` and
+    ``("upper", m)``, NaN for a draw with no interval (one that left an arm
+    empty).  Containment and width are :func:`run_monte_carlo`'s to compute.
 
-    Closed forms need only the estimates: their half-width is fixed per cell,
-    so coverage is evaluated over the merged estimate arrays.  A design that
-    no adaptive interval reads, on the cell's fixed table, draws only the
-    units its estimate needs.  Every other design (``dense``) draws, observes
-    and weights the whole table in fresh arrays, which each replication frees
-    when it ends: a grouped draw goes straight to its slot terms
-    (:func:`_grouped_terms`), with no size check, since every table is built
-    at the cell's ``n``; a Bernoulli draw is realized into an
+    Closed forms need only the estimates: their half-width is fixed per cell.
+    A design that no adaptive interval reads, on the cell's fixed table,
+    draws only the units its estimate needs.  Every other design (``dense``)
+    draws, observes and weights the whole table in fresh arrays, which each
+    replication frees when it ends: a grouped draw goes straight to its slot
+    terms (:func:`_grouped_terms`), with no size check, since every table is
+    built at the cell's ``n``; a Bernoulli draw is realized into an
     ``ObservedData``, which its per-draw intervals read.  A grouped
     data-adaptive method therefore needs a ``block`` (the grouped
     Studentized interval has one), which reduces the replication's slot
@@ -558,8 +559,8 @@ def _coverage_chunk(
     count = stop - start
     out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in used}
     for m in adaptive:
-        out["covered", m] = np.zeros(count, dtype=np.uint8)
-        out["half", m] = np.zeros(count, dtype=np.float64)
+        out["lower", m] = np.full(count, np.nan)
+        out["upper", m] = np.full(count, np.nan)
     pi_f = float(cell.pi)
     blocks = {
         m: spec.block(cell.layout, cell.alpha, count)
@@ -596,16 +597,13 @@ def _coverage_chunk(
             if block.full or k == count - 1:
                 bounds = block.evaluate()
                 for i, (lower, upper) in enumerate(bounds, k + 1 - len(bounds)):
-                    out["covered", m][i] = lower <= cell.target <= upper
-                    out["half", m][i] = (upper - lower) / 2.0
+                    out["lower", m][i], out["upper", m][i] = lower, upper
         for m, spec in per_draw.items():
             try:
                 ci = spec.adaptive(data[spec.scheme], cell.alpha)
             except EmptyArmError:
-                # The draw left an arm empty; record a miss of width zero.
-                continue
-            out["covered", m][k] = ci.contains(cell.target)
-            out["half", m][k] = ci.half_width
+                continue  # the draw left an arm empty: its endpoints stay NaN
+            out["lower", m][k], out["upper", m][k] = ci.lower, ci.upper
     return out
 
 
@@ -736,7 +734,10 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> Report:
 
     Each row carries the RMSE of the method's point estimate about the
     cell's target.  An interval adds its containment rate and mean
-    half-width; a bare estimator adds its theoretical RMSE bound.
+    half-width, decided here alone from its endpoints: a data-adaptive
+    interval's from the chunk record, a closed form's ``est -/+ half``.  A
+    draw with no interval (NaN endpoints) is a miss of width zero.  A bare
+    estimator adds its theoretical RMSE bound.
     """
     cells = _build_cells(config)
     merged = _run_cells(config, cells, workers)
@@ -750,15 +751,13 @@ def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> Report:
             if not spec.has_interval:
                 fill["bound"] = rmse_bound(m, cell.n, float(cell.pi))
             elif spec.tuning is None:
-                covered, halves = record["covered", m], record["half", m]
+                lo, hi = record["lower", m], record["upper", m]
             else:
-                # Interval arithmetic, element-wise: lo <= target <= hi and
-                # the half-width, exactly as each interval would compute them.
                 half = spec.half_width(cell.layout, cell.n, float(cell.pi), cell.alpha)
                 lo, hi = est - half, est + half
-                covered = (lo <= cell.target) & (cell.target <= hi)
-                halves = (hi - lo) / 2.0
             if spec.has_interval:
+                covered = (lo <= cell.target) & (cell.target <= hi)
+                halves = np.where(np.isnan(lo), 0.0, (hi - lo) / 2.0)
                 fill["coverage"] = float(covered.mean())
                 fill["half"] = float(halves.mean())
             rows.append(_row(config, cell, m, config.replications, **fill))

@@ -611,7 +611,7 @@ def clt_ci(data: ObservedData, alpha: float) -> Interval:
     """
     alpha = validate_alpha(alpha)
     asg = data.assignment
-    n_treat = np.count_nonzero(asg.z)
+    n_treat = np.count_nonzero(asg.treated)
     if n_treat == 0 or n_treat == data.n:
         raise EmptyArmError("plug-in normal interval needs both arms nonempty")
     est = ht_estimate(data)

@@ -412,6 +412,26 @@ def test_ci_all_control_data_refused(tmp_path, capsys, scheme):
     assert "propensity 0.0 outside" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.5,1", "0.5,2", "0.5,0"], "z column must be 0/1"),
+        (["0.5,1", "1.5,0", "0.5,0"], "y values must lie in [0, 1]"),
+        (["0.5,1", "-0.5,0", "0.5,0"], "y values must lie in [0, 1]"),
+    ],
+    ids=["z-two", "y-above", "y-below"],
+)
+def test_ci_refuses_z_or_y_outside_its_range(tmp_path, capsys, rows, message):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["y,z", *rows]) + "\n")
+    code = main([
+        "ci", "--data", str(path), "--scheme", "complete", "--method", "naive-hoeffding",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def _ci_json_transcript(tmp_path, capsys, method) -> bytes:
     """The exit code, stdout and stderr of ``ci --json`` with ``method`` on
     grouped data with its blocks at (1000, 100) and with a tail at (997, 100),

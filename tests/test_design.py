@@ -429,6 +429,39 @@ def test_assignment_takes_propensities_in_min_pi_to_half(scheme):
         assert Assignment(z, scheme, pi).pi == pi
 
 
+def test_assignment_refuses_a_z_other_than_zeros_and_ones():
+    # a 2 is no treated unit under z == 1, yet a count of z's nonzeros takes
+    # it for one: clt_ci counted ten treated units in this draw and returned a
+    # zero-width interval at -2/3 over an empty treated arm
+    from tightci.intervals import clt_ci
+
+    for value in (2, -1):
+        z = np.array([value] * 10 + [0] * 30, dtype=np.int8)
+        asg = Assignment(z=z, scheme="bernoulli", pi=0.25)
+        with pytest.raises(DesignError, match="z must hold only 0s and 1s"):
+            asg.treated
+        table = PotentialTable(np.full(40, 0.5), np.full(40, 0.75))
+        with pytest.raises(DesignError, match="z must hold only 0s and 1s"):
+            ObservedData.realize(table, asg)
+        data = ObservedData(y=np.full(40, 0.5), assignment=asg)
+        with pytest.raises(DesignError, match="z must hold only 0s and 1s"):
+            clt_ci(data, 0.05)
+    z = np.array([1] * 10 + [0] * 30, dtype=np.int8)
+    treated = Assignment(z=z, scheme="bernoulli", pi=0.25).treated
+    assert treated.tolist() == [True] * 10 + [False] * 30
+
+
+def test_design_refusals_name_the_input():
+    with pytest.raises(DesignError, match="n and n1 must be integers"):
+        compute_layout(10.0, 2)
+    with pytest.raises(DesignError) as info:
+        validate_propensity(Fraction(50))
+    assert "propensity 50 outside (0, 1/2]" in str(info.value)
+    for n in (0, -3):
+        with pytest.raises(DesignError, match=f"need n >= 1, got {n}"):
+            draw_bernoulli(n, 0.1, np.random.default_rng(0))
+
+
 def test_layout_constants_read_only_and_built_once():
     from dataclasses import FrozenInstanceError
 

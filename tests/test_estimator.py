@@ -144,6 +144,32 @@ def test_table_csv_out_of_range(tmp_path):
         PotentialTable.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y0,y1\n0.1,0.2\n0.1,abc\n", "row 3: bad value 'abc' in 'y1'"),
+        ("y0,y1\n", "no data rows"),
+        ("y0,y1\n\n\n", "no data rows"),
+    ],
+    ids=["non-numeric", "header-only", "blank-rows"],
+)
+def test_table_csv_refuses_a_bad_field_or_no_rows(tmp_path, text, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(EstimatorError) as info:
+        PotentialTable.from_csv(path)
+    assert message in str(info.value)
+
+
+def test_data_refuses_sizes_that_differ():
+    asg = draw_complete(4, 2, np.random.default_rng(0))
+    with pytest.raises(EstimatorError, match="outcome vector length differs"):
+        ObservedData(y=np.zeros(3), assignment=asg)
+    table = PotentialTable(np.zeros(5), np.ones(5))
+    with pytest.raises(EstimatorError, match="table and assignment sizes differ"):
+        ObservedData.realize(table, asg)
+
+
 def test_realize_selects_assigned_outcome():
     table = PotentialTable(np.array([0.1, 0.2, 0.3]), np.array([0.9, 0.8, 0.7]))
     asg = draw_complete(3, 1, np.random.default_rng(0))

@@ -575,6 +575,26 @@ def test_killed_child_gives_a_prompt_error_naming_the_signal(monkeypatch):
     _assert_no_child_left()
 
 
+def test_child_exiting_without_a_record_gives_an_error_naming_its_status(
+    monkeypatch,
+):
+    _failing_chunk(monkeypatch, "child", lambda: os._exit(3))
+    cfg = parse_config(_coverage_raw(methods=["hoeff-mbcr"], replications=4))
+    with pytest.raises(ChildProcessError) as caught:
+        run_monte_carlo(cfg, workers=2)
+    message = "process exited with status 3 before it sent its record"
+    assert message in str(caught.value)
+    _assert_no_child_left()
+
+
+def test_run_experiment_refuses_an_experiment_it_has_no_runner_for():
+    from tightci.harness import ExperimentConfig
+
+    # parse_config refuses such a name; a config built by hand reaches here
+    with pytest.raises(ConfigError, match="unknown experiment 'no-such-experiment'"):
+        run_experiment(ExperimentConfig(experiment="no-such-experiment", seed=0))
+
+
 def test_failing_parent_slice_kills_its_children(monkeypatch):
     import time
 
@@ -874,17 +894,17 @@ def _assert_chunk_is_its_draws(cfg, cell, scheme, draws, adaptive):
     from tightci.estimator import ht_estimate
     from tightci.harness import _coverage_chunk
 
-    est, covered, half = [], {m: [] for m in adaptive}, {m: [] for m in adaptive}
+    est, lower, upper = [], {m: [] for m in adaptive}, {m: [] for m in adaptive}
     for data in draws:
         est.append(ht_estimate(data))
         for m, build in adaptive.items():
             ci = build(data, cell.alpha)
-            covered[m].append(ci.contains(cell.target))
-            half[m].append(ci.half_width)
+            lower[m].append(ci.lower)
+            upper[m].append(ci.upper)
     expected = {("est", scheme): np.array(est)}
     for m in adaptive:
-        expected["covered", m] = np.array(covered[m], dtype=np.uint8)
-        expected["half", m] = np.array(half[m])
+        expected["lower", m] = np.array(lower[m])
+        expected["upper", m] = np.array(upper[m])
     record = _coverage_chunk(cfg, cell, 0, len(est))
     assert sorted(record) == sorted(expected)
     for key, arr in expected.items():
@@ -907,9 +927,9 @@ def test_dense_grouped_chunk_equals_its_draws_realized_one_by_one(
     from tightci.harness import _DRAW_TAGS, _build_cells, substream
 
     # the chunk goes from each permutation to slot terms and stacked group
-    # sums; every estimate, containment and half-width must be the bits of
-    # the library path: realize, ht_estimate, studentized_ci.  Blocks of five
-    # draws make the chunk evaluate more than one block.
+    # sums; every estimate and endpoint must be the bits of the library path:
+    # realize, ht_estimate, studentized_ci.  Blocks of five draws make the
+    # chunk evaluate more than one block.
     monkeypatch.setattr(intervals, "STUDENTIZED_BLOCK_VALUES", 5 * 100)
     reps = 12
     raw = _coverage_raw(
@@ -961,6 +981,41 @@ def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     )
     adaptive = {"clt": intervals.clt_ci, "studentized-bern": intervals.studentized_ci}
     _assert_chunk_is_its_draws(cfg, cell, "bernoulli", draws, adaptive)
+
+
+def test_a_draw_with_an_empty_arm_is_a_miss_of_width_zero():
+    from tightci.design import draw_bernoulli
+    from tightci.estimator import ObservedData
+    from tightci.harness import _DRAW_TAGS, _build_cells, substream
+    from tightci.intervals import EmptyArmError, clt_ci
+
+    # at n = 20 and pi = 1/20 about a third of the draws treat nobody, and
+    # clt has no interval for them
+    reps = 60
+    raw = _coverage_raw(
+        grid={"n": [20], "pi": ["1/20"], "alpha": [0.05]},
+        methods=["clt"],
+        replications=reps,
+    )
+    cfg = parse_config(raw)
+    (cell,) = _build_cells(cfg)
+    at = substream(cfg.seed, cell.idx, _DRAW_TAGS["bernoulli"])
+    covered, half, empty = [], [], 0
+    for rep in range(reps):
+        asg = draw_bernoulli(cell.n, float(cell.pi), at(rep))
+        try:
+            ci = clt_ci(ObservedData.realize(cell.table, asg), cell.alpha)
+        except EmptyArmError:
+            covered.append(False)
+            half.append(0.0)
+            empty += 1
+            continue
+        covered.append(ci.contains(cell.target))
+        half.append(ci.half_width)
+    assert 0 < empty < reps
+    (row,) = run_monte_carlo(cfg).rows
+    assert row["coverage_rate"] == float(np.mean(covered))
+    assert row["mean_halfwidth"] == float(np.mean(half))
 
 
 def test_every_grouped_adaptive_method_has_a_block():
@@ -1173,25 +1228,25 @@ def test_split_divisors_built_once_per_group_count():
 
 
 def _studentized_by_replication(cfg, cell, method):
-    """Each replication's containment and half-width from its own
-    ``studentized_ci``, drawn from the chunk's substream."""
+    """Each replication's endpoints from its own ``studentized_ci``, drawn
+    from the chunk's substream."""
     from tightci import harness
     from tightci.estimator import ObservedData
     from tightci.intervals import METHOD_TABLE, studentized_ci
 
     scheme = METHOD_TABLE[method].scheme
     at = harness.substream(cfg.seed, cell.idx, harness._DRAW_TAGS[scheme])
-    covered, half, midpoints = [], [], 0
+    lower, upper, midpoints = [], [], 0
     for rep in range(cfg.replications):
         if scheme == "mbcr":
             asg = harness.draw_mbcr(cell.layout, at(rep))
         else:
             asg = harness.draw_bernoulli(cell.n, float(cell.pi), at(rep))
         ci = studentized_ci(ObservedData.realize(cell.table, asg), cell.alpha)
-        covered.append(ci.contains(cell.target))
-        half.append(ci.half_width)
+        lower.append(ci.lower)
+        upper.append(ci.upper)
         midpoints += "degenerate_midpoint" in ci.tuning
-    return np.array(covered, dtype=np.uint8), np.array(half), midpoints
+    return np.array(lower), np.array(upper), midpoints
 
 
 @pytest.mark.parametrize("per_block", [0, 1, 3])
@@ -1234,9 +1289,9 @@ def test_chunk_studentized_equals_each_replications_interval(
         values = per_block * cell.layout.num_groups
         monkeypatch.setattr(intervals, "STUDENTIZED_BLOCK_VALUES", values)
     record = harness._coverage_chunk(cfg, cell, 0, 8)
-    covered, half, midpoints = _studentized_by_replication(cfg, cell, method)
-    assert record["covered", method].tobytes() == covered.tobytes()
-    assert record["half", method].tobytes() == half.tobytes()
+    lower, upper, midpoints = _studentized_by_replication(cfg, cell, method)
+    assert record["lower", method].tobytes() == lower.tobytes()
+    assert record["upper", method].tobytes() == upper.tobytes()
     if method == "studentized-bern":
         assert 0 < midpoints < 8
 

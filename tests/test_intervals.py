@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import cn_mbcr_bounds, pseudo_outcome, two_point_cgf
+from reference import cn_mbcr_bounds, draw_complete, pseudo_outcome, two_point_cgf
 from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
-from tightci.estimator import ObservedData, PotentialTable, groupwise_sums
+from tightci.estimator import EstimatorError, ObservedData, PotentialTable, groupwise_sums
 from tightci.intervals import (
     METHOD_TABLE,
     STUDENTIZED_BLOCK_VALUES,
     EmptyArmError,
+    Interval,
     IntervalError,
     StudentizedBlock,
     _sb_bern_half,
@@ -978,3 +979,22 @@ def test_closed_ci_half_width_record_and_replay(method):
                     packed = json.loads(json.dumps(built.tuning))
                     got = reevaluate(method, alpha, packed)
                     assert got == (built.lower, built.upper)
+
+
+def test_studentized_refuses_complete_randomization_data():
+    # complete data has no groups to cross-fit; grouped data carries its
+    # layout and a Bernoulli draw is its own groups
+    table = PotentialTable(np.full(40, 0.25), np.full(40, 0.75))
+    data = ObservedData.realize(table, draw_complete(40, 8, np.random.default_rng(1)))
+    with pytest.raises(EstimatorError) as info:
+        studentized_ci(data, 0.05)
+    message = "group sums need a grouped or Bernoulli assignment, got 'complete'"
+    assert message in str(info.value)
+
+
+def test_interval_refuses_crossed_endpoints_and_unknown_tags():
+    with pytest.raises(IntervalError, match=r"empty interval \[0.5, 0.25\]"):
+        Interval(0.5, 0.25, 0.05, "clt", {})
+    assert Interval(0.25, 0.25, 0.05, "clt", {}).half_width == 0.0
+    with pytest.raises(IntervalError, match="unknown method 'no-such-method'"):
+        reevaluate("no-such-method", 0.05, {"psi_hat": 0.0})
