@@ -14,9 +14,11 @@ and intervals of one replication share them.  A coverage run's dense grouped
 draw needs no :class:`ObservedData`: it goes through the same
 :func:`observe` and :func:`slot_terms` to its terms, and through
 :func:`block_sums` to its group sums.  Only the Bernoulli Studentized
-interval forms mirrored terms, with the same weighting step.  On a fixed table,
-:func:`treated_set_estimate` gives the same estimate from the units a draw
-treats, without realizing the others.
+interval forms mirrored terms, with the same weighting step, beside a copy
+of the standard ones (:func:`paired_terms`).  An :class:`ObservedData` sums
+its terms once: its ``estimate`` serves the estimator and every interval.
+On a fixed table, :func:`treated_set_estimate` gives the same estimate from
+the units a draw treats, without realizing the others.
 """
 
 from __future__ import annotations
@@ -164,8 +166,14 @@ class ObservedData:
         layout's coefficient at ``s``.  Other draws give one per unit."""
         asg = self.assignment
         if asg.scheme != SCHEME_MBCR:
-            return _weigh_units(self.y, asg)
+            return read_only(_weigh_units(self.y, asg))
         return read_only(slot_terms(self.y, asg.eta, asg.layout))
+
+    @cached_property
+    def estimate(self) -> float:
+        """The Horvitz-Thompson estimate, :func:`term_mean` of the terms,
+        computed once for the estimator and the intervals that read it."""
+        return term_mean(self.terms)
 
 
 def observe(table: PotentialTable, treated: np.ndarray) -> np.ndarray:
@@ -186,20 +194,33 @@ def slot_terms(y: np.ndarray, eta: np.ndarray, layout: MbcrLayout) -> np.ndarray
     return terms
 
 
-def _weigh_units(values: np.ndarray, asg: Assignment) -> np.ndarray:
-    """``values`` times each unit's Horvitz-Thompson weight, read-only: every
-    unit's control term, then the treated units' over it."""
+def _weigh_units(
+    values: np.ndarray, asg: Assignment, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``values`` times each unit's Horvitz-Thompson weight, written into
+    ``out`` (a fresh array if None): every unit's control term, then the
+    treated units' over it."""
     w_treat, w_ctrl = asg.unit_weights()
-    out = values * w_ctrl
+    out = np.multiply(values, w_ctrl, out=out)
     np.multiply(values, w_treat, out=out, where=asg.treated)
-    return read_only(out)
+    return out
+
+
+def paired_terms(data: ObservedData) -> np.ndarray:
+    """A unit-order draw's standard and mirrored pseudo-outcomes side by
+    side, in one fresh ``(n, 2)`` array: column 0 holds ``data.terms``, and
+    column 1 is ``y - 1`` weighed as the terms weigh ``y``."""
+    pair = np.empty((data.n, 2))
+    pair[:, 0] = data.terms
+    _weigh_units(data.y - 1.0, data.assignment, out=pair[:, 1])
+    return pair
 
 
 def ht_estimate(data: ObservedData) -> float:
     """Horvitz-Thompson estimate, the mean of the draw's pseudo-outcomes: the
     grouped estimator for a grouped draw, which with no tail equals the
     standard one at ``prop = n1/n``, and the standard estimator otherwise."""
-    return term_mean(data.terms)
+    return data.estimate
 
 
 def term_mean(terms: np.ndarray) -> float:

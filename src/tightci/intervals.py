@@ -50,10 +50,10 @@ from .design import (
 )
 from .estimator import (
     ObservedData,
-    _weigh_units,
     block_sums,
     groupwise_sums,
     ht_estimate,
+    paired_terms,
 )
 
 METHOD_HOEFF_MBCR = "hoeff-mbcr"
@@ -295,6 +295,22 @@ def _naive_half(alpha: float, t: dict[str, Any]) -> float:
 # anchors, since numpy's vectorized ``log`` may differ from libm's in the
 # last bit.  ``studentized_ci`` evaluates one draw this way, and a coverage
 # chunk a block of grouped draws (:class:`StudentizedBlock`).
+#
+# A Bernoulli draw's two anchors read two rows of ``n`` terms, the standard
+# and the mirrored, and each split's running sum is a chain of dependent
+# additions.  ``studentized_ci`` lays the two rows side by side in one
+# ``(n, 2)`` array (``estimator.paired_terms``) and passes its complex128
+# view, one row of ``(standard, mirrored)`` pairs, so that each split runs
+# one ``np.cumsum`` for both anchors.  Complex addition adds the real parts
+# and the imaginary parts apart, with the same IEEE operations, so the
+# prefix sums, the opposite split's total added to them and the deviations
+# are each anchor's own bits.  Three steps stay on the float64 view of the
+# buffer: the division, since numpy divides a complex by a real through a
+# reciprocal, so the divisors are interleaved, one per lane; the squares,
+# since a complex square mixes the two parts; and every sum, since numpy's
+# complex pairwise sum groups terms unlike its float one, so each lane is
+# summed over its own strided float view (``_lane_sums``).  A grouped stack
+# stays float64, with the arithmetic it had.
 
 # The most group sums a StudentizedBlock stacks (one draw's, if they are more).
 STUDENTIZED_BLOCK_VALUES = 2**16
@@ -315,44 +331,65 @@ def studentized_scale(data: ObservedData) -> float:
     into terms in ``[-(s-t), s-t]`` and ``[-t, t]``, so it lies in
     ``[-s, s]``.  Grouped draws take ``c = max(g, s)``.  Under Bernoulli
     randomization a group is one unit, whose range is ``1/(1 - pi) + 1``.
+    Any other draw has no groups to cross-fit and is refused.
     """
     asg = data.assignment
     if asg.scheme == SCHEME_BERNOULLI:
         return 1.0 / (1.0 - asg.pi) + 1.0
     if asg.scheme == SCHEME_MBCR:
         return _grouped_scale(asg.layout)
-    raise IntervalError("Studentized interval needs Bernoulli data or a grouped draw")
+    raise IntervalError(
+        "the Studentized interval's group sums need a grouped or Bernoulli "
+        f"assignment, got {asg.scheme!r}"
+    )
 
 
 @lru_cache(maxsize=8)
-def _split_divisors(tbar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Running-mean divisors of the two splits, built once per group count.
+def _split_divisors(tbar: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running-mean divisors of the two splits, built once per group count
+    and number of lanes.
 
     Step t of split one divides by ``m2 + t`` (the opposite split's size
-    plus the values folded in so far), and likewise for split two.
+    plus the values folded in so far), and likewise for split two.  With
+    two lanes each divisor is written twice in a row, one for each part of
+    a complex pair's float view.
     """
     m1 = tbar // 2
     m2 = tbar - m1
     return (
-        read_only((m2 + np.arange(m1)).astype(np.float64)),
-        read_only((m1 + np.arange(m2)).astype(np.float64)),
+        read_only(np.repeat((m2 + np.arange(m1)).astype(np.float64), lanes)),
+        read_only(np.repeat((m1 + np.arange(m2)).astype(np.float64), lanes)),
     )
+
+
+def _lane_sums(a: np.ndarray) -> np.ndarray:
+    """``a``'s sums along the last axis, kept as an axis of length one, in
+    ``a``'s dtype: a float stack's row sums, or a complex row's real and
+    imaginary sums, each over its own strided float64 view."""
+    if a.dtype != np.complex128:
+        return a.sum(axis=-1, keepdims=True)
+    sums = np.empty(a.shape[:-1] + (1,), np.complex128)
+    sums.real = a.real.sum(axis=-1, keepdims=True)
+    sums.imag = a.imag.sum(axis=-1, keepdims=True)
+    return sums
 
 
 def _split_sum_of_squares(s: np.ndarray, opposite_total, div: np.ndarray):
     """Sum of ``(s[t] - (opposite_total + s[:t].sum()) / div[t])**2`` over t,
-    along the last axis.
+    along the last axis, as :func:`_lane_sums` gives it.
 
-    The prefix sums, means, deviations and squares share one buffer.
+    The prefix sums, means, deviations and squares share one buffer; the
+    division and the squares run on its float64 view.
     """
-    buf = np.empty(s.shape)
+    buf = np.empty(s.shape, s.dtype)
     buf[..., 0] = 0.0
     np.cumsum(s[..., :-1], axis=-1, out=buf[..., 1:])
-    buf += opposite_total[..., None]
-    buf /= div
+    buf += opposite_total
+    flat = buf.view(np.float64)
+    flat /= div
     np.subtract(s, buf, out=buf)
-    np.square(buf, out=buf)
-    return buf.sum(axis=-1)
+    np.square(flat, out=flat)
+    return _lane_sums(buf)
 
 
 def _split_statistics(theta: np.ndarray) -> tuple[Any, Any]:
@@ -362,16 +399,21 @@ def _split_statistics(theta: np.ndarray) -> tuple[Any, Any]:
     at step t starts from the full total of the opposite split and then
     folds in this split's first ``t - 1`` values; each split's V, returned
     as ``(v1, v2)``, is the sum of squared deviations of each value from its
-    running mean.  Works along the last axis: one row of sums gives scalar
-    V's, a stack of rows one V per row, each bit for bit the row's own.
+    running mean.  Works along the last axis: one float64 row of sums gives
+    scalar V's, a stack of rows one V per row, each bit for bit the row's
+    own.  A complex128 row of ``(standard, mirrored)`` pairs gives each V
+    as the float64 pair of its two rows' own.
     """
     tbar = theta.shape[-1]
     m1 = tbar // 2
     s1, s2 = theta[..., :m1], theta[..., m1:]
-    tot1, tot2 = s1.sum(axis=-1), s2.sum(axis=-1)
-    div1, div2 = _split_divisors(tbar)
-    v1 = _split_sum_of_squares(s1, tot2, div1)
-    v2 = _split_sum_of_squares(s2, tot1, div2)
+    tot1, tot2 = _lane_sums(s1), _lane_sums(s2)
+    lanes = 2 if theta.dtype == np.complex128 else 1
+    div1, div2 = _split_divisors(tbar, lanes)
+    v1 = _split_sum_of_squares(s1, tot2, div1).view(np.float64)
+    v2 = _split_sum_of_squares(s2, tot1, div2).view(np.float64)
+    if lanes == 1:
+        return v1[..., 0], v2[..., 0]
     return v1, v2
 
 
@@ -392,16 +434,21 @@ def _stud_penalty(lam: float, v: float, n: int, alpha: float, c: float) -> float
 _ANCHOR_KEYS = ("mean", "v1", "v2", "lam1", "lam2")
 
 
-def _row_anchors(rows: np.ndarray, n: int, alpha: float, c: float) -> list:
-    """The anchor ``(mean, v1, v2, lam1, lam2)`` of every row of ``rows``, in
-    order: the split statistics of the whole stack in one call, then the
-    scalar tail row by row."""
-    v1, v2 = _split_statistics(rows)
-    stats = zip(*(arr.ravel().tolist() for arr in (rows.sum(axis=-1), v1, v2)))
+def _anchors(means, v1, v2, alpha: float, c: float) -> list:
+    """The anchor ``(mean, v1, v2, lam1, lam2)`` of each row, in order, from
+    its mean and split statistics: a scalar tail row by row."""
+    stats = zip(means, *(np.ravel(v).tolist() for v in (v1, v2)))
     return [
-        (total / n, a, b, _stud_lambda(a, alpha, c), _stud_lambda(b, alpha, c))
-        for total, a, b in stats
+        (mean, a, b, _stud_lambda(a, alpha, c), _stud_lambda(b, alpha, c))
+        for mean, a, b in stats
     ]
+
+
+def _row_anchors(rows: np.ndarray, n: int, alpha: float, c: float) -> list:
+    """The anchor of every row of a float64 stack of group sums, from the
+    split statistics of the whole stack in one call."""
+    means = [total / n for total in np.ravel(rows.sum(axis=-1)).tolist()]
+    return _anchors(means, *_split_statistics(rows), alpha, c)
 
 
 def _stud_penalties(anchor: tuple, n: int, alpha: float, c: float) -> float:
@@ -438,21 +485,29 @@ def studentized_ci(data: ObservedData, alpha: float) -> Interval:
     the two are union bounded).  A grouped block's coefficients sum to zero
     (``g - (g-1) g/(g-1)``, ``t s/t - (s-t) s/(s-t)`` in the tail), so there
     the mirrored sums are the standard ones and one set serves both anchors.
+    A Bernoulli draw's units are its groups; its two anchors go through one
+    split-statistics call as complex pairs.  Other draws are refused.
     """
     alpha = validate_alpha(alpha)
-    theta = groupwise_sums(data)
-    tbar = theta.shape[0]
+    c = studentized_scale(data)
+    asg = data.assignment
+    bernoulli = asg.scheme == SCHEME_BERNOULLI
+    n = data.n
+    tbar = n if bernoulli else asg.layout.num_groups
     if tbar < MIN_CROSS_FIT_GROUPS:
         raise IntervalError(
             "insufficient groups for cross-fitting: need at least "
             f"{MIN_CROSS_FIT_GROUPS}, got {tbar}"
         )
-    c = studentized_scale(data)
-    n, m1 = data.n, tbar // 2
-    low = up = _row_anchors(theta, n, alpha, c)[0]
-    if data.assignment.scheme == SCHEME_BERNOULLI:
-        mirrored = _weigh_units(data.y - 1.0, data.assignment)
-        up = _row_anchors(mirrored, n, alpha, c)[0]
+    if bernoulli:
+        pairs = paired_terms(data).view(np.complex128)[:, 0]
+        # The standard mean is the estimate; the mirrored total is summed
+        # over its strided view, which gives a contiguous sum's bits.
+        means = (data.estimate, float(pairs.imag.sum()) / n)
+        low, up = _anchors(means, *_split_statistics(pairs), alpha, c)
+    else:
+        low = up = _row_anchors(groupwise_sums(data), n, alpha, c)[0]
+    m1 = tbar // 2
     tuning = {"n": n, "num_groups": tbar, "m1": m1, "m2": tbar - m1, "c": c}
     for side, anchor in (("l", low), ("u", up)):
         tuning.update({f"{key}_{side}": v for key, v in zip(_ANCHOR_KEYS, anchor)})

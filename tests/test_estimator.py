@@ -33,6 +33,7 @@ from tightci.estimator import (
     block_sums,
     groupwise_sums,
     ht_estimate,
+    paired_terms,
 )
 
 
@@ -364,11 +365,13 @@ def test_bernoulli_terms_bit_identical_to_pseudo_outcome(pi):
         assert groupwise_sums(data) is data.terms
         assert not data.terms.flags.writeable
         # the Bernoulli Studentized interval's mirrored terms, weighed by the
-        # same step
+        # same step beside a copy of the standard ones
         mirrored = pseudo_outcome(data.y, asg.z, pi, "mirrored")
-        weighed = _weigh_units(data.y - 1.0, asg)
-        assert weighed.tobytes() == mirrored.tobytes()
-        assert not weighed.flags.writeable
+        assert _weigh_units(data.y - 1.0, asg).tobytes() == mirrored.tobytes()
+        pair = paired_terms(data)
+        assert pair.shape == (5000, 2) and pair.flags.c_contiguous
+        assert pair[:, 0].tobytes() == standard.tobytes()
+        assert pair[:, 1].tobytes() == mirrored.tobytes()
         assert ht_estimate(data) == float(np.mean(standard))
 
 
@@ -454,11 +457,14 @@ def test_grouped_terms_cached_on_the_data():
     table = _random_table(47, rng)
     data = ObservedData.realize(table, draw_mbcr(lay, rng))
     terms = data.terms
-    ht_estimate(data)
+    estimate = ht_estimate(data)
     groupwise_sums(data)
     cached = vars(data)
     assert cached["terms"] is terms
-    assert set(cached) == {"y", "assignment", "terms"}
+    assert set(cached) == {"y", "assignment", "terms", "estimate"}
+    # the terms are summed once: a second read returns the cached estimate
+    cached["estimate"] = 0.125
+    assert ht_estimate(data) == 0.125 != estimate
 
 
 def test_estimate_is_np_mean_bit_for_bit():

@@ -1220,11 +1220,26 @@ def test_split_divisors_built_once_per_group_count():
     # sums per replication
     assert info.misses == 2
     assert info.hits == 0  # each cell's 30 replications are one block
-    for tbar in (20, 40):
-        for div in intervals._split_divisors(tbar):
+    # a Bernoulli draw's paired anchors read interleaved divisors, one per
+    # lane, built on the first replication of each unit count
+    raw = _coverage_raw(
+        grid={"n": [200, 401], "pi": ["1/10"], "alpha": [0.05]},
+        methods=["studentized-bern"],
+        replications=30,
+    )
+    report = run_monte_carlo(parse_config(raw))
+    assert len(report.rows) == 2
+    info = intervals._split_divisors.cache_info()
+    assert info.misses == 4
+    assert info.hits == 2 * 29
+    for tbar, lanes in ((20, 1), (40, 1), (200, 2), (401, 2)):
+        singles = intervals._split_divisors(tbar, 1)
+        for div, single in zip(intervals._split_divisors(tbar, lanes), singles):
+            assert div.tobytes() == np.repeat(single, lanes).tobytes()
             assert not div.flags.writeable
             with pytest.raises(ValueError):
                 div[0] = 1.0
+    assert intervals._split_divisors(401, 1)[1][:2].tolist() == [200.0, 201.0]
 
 
 def _studentized_by_replication(cfg, cell, method):

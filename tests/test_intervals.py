@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import cn_mbcr_bounds, draw_complete, pseudo_outcome, two_point_cgf
 from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
-from tightci.estimator import EstimatorError, ObservedData, PotentialTable, groupwise_sums
+from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, paired_terms
 from tightci.intervals import (
     METHOD_TABLE,
     STUDENTIZED_BLOCK_VALUES,
@@ -23,6 +23,7 @@ from tightci.intervals import (
     Interval,
     IntervalError,
     StudentizedBlock,
+    _lane_sums,
     _sb_bern_half,
     _split_statistics,
     _stud_lambda,
@@ -633,6 +634,75 @@ def test_studentized_anchors_unchanged_on_bernoulli_data(n, pi):
         assert (ci.lower, ci.upper) == (lower, upper)
 
 
+def _paired_statistics_match_reference(pair):
+    """Both anchors' split statistics from one call on the complex view of
+    ``pair``, byte for byte the reference's on each column alone."""
+    v1, v2 = _split_statistics(pair.view(np.complex128)[:, 0])
+    want = [_split_statistics_reference(np.ascontiguousarray(col)) for col in pair.T]
+    assert v1.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert v2.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+
+@pytest.mark.parametrize("tbar", [4, 5, 7, 100, 101, 500, 20_000, 20_001])
+def test_paired_split_statistics_bit_identical_to_reference(tbar):
+    # columns of independent magnitudes, as in the float test above
+    rng = np.random.default_rng(tbar)
+    for magnitude in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        pair = magnitude * rng.standard_normal((tbar, 2))
+        pair[:, 1] *= rng.uniform(0.5, 2.0)
+        _paired_statistics_match_reference(pair)
+    # a Bernoulli draw's standard and mirrored terms
+    table = PotentialTable(rng.uniform(0, 1, tbar), rng.uniform(0, 1, tbar))
+    for pi in (1 / 2, 1 / 10, 1 / 100, 1 / 1000):
+        data = ObservedData.realize(table, draw_bernoulli(tbar, pi, rng))
+        pair = paired_terms(data)
+        mirrored = pseudo_outcome(data.y, data.assignment.z, pi, "mirrored")
+        assert pair[:, 1].tobytes() == mirrored.tobytes()
+        _paired_statistics_match_reference(pair)
+
+
+def test_numpy_complex_cumsum_and_strided_sums_are_per_lane_float():
+    # The paired kernel relies on numpy giving a complex128 cumsum's real and
+    # imaginary parts the bits of float64 cumsums of each part, and a
+    # strided float64 view the sum of its contiguous copy.  A numpy that
+    # changes either fails here by name rather than shifting an interval's
+    # last bits.
+    rng = np.random.default_rng(11)
+    mismatches = []
+    for length in [*range(1, 301), 8191, 8192, 8193, 1_000_003]:
+        pair = rng.standard_normal((length, 2)) * np.array([1.0, 1e3])
+        lanes = [np.ascontiguousarray(col) for col in pair.T]
+        z = pair.view(np.complex128)[:, 0]
+        prefix = np.empty_like(z)
+        np.cumsum(z, out=prefix)
+        parts = prefix.view(np.float64).reshape(length, 2).T
+        sums = _lane_sums(z).view(np.float64)
+        for lane, part, total in zip(lanes, parts, sums):
+            if part.tobytes() != np.cumsum(lane).tobytes():
+                mismatches.append(("cumsum", length))
+            if total.tobytes() != lane.sum().tobytes():
+                mismatches.append(("sum", length))
+    assert mismatches == []
+
+
+def test_bernoulli_studentized_runs_two_prefix_passes(monkeypatch):
+    # one cumsum per split serves both anchors of a Bernoulli draw
+    calls = []
+    real = np.cumsum
+    monkeypatch.setattr(
+        np, "cumsum", lambda a, *args, **kw: calls.append(a.dtype) or real(a, *args, **kw)
+    )
+    rng = np.random.default_rng(5)
+    table = PotentialTable(rng.uniform(0, 1, 2001), rng.uniform(0, 1, 2001))
+    data = ObservedData.realize(table, draw_bernoulli(2001, 0.1, rng))
+    ci = studentized_ci(data, 0.05)
+    assert calls == [np.complex128, np.complex128]
+    assert ci.tuning["mean_l"] == data.estimate
+    calls.clear()
+    studentized_ci(_mbcr_data(1000, 100, 3), 0.05)
+    assert calls == [np.float64, np.float64]
+
+
 @pytest.mark.parametrize("tbar", [4, 5, 7, 10, 11, 100, 101, 500, 501, 1001, 20_001])
 def test_split_statistics_row_wise_bit_identical_to_each_row(tbar):
     # a stack of rows, and a stack of draws' anchor rows, gives each row the
@@ -986,7 +1056,7 @@ def test_studentized_refuses_complete_randomization_data():
     # layout and a Bernoulli draw is its own groups
     table = PotentialTable(np.full(40, 0.25), np.full(40, 0.75))
     data = ObservedData.realize(table, draw_complete(40, 8, np.random.default_rng(1)))
-    with pytest.raises(EstimatorError) as info:
+    with pytest.raises(IntervalError) as info:
         studentized_ci(data, 0.05)
     message = "group sums need a grouped or Bernoulli assignment, got 'complete'"
     assert message in str(info.value)
