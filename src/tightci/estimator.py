@@ -123,7 +123,11 @@ class PotentialTable:
 
     @property
     def psi_db(self) -> float:
-        """Finite-population average treatment effect of this table."""
+        """Finite-population average treatment effect of this table.  A null
+        table's is ``0.0``, the mean of its ``y0 - y0`` zeros, which it does
+        not form."""
+        if self.y1 is self.y0:
+            return 0.0
         return float(np.mean(self.y1 - self.y0))
 
     @classmethod

@@ -68,6 +68,7 @@ from .dgp import (
     DgpError,
     DgpSpec,
     sample_population,
+    sample_table_with_effect,
     true_ate_iid,
 )
 from .estimator import (
@@ -462,19 +463,15 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
                     m,
                     reason,
                 )
-        table = None
+        table, target = None, 0.0
         if dgp is not None and (
             config.setting == SETTING_DESIGN_BASED or dgp.kind == KIND_FIXED_TABLE
         ):
-            table = sample_population(
+            table, target = sample_table_with_effect(
                 dgp.with_n(n), substream(config.seed, idx, _TAG_CELL_TABLE)(0)
             )
-        if table is not None:
-            target = table.psi_db
         elif dgp is not None:
             target = true_ate_iid(dgp)
-        else:
-            target = 0.0
         cells.append(_Cell(idx, n, pi, alpha, layout, tuple(methods), table, target))
     return cells
 

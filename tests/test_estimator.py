@@ -423,6 +423,38 @@ def test_grouped_slot_terms_peak_under_two_arrays():
     assert full <= peak < 2 * full
 
 
+def test_design_based_cell_table_peak_under_two_and_a_half_arrays():
+    import tracemalloc
+
+    from tightci.harness import _build_cells, parse_config
+
+    # a design-based shift cell holds y0 and y1: its target is taken from
+    # y1's buffer before y1 is written, and y0 is drawn in place, so neither
+    # a y1 - y0 temporary nor uniform's second array is made
+    n = 100000
+    raw = {
+        "experiment": "rmse",
+        "setting": "design_based",
+        "grid": {"n": [n], "pi": ["1/1000"], "alpha": [0.05]},
+        "methods": ["ht-mbcr"],
+        "dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5},
+        "replications": 1,
+        "seed": 8,
+    }
+    config = parse_config(raw)
+    _build_cells(config)  # the layout's arrays are built outside the measurement
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (cell,) = _build_cells(config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    full = 8 * n  # one full-length float64 array
+    assert cell.table.y1 is not cell.table.y0
+    assert 2 * full <= peak < 2.5 * full
+
+
 def test_public_draws_and_data_keep_their_bytes():
     # a one-shot draw, realization or term vector is never written by a
     # later one

@@ -1453,9 +1453,8 @@ def test_width_scaling_samples_no_table(monkeypatch):
     }
     plain = run_width_scaling(parse_config(raw))
     calls = []
-    monkeypatch.setattr(
-        harness, "sample_population", lambda *args: calls.append(args)
-    )
+    for name in ("sample_population", "sample_table_with_effect"):
+        monkeypatch.setattr(harness, name, lambda *args: calls.append(args))
     raw["dgp"] = {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5}
     with_dgp = run_width_scaling(parse_config(raw))
     assert calls == []
