@@ -258,13 +258,17 @@ class Assignment:
 
 
 def draw_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Assignment:
-    """Independent Bernoulli(pi) assignment for each unit: unit ``j`` is
-    treated when its uniform ``rng.random(n)[j]`` is below ``pi``."""
+    """Independent Bernoulli(pi) assignment for each unit: the units
+    :func:`treated_set_bernoulli` draws are treated, and no others."""
     if n < 1:
         raise DesignError(f"need n >= 1, got {n}")
-    validate_propensity(pi)
-    # A boolean's byte is 0 or 1, so the mask read as int8 is the 0/1 vector.
-    z = (rng.random(n) < pi).view(np.int8)
+    return bernoulli_assignment(n, pi, treated_set_bernoulli(n, pi, rng))
+
+
+def bernoulli_assignment(n: int, pi: float, units: np.ndarray) -> Assignment:
+    """The Bernoulli(pi) assignment of ``n`` units that treats ``units``."""
+    z = np.zeros(n, dtype=np.int8)
+    z[units] = 1
     return Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=float(pi))
 
 
@@ -290,7 +294,7 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
 def treated_set_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> np.ndarray:
     """The units a grouped draw seats at the tail's slots, in slot order (its
     first ``tail_treated`` are the tail's treated units), then the units at
-    the full blocks' treated slots: everything the estimate of a fixed table
+    the full blocks' treated slots: everything the estimate of a table
     reads.  The units at any distinct slots of a uniform permutation are an
     ordered sample without replacement, so this is one, of O(1/pi + n pi)
     units, in the law of :func:`draw_mbcr`'s units at those slots."""
@@ -300,7 +304,8 @@ def treated_set_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> np.ndarray
 
 def treated_set_bernoulli(n: int, pi: float, rng: np.random.Generator) -> np.ndarray:
     """The units a Bernoulli(pi) draw treats: a binomial count, then a
-    uniform subset of that size, in the law of :func:`draw_bernoulli`'s."""
+    uniform subset of that size, whose law is that of independent
+    Bernoulli(pi) coin flips."""
     validate_propensity(pi)
     return rng.choice(n, rng.binomial(n, pi), replace=False)
 

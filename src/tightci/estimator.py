@@ -17,8 +17,8 @@ draw needs no :class:`ObservedData`: it goes through the same
 interval forms mirrored terms, with the same weighting step, beside a copy
 of the standard ones (:func:`paired_terms`).  An :class:`ObservedData` sums
 its terms once: its ``estimate`` serves the estimator and every interval.
-On a fixed table, :func:`treated_set_estimate` gives the same estimate from
-the units a draw treats, without realizing the others.
+From a table's ``y0`` total, :func:`treated_set_estimate` gives the same
+estimate from the units a draw treats, without realizing the others.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def treated_set_estimate(
     layout: MbcrLayout | None = None,
     pi: float | None = None,
 ) -> float:
-    """:func:`ht_estimate` of a draw on a fixed table, from the units it treats
+    """:func:`ht_estimate` of a draw on ``table``, from the units it treats
     and ``y0_total = table.y0.sum()``: under a grouped ``layout``, ``units``
     as :func:`~tightci.design.treated_set_mbcr` orders them, and otherwise
     the units a Bernoulli(``pi``) draw treats.

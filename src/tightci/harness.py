@@ -11,12 +11,11 @@ Reports are byte-identical across reruns and across worker counts: every
 starts ``r * 2**64`` draws in, and results are assembled in replication
 order regardless of how work was chunked.
 
-A design whose methods in a cell read only the point estimate, on a table
-fixed for the cell, draws just the units its estimate reads
+Every replication estimates from the units its draw treats
 (:func:`~tightci.design.treated_set_mbcr`,
-:func:`~tightci.design.treated_set_bernoulli`), O(n pi) work per
-replication; a design with a data-adaptive interval, or a table sampled per
-replication, draws and weighs every unit.
+:func:`~tightci.design.treated_set_bernoulli`), O(n pi) work on its table;
+only a design that a data-adaptive interval reads in the cell observes and
+weighs every unit.
 
 Propensities in configs may be written as JSON numbers or as fraction
 strings like ``"1/10"``; numbers are interpreted through their shortest
@@ -53,8 +52,8 @@ from .design import (
     Assignment,
     DesignError,
     MbcrLayout,
+    bernoulli_assignment,
     compute_layout,
-    draw_bernoulli,
     draw_mbcr,
     enumerate_mbcr_distribution,
     treated_set_bernoulli,
@@ -74,7 +73,6 @@ from .dgp import (
 from .estimator import (
     ObservedData,
     PotentialTable,
-    ht_estimate,
     observe,
     slot_terms,
     term_mean,
@@ -91,12 +89,12 @@ from .intervals import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
-# Bumped when a seed's draws change.  Stream 3 advances one PCG64 per (cell,
-# tag) to each replication's segment and draws only the treated units of a
-# design whose methods read nothing but the estimate; stream 2 seeded every
-# (cell, replication, tag) on its own and drew one unit-wide permutation per
-# grouped replication; stream 1 shuffled every block first.
-RNG_STREAM = 3
+# Bumped when a seed's draws change.  Stream 4 draws every Bernoulli
+# replication's treated set, and a grouped permutation only for an adaptive
+# interval; stream 3 advanced one PCG64 per (cell, tag) to each replication's
+# segment; stream 2 seeded every (cell, replication, tag) on its own; stream 1
+# shuffled every block first.
+RNG_STREAM = 4
 
 EXPERIMENT_COVERAGE = "coverage"
 EXPERIMENT_WIDTH_SCALING = "width_scaling"
@@ -455,14 +453,8 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
             if reason is None:
                 methods.append(m)
             else:
-                log.warning(
-                    "cell (n=%d, pi=%s, alpha=%g): skipping %s: %s",
-                    n,
-                    pi,
-                    alpha,
-                    m,
-                    reason,
-                )
+                skip = "cell (n=%d, pi=%s, alpha=%g): skipping %s: %s"
+                log.warning(skip, n, pi, alpha, m, reason)
         table, target = None, 0.0
         if dgp is not None and (
             config.setting == SETTING_DESIGN_BASED or dgp.kind == KIND_FIXED_TABLE
@@ -531,28 +523,29 @@ def _coverage_chunk(
     empty).  Containment and width are :func:`run_monte_carlo`'s to compute.
 
     Closed forms need only the estimates: their half-width is fixed per cell.
-    A design that no adaptive interval reads, on the cell's fixed table,
-    draws only the units its estimate needs.  Every other design (``dense``)
-    draws, observes and weights the whole table in fresh arrays, which each
-    replication frees when it ends: a grouped draw goes straight to its slot
-    terms (:func:`_grouped_terms`), with no size check, since every table is
-    built at the cell's ``n``; a Bernoulli draw is realized into an
+    Every draw but a dense grouped one is its treated set.  A design that an
+    adaptive interval reads (``dense``) observes and weights the whole table
+    in fresh arrays, which each replication frees when it ends: a grouped
+    draw is a permutation that goes straight to its slot terms
+    (:func:`_grouped_terms`), with no size check, since every table is built
+    at the cell's ``n``; a Bernoulli treated set is realized into an
     ``ObservedData``, which its per-draw intervals read.  A grouped
-    data-adaptive method therefore needs a ``block`` (the grouped
-    Studentized interval has one), which reduces the replication's slot
-    terms to group sums in its :class:`~tightci.intervals.StudentizedBlock`;
-    each full block, and the last, is evaluated at once into the record.
+    data-adaptive method therefore needs a ``block`` (the grouped Studentized
+    interval has one), which reduces the replication's slot terms to group
+    sums in its :class:`~tightci.intervals.StudentizedBlock`; each full
+    block, and the last, is evaluated at once into the record.
     """
     specs = {m: METHOD_TABLE[m] for m in cell.methods}
     adaptive = {m: spec for m, spec in specs.items() if spec.adaptive is not None}
     schemes = {spec.scheme for spec in specs.values()}
     used = [scheme for scheme in _DRAW_TAGS if scheme in schemes]
     streams = {s: substream(config.seed, cell.idx, _DRAW_TAGS[s]) for s in used}
+    dense = {spec.scheme for spec in adaptive.values()}
     if cell.table is None:
         dgp = config.dgp.with_n(cell.n)
-        tables, dense = substream(config.seed, cell.idx, _TAG_REP_TABLE), schemes
+        tables = substream(config.seed, cell.idx, _TAG_REP_TABLE)
     else:
-        y0_total, dense = cell.table.y0.sum(), {s.scheme for s in adaptive.values()}
+        y0_total = cell.table.y0.sum()
     count = stop - start
     out = {("est", scheme): np.zeros(count, dtype=np.float64) for scheme in used}
     for m in adaptive:
@@ -569,6 +562,7 @@ def _coverage_chunk(
         table = cell.table
         if table is None:
             table = sample_population(dgp, tables(rep))
+            y0_total = table.y0.sum()
         data = {}
         for scheme in used:
             rng = streams[scheme](rep)
@@ -577,17 +571,16 @@ def _coverage_chunk(
             if scheme in dense and scheme == SCHEME_MBCR:
                 data[scheme] = _grouped_terms(table, draw_mbcr(cell.layout, rng))
                 est = term_mean(data[scheme])
-            elif scheme in dense:
-                data[scheme] = ObservedData.realize(
-                    table, draw_bernoulli(cell.n, pi_f, rng)
-                )
-                est = ht_estimate(data[scheme])
             elif scheme == SCHEME_MBCR:
                 units = treated_set_mbcr(cell.layout, rng)
                 est = treated_set_estimate(table, units, y0_total, cell.layout)
             else:
                 units = treated_set_bernoulli(cell.n, pi_f, rng)
                 est = treated_set_estimate(table, units, y0_total, pi=pi_f)
+                if scheme in dense:
+                    data[scheme] = ObservedData.realize(
+                        table, bernoulli_assignment(cell.n, pi_f, units)
+                    )
             out["est", scheme][k] = est
         for m, block in blocks.items():
             block.add(data[specs[m].scheme])

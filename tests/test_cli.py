@@ -15,8 +15,9 @@ from tightci.cli import _mbcr_assignment, main
 from tightci.design import (
     MAX_N,
     MIN_PI,
+    SCHEME_BERNOULLI,
+    Assignment,
     compute_layout,
-    draw_bernoulli,
     draw_mbcr,
     grouped_assignment,
 )
@@ -30,7 +31,11 @@ def _write_bernoulli_data(path, n=400, pi=0.1, seed=5):
     rng = np.random.default_rng(seed)
     y0 = rng.uniform(0.1, 0.5, n)
     table = PotentialTable(y0, y0 + 0.5)
-    asg = draw_bernoulli(n, pi, rng)
+    # The data sets stay those the ``ci`` goldens were pinned on, whatever
+    # the library's Bernoulli draw: a unit is treated when its uniform is
+    # below pi.
+    z = (rng.random(n) < pi).view(np.int8)
+    asg = Assignment(z=z, scheme=SCHEME_BERNOULLI, pi=pi)
     data = ObservedData.realize(table, asg)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

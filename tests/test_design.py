@@ -27,6 +27,7 @@ from tightci.design import (
     draw_mbcr,
     enumerate_mbcr_distribution,
     grouped_assignment,
+    treated_set_bernoulli,
     validate_propensity,
 )
 from tightci.estimator import ObservedData, PotentialTable
@@ -360,14 +361,17 @@ def test_unit_coef_bit_identical_to_pseudo_outcome_expression(pi):
 
 @pytest.mark.parametrize("n", [1, 7, 20000, 100000])
 @pytest.mark.parametrize("pi", [1 / 2, 1 / 3, 1 / 1000, Fraction(1, 10)])
-def test_bernoulli_z_is_the_int8_comparison(n, pi):
-    # z reads the comparison's booleans as int8: the dtype and the bytes of
-    # (u < pi).astype(np.int8), from the same uniforms
+def test_bernoulli_z_treats_the_treated_set(n, pi):
+    # from one generator state, z is 1 at exactly the units the treated-set
+    # draw returns, and both calls leave the generator in the same state
     for seed in (0, 9):
-        asg = draw_bernoulli(n, pi, np.random.default_rng(seed))
-        want = (np.random.default_rng(seed).random(n) < pi).astype(np.int8)
-        assert asg.z.dtype == want.dtype == np.int8
-        assert asg.z.tobytes() == want.tobytes()
+        dense, sparse = np.random.default_rng(seed), np.random.default_rng(seed)
+        asg = draw_bernoulli(n, pi, dense)
+        units = treated_set_bernoulli(n, pi, sparse)
+        assert asg.z.dtype == np.int8 and set(np.unique(asg.z)) <= {0, 1}
+        assert set(np.flatnonzero(asg.z).tolist()) == set(units.tolist())
+        assert len(set(units.tolist())) == units.size
+        assert dense.bit_generator.state == sparse.bit_generator.state
 
 
 def test_propensity_floor_keeps_one_over_pi_finite():

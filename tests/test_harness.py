@@ -889,14 +889,13 @@ _NULL = {"kind": "uniform_null", "lo": 0.0, "hi": 0.1}
 
 def _assert_chunk_is_its_draws(cfg, cell, scheme, draws, adaptive):
     """The cell's chunk record equals, byte for byte, the one rebuilt from
-    one ``ObservedData`` per draw by ``ht_estimate`` and each adaptive
-    builder in ``adaptive``."""
-    from tightci.estimator import ht_estimate
+    one ``(ObservedData, estimate)`` pair per draw and each adaptive builder
+    in ``adaptive``."""
     from tightci.harness import _coverage_chunk
 
     est, lower, upper = [], {m: [] for m in adaptive}, {m: [] for m in adaptive}
-    for data in draws:
-        est.append(ht_estimate(data))
+    for data, estimate in draws:
+        est.append(estimate)
         for m, build in adaptive.items():
             ci = build(data, cell.alpha)
             lower[m].append(ci.lower)
@@ -923,7 +922,7 @@ def test_dense_grouped_chunk_equals_its_draws_realized_one_by_one(
 ):
     from tightci import intervals
     from tightci.design import draw_mbcr
-    from tightci.estimator import ObservedData
+    from tightci.estimator import ObservedData, ht_estimate
     from tightci.harness import _DRAW_TAGS, _build_cells, substream
 
     # the chunk goes from each permutation to slot terms and stacked group
@@ -946,19 +945,21 @@ def test_dense_grouped_chunk_equals_its_draws_realized_one_by_one(
         ObservedData.realize(cell.table, draw_mbcr(cell.layout, at(rep)))
         for rep in range(reps)
     )
+    pairs = ((data, ht_estimate(data)) for data in draws)
     adaptive = {"studentized": intervals.studentized_ci}
-    _assert_chunk_is_its_draws(cfg, cell, "mbcr", draws, adaptive)
+    _assert_chunk_is_its_draws(cfg, cell, "mbcr", pairs, adaptive)
 
 
 @pytest.mark.parametrize("dgp", [_SHIFT, _NULL], ids=["shift", "null"])
 def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     from tightci import intervals
-    from tightci.design import draw_bernoulli
+    from tightci.design import draw_bernoulli, treated_set_bernoulli
     from tightci.dgp import sample_population
-    from tightci.estimator import ObservedData
+    from tightci.estimator import ObservedData, treated_set_estimate
     from tightci.harness import _DRAW_TAGS, _TAG_REP_TABLE, _build_cells, substream
 
-    # the Bernoulli draws keep the ObservedData that realize builds
+    # the Bernoulli draws keep the ObservedData that realize builds, and the
+    # estimate is the one from the same draw's treated set
     reps = 12
     raw = _coverage_raw(
         grid={"n": [2000], "pi": ["1/100"], "alpha": [0.05]},
@@ -971,15 +972,16 @@ def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     (cell,) = _build_cells(cfg)
     at = substream(cfg.seed, cell.idx, _DRAW_TAGS["bernoulli"])
     tables = substream(cfg.seed, cell.idx, _TAG_REP_TABLE)
-    spec = cfg.dgp.with_n(cell.n)
-    draws = (
-        ObservedData.realize(
-            sample_population(spec, tables(rep)),
-            draw_bernoulli(cell.n, float(cell.pi), at(rep)),
-        )
-        for rep in range(reps)
-    )
+    spec, pi = cfg.dgp.with_n(cell.n), float(cell.pi)
+
+    def draw(rep):
+        table = sample_population(spec, tables(rep))
+        units = treated_set_bernoulli(cell.n, pi, at(rep))
+        data = ObservedData.realize(table, draw_bernoulli(cell.n, pi, at(rep)))
+        return data, treated_set_estimate(table, units, table.y0.sum(), pi=pi)
+
     adaptive = {"clt": intervals.clt_ci, "studentized-bern": intervals.studentized_ci}
+    draws = (draw(rep) for rep in range(reps))
     _assert_chunk_is_its_draws(cfg, cell, "bernoulli", draws, adaptive)
 
 
@@ -1083,7 +1085,7 @@ def _growth_per_replication(
             "design_based",
         ),
         # a Bernoulli draw on a fresh table every replication
-        (["clt", "studentized-bern"], "draw_bernoulli", "superpopulation"),
+        (["clt", "studentized-bern"], "treated_set_bernoulli", "superpopulation"),
     ],
     ids=["grouped", "bernoulli-superpopulation"],
 )
@@ -1256,7 +1258,8 @@ def _studentized_by_replication(cfg, cell, method):
         if scheme == "mbcr":
             asg = harness.draw_mbcr(cell.layout, at(rep))
         else:
-            asg = harness.draw_bernoulli(cell.n, float(cell.pi), at(rep))
+            units = harness.treated_set_bernoulli(cell.n, float(cell.pi), at(rep))
+            asg = harness.bernoulli_assignment(cell.n, float(cell.pi), units)
         ci = studentized_ci(ObservedData.realize(cell.table, asg), cell.alpha)
         lower.append(ci.lower)
         upper.append(ci.upper)
@@ -1281,18 +1284,15 @@ def test_chunk_studentized_equals_each_replications_interval(
     monkeypatch, n, pi, method, alpha, per_block
 ):
     from tightci import harness, intervals
-    from tightci.design import Assignment
 
-    real = harness.draw_bernoulli
+    real = harness.treated_set_bernoulli
 
     def sometimes_all_treated(n, pi, rng):
         # an extreme draw now and then, whose Bernoulli anchors cross
-        asg = real(n, pi, rng)
-        if rng.random() < 0.3:
-            asg = Assignment(np.ones(n, dtype=np.int8), asg.scheme, asg.pi)
-        return asg
+        units = real(n, pi, rng)
+        return np.arange(n) if rng.random() < 0.3 else units
 
-    monkeypatch.setattr(harness, "draw_bernoulli", sometimes_all_treated)
+    monkeypatch.setattr(harness, "treated_set_bernoulli", sometimes_all_treated)
     raw = _coverage_raw(
         grid={"n": [n], "pi": [pi], "alpha": [alpha]}, methods=[method], replications=8
     )
@@ -1612,7 +1612,7 @@ def test_write_outputs_reproducible(tmp_path):
     assert first["manifest"].read_bytes() == second["manifest"].read_bytes()
     manifest = json.loads(first["manifest"].read_text())
     assert manifest["schema_version"] == "1"
-    assert manifest["rng_stream"] == 3
+    assert manifest["rng_stream"] == 4
     assert manifest["seed"] == 3
     import hashlib
 
@@ -1708,7 +1708,7 @@ def test_golden_coverage_design_based():
     report = run_monte_carlo(parse_config(_golden_coverage_raw("design_based")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "708e783acca0c1e6c8c0b5c39cee28421781be9fc8c8f346dc3ff680fc55b97a"
+        "afb1042fc47841efeb6067d15876c4883be3ca2e9d4b354ccd487bb90ce85e54"
     )
 
 
@@ -1716,7 +1716,7 @@ def test_golden_coverage_superpopulation():
     report = run_monte_carlo(parse_config(_golden_coverage_raw("superpopulation")))
     assert len(report.rows) == 36
     assert _sha256(report) == (
-        "083f50346079b1646bd26a0e458dc15113173bcf6bced956449ed76f51fd5a4e"
+        "52f9314dd8c0c0b672e9a4068c64e568d10ef0dfe1513d500d6e5b6521e66a63"
     )
 
 
@@ -1764,7 +1764,7 @@ def test_golden_benchmark_shapes():
     report = run_monte_carlo(parse_config(coverage))
     assert len(report.rows) == 4
     assert _sha256(report) == (
-        "63b8fc8289c910401837a237e4870661b067b1b6120f678f24b00e0ea1feb691"
+        "2fba2fae0404c730c6f2b942089f07f898dd9a6544aafec17c4834e44a0e4f39"
     )
     rmse = {
         "experiment": "rmse",

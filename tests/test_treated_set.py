@@ -171,7 +171,7 @@ def test_bernoulli_treated_set_estimate_is_ht_estimate(n, pi):
     "setting,draws",
     [
         ("design_based", ("draw_mbcr", "treated_set_bernoulli")),
-        ("superpopulation", ("sample_population", "draw_mbcr", "draw_bernoulli")),
+        ("superpopulation", ("sample_population", "draw_mbcr", "treated_set_bernoulli")),
     ],
 )
 def test_replication_generator_state_does_not_depend_on_its_chunk(
@@ -237,7 +237,9 @@ def test_cell_table_substream_is_the_seed_tuple_generator(seed, cell):
 # (d) Which path a design takes, and worker independence
 
 
-_DENSE = {"draw_mbcr", "draw_bernoulli"}
+# A dense grouped draw is a whole permutation; a dense Bernoulli draw is its
+# treated set, realized as every unit's assignment.
+_DENSE = {"draw_mbcr", "bernoulli_assignment"}
 _SPARSE = {"treated_set_mbcr", "treated_set_bernoulli"}
 
 
@@ -246,17 +248,20 @@ _SPARSE = {"treated_set_mbcr", "treated_set_bernoulli"}
     [
         (["hoeff-mbcr", "studentized", "naive-hoeffding"], None,
          {"draw_mbcr", "treated_set_bernoulli"}),
-        (["sub-bernoulli-mbcr", "clt"], None, {"treated_set_mbcr", "draw_bernoulli"}),
+        (["sub-bernoulli-mbcr", "clt"], None, _SPARSE | {"bernoulli_assignment"}),
         (["hoeff-mbcr", "sub-bernoulli-bern"], None, _SPARSE),
-        (["hoeff-mbcr", "sub-bernoulli-bern"], "sampled", _DENSE),
+        (["hoeff-mbcr", "sub-bernoulli-bern"], "sampled", _SPARSE),
         (["hoeff-mbcr", "sub-bernoulli-bern"], "fixed", _SPARSE),
+        (["studentized", "studentized-bern"], "sampled",
+         {"draw_mbcr", "treated_set_bernoulli", "bernoulli_assignment"}),
     ],
 )
 def test_a_design_draws_every_unit_only_when_it_must(
     monkeypatch, tmp_path, methods, dgp, called
 ):
-    # a design draws its treated set when the cell's table is fixed and none
-    # of the design's methods in the cell is data-adaptive
+    # a design draws every unit only when one of its methods in the cell is
+    # data-adaptive, whether the table is fixed or sampled per replication,
+    # and every Bernoulli draw starts from its treated set
     seen = set()
     for name in _DENSE | _SPARSE:
         real = getattr(harness, name)
@@ -275,9 +280,50 @@ def test_a_design_draws_every_unit_only_when_it_must(
     assert seen == called
 
 
+_ADAPTIVE_BERN = ["hoeff-mbcr", "sub-bernoulli-bern", "clt", "studentized-bern"]
+
+
+@pytest.mark.parametrize("methods", [_mixed_raw()["methods"], _ADAPTIVE_BERN])
 @pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
-def test_mixed_paths_give_the_same_bytes_at_one_and_two_workers(monkeypatch, setting):
+def test_mixed_paths_give_the_same_bytes_at_one_and_two_workers(
+    monkeypatch, setting, methods
+):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = parse_config(_mixed_raw(setting))
+    cfg = parse_config(_mixed_raw(setting, methods=methods))
     serial = run_monte_carlo(cfg, workers=1).to_csv_bytes()
     assert run_monte_carlo(cfg, workers=2).to_csv_bytes() == serial
+
+
+def _rows_by_method(raw):
+    """Each method's CSV lines, in grid order."""
+    report = run_monte_carlo(parse_config(raw))
+    lines = report.to_csv_bytes().decode().splitlines()[1:]
+    rows = {}
+    for row, line in zip(report.rows, lines, strict=True):
+        rows.setdefault(row["method"], []).append(line)
+    return rows
+
+
+_CLOSED = ["hoeff-mbcr", "sub-bernoulli-mbcr", "sub-bernoulli-bern", "naive-hoeffding"]
+_BERN_ROWS = {"sub-bernoulli-bern", "naive-hoeffding", "clt", "studentized-bern"}
+
+
+@pytest.mark.parametrize(
+    "base,added,kept",
+    [
+        (_CLOSED, "clt", set(_CLOSED)),
+        (_CLOSED, "studentized-bern", set(_CLOSED)),
+        (_CLOSED + ["studentized"], "clt", set(_CLOSED) | {"studentized"}),
+        (_CLOSED + ["clt"], "studentized-bern", set(_CLOSED) | {"clt"}),
+        (_CLOSED + ["clt", "studentized-bern"], "studentized", _BERN_ROWS),
+    ],
+)
+@pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
+def test_adding_a_method_leaves_the_other_rows_bytes(setting, base, added, kept):
+    # a Bernoulli row's bytes depend only on the seed, its cell and its
+    # design; a grouped row's also on whether a grouped method is adaptive
+    grid = {"n": [200, 1000], "pi": ["1/10"], "alpha": [0.05]}
+    before = _rows_by_method(_mixed_raw(setting, methods=base, grid=grid))
+    after = _rows_by_method(_mixed_raw(setting, methods=base + [added], grid=grid))
+    assert added in after and kept <= set(before)
+    assert {m: after[m] for m in kept} == {m: before[m] for m in kept}
