@@ -9,7 +9,9 @@ The built-in scenarios used throughout the experiments are
 * ``uniform_null``  lo=0.0 hi=0.1            (true effect 0, outcomes low)
 
 Generated tables always satisfy the unit-interval constraint; a spec that
-could produce values outside [0, 1] is rejected at construction.
+could produce values outside [0, 1] is rejected at construction.  A generated
+shift table holds one full-length array, ``y0``, beside its shift
+(:class:`~tightci.estimator.PotentialTable`).
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ class DgpSpec:
 def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable:
     """Draw a potential-outcome table according to the spec.
 
-    Fixed tables are loaded from disk; the uniform kinds draw control
-    outcomes from U(lo, hi) (:func:`_uniform_outcomes`) and derive treated
-    outcomes by the constant shift; a null table's treated outcomes are its
-    control array itself.
+    Fixed tables are loaded from disk and read no ``rng``; the uniform kinds
+    draw control outcomes from U(lo, hi) (:func:`_uniform_outcomes`).  A
+    shift table holds ``y0`` and its ``shift`` alone, and forms ``y1 = y0 +
+    shift`` only where a reader needs every unit's; a null table's treated
+    outcomes are its control array itself.
     """
     if spec.kind == KIND_FIXED_TABLE:
         table = PotentialTable.from_csv(spec.path)
@@ -88,31 +91,21 @@ def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable
             )
         return table
     y0 = _uniform_outcomes(spec, rng)
-    y1 = y0 + spec.shift if spec.kind == KIND_UNIFORM_SHIFT else y0
-    return PotentialTable(y0=y0, y1=y1)
+    if spec.kind == KIND_UNIFORM_SHIFT:
+        return PotentialTable(y0, shift=spec.shift)
+    return PotentialTable(y0, y0)
 
 
 def sample_table_with_effect(
     spec: DgpSpec, rng: np.random.Generator
 ) -> tuple[PotentialTable, float]:
     """The table :func:`sample_population` draws, and its own effect
-    ``psi_db``, with no full-length array beside ``y0`` and ``y1``.
-
-    A shift table's ``y1`` buffer first holds ``(y0 + shift) - y0``, the
-    difference ``psi_db`` would form, and the effect is that buffer's mean,
-    so it has ``psi_db``'s bits; the buffer is then refilled with
-    ``y0 + shift``.  Other kinds read ``psi_db`` itself, which a null table
-    answers without arithmetic.
+    ``psi_db``, with no full-length array beside ``y0`` (and a fixed
+    table's ``y1``): a shift table sums its differences a leaf at a time,
+    and a null table answers without arithmetic.
     """
-    if spec.kind != KIND_UNIFORM_SHIFT:
-        table = sample_population(spec, rng)
-        return table, table.psi_db
-    y0 = _uniform_outcomes(spec, rng)
-    y1 = np.add(y0, spec.shift)
-    y1 -= y0
-    effect = float(np.mean(y1))
-    np.add(y0, spec.shift, out=y1)
-    return PotentialTable(y0=y0, y1=y1), effect
+    table = sample_population(spec, rng)
+    return table, table.psi_db
 
 
 def _uniform_outcomes(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:

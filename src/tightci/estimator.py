@@ -94,28 +94,45 @@ def read_csv_columns(
     return {c: np.array(v, dtype=np.float64) for c, v in cols.items()}
 
 
-@dataclass(frozen=True)
 class PotentialTable:
-    """Per-unit potential outcomes, each confined to the unit interval."""
+    """Per-unit potential outcomes, each confined to the unit interval.
 
-    y0: np.ndarray
-    y1: np.ndarray
+    A table holds ``y0`` and either its own ``y1`` or a constant ``shift``.
+    A shift table's ``y1`` is ``y0 + shift``, formed read-only on its first
+    read and then kept; until then the table holds one full-length array.
+    Its range check reads ``y0``'s extremes plus ``shift`` (rounding is
+    monotone, so it refuses exactly the tables a check of every ``y0 +
+    shift`` refuses), :func:`treated_set_estimate` forms ``y0 + shift`` at
+    the units it reads, and :attr:`psi_db` sums the differences a leaf at a
+    time.  A null table's ``y1`` is its ``y0`` itself.
+    """
 
-    def __post_init__(self) -> None:
-        y0 = np.asarray(self.y0, dtype=np.float64)
-        y1 = np.asarray(self.y1, dtype=np.float64)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
-        if y0.ndim != 1 or y0.shape != y1.shape:
+    def __init__(self, y0, y1=None, *, shift: float | None = None) -> None:
+        if (y1 is None) == (shift is None):
+            raise EstimatorError("a table takes either y1 or a shift")
+        self.y0 = y0 = np.asarray(y0, dtype=np.float64)
+        self.shift = None if shift is None else float(shift)
+        if y1 is not None:
+            self.y1 = y1 = np.asarray(y1, dtype=np.float64)
+        if y0.ndim != 1 or (y1 is not None and y0.shape != y1.shape):
             raise EstimatorError("y0 and y1 must be equal-length vectors")
-        # A null table's y1 is its y0, whose range is checked once.
-        named = (("y0", y0),) if y1 is y0 else (("y0", y0), ("y1", y1))
-        for name, arr in named:
-            # NaN fails both comparisons, and +-inf fails the range.
-            if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-                raise EstimatorError(
-                    f"{name} has entries that are NaN or outside [0, 1]"
-                )
+        if not y0.size:
+            return
+        # NaN fails both comparisons, and +-inf fails the range.
+        lo, hi = y0.min(), y0.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise EstimatorError("y0 has entries that are NaN or outside [0, 1]")
+        if self.shift is not None:
+            lo, hi = lo + self.shift, hi + self.shift
+        elif y1 is not y0:  # a null table's y1 is its y0, checked above
+            lo, hi = y1.min(), y1.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise EstimatorError("y1 has entries that are NaN or outside [0, 1]")
+
+    @cached_property
+    def y1(self) -> np.ndarray:
+        """A shift table's treated outcomes, ``y0 + shift``, read-only."""
+        return read_only(self.y0 + self.shift)
 
     @property
     def n(self) -> int:
@@ -123,9 +140,12 @@ class PotentialTable:
 
     @property
     def psi_db(self) -> float:
-        """Finite-population average treatment effect of this table.  A null
-        table's is ``0.0``, the mean of its ``y0 - y0`` zeros, which it does
-        not form."""
+        """Finite-population average treatment effect of this table, with the
+        bits of ``np.mean(y1 - y0)``.  A null table's is ``0.0``, the mean of
+        its ``y0 - y0`` zeros, and a shift table's is
+        :func:`_shift_effect`; neither forms a full-length difference."""
+        if self.shift is not None:
+            return _shift_effect(self.y0, self.shift)
         if self.y1 is self.y0:
             return 0.0
         return float(np.mean(self.y1 - self.y0))
@@ -135,6 +155,39 @@ class PotentialTable:
         """Load a table from a CSV file with header ``y0,y1``."""
         cols = read_csv_columns(path, ("y0", "y1"))
         return cls(cols["y0"], cols["y1"])
+
+
+_LEAF = 8192  # differences formed at once by _shift_effect: 64 KiB
+
+
+def _shift_effect(y0: np.ndarray, shift: float) -> float:
+    """``np.mean((y0 + shift) - y0)`` to the last bit, in one buffer of at
+    most ``_LEAF`` values.  numpy sums a contiguous float64 array as one
+    pairwise tree, whose node of m > 128 values splits at m//2 rounded down
+    to a multiple of 8, and sums any node as it reduces that node's slice
+    alone; :func:`_difference_sum` walks the tree down to nodes of at most
+    ``_LEAF`` values and reduces each one's differences."""
+    n = y0.shape[0]
+    return float(_difference_sum(y0, shift, 0, n, np.empty(min(n, _LEAF))) / n)
+
+
+def _difference_sum(
+    y0: np.ndarray, shift: float, start: int, stop: int, buf: np.ndarray
+) -> float:
+    """The sum of ``(y0 + shift) - y0`` over ``start:stop`` that numpy's
+    pairwise tree gives that node, its differences formed in ``buf``."""
+    m = stop - start
+    if m <= _LEAF:
+        leaf = buf[:m]
+        np.add(y0[start:stop], shift, out=leaf)
+        leaf -= y0[start:stop]
+        return np.add.reduce(leaf)
+    half = m // 2
+    half -= half % 8
+    mid = start + half
+    return _difference_sum(y0, shift, start, mid, buf) + _difference_sum(
+        y0, shift, mid, stop, buf
+    )
 
 
 @dataclass(frozen=True)
@@ -182,8 +235,9 @@ class ObservedData:
 
 def observe(table: PotentialTable, treated: np.ndarray) -> np.ndarray:
     """Each unit's observed outcome: ``y1`` where the boolean mask ``treated``
-    is set and ``y0`` elsewhere, in a fresh array.  A null table's outcomes
-    are its ``y0`` under any draw, read-only."""
+    is set and ``y0`` elsewhere, in a fresh array; a shift table forms and
+    keeps its ``y1`` on this first full read.  A null table's outcomes are
+    its ``y0`` under any draw, read-only."""
     if table.y1 is table.y0:
         return read_only(table.y0.view())
     return np.where(treated, table.y1, table.y0)
@@ -246,9 +300,12 @@ def treated_set_estimate(
     the units a Bernoulli(``pi``) draw treats.
 
     Every control outside a tail has the same weight, so their sum is
-    ``y0_total`` less the ``y0`` of the units listed.
+    ``y0_total`` less the ``y0`` of the units listed.  A shift table's
+    ``y1`` at the units is ``y0 + shift`` formed there, with the bits of
+    ``y1[units]``, so no full-length ``y1`` is built.
     """
-    y1, y0 = table.y1[units], table.y0[units]
+    y0 = table.y0[units]
+    y1 = table.y1[units] if table.shift is None else y0 + table.shift
     if layout is None:
         return float((y1.sum() / pi - (y0_total - y0.sum()) / (1.0 - pi)) / table.n)
     g, s, k = layout.group_size, layout.tail_size, layout.tail_treated

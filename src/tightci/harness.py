@@ -444,6 +444,8 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
     dgp = None if config.experiment == EXPERIMENT_WIDTH_SCALING else config.dgp
     cells = []
     layout_of = cache(_grouped_layout)  # cells of one (n, pi) share a layout
+    # Cells of one n share a fixed table: its CSV is read once per call.
+    fixed_of = cache(lambda n: sample_table_with_effect(dgp.with_n(n), None))
     grid = itertools.product(config.ns, config.pis, config.alphas)
     for idx, (n, pi, alpha) in enumerate(grid):
         layout, layout_reason = layout_of(n, pi) if grouped else (None, None)
@@ -456,9 +458,9 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
                 skip = "cell (n=%d, pi=%s, alpha=%g): skipping %s: %s"
                 log.warning(skip, n, pi, alpha, m, reason)
         table, target = None, 0.0
-        if dgp is not None and (
-            config.setting == SETTING_DESIGN_BASED or dgp.kind == KIND_FIXED_TABLE
-        ):
+        if dgp is not None and dgp.kind == KIND_FIXED_TABLE:
+            table, target = fixed_of(n)
+        elif dgp is not None and config.setting == SETTING_DESIGN_BASED:
             table, target = sample_table_with_effect(
                 dgp.with_n(n), substream(config.seed, idx, _TAG_CELL_TABLE)(0)
             )

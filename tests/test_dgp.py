@@ -128,12 +128,33 @@ def test_numpy_uniform_is_lo_plus_range_times_each_standard_draw():
     assert mismatches == []
 
 
+def test_numpy_mean_is_the_pairwise_tree_a_shift_target_walks():
+    # A shift table's target walks numpy's pairwise summation tree (a node of
+    # m > 128 values splits at m//2 less (m//2) % 8) down to nodes of at
+    # most 8,192 differences, and reduces each such node with np.add.reduce.
+    # A numpy that changes its tree or how it sums a node fails here by name
+    # rather than shifting a report's bytes.
+    ns = [*range(1, 18), 127, 128, 129, 8191, 8192, 8193, 16383, 16384, 16385,
+          100_003, 10**6]
+    specs = [(0.1, 0.5, 0.0), (0.1, 0.5, 0.5), (0.0, 0.7, 0.3)]
+    assert all(hi + shift == 1.0 for _, hi, shift in specs[1:])
+    mismatches = []
+    for i, n in enumerate(ns):
+        for lo, hi, shift in specs:
+            spec = DgpSpec("uniform_shift", n=n, lo=lo, hi=hi, shift=shift)
+            table = sample_population(spec, np.random.default_rng(i))
+            want = float(np.mean((table.y0 + shift) - table.y0))
+            if table.psi_db.hex() != want.hex():
+                mismatches.append((n, shift))
+    assert mismatches == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16_385, 100_003])
 def test_design_based_target_has_the_tables_own_mean_difference_bits(n, tmp_path):
     # A cell's target is its table's mean(y1 - y0) to the last bit, though no
-    # such difference array is left to read: a shift table's is formed in
-    # y1's buffer, and a null table's is +0.0.  A config's n is at least 2,
-    # so n = 1 is checked on the dgp call that builds a cell's table.
+    # such difference array is formed: a shift table's is summed a leaf at a
+    # time, and a null table's is +0.0.  A config's n is at least 2, so
+    # n = 1 is checked on the dgp call that builds a cell's table.
     from tightci.harness import _build_cells, parse_config
 
     rng = np.random.default_rng(n)
@@ -169,7 +190,6 @@ def test_design_based_target_has_the_tables_own_mean_difference_bits(n, tmp_path
             if dgp["kind"] == "uniform_null":
                 assert target == 0.0 and math.copysign(1.0, target) == 1.0
             if dgp["kind"] == "uniform_shift":
-                # the buffer that held the differences holds y0 + shift
                 assert table.y1.tobytes() == (table.y0 + dgp["shift"]).tobytes()
 
 

@@ -94,6 +94,65 @@ def test_table_validation():
             PotentialTable(shared, shared)
 
 
+def _refusal(*args, **kwargs):
+    """The message a table built from these arguments is refused with, or
+    None."""
+    try:
+        PotentialTable(*args, **kwargs)
+    except EstimatorError as exc:
+        return str(exc)
+    return None
+
+
+_Y0_REFUSED = "y0 has entries that are NaN or outside [0, 1]"
+_Y1_REFUSED = "y1 has entries that are NaN or outside [0, 1]"
+_HALF_UP = math.nextafter(0.5, 1.0)  # 0.5 + 2**-53
+
+
+@pytest.mark.parametrize(
+    "y0, shift, refused",
+    [
+        # max + shift rounds to 1 + 2**-52
+        ([0.2, math.nextafter(_HALF_UP, 1.0)], 0.5, _Y1_REFUSED),
+        # max + shift is 1 + 2**-53 exactly, which rounds to 1.0, as
+        # every y0 + shift does
+        ([0.2, _HALF_UP], 0.5, None),
+        ([0.0, 0.7], 0.3, None),  # lands on 1.0
+        ([0.0, 0.4], -5e-324, _Y1_REFUSED),
+        ([5e-324, 0.4], -5e-324, None),
+        ([0.2, np.nan], 0.5, _Y0_REFUSED),
+        ([0.2, np.inf], 0.0, _Y0_REFUSED),
+        ([-np.inf, 0.2], 0.5, _Y0_REFUSED),
+        ([0.2, 0.3], np.nan, _Y1_REFUSED),
+        ([0.2, 0.3], np.inf, _Y1_REFUSED),
+        ([0.2, 0.3], -np.inf, _Y1_REFUSED),
+        ([], 2.0, None),
+    ],
+)
+def test_shift_table_range_check_refuses_what_the_full_check_refuses(
+    y0, shift, refused
+):
+    # a shift table checks y0's extremes plus its shift; rounding is
+    # monotone, so it refuses exactly the tables whose y0 + shift, given as
+    # an array, is refused, with the same message
+    y0 = np.array(y0, dtype=np.float64)
+    assert _refusal(y0, y0 + shift) == refused
+    assert _refusal(y0, shift=shift) == refused
+    if refused is None:
+        table = PotentialTable(y0, shift=shift)
+        assert "y1" not in vars(table)  # no y1 until it is read
+        assert table.y1.tobytes() == (y0 + shift).tobytes()
+        assert not table.y1.flags.writeable
+        assert table.y1 is table.y1  # formed once and kept
+
+
+def test_table_takes_either_y1_or_a_shift():
+    y0 = np.array([0.2, 0.3])
+    for args, kwargs in (((y0,), {}), ((y0, y0), {"shift": 0.1})):
+        with pytest.raises(EstimatorError, match="either y1 or a shift"):
+            PotentialTable(*args, **kwargs)
+
+
 def test_table_csv_roundtrip(tmp_path):
     table = PotentialTable(np.array([0.25, 0.0, 1.0]), np.array([0.5, 0.125, 0.75]))
     path = tmp_path / "table.csv"
@@ -423,14 +482,15 @@ def test_grouped_slot_terms_peak_under_two_arrays():
     assert full <= peak < 2 * full
 
 
-def test_design_based_cell_table_peak_under_two_and_a_half_arrays():
+def test_design_based_cell_table_peak_under_one_and_a_quarter_arrays():
     import tracemalloc
 
     from tightci.harness import _build_cells, parse_config
 
-    # a design-based shift cell holds y0 and y1: its target is taken from
-    # y1's buffer before y1 is written, and y0 is drawn in place, so neither
-    # a y1 - y0 temporary nor uniform's second array is made
+    # a design-based shift cell holds y0 and its shift alone: y0 is drawn in
+    # place, and its target is summed a leaf of differences at a time in one
+    # 64 KiB buffer, so no y1, y1 - y0 temporary or second uniform array is
+    # made
     n = 100000
     raw = {
         "experiment": "rmse",
@@ -451,8 +511,8 @@ def test_design_based_cell_table_peak_under_two_and_a_half_arrays():
     finally:
         tracemalloc.stop()
     full = 8 * n  # one full-length float64 array
-    assert cell.table.y1 is not cell.table.y0
-    assert 2 * full <= peak < 2.5 * full
+    assert "y1" not in vars(cell.table)  # no y1 formed
+    assert full <= peak < 1.25 * full
 
 
 def test_public_draws_and_data_keep_their_bytes():

@@ -777,12 +777,14 @@ def test_coverage_skips_studentized_cells_with_too_few_groups(caplog):
 
 
 @pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
-def test_fixed_table_read_once_per_cell(tmp_path, monkeypatch, setting):
+def test_fixed_table_read_once_per_call(tmp_path, monkeypatch, setting):
     import numpy as np
 
     from reference import write_table_csv
     from tightci.estimator import PotentialTable
 
+    # the six cells of one n share one table, read from its CSV once; the
+    # report keeps the bytes it had when every cell read its own
     path = tmp_path / "table.csv"
     rng = np.random.default_rng(8)
     y0 = rng.uniform(0.0, 0.5, 40)
@@ -796,15 +798,18 @@ def test_fixed_table_read_once_per_cell(tmp_path, monkeypatch, setting):
 
     monkeypatch.setattr(PotentialTable, "from_csv", classmethod(counting))
     raw = _coverage_raw(
-        grid={"n": [40], "pi": ["1/10", "1/20"], "alpha": [0.05]},
-        methods=["hoeff-mbcr", "sub-bernoulli-bern"],
+        grid={"n": [40], "pi": ["1/10", "1/20"], "alpha": [0.05, 0.1, 0.2]},
+        methods=["hoeff-mbcr", "sub-bernoulli-bern", "clt"],
         dgp={"kind": "fixed_table", "path": str(path)},
         replications=40,
         setting=setting,
     )
     report = run_monte_carlo(parse_config(raw))
-    assert len(report.rows) == 4
-    assert len(reads) == 2  # one per cell, not one per replication
+    assert len(report.rows) == 18
+    assert len(reads) == 1  # one per call, not one per cell or replication
+    assert _sha256(report) == (
+        "7ea4448dbe0d5f04d5d2ee922ef2d60113299dc14490030d2746024be998daac"
+    )
 
 
 def test_closed_form_widths_computed_once_per_cell(monkeypatch):
@@ -985,6 +990,53 @@ def test_dense_bernoulli_chunk_equals_its_draws_realized_one_by_one(dgp):
     _assert_chunk_is_its_draws(cfg, cell, "bernoulli", draws, adaptive)
 
 
+def _with_y1(table):
+    """``table`` with its ``y1`` given as an array: a shift table's twin."""
+    from tightci.estimator import PotentialTable
+
+    assert table.shift is not None and "y1" not in vars(table)
+    return PotentialTable(table.y0, table.y0 + table.shift)
+
+
+@pytest.mark.parametrize("setting", ["design_based", "superpopulation"])
+@pytest.mark.parametrize(
+    "n, pi",
+    [(1000, "1/10"), (997, "100/997"), (991, "100/991")],
+    ids=["tiling", "one-spill", "two-spill"],
+)
+def test_dense_chunk_of_a_shift_table_equals_its_twin_with_y1(
+    monkeypatch, setting, n, pi
+):
+    import dataclasses
+
+    from tightci import harness
+
+    # a shift table holds y0 and its shift, and the dense draws form its y1
+    # when they first observe it: every record, grouped and Bernoulli, keeps
+    # the bits it has when the table is given y1 as an array
+    raw = _coverage_raw(
+        grid={"n": [n], "pi": [pi], "alpha": [0.05]},
+        methods=["hoeff-mbcr", "studentized", "clt", "studentized-bern"],
+        dgp=_SHIFT,
+        replications=8,
+        setting=setting,
+    )
+    cfg = parse_config(raw)
+    (cell,) = harness._build_cells(cfg)
+    if setting == "design_based":
+        twin = dataclasses.replace(cell, table=_with_y1(cell.table))
+    else:
+        twin = cell
+    one_array = harness._coverage_chunk(cfg, cell, 0, 8)
+    sample = harness.sample_population
+    monkeypatch.setattr(harness, "sample_population", lambda *a: _with_y1(sample(*a)))
+    given_y1 = harness._coverage_chunk(cfg, twin, 0, 8)
+    assert sorted(one_array) == sorted(given_y1)
+    assert ("lower", "studentized") in one_array and ("lower", "clt") in one_array
+    for key, arr in one_array.items():
+        assert arr.tobytes() == given_y1[key].tobytes(), key
+
+
 def test_a_draw_with_an_empty_arm_is_a_miss_of_width_zero():
     from tightci.design import draw_bernoulli
     from tightci.estimator import ObservedData
@@ -1114,6 +1166,22 @@ def test_treated_set_chunk_allocates_no_full_length_array(monkeypatch):
     ]
     grown, _ = _growth_per_replication(monkeypatch, methods, "treated_set_mbcr", n)
     assert max(grown) < 8 * n
+
+
+def test_superpopulation_shift_replication_holds_under_one_and_a_quarter_arrays(
+    monkeypatch,
+):
+    # with only closed forms, a replication's fresh shift table holds y0 and
+    # its shift, and both designs draw their treated sets: no y1 is formed
+    n = 20000
+    methods = [
+        "hoeff-mbcr", "sub-bernoulli-mbcr", "sub-bernoulli-bern", "naive-hoeffding"
+    ]
+    grown, _ = _growth_per_replication(
+        monkeypatch, methods, "sample_population", n, setting="superpopulation"
+    )
+    full = 8 * n  # one full-length float64 array
+    assert full <= min(grown) and max(grown) < 1.25 * full
 
 
 def test_one_worker_runs_each_cell_as_one_chunk(monkeypatch, serial_children):

@@ -163,6 +163,28 @@ def test_bernoulli_treated_set_estimate_is_ht_estimate(n, pi):
         assert abs(sparse - dense) < 1e-12
 
 
+@pytest.mark.parametrize("n,n1,spill", [(100, 10, 0), (1003, 10, 1), (1561, 40, 2)])
+def test_shift_table_treated_set_estimate_keeps_its_y1_bits(n, n1, spill):
+    # a shift table forms y0 + shift at the treated units alone; each
+    # estimate has the bits it has when the table is given y1 as an array
+    layout = compute_layout(n, n1)
+    assert layout.tail_treated == spill
+    rng = np.random.default_rng(n * 7 + n1)
+    for shift in (0.0, 0.3, 0.5):
+        y0 = rng.random(n) * 0.5
+        one_array = PotentialTable(y0, shift=shift)
+        tables = (one_array, PotentialTable(y0, y0 + shift))
+        total = y0.sum()
+        for _ in range(20):
+            units = treated_set_mbcr(layout, rng)
+            ests = [treated_set_estimate(t, units, total, layout) for t in tables]
+            assert ests[0].hex() == ests[1].hex()
+            units = treated_set_bernoulli(n, n1 / n, rng)
+            ests = [treated_set_estimate(t, units, total, pi=n1 / n) for t in tables]
+            assert ests[0].hex() == ests[1].hex()
+        assert "y1" not in vars(one_array)  # no full-length y1 was formed
+
+
 # ---------------------------------------------------------------------------
 # (c) Substreams
 
