@@ -192,7 +192,7 @@ def _compute_ci(args) -> Interval:
         # Complete randomization is the grouped design when the groups tile
         # the sample, and then the standard estimate is the grouped one.
         layout = compute_layout(n, n1)
-        if layout.tail_treated != 0:
+        if len(layout.kinds) > 1:
             raise CliError(
                 f"{method} on plain complete data needs groups that tile the "
                 "sample (n1 dividing n); otherwise give each unit's block in "

@@ -118,34 +118,27 @@ def _shown(pi: float | Fraction) -> float | str:
 
 @dataclass(frozen=True)
 class MbcrLayout:
-    """Derived batching arithmetic for grouped complete randomization.
+    """The blocks of a grouped complete randomization of ``n`` units.
 
-    ``num_full_groups`` blocks of ``group_size`` slots each receive exactly
-    one treated unit; a final block of ``tail_size`` slots (possibly empty)
-    receives ``tail_treated`` of them.  The read-only :attr:`kinds`,
-    :attr:`allocation` and :attr:`coef` are built on first read and live as
-    long as the layout.
+    ``kinds`` lists them once, as ``(size, treated, count)`` per kind of
+    block in slot order: ``count`` blocks of ``size`` slots, each with
+    ``treated`` treated units.  :func:`compute_layout` builds full blocks
+    ``(g, 1, T)`` and then at most one tail ``(s, k, 1)``.  The read-only
+    :attr:`n1`, :attr:`allocation` and :attr:`coef` are built on first read
+    and live as long as the layout.
     """
 
     n: int
-    n1: int
-    group_size: int
-    num_full_groups: int
-    tail_size: int
-    tail_treated: int
+    kinds: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def n1(self) -> int:
+        """The treated count: the treated units of every block."""
+        return sum(treated * count for _, treated, count in self.kinds)
 
     @property
     def pi(self) -> Fraction:
         return Fraction(self.n1, self.n)
-
-    @cached_property
-    def kinds(self) -> tuple[tuple[int, int, int], ...]:
-        """``(size, treated, count)`` per kind of block, in slot order: the
-        full blocks ``(g, 1, T)``, then the tail ``(s, k, 1)`` if any."""
-        full = (self.group_size, 1, self.num_full_groups)
-        if self.tail_size == 0:
-            return (full,)
-        return full, (self.tail_size, self.tail_treated, 1)
 
     @property
     def num_groups(self) -> int:
@@ -201,14 +194,10 @@ def compute_layout(n: int, n1: int) -> MbcrLayout:
             "control; use Bernoulli randomization (or adjust n1) at this "
             "propensity"
         )
-    return MbcrLayout(
-        n=n,
-        n1=n1,
-        group_size=group_size,
-        num_full_groups=full,
-        tail_size=tail,
-        tail_treated=tail_treated,
-    )
+    kinds = ((group_size, 1, full),)
+    if tail:
+        kinds += ((tail, tail_treated, 1),)
+    return MbcrLayout(n=n, kinds=kinds)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -293,12 +282,17 @@ def draw_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> Assignment:
 
 def treated_set_mbcr(layout: MbcrLayout, rng: np.random.Generator) -> np.ndarray:
     """The units a grouped draw seats at the tail's slots, in slot order (its
-    first ``tail_treated`` are the tail's treated units), then the units at
-    the full blocks' treated slots: everything the estimate of a table
-    reads.  The units at any distinct slots of a uniform permutation are an
-    ordered sample without replacement, so this is one, of O(1/pi + n pi)
-    units, in the law of :func:`draw_mbcr`'s units at those slots."""
-    size = layout.tail_size + layout.n1 - layout.tail_treated
+    first ``k`` are the tail's treated units), then the units at the ``T``
+    full blocks' treated slots: everything the estimate of a table reads.
+    The units at any distinct slots of a uniform permutation are an ordered
+    sample without replacement, so this is one, of O(1/pi + n pi) units, in
+    the law of :func:`draw_mbcr`'s units at those slots.
+
+    ``layout`` has :func:`compute_layout`'s shape: full blocks ``(g, 1, T)``
+    first, then at most one tail ``(s, k, 1)``.
+    """
+    (_, _, full), *tail = layout.kinds
+    size = full + (tail[0][0] if tail else 0)
     return rng.choice(layout.n, size, replace=False)
 
 

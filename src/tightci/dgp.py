@@ -96,18 +96,6 @@ def sample_population(spec: DgpSpec, rng: np.random.Generator) -> PotentialTable
     return PotentialTable(y0, y0)
 
 
-def sample_table_with_effect(
-    spec: DgpSpec, rng: np.random.Generator
-) -> tuple[PotentialTable, float]:
-    """The table :func:`sample_population` draws, and its own effect
-    ``psi_db``, with no full-length array beside ``y0`` (and a fixed
-    table's ``y1``): a shift table sums its differences a leaf at a time,
-    and a null table answers without arithmetic.
-    """
-    table = sample_population(spec, rng)
-    return table, table.psi_db
-
-
 def _uniform_outcomes(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
     """``spec.n`` draws from U(lo, hi), scaled and shifted in place.
 

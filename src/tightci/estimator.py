@@ -297,7 +297,9 @@ def treated_set_estimate(
     """:func:`ht_estimate` of a draw on ``table``, from the units it treats
     and ``y0_total = table.y0.sum()``: under a grouped ``layout``, ``units``
     as :func:`~tightci.design.treated_set_mbcr` orders them, and otherwise
-    the units a Bernoulli(``pi``) draw treats.
+    the units a Bernoulli(``pi``) draw treats.  A grouped ``layout`` has
+    :func:`~tightci.design.compute_layout`'s shape: full blocks ``(g, 1, T)``
+    first, then at most one tail ``(s, k, 1)``.
 
     Every control outside a tail has the same weight, so their sum is
     ``y0_total`` less the ``y0`` of the units listed.  A shift table's
@@ -308,7 +310,8 @@ def treated_set_estimate(
     y1 = table.y1[units] if table.shift is None else y0 + table.shift
     if layout is None:
         return float((y1.sum() / pi - (y0_total - y0.sum()) / (1.0 - pi)) / table.n)
-    g, s, k = layout.group_size, layout.tail_size, layout.tail_treated
+    (g, _, _), *tail = layout.kinds
+    s, k, _ = tail[0] if tail else (0, 0, 0)
     total = g * y1[s:].sum() - g / (g - 1.0) * (y0_total - y0.sum())
     if s:
         total += s / k * y1[:k].sum() - s / (s - k) * y0[k:s].sum()

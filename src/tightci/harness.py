@@ -67,7 +67,6 @@ from .dgp import (
     DgpError,
     DgpSpec,
     sample_population,
-    sample_table_with_effect,
     true_ate_iid,
 )
 from .estimator import (
@@ -444,8 +443,10 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
     dgp = None if config.experiment == EXPERIMENT_WIDTH_SCALING else config.dgp
     cells = []
     layout_of = cache(_grouped_layout)  # cells of one (n, pi) share a layout
-    # Cells of one n share a fixed table: its CSV is read once per call.
-    fixed_of = cache(lambda n: sample_table_with_effect(dgp.with_n(n), None))
+    # Cells of one n share a fixed table: its CSV is read, and its effect
+    # computed, once per call.
+    fixed_of = cache(lambda n: sample_population(dgp.with_n(n), None))
+    effect_of = cache(lambda n: fixed_of(n).psi_db)
     grid = itertools.product(config.ns, config.pis, config.alphas)
     for idx, (n, pi, alpha) in enumerate(grid):
         layout, layout_reason = layout_of(n, pi) if grouped else (None, None)
@@ -459,11 +460,12 @@ def _build_cells(config: ExperimentConfig) -> list[_Cell]:
                 log.warning(skip, n, pi, alpha, m, reason)
         table, target = None, 0.0
         if dgp is not None and dgp.kind == KIND_FIXED_TABLE:
-            table, target = fixed_of(n)
+            table, target = fixed_of(n), effect_of(n)
         elif dgp is not None and config.setting == SETTING_DESIGN_BASED:
-            table, target = sample_table_with_effect(
+            table = sample_population(
                 dgp.with_n(n), substream(config.seed, idx, _TAG_CELL_TABLE)(0)
             )
+            target = table.psi_db
         elif dgp is not None:
             target = true_ate_iid(dgp)
         cells.append(_Cell(idx, n, pi, alpha, layout, tuple(methods), table, target))

@@ -185,12 +185,9 @@ def _centered(
 def _grouped_shape(layout: MbcrLayout | None) -> dict[str, int]:
     if layout is None:
         raise IntervalError("a grouped form needs the layout")
-    return {
-        "n": layout.n,
-        "num_full_groups": layout.num_full_groups,
-        "group_size": layout.group_size,
-        "tail_size": layout.tail_size,
-    }
+    (g, _, full), *tail = layout.kinds
+    s = tail[0][0] if tail else 0
+    return {"n": layout.n, "num_full_groups": full, "group_size": g, "tail_size": s}
 
 
 def _bernoulli_tuning(layout, n, pi, alpha: float) -> dict[str, Any]:

@@ -5,8 +5,8 @@ vectorized form, the exact conditional-expectation oracle for the grouped
 estimator's unbiasedness, the propensity-only bound on the grouped width
 constant, the exact enumeration's tuple count, the grouped layout's slot
 pattern, coefficients, group sums and closed-form constants written as full
-blocks plus a tail, and the writers of the CSV files that the library reads.
-No library code path calls them.
+blocks plus a tail, the three-way split those are read from, and the writers
+of the CSV files that the library reads.  No library code path calls them.
 """
 
 import csv
@@ -17,7 +17,7 @@ import numpy as np
 
 from tightci.design import SCHEME_COMPLETE, Assignment, MbcrLayout, _check_counts
 from tightci.estimator import EstimatorError, ObservedData, PotentialTable
-from tightci.intervals import _grouped_shape, log_half_cosh2
+from tightci.intervals import log_half_cosh2
 
 VARIANT_STANDARD = "standard"
 VARIANT_MIRRORED = "mirrored"
@@ -38,11 +38,36 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def three_way_split(n: int, n1: int) -> tuple[int, int, int, int]:
+    """The grouped layout of ``n1`` treated out of ``n`` as ``(g, T, s, k)``:
+    ``T`` full blocks of ``g = ceil(n / n1)`` slots, one treated each, then a
+    tail of ``s`` slots with ``k`` treated.  ``k`` is 0 (and so ``s``) when
+    ``n1`` divides ``n``, else 1 if that leaves the tail two slots or more,
+    else 2.  Feasibility is not checked."""
+    g = -(-n // n1)
+    if n % n1 == 0:
+        k = 0
+    elif n - (n1 - 1) * g >= 2:
+        k = 1
+    else:
+        k = 2
+    t = n1 - k
+    return g, t, n - t * g, k
+
+
+def shape(layout: MbcrLayout) -> tuple[int, int, int, int]:
+    """``layout``'s ``(g, T, s, k)`` by :func:`three_way_split`, checked
+    against its kinds: ``(g, 1, T)``, then ``(s, k, 1)`` if ``s > 0``."""
+    g, t, s, k = three_way_split(layout.n, layout.n1)
+    assert layout.kinds == ((g, 1, t),) + ((s, k, 1),) * (s > 0)
+    return g, t, s, k
+
+
 def slot_blocks(layout: MbcrLayout) -> list[np.ndarray]:
     """Slot index ranges, one per group, tail last when present."""
-    g, t = layout.group_size, layout.num_full_groups
+    g, t, s, _ = shape(layout)
     blocks = [np.arange(i * g, (i + 1) * g) for i in range(t)]
-    if layout.tail_size > 0:
+    if s > 0:
         blocks.append(np.arange(t * g, layout.n))
     return blocks
 
@@ -59,8 +84,8 @@ def write_table_csv(path, table: PotentialTable) -> None:
 def unit_blocks(asg: Assignment) -> np.ndarray:
     """Each unit's block in a grouped draw, its slot's: ``min(eta[j] // g,
     T)``, so the full blocks are ``0..T-1`` in slot order and the tail ``T``."""
-    lay = asg.layout
-    return np.minimum(asg.eta // lay.group_size, lay.num_full_groups)
+    g, t, _, _ = shape(asg.layout)
+    return np.minimum(asg.eta // g, t)
 
 
 def write_grouped_csv(path, data: ObservedData) -> None:
@@ -78,8 +103,8 @@ def enumeration_space_size(layout: MbcrLayout) -> int:
     """Number of permutation tuples the exact enumeration must visit,
     ``g!**T * s! * n!``: every within-block shuffle of the ``T`` full blocks
     and the tail, times every unit-wide permutation."""
-    g, t, s, n = layout.group_size, layout.num_full_groups, layout.tail_size, layout.n
-    return math.factorial(g) ** t * math.factorial(s) * math.factorial(n)
+    g, t, s, _ = shape(layout)
+    return math.factorial(g) ** t * math.factorial(s) * math.factorial(layout.n)
 
 
 def pseudo_outcome(y, z, prop: float, variant: str = VARIANT_STANDARD):
@@ -118,24 +143,25 @@ def conditional_mean_given_eta(
     if eta.shape[0] != layout.n or table.n != layout.n:
         raise EstimatorError("table, layout, and permutation sizes differ")
     inv_eta = inverse_permutation(eta)
-    g = float(layout.group_size)
+    g, t, s, k = shape(layout)
+    g = float(g)
     w_ctrl = g / (g - 1.0)
     total = 0.0
     blocks = slot_blocks(layout)
-    full = blocks[: layout.num_full_groups]
+    full = blocks[:t]
     for block in full:
         units = inv_eta[block]
         y0g, y1g = table.y0[units], table.y1[units]
         s0 = y0g.sum()
         total += float(np.mean(g * y1g - w_ctrl * (s0 - y0g)))
-    if layout.tail_size > 0:
+    if s > 0:
         units = inv_eta[blocks[-1]]
         y0g, y1g = table.y0[units], table.y1[units]
         s0 = y0g.sum()
-        wt = layout.tail_size / layout.tail_treated
-        wc = layout.tail_size / (layout.tail_size - layout.tail_treated)
+        wt = s / k
+        wc = s / (s - k)
         acc = 0.0
-        combos = list(itertools.combinations(range(layout.tail_size), layout.tail_treated))
+        combos = list(itertools.combinations(range(s), k))
         for picked in combos:
             sel = list(picked)
             acc += wt * y1g[sel].sum() - wc * (s0 - y0g[sel].sum())
@@ -156,15 +182,16 @@ def two_point_cgf(lam: float, a: float, b: float) -> float:
 def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
     """Propensity-only value or upper bound for the grouped width constant.
 
-    Returns ``(bound, tail_treated)``: the exact ``1/sqrt(pi)`` when the
-    groups tile the sample, ``(1 + pi)/sqrt(pi)`` with one spilled treated
-    unit, and ``sqrt((1+pi)^2/pi + 2 (1/pi + 1)^2 / n)`` with two.  The bound
-    always dominates the exact constant.
+    Returns ``(bound, k)``, ``k`` the tail's treated count: the exact
+    ``1/sqrt(pi)`` when the groups tile the sample, ``(1 + pi)/sqrt(pi)`` with
+    one spilled treated unit, and ``sqrt((1+pi)^2/pi + 2 (1/pi + 1)^2 / n)``
+    with two.  The bound always dominates the exact constant.
     """
     pi = float(layout.pi)
-    if layout.tail_treated == 0:
+    k = shape(layout)[3]
+    if k == 0:
         return 1.0 / math.sqrt(pi), 0
-    if layout.tail_treated == 1:
+    if k == 1:
         return (1.0 + pi) / math.sqrt(pi), 1
     bound = math.sqrt(
         (1.0 + pi) ** 2 / pi + 2.0 * (1.0 / pi + 1.0) ** 2 / layout.n
@@ -174,28 +201,29 @@ def cn_mbcr_bounds(layout: MbcrLayout) -> tuple[float, int]:
 
 # ---------------------------------------------------------------------------
 # The grouped layout written as full blocks plus a tail, each formula with the
-# tail's term beside the full blocks'.  ``MbcrLayout.kinds`` gives the same
-# bytes as one loop over the kinds of block.
+# tail's term beside the full blocks', read from :func:`three_way_split`.
+# ``MbcrLayout.kinds`` gives the same bytes as one loop over the kinds of block.
 
 
 def allocation_reference(layout: MbcrLayout) -> np.ndarray:
     """One 1 leading each full block, then the tail's treated slots, then
     the tail's control slots."""
+    g, t, _, k = shape(layout)
     a = np.zeros(layout.n, dtype=np.int8)
-    body = layout.num_full_groups * layout.group_size
-    a[0:body:layout.group_size] = 1
-    a[body:body + layout.tail_treated] = 1
+    body = t * g
+    a[0:body:g] = 1
+    a[body:body + k] = 1
     return a
 
 
 def coef_reference(layout: MbcrLayout) -> np.ndarray:
     """``g`` at a full block's treated slot and ``-g/(g-1)`` at its control
     slots, with the tail block's own size-per-treated ratio in place of ``g``."""
-    g, full, tail = layout.group_size, layout.num_full_groups, layout.tail_size
+    g, full, tail, treated = shape(layout)
     a = allocation_reference(layout)
     coef = np.where(a == 1, float(g), -g / (g - 1.0))
     if tail > 0:
-        treated, body = layout.tail_treated, full * g
+        body = full * g
         tail_a = a[body:]
         coef[body:] = np.where(tail_a == 1, tail / treated, -tail / (tail - treated))
     return coef
@@ -203,11 +231,11 @@ def coef_reference(layout: MbcrLayout) -> np.ndarray:
 
 def block_sums_reference(terms: np.ndarray, layout: MbcrLayout) -> np.ndarray:
     """One row-wise reduction of the full blocks, then the tail's sum."""
-    full, g = layout.num_full_groups, layout.group_size
-    out = np.empty(layout.num_full_groups + (layout.tail_size > 0))
+    g, full, tail, _ = shape(layout)
+    out = np.empty(full + (tail > 0))
     body = full * g
     np.add.reduce(terms[:body].reshape(full, g), axis=1, out=out[:full])
-    if layout.tail_size > 0:
+    if tail > 0:
         out[full] = terms[body:].sum()
     return out
 
@@ -220,11 +248,11 @@ def hoeff_mbcr_constant_reference(t: dict) -> float:
 
 def sb_mbcr_tuning_reference(layout: MbcrLayout, alpha: float) -> dict:
     """The ``sub-bernoulli-mbcr`` record: the layout's shape and ``lam``."""
-    t = _grouped_shape(layout)
-    g, tail = t["group_size"], t["tail_size"]
+    g, full, tail, _ = shape(layout)
+    t = {"n": layout.n, "num_full_groups": full, "group_size": g, "tail_size": tail}
     t["lam"] = math.sqrt(
         2.0 * math.log(2.0 / alpha)
-        / (4.0 * t["num_full_groups"] * g * g + 4.0 * tail * tail)
+        / (4.0 * full * g * g + 4.0 * tail * tail)
     )
     return t
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import draw_complete, unit_blocks, write_grouped_csv
+from reference import draw_complete, shape, unit_blocks, write_grouped_csv
 from tightci.cli import _mbcr_assignment, main
 from tightci.design import (
     MAX_N,
@@ -200,7 +200,7 @@ _BLOCK_EDITS = {
     ),
     # the tail merged into the last full block
     "tail": (
-        lambda lay, z, b: np.minimum(b, lay.num_full_groups - 1),
+        lambda lay, z, b: np.minimum(b, shape(lay)[1] - 1),
         "block {last} has {merged} units, {k1} treated",
     ),
 }
@@ -227,14 +227,14 @@ def test_ci_block_labels_checked(tmp_path, capsys, n, n1, edit):
     if message is None:
         assert code == 0 and err == ""
         return
-    g, s, k = lay.group_size, lay.tail_size, lay.tail_treated
+    g, full, s, k = shape(lay)
     message = message.format(
-        g=g, g1=g - 1, g2=g + 1, last=lay.num_full_groups - 1, merged=g + s, k1=k + 1
+        g=g, g1=g - 1, g2=g + 1, last=full - 1, merged=g + s, k1=k + 1
     )
     assert code == 1 and message in err
     if edit != "non-integer":
         layout = (
-            f"{n} units, {n1} treated: {lay.num_full_groups} blocks of {g} units "
+            f"{n} units, {n1} treated: {full} blocks of {g} units "
             f"with one treated each, and one of {s} units with {k} treated; "
         )
         assert f"error: {_MISMATCH}{layout}" in err
@@ -308,7 +308,7 @@ def test_ci_block_file_gives_the_library_interval(tmp_path, capsys, n, n1, metho
     # the block, then by block
     lay = data.assignment.layout
     slot, block = data.assignment.eta, unit_blocks(data.assignment)
-    rows = np.lexsort((block, slot - block * lay.group_size))
+    rows = np.lexsort((block, slot - block * shape(lay)[0]))
     reordered = ObservedData(
         y=data.y[rows], assignment=grouped_assignment(lay, slot[rows])
     )
@@ -345,7 +345,7 @@ def test_ci_labels_under_an_increasing_map_print_the_same_bytes(
     write_grouped_csv(plain, data)
     header, *rows = plain.read_text().splitlines()
     cells = [row.rpartition(",") for row in rows]
-    tail = data.assignment.layout.num_full_groups
+    tail = shape(data.assignment.layout)[1]
     path = tmp_path / "relabelled.csv"
     args = ["ci", "--data", str(path), "--scheme", "mbcr", "--method", method]
     outputs = []

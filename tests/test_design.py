@@ -13,6 +13,7 @@ from reference import (
     draw_complete,
     enumeration_space_size,
     inverse_permutation,
+    shape,
     slot_blocks,
 )
 from tightci.design import (
@@ -39,30 +40,27 @@ from tightci.estimator import ObservedData, PotentialTable
 
 def test_layout_9_3():
     lay = compute_layout(9, 3)
-    assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
-        3, 3, 0, 0,
-    )
+    assert lay.kinds == ((3, 1, 3),)
+    assert shape(lay) == (3, 3, 0, 0)
     assert lay.allocation.tolist() == [1, 0, 0, 1, 0, 0, 1, 0, 0]
 
 
 def test_layout_9_4():
     lay = compute_layout(9, 4)
-    assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
-        3, 2, 3, 2,
-    )
+    assert lay.kinds == ((3, 1, 2), (3, 2, 1))
+    assert shape(lay) == (3, 2, 3, 2)
     assert lay.allocation.tolist() == [1, 0, 0, 1, 0, 0, 1, 1, 0]
 
 
 def test_group_size_two_sevenths():
     # propensity 2/7 rounds the reciprocal up to 4
-    assert compute_layout(7, 2).group_size == 4
+    assert compute_layout(7, 2).kinds[0][0] == 4
 
 
 def test_layout_half_propensity():
     lay = compute_layout(10, 5)
-    assert (lay.group_size, lay.num_full_groups, lay.tail_size, lay.tail_treated) == (
-        2, 5, 0, 0,
-    )
+    assert lay.kinds == ((2, 1, 5),)
+    assert shape(lay) == (2, 5, 0, 0)
     assert lay.allocation.tolist() == [1, 0] * 5
 
 
@@ -124,10 +122,9 @@ def test_layout_matches_oracle_small_n():
         for i, n1 in enumerate(n1s):
             if feasible[i]:
                 lay = compute_layout(n, int(n1))
-                assert lay.group_size == g[i]
-                assert lay.num_full_groups == full[i]
-                assert lay.tail_size == tail[i]
-                assert lay.tail_treated == tail_treated[i]
+                assert lay.kinds[0] == (g[i], 1, full[i])
+                tails = [(tail[i], tail_treated[i], 1)] if tail[i] else []
+                assert list(lay.kinds[1:]) == tails
                 a = lay.allocation
                 assert int(a.sum()) == n1
             else:
@@ -143,18 +140,18 @@ def test_layout_invariants_random(n, data):
         lay = compute_layout(n, n1)
     except LayoutInfeasibleError:
         return
-    assert lay.num_full_groups * lay.group_size + lay.tail_size == n
-    assert lay.num_full_groups + lay.tail_treated == n1
-    assert lay.group_size == math.ceil(n / n1)
+    g, full, tail, tail_treated = shape(lay)
+    assert full * g + tail == n
+    assert full + tail_treated == lay.n1 == n1
+    assert g == math.ceil(n / n1)
     assert lay.pi == Fraction(n1, n) <= Fraction(1, 2)
-    if lay.tail_treated:
-        assert lay.tail_size > lay.tail_treated >= 1
+    if tail_treated:
+        assert tail > tail_treated >= 1
         # the tail's treated slots are weighed by its size-per-treated ratio
         coef = lay.coef
-        tail = lay.tail_size
         assert sorted(set(coef[lay.n - tail:])) == [
-            -tail / (tail - lay.tail_treated),
-            tail / lay.tail_treated,
+            -tail / (tail - tail_treated),
+            tail / tail_treated,
         ]
 
 
@@ -240,10 +237,11 @@ def test_mbcr_one_treated_per_group(n, n1, two_stage_mbcr):
             inv_eta = inverse_permutation(asg.eta)
             groups = [inv_eta[block] for block in slot_blocks(lay)]
             assert sorted(int(u) for grp in groups for u in grp) == list(range(n))
-            for t in range(lay.num_full_groups):
+            _, full, tail, tail_treated = shape(lay)
+            for t in range(full):
                 assert int(asg.z[groups[t]].sum()) == 1
-            if lay.tail_size:
-                assert int(asg.z[groups[-1]].sum()) == lay.tail_treated
+            if tail:
+                assert int(asg.z[groups[-1]].sum()) == tail_treated
 
 
 def test_mbcr_deterministic_and_consistent():
@@ -308,13 +306,14 @@ def test_mbcr_draw_bit_identical_to_loop_reference(n, n1, seed):
 def _slot_coef_reference(layout, beta):
     """Each slot's coefficient as ``t * w_treat - (1 - t) * w_ctrl``."""
     t = layout.allocation[beta].astype(np.float64)
-    g = float(layout.group_size)
+    size, full, tail, tail_treated = shape(layout)
+    g = float(size)
     w_treat = np.full(layout.n, g)
     w_ctrl = np.full(layout.n, g / (g - 1.0))
-    if layout.tail_size > 0:
-        body = layout.num_full_groups * layout.group_size
-        w_treat[body:] = layout.tail_size / layout.tail_treated
-        w_ctrl[body:] = layout.tail_size / (layout.tail_size - layout.tail_treated)
+    if tail > 0:
+        body = full * size
+        w_treat[body:] = tail / tail_treated
+        w_ctrl[body:] = tail / (tail - tail_treated)
     return t * w_treat - (1.0 - t) * w_ctrl
 
 
@@ -586,7 +585,7 @@ def test_enumerate_6_2_exact_counts():
 def test_enumerate_with_tail_group():
     # n=5, n1=2 has a remainder group of two with one treated
     lay = compute_layout(5, 2)
-    assert lay.tail_size == 2 and lay.tail_treated == 1
+    assert lay.kinds[1:] == ((2, 1, 1),)
     dist = enumerate_mbcr_distribution(lay)
     assert dist.total == math.factorial(3) * math.factorial(2) * math.factorial(5)
     assert len(dist.counts) == math.comb(5, 2)

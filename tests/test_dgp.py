@@ -10,7 +10,6 @@ from tightci.dgp import (
     DgpError,
     DgpSpec,
     sample_population,
-    sample_table_with_effect,
     true_ate_iid,
 )
 from tightci.estimator import PotentialTable
@@ -169,10 +168,11 @@ def test_design_based_target_has_the_tables_own_mean_difference_bits(n, tmp_path
     ]
     seeds = (0, 1, 20260901)
     for dgp in dgps:
-        built = [
-            sample_table_with_effect(DgpSpec(n=n, **dgp), np.random.default_rng(s))
+        tables = (
+            sample_population(DgpSpec(n=n, **dgp), np.random.default_rng(s))
             for s in seeds
-        ]
+        )
+        built = [(table, table.psi_db) for table in tables]
         for seed in seeds if n >= 2 else ():
             raw = {
                 "experiment": "rmse",
@@ -194,13 +194,15 @@ def test_design_based_target_has_the_tables_own_mean_difference_bits(n, tmp_path
 
 
 def test_table_with_effect_is_the_sampled_table():
-    # the same bytes and generator state as sample_population
+    # the table and its effect, from one seed: the same bytes and generator
+    # state as a second draw of sample_population
     for spec in (
         DgpSpec("uniform_shift", n=1001, lo=0.1, hi=0.5, shift=0.5),
         DgpSpec("uniform_null", n=1001, lo=0.9, hi=1.0),
     ):
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        table, effect = sample_table_with_effect(spec, rng_a)
+        table = sample_population(spec, rng_a)
+        effect = table.psi_db
         plain = sample_population(spec, rng_b)
         assert table.y0.tobytes() == plain.y0.tobytes()
         assert table.y1.tobytes() == plain.y1.tobytes()

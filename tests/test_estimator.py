@@ -14,6 +14,7 @@ from reference import (
     draw_complete,
     inverse_permutation,
     pseudo_outcome,
+    shape,
     slot_blocks,
     write_table_csv,
 )
@@ -338,16 +339,16 @@ def _ht_mbcr_by_hand(data):
     eta = data.assignment.eta.tolist()
     a = lay.allocation.tolist()
     inv_eta = {eta[j]: j for j in range(lay.n)}
-    g = lay.group_size
+    g, full, tail, tail_treated = shape(lay)
     total = 0.0
-    for t in range(lay.num_full_groups):
+    for t in range(full):
         for s in range(t * g, (t + 1) * g):
             y = data.y[inv_eta[s]]
             treated = a[s]
             total += y * (treated / (1 / g) - (1 - treated) / (1 - 1 / g))
-    if lay.tail_size:
-        ratio = lay.tail_size / lay.tail_treated
-        for s in range(lay.num_full_groups * g, lay.n):
+    if tail:
+        ratio = tail / tail_treated
+        for s in range(full * g, lay.n):
             y = data.y[inv_eta[s]]
             treated = a[s]
             total += y * (treated / (1 / ratio) - (1 - treated) / (1 - 1 / ratio))
@@ -370,7 +371,7 @@ def test_ht_mbcr_matches_hand_expansion(n, n1, seed, two_stage_mbcr):
 
 def test_groupwise_sum_attains_bounds():
     lay = compute_layout(10, 2)
-    assert lay.group_size == 5
+    assert shape(lay)[0] == 5
     rng = np.random.default_rng(4)
     asg = draw_mbcr(lay, rng)
     # treated outcome 1, controls 0 pushes a group sum to +g
@@ -389,16 +390,16 @@ def test_groupwise_sums_within_bounds_random():
     rng = np.random.default_rng(5)
     for n, n1 in [(60, 6), (9, 4), (23, 5)]:
         lay = compute_layout(n, n1)
-        g = lay.group_size
+        g, t, s, _ = shape(lay)
         for _ in range(25):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, draw_mbcr(lay, rng))
             sums = groupwise_sums(data)
             assert sums.shape[0] == lay.num_groups
-            full = sums[: lay.num_full_groups]
+            full = sums[:t]
             assert np.all(full >= -g - 1e-9) and np.all(full <= g + 1e-9)
-            if lay.tail_size:
-                assert abs(sums[-1]) <= lay.tail_size + 1e-9
+            if s:
+                assert abs(sums[-1]) <= s + 1e-9
 
 
 def test_groupwise_sums_bernoulli_singletons():
@@ -585,9 +586,10 @@ def test_block_sums_are_each_blocks_reduction(n, n1):
     lay = compute_layout(n, n1)
     rng = np.random.default_rng(n)
     data = ObservedData.realize(_random_table(n, rng), draw_mbcr(lay, rng))
-    g, body = lay.group_size, lay.num_full_groups * lay.group_size
+    g, full, tail, _ = shape(lay)
+    body = full * g
     slices = [data.terms[i : i + g] for i in range(0, body, g)]
-    if lay.tail_size:
+    if tail:
         slices.append(data.terms[body:])
     expected = np.array([np.add.reduce(s) for s in slices])
     assert groupwise_sums(data).tobytes() == expected.tobytes()
@@ -613,11 +615,11 @@ def test_mirrored_sums_equal_standard_under_grouping(two_stage_mbcr):
     rng = np.random.default_rng(8)
     for n, n1 in [(100, 10), (9, 4), (10, 3), (23, 5)]:
         lay = compute_layout(n, n1)
-        g, s, t = lay.group_size, lay.tail_size, lay.tail_treated
+        g, full, s, t = shape(lay)
         assert g - (g - 1) * Fraction(g, g - 1) == 0
         if s:
             assert t * Fraction(s, t) - (s - t) * Fraction(s, s - t) == 0
-        props = [1 / g] * lay.num_full_groups + ([t / s] if s else [])
+        props = [1 / g] * full + ([t / s] if s else [])
         for _ in range(10):
             table = _random_table(n, rng)
             data = ObservedData.realize(table, two_stage_mbcr(lay, rng))
@@ -677,10 +679,10 @@ def test_conditional_mean_matches_cross_product_enumeration():
     table = _random_table(6, rng)
     eta = rng.permutation(6)
     inv_eta = inverse_permutation(eta)
-    g = lay.group_size
+    g, full, _, _ = shape(lay)
     total = 0.0
     count = 0
-    for picks in itertools.product(range(g), repeat=lay.num_full_groups):
+    for picks in itertools.product(range(g), repeat=full):
         est = 0.0
         for t, pick in enumerate(picks):
             units = inv_eta[np.arange(t * g, (t + 1) * g)]

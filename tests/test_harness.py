@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import shape
 from tightci.design import MAX_N, MIN_PI, EnumerationBudgetError, LayoutInfeasibleError
 from tightci.harness import (
     ConfigError,
@@ -878,7 +879,7 @@ def test_chunk_equals_its_one_replication_chunks(setting):
     )
     cfg = parse_config(raw)
     (cell,) = _build_cells(cfg)
-    assert cell.layout.tail_size > 0 and len(cell.methods) == 5
+    assert shape(cell.layout)[2] > 0 and len(cell.methods) == 5
     whole = _coverage_chunk(cfg, cell, 0, 6)
     parts = [_coverage_chunk(cfg, cell, rep, rep + 1) for rep in range(6)]
     assert sorted(whole) == sorted(parts[0])
@@ -944,7 +945,7 @@ def test_dense_grouped_chunk_equals_its_draws_realized_one_by_one(
     )
     cfg = parse_config(raw)
     (cell,) = _build_cells(cfg)
-    assert cell.layout.tail_treated == spill
+    assert shape(cell.layout)[3] == spill
     at = substream(cfg.seed, cell.idx, _DRAW_TAGS["mbcr"])
     draws = (
         ObservedData.realize(cell.table, draw_mbcr(cell.layout, at(rep)))
@@ -1521,8 +1522,7 @@ def test_width_scaling_samples_no_table(monkeypatch):
     }
     plain = run_width_scaling(parse_config(raw))
     calls = []
-    for name in ("sample_population", "sample_table_with_effect"):
-        monkeypatch.setattr(harness, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "sample_population", lambda *args: calls.append(args))
     raw["dgp"] = {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5}
     with_dgp = run_width_scaling(parse_config(raw))
     assert calls == []
@@ -1848,3 +1848,85 @@ def test_golden_benchmark_shapes():
     assert _sha256(report) == (
         "bb2f4bef70e5777e158ad1a06a8b903f446a2b17d459b89fc53f42abbfcc9ee2"
     )
+
+
+@pytest.mark.parametrize(
+    "n, n1, tail, rmse_digest, coverage_digest",
+    [
+        (
+            1003, 10, (94, 1, 1),
+            "b9b18f44651cc21494448dca9e01734dd4cdf1d7fa89188edde5436608b0b02e",
+            "f2cbc40168163b4c3275dee0778455ed18ea35b8e5e552870d95f17fad8151a7",
+        ),
+        (
+            1561, 40, (41, 2, 1),
+            "74734f56eba68b5a81a5a9c58da9bb5f2a4a0d795fa01c9dc75e918101131ae9",
+            "e3b71be47a807f422ea768747cc4b1dee0fa67fc0ed3a46dea92f820c3e5c9b3",
+        ),
+    ],
+    ids=["one-spill", "two-spill"],
+)
+def test_golden_treated_set_on_tail_layouts(n, n1, tail, rmse_digest, coverage_digest):
+    from tightci.design import compute_layout
+
+    # Grouped cells with no adaptive method draw only the treated set, so
+    # these pin the tail branch of the treated-set draw and estimate, which
+    # the tiling RMSE grids and the Studentized coverage grids never run.
+    assert compute_layout(n, n1).kinds[1:] == (tail,)
+    raw = {
+        "experiment": "rmse",
+        "grid": {"n": [n], "pi": [f"{n1}/{n}"], "alpha": [0.05]},
+        "methods": ["ht-mbcr"],
+        "dgp": {"kind": "uniform_shift", "lo": 0.1, "hi": 0.5, "shift": 0.5},
+        "replications": 200,
+        "seed": 11,
+        "setting": "design_based",
+    }
+    assert _sha256(run_monte_carlo(parse_config(raw))) == rmse_digest
+    raw.update(experiment="coverage", methods=["hoeff-mbcr", "sub-bernoulli-mbcr"])
+    assert _sha256(run_monte_carlo(parse_config(raw))) == coverage_digest
+
+
+_BUNDLED_DIGESTS = {
+    "equivalence_6_2": (
+        "43b77999e0c693c2150a7484412964210581514382d8179071e30f81c659d9a7",
+        "eae5b86ee47fe862d55e3af02e768cb646cdffd429280d6f5c006f185d958898",
+    ),
+    "fig1": (
+        "5d68c69d74f277163bd841a248713dc64a5a01982ed0b7dadb96f7964b255d86",
+        "f048fdd72b0d1d142fee21e5e61a1e7ea8a5c586b0f9c7fc9065af09d9f7d15c",
+    ),
+    "fig2a": (
+        "8a7186a48bd96dbd9cef7a722ec159f717c001dde0415b82dea4597745932f4f",
+        "fdbc6b32267b7502793818a67e3576901db5af8890fd8c27def596d40dbc3700",
+    ),
+    "fig2b": (
+        "77fc9763ca5a4b4d5ad94f10ea82b35c17d0ef0a605201501d41665c223c0e9b",
+        "bbf1d067d760db22475b5d9cf188cc6a1786c36ff01e58c00719eef6c4413d2d",
+    ),
+    "fig2c": (
+        "a38247200f9086c66291f3b20466fb9147422f21ed1fb74e00f9302f32768798",
+        "540b4abb8182519dc5297abbc3d485c907cce5775cdc2dbe7728f075553ca07d",
+    ),
+    "rmse": (
+        "809bd8e43b7f9209616cc33f354290d0c63428409df3384f292c09d2871b7293",
+        "c99a6ea6cfe7c9bfffa88f814291ab42cbd17edad4a65256fc7505e1fb329548",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_DIGESTS))
+def test_golden_bundled_configs(tmp_path, name):
+    import hashlib
+
+    # sha256 of the CSV and manifest each bundled config writes, at its full
+    # replication count and one worker.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert sorted(p.stem for p in configs.glob("*.json")) == sorted(_BUNDLED_DIGESTS)
+    cfg = load_config(configs / f"{name}.json")
+    paths = write_outputs(tmp_path, run_experiment(cfg), cfg)
+    digests = tuple(
+        hashlib.sha256(paths[key].read_bytes()).hexdigest()
+        for key in ("csv", "manifest")
+    )
+    assert digests == _BUNDLED_DIGESTS[name]

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import cn_mbcr_bounds, draw_complete, pseudo_outcome, two_point_cgf
+from reference import (
+    cn_mbcr_bounds,
+    draw_complete,
+    pseudo_outcome,
+    shape,
+    two_point_cgf,
+)
 from tightci.design import MIN_PI, compute_layout, draw_bernoulli, draw_mbcr
 from tightci.estimator import ObservedData, PotentialTable, groupwise_sums, paired_terms
 from tightci.intervals import (
@@ -261,7 +267,7 @@ def test_sub_bernoulli_mbcr_lambda_rules():
 
 def test_sub_bernoulli_mbcr_tail_term():
     lay = compute_layout(10, 3)
-    assert lay.tail_size == 2
+    assert shape(lay)[2] == 2
     ci = closed_ci("sub-bernoulli-mbcr", 0.0, 0.05, layout=lay)
     lam = ci.tuning["lam"]
     kappa = 2 * log_half_cosh2(2 * 4 * lam) + log_half_cosh2(2 * 2 * lam)
@@ -485,7 +491,8 @@ def test_studentized_scale_variants():
         (111, 12, 11.0),  # two spill into a tail of 11 beside groups of 10
     ]:
         lay = compute_layout(n, n1)
-        assert c == max(lay.group_size, lay.tail_size)
+        g, _, s, _ = shape(lay)
+        assert c == max(g, s)
         assert studentized_ci(_mbcr_data(n, n1, 5), 0.05).tuning["c"] == c
 
 
@@ -582,7 +589,7 @@ GROUPED_LAYOUTS = pytest.mark.parametrize(
 
 @GROUPED_LAYOUTS
 def test_studentized_anchors_unchanged_on_grouped_layouts(n, n1, tail_treated):
-    assert compute_layout(n, n1).tail_treated == tail_treated
+    assert shape(compute_layout(n, n1))[3] == tail_treated
     for seed in range(3):
         data = _mbcr_data(n, n1, seed)
         for alpha in (0.05, 0.01):
@@ -907,7 +914,8 @@ def _layouts(draw):
         n1 = draw(st.integers(g, 10_000 // g))
         s = draw(st.integers(g - 1, min(n1 - 1, 2 * g - 3)))
     layout = compute_layout(g * n1 - s, n1)
-    assert (layout.group_size, layout.tail_treated) == (g, tail)
+    size, _, _, k = shape(layout)
+    assert (size, k) == (g, tail)
     return layout
 
 
@@ -972,8 +980,8 @@ def test_adaptive_builders_finite_ordered_and_reevaluable(case, alpha):
             continue
         except IntervalError as err:
             assert m == "studentized"
-            lay = data.assignment.layout
-            assert lay.num_full_groups + (lay.tail_size > 0) < 4
+            _, full, tail, _ = shape(data.assignment.layout)
+            assert full + (tail > 0) < 4
             assert "insufficient groups" in str(err)
             continue
         assert math.isfinite(ci.lower) and math.isfinite(ci.upper), m

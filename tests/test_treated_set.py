@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import write_table_csv
+from reference import shape, write_table_csv
 from tightci import harness
 from tightci.design import (
     SCHEME_BERNOULLI,
@@ -47,8 +47,8 @@ def _seat(layout, units):
     """The permutation ``eta`` that seats ``units`` where
     :func:`treated_set_mbcr` says they sit: the tail's slots in order, then
     the full blocks' treated slots; every other unit fills the other slots."""
-    g, s = layout.group_size, layout.tail_size
-    body = layout.num_full_groups * g
+    g, full, s, _ = shape(layout)
+    body = full * g
     slots = np.concatenate([np.arange(body, body + s), np.arange(0, body, g)])
     rest_units = np.setdiff1d(np.arange(layout.n), units)
     rest_slots = np.setdiff1d(np.arange(layout.n), slots)
@@ -86,7 +86,7 @@ def test_grouped_treated_set_law(n, n1, spill):
     # uniform sample: every assignment and every split of the units into
     # tail-treated, tail-control and the rest is equally likely
     layout = compute_layout(n, n1)
-    s, k = layout.tail_size, layout.tail_treated
+    _, _, s, k = shape(layout)
     assert k == spill
     rng = np.random.default_rng(2718)
     units = np.array([treated_set_mbcr(layout, rng) for _ in range(DRAWS)])
@@ -136,13 +136,13 @@ def test_bernoulli_treated_set_law():
 )
 def test_grouped_treated_set_estimate_is_ht_estimate(n, n1, spill):
     layout = compute_layout(n, n1)
-    assert layout.tail_treated == spill
+    assert shape(layout)[3] == spill
     rng = np.random.default_rng(n * 31 + n1)
     for _ in range(20):
         table = PotentialTable(rng.random(n), rng.random(n))
         units = treated_set_mbcr(layout, rng)
         asg = grouped_assignment(layout, _seat(layout, units))
-        s, k = layout.tail_size, layout.tail_treated
+        _, _, s, k = shape(layout)
         assert sorted(np.flatnonzero(asg.z)) == sorted(np.r_[units[:k], units[s:]])
         dense = ht_estimate(ObservedData.realize(table, asg))
         sparse = treated_set_estimate(table, units, table.y0.sum(), layout)
@@ -168,7 +168,7 @@ def test_shift_table_treated_set_estimate_keeps_its_y1_bits(n, n1, spill):
     # a shift table forms y0 + shift at the treated units alone; each
     # estimate has the bits it has when the table is given y1 as an array
     layout = compute_layout(n, n1)
-    assert layout.tail_treated == spill
+    assert shape(layout)[3] == spill
     rng = np.random.default_rng(n * 7 + n1)
     for shift in (0.0, 0.3, 0.5):
         y0 = rng.random(n) * 0.5
